@@ -92,26 +92,29 @@ class Timeline:
     points: tuple[TimePoint, ...] = ()
     implicit: bool = False
     id_declared: bool = field(default=False, compare=False)
+    # Point id -> point, built from ``points`` by ``__post_init__`` (also after ``replace``).
+    _by_id: dict[str, TimePoint] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.unit not in TIMELINE_UNITS:
             raise ValueError(f"timeline {self.id!r}: unit must be one of {TIMELINE_UNITS}")
-        seen: set[str] = set()
+        by_id: dict[str, TimePoint] = {}
         for n, point in enumerate(self.points):
             if point.index != n:
                 raise ValueError(f"timeline {self.id!r}: point indices must be consecutive from 0")
-            if point.id in seen:
+            if point.id in by_id:
                 raise ValueError(f"timeline {self.id!r}: duplicate point id {point.id!r}")
-            seen.add(point.id)
+            by_id[point.id] = point
+        object.__setattr__(self, "_by_id", by_id)
 
     def __contains__(self, point_id: str) -> bool:
-        return any(p.id == point_id for p in self.points)
+        return point_id in self._by_id
 
     def point(self, point_id: str) -> TimePoint:
-        for p in self.points:
-            if p.id == point_id:
-                return p
-        raise UnknownIdError("timeline point", point_id)
+        try:
+            return self._by_id[point_id]
+        except KeyError:
+            raise UnknownIdError("timeline point", point_id) from None
 
     def index_of(self, point_id: str) -> int:
         return self.point(point_id).index

@@ -164,8 +164,13 @@ def overlaps_report(doc: Document) -> OverlapReport:
     Annotations without a resolvable event interval are skipped and counted.
     Output order is deterministic: annotations sorted by (start index,
     end index, id), pairs in that iteration order.
+
+    Each annotation is paired only with later annotations on its own
+    timeline, and the scan stops at the first one starting at or after its
+    end, so the cost is O(n log n + k) for n annotations and k pairs, plus
+    the zero-length intervals starting inside an annotation.
     """
-    resolved: list[tuple[int, int, str, Annotation, Timeline]] = []
+    resolved: list[tuple[int, int, str, Timeline]] = []
     skipped = 0
     for ann in doc.annotations:
         rng = ann.range
@@ -179,18 +184,28 @@ def overlaps_report(doc: Document) -> OverlapReport:
         except UnknownIdError:
             skipped += 1
             continue
-        resolved.append((s, e, ann.id, ann, timeline))
+        resolved.append((s, e, ann.id, timeline))
 
     resolved.sort(key=lambda item: (item[0], item[1], item[2]))
+    # Each timeline's annotations in sorted order, and each annotation's
+    # position in its timeline's list.
+    by_timeline: dict[str, list[tuple[int, int, str, Timeline]]] = {}
+    positions: list[int] = []
+    for item in resolved:
+        group = by_timeline.setdefault(item[3].id, [])
+        positions.append(len(group))
+        group.append(item)
+
     pairs: list[OverlapPair] = []
-    for i, (s1, e1, id1, ann1, tl1) in enumerate(resolved):
-        for s2, e2, id2, ann2, tl2 in resolved[i + 1 :]:
-            if tl1.id != tl2.id:
-                continue
-            start = max(s1, s2)
+    for (s1, e1, id1, tl), pos in zip(resolved, positions):
+        group = by_timeline[tl.id]
+        for n in range(pos + 1, len(group)):
+            s2, e2, id2, _ = group[n]
+            if s2 >= e1:
+                break
             end = min(e1, e2)
-            if start < end:
-                shared = EventInterval(tl1.points[start].id, tl1.points[end].id, tl1.id)
+            if s2 < end:
+                shared = EventInterval(tl.points[s2].id, tl.points[end].id, tl.id)
                 pairs.append(OverlapPair(id1, id2, shared))
     return OverlapReport(tuple(pairs), skipped)
 

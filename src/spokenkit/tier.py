@@ -204,6 +204,7 @@ def serialize_tier(td: TierDocument) -> str:
     """Serialise a tier document; parsed files reproduce their input bytes."""
     speaker_map = {s.id: s for s in td.speakers}
     point_map = dict(td.points)
+    tier_map = {t.id: t for t in td.tiers}
     lines: list[str] = []
 
     def speaker_line(sid: str) -> str:
@@ -232,9 +233,9 @@ def serialize_tier(td: TierDocument) -> str:
             elif kind == "point":
                 lines.append(point_line(record[1]))
             elif kind == "tier":
-                lines.append(tier_line(td.tier(record[1])))
+                lines.append(tier_line(tier_map[record[1]]))
             elif kind == "event":
-                tier = td.tier(record[1])
+                tier = tier_map[record[1]]
                 lines.append(event_line(tier, tier.events[record[2]]))
     else:
         for speaker in td.speakers:

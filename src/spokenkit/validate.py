@@ -240,6 +240,7 @@ def check_refs(doc: Document) -> list[Issue]:
                 if target not in known:
                     dangle("target", target, app.ident or "appInfo")
 
+    annotation_tokens = {a.id for a in doc.annotations if isinstance(a, Token)} | token_ids
     for ann in doc.annotations:
         if not any(s.id == ann.source for s in doc.sources):
             dangle("source", ann.source, ann.id)
@@ -261,9 +262,6 @@ def check_refs(doc: Document) -> list[Issue]:
                 if target not in known:
                     dangle("target", target, ann.id)
         if isinstance(ann, WordForm):
-            annotation_tokens = {
-                a.id for a in doc.annotations if isinstance(a, Token)
-            } | token_ids
             for token_ref in ann.tokens:
                 if token_ref not in annotation_tokens:
                     dangle("tokens", token_ref, ann.id)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from spokenkit.core import (
@@ -58,6 +60,47 @@ def test_timeline_point_lookup():
     assert "b" in tl
     with pytest.raises(UnknownIdError):
         tl.point("zz")
+
+
+def test_timeline_unknown_point_id():
+    tl = Timeline.of("tl", ["a", "b"])
+    with pytest.raises(UnknownIdError) as exc:
+        tl.index_of("zz")
+    assert exc.value.ref == "zz"
+    with pytest.raises(UnknownIdError):
+        tl.point("zz")
+    assert "zz" not in tl
+
+
+def test_timeline_lookup_follows_replaced_points():
+    tl = Timeline.of("tl", ["a", "b", "c"])
+    changed = replace(tl, points=(TimePoint("c", 0), TimePoint("d", 1)))
+    assert changed.index_of("c") == 0
+    assert changed.point("d").index == 1
+    assert "a" not in changed
+    with pytest.raises(UnknownIdError):
+        changed.point("b")
+    assert tl.index_of("c") == 2
+
+
+def test_timeline_index_does_not_affect_equality_hash_or_repr():
+    points = (TimePoint("a", 0, offset=10), TimePoint("b", 1))
+    one = Timeline("tl", "ms", points)
+    other = Timeline("tl", "ms", tuple(TimePoint(p.id, p.index, p.offset) for p in points))
+    assert one == other
+    assert hash(one) == hash(other)
+    assert repr(one) == repr(other)
+    assert "by_id" not in repr(one)
+    assert repr(one) == (
+        "Timeline(id='tl', unit='ms', points=(TimePoint(id='a', index=0, offset=10, "
+        "synthetic=False, anchor_declared=False), TimePoint(id='b', index=1, offset=None, "
+        "synthetic=False, anchor_declared=False)), implicit=False, id_declared=False)"
+    )
+
+
+def test_timeline_rejects_duplicate_point_id():
+    with pytest.raises(ValueError, match="duplicate point id 'a'"):
+        Timeline.of("tl", ["a", "b", "a"])
 
 
 def test_negative_offset_rejected():

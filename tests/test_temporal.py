@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
 
 from spokenkit.core import (
     Annotation,
+    ComponentRefs,
     Document,
     EventInterval,
     IncomparableIntervalsError,
     Qualifier,
+    ScaleInterval,
     SourceRef,
     TemporalRelation as R,
     TimePoint,
@@ -282,3 +285,113 @@ def test_overlaps_report_never_pairs_across_timelines():
         ),
     )
     assert overlaps_report(doc).pairs == ()
+
+
+
+def all_pairs_overlaps(doc):
+    """Reference: compare every pair of resolved annotations.
+
+    Points are found by position in the timeline's point list, so the
+    reference does not rely on the timeline's id index either.
+    """
+    resolved = []
+    skipped = 0
+    for ann in doc.annotations:
+        rng = ann.range
+        tl = next((t for t in doc.timelines if t.id == getattr(rng, "timeline", None)), None)
+        ids = [p.id for p in tl.points] if tl is not None else []
+        if not isinstance(rng, EventInterval) or rng.start not in ids or rng.end not in ids:
+            skipped += 1
+            continue
+        resolved.append((ids.index(rng.start), ids.index(rng.end), ann.id, tl))
+    resolved.sort(key=lambda item: item[:3])
+    pairs = []
+    for i, (s1, e1, id1, tl1) in enumerate(resolved):
+        for s2, e2, id2, tl2 in resolved[i + 1 :]:
+            start, end = max(s1, s2), min(e1, e2)
+            if tl1.id == tl2.id and start < end:
+                pairs.append((id1, id2, tl1.points[start].id, tl1.points[end].id, tl1.id))
+    return pairs, skipped
+
+
+TIMELINE_A = Timeline.of("tlA", [f"a{i}" for i in range(6)])
+TIMELINE_B = Timeline.of("tlB", [f"b{i}" for i in range(5)])
+UNRESOLVABLE = (
+    EventInterval("a0", "zz", "tlA"),
+    EventInterval("b9", "b1", "tlB"),
+    EventInterval("a0", "a1", "tlX"),
+)
+
+
+def random_range(rand: random.Random, n: int):
+    kind = rand.random()
+    if kind < 0.75:
+        tl = rand.choice((TIMELINE_A, TIMELINE_B))
+        start, end = rand.randrange(len(tl.points)), rand.randrange(len(tl.points))
+        if rand.random() < 0.7:
+            start, end = sorted((start, end))
+        return EventInterval(tl.points[start].id, tl.points[end].id, tl.id)
+    if kind < 0.82:
+        return rand.choice(UNRESOLVABLE)
+    if kind < 0.89:
+        return ScaleInterval(0, rand.randint(0, 3))
+    if kind < 0.96:
+        return ComponentRefs((f"t{n}",))
+    return None
+
+
+def random_overlap_doc(rand: random.Random) -> Document:
+    """Events on two timelines over few points, so ties and empty spans are common."""
+    annotations = tuple(
+        Annotation(
+            id=f"e{rand.randrange(30):02d}",
+            source="src",
+            range=random_range(rand, n),
+            qualifiers=(Qualifier("utterance", ""),),
+            layer="events",
+        )
+        for n in range(rand.randint(0, 24))
+    )
+    return Document(
+        sources=(SourceRef("src"),),
+        timelines=(TIMELINE_A, TIMELINE_B),
+        annotations=annotations,
+    )
+
+
+def shapes_of(doc, report):
+    """Which of the shapes the random documents must cover this document has."""
+    ranked = sorted(
+        (tl.index_of(a.range.start), tl.index_of(a.range.end), tl.id)
+        for a in doc.annotations
+        for tl in (TIMELINE_A, TIMELINE_B)
+        if isinstance(a.range, EventInterval)
+        and a.range.timeline == tl.id
+        and a.range.start in tl
+        and a.range.end in tl
+    )
+    timeline_order = [tl for _, _, tl in ranked]
+    switches = sum(a != b for a, b in zip(timeline_order, timeline_order[1:]))
+    non_event = sum(not isinstance(a.range, EventInterval) for a in doc.annotations)
+    shapes = {
+        "interleaved": switches >= 2,
+        "zero-length": any(s == e for s, e, _ in ranked),
+        "tie": len(ranked) != len(set(ranked)),
+        "unknown": report.skipped > non_event,
+        "scale": any(isinstance(a.range, ScaleInterval) for a in doc.annotations),
+        "component": any(isinstance(a.range, ComponentRefs) for a in doc.annotations),
+        "pairs": bool(report.pairs),
+    }
+    return {name for name, present in shapes.items() if present}
+
+
+def test_overlaps_report_matches_all_pairs_reference_on_random_documents():
+    rand = random.Random(20111017)
+    seen = set()
+    for _ in range(400):
+        doc = random_overlap_doc(rand)
+        report = overlaps_report(doc)
+        got = [(p.a, p.b, p.shared.start, p.shared.end, p.shared.timeline) for p in report.pairs]
+        assert (got, report.skipped) == all_pairs_overlaps(doc)
+        seen |= shapes_of(doc, report)
+    assert seen == {"interleaved", "zero-length", "tie", "unknown", "scale", "component", "pairs"}
