@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -115,31 +114,16 @@ def cmd_validate(args) -> int:
         language=args.lang,
         severity_overrides=config.severity_overrides,
     )
-
-    def process(path: str):
-        data = _read(path)
-        doc, _ = parse_document(data)
-        doc, _ = resolve_anchors(doc)
-        return validate_all(doc, options)
-
-    def run(path: str):
-        try:
-            return path, process(path), None
-        except (CliError, TeiParseError) as exc:
-            return path, None, str(exc)
-
-    if args.jobs > 1 and len(args.paths) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, args.paths))
-    else:
-        results = [run(path) for path in args.paths]
-
     failed = False
     has_errors = False
     multi = len(args.paths) > 1
-    for path, report, error in results:
-        if error is not None:
-            print(f"{path}: {error}", file=sys.stderr)
+    for path in args.paths:
+        try:
+            doc, _ = parse_document(_read(path))
+            doc, _ = resolve_anchors(doc)
+            report = validate_all(doc, options)
+        except (CliError, TeiParseError) as exc:
+            print(f"{path}: {exc}", file=sys.stderr)
             failed = True
             continue
         if multi:
@@ -243,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("--lang", help="language code for domain restrictions")
     p_validate.add_argument("--format", choices=["text", "tsv"], default="text")
     p_validate.add_argument("--config", help="configuration file (severity overrides)")
-    p_validate.add_argument("--jobs", type=int, default=1, help="parallel workers for many files")
     p_validate.set_defaults(func=cmd_validate)
 
     p_convert = sub.add_parser("convert", help="convert between the supported formats")

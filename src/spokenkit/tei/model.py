@@ -115,6 +115,31 @@ class Utterance:
         return content_text(self.content)
 
 
+_CONTAINERS = (Utterance, Seg)
+
+
+def content_items(items, kind) -> list:
+    """The items of type ``kind`` in ``items``, nested utterance and seg content included.
+
+    Items come in document order, each container before its content.
+    ``kind`` is a class or a tuple of classes, as for ``isinstance``.
+    """
+    found: list = []
+    _collect(items, kind, found)
+    return found
+
+
+def _collect(items, kind, found: list) -> None:
+    # A matched item that is not a container costs one isinstance test, not two.
+    for item in items:
+        if isinstance(item, kind):
+            found.append(item)
+            if isinstance(item, _CONTAINERS):
+                _collect(item.content, kind, found)
+        elif isinstance(item, _CONTAINERS):
+            _collect(item.content, kind, found)
+
+
 def content_text(items: tuple[ContentItem, ...]) -> str:
     """Concatenated transcription text of content items, markup dropped."""
     parts: list[str] = []

@@ -72,6 +72,7 @@ from spokenkit.tei.model import (
     Utterance,
     Vocal,
     W,
+    content_items,
 )
 
 TEI_NS = "http://www.tei-c.org/ns/1.0"
@@ -737,22 +738,6 @@ def _attach_annotations(doc: Document, ctx: _ParseContext) -> Document:
     event_features: set[str] = set()
     tokens: list[Token] = []
 
-    def collect_tokens(items) -> None:
-        for item in items:
-            if isinstance(item, W) and item.id:
-                tokens.append(
-                    Token(
-                        id=item.id,
-                        source=DEFAULT_SOURCE,
-                        range=ComponentRefs((item.id,)),
-                        qualifiers=(Qualifier("token", item.text),),
-                        layer=TOKENS_LAYER,
-                        surface=item.text,
-                    )
-                )
-            elif isinstance(item, Seg):
-                collect_tokens(item.content)
-
     for item in doc.body:
         if isinstance(item, Utterance):
             annotations.append(
@@ -766,7 +751,18 @@ def _attach_annotations(doc: Document, ctx: _ParseContext) -> Document:
                 )
             )
             event_features.add("utterance")
-            collect_tokens(item.content)
+            for w in content_items(item.content, W):
+                if w.id:
+                    tokens.append(
+                        Token(
+                            id=w.id,
+                            source=DEFAULT_SOURCE,
+                            range=ComponentRefs((w.id,)),
+                            qualifiers=(Qualifier("token", w.text),),
+                            layer=TOKENS_LAYER,
+                            surface=w.text,
+                        )
+                    )
         elif isinstance(item, (Kinesic, Incident)):
             kind = "kinesic" if isinstance(item, Kinesic) else "incident"
             feature = _event_feature(kind, item.type)
@@ -852,7 +848,7 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[AnchorFinding]]:
         if isinstance(item, Utterance):
             refs = [
                 anchor.point
-                for anchor in _iter_anchors(item.content)
+                for anchor in content_items(item.content, AnchorRef)
                 if anchor.point is not None
             ]
             resolved = [pid for pid in (lookup(item.id, pid) for pid in refs) if pid is not None]
@@ -888,14 +884,6 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[AnchorFinding]]:
         for ann in doc.annotations
     )
     return replace(doc, annotations=annotations), findings
-
-
-def _iter_anchors(items):
-    for item in items:
-        if isinstance(item, AnchorRef):
-            yield item
-        elif isinstance(item, Seg):
-            yield from _iter_anchors(item.content)
 
 
 # ---------------------------------------------------------------- analyses

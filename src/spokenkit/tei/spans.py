@@ -19,7 +19,7 @@ from spokenkit.core.model import (
     WordForm,
 )
 from spokenkit.featstruct import TagsetError, TagsetLibrary, flatten
-from spokenkit.tei.model import Seg, SpanGroup, Utterance, W
+from spokenkit.tei.model import Seg, SpanGroup, W, content_items
 from spokenkit.tei.parser import (
     DEFAULT_SOURCE,
     build_document_library,
@@ -40,18 +40,7 @@ class SpanFinding:
 
 def document_tokens(doc: Document) -> list[W]:
     """All identified tokens of the document, in document order."""
-    tokens: list[W] = []
-
-    def walk(items) -> None:
-        for item in items:
-            if isinstance(item, W):
-                if item.id:
-                    tokens.append(item)
-            elif isinstance(item, (Utterance, Seg)):
-                walk(item.content)
-
-    walk(doc.body)
-    return tokens
+    return [w for w in content_items(doc.body, W) if w.id]
 
 
 def document_spans(doc: Document) -> list[tuple[SpanGroup, int]]:
@@ -166,15 +155,7 @@ def attach_word_forms(doc: Document) -> tuple[Document, list[SpanFinding]]:
 def seg_stats(doc: Document) -> dict[str, int]:
     """Counts of ``seg`` elements by type, nested segments included."""
     counts: dict[str, int] = {}
-
-    def walk(items) -> None:
-        for item in items:
-            if isinstance(item, Seg):
-                key = item.type or ""
-                counts[key] = counts.get(key, 0) + 1
-                walk(item.content)
-            elif isinstance(item, Utterance):
-                walk(item.content)
-
-    walk(doc.body)
+    for seg in content_items(doc.body, Seg):
+        key = seg.type or ""
+        counts[key] = counts.get(key, 0) + 1
     return counts

@@ -353,19 +353,11 @@ def _write_body_item(w: _Writer, depth: int, item, materialize: bool) -> None:
         content = "".join(_render_content(part, materialize) for part in item.content)
         w.line(depth, f"<u{_attrs(attrs)}>{content}</u>")
     elif isinstance(item, (Kinesic, Incident)):
-        tag = "kinesic" if isinstance(item, Kinesic) else "incident"
-        attrs = {
-            "end": _ref(item.end),
-            "start": _ref(item.start),
-            "type": item.type,
-            "who": _ref(item.who),
-        }
-        if not item.id_generated:
-            attrs["xml:id"] = item.id
+        tag, attrs = _event_tag(item)
         if item.desc is None:
-            w.line(depth, f"<{tag}{_attrs(attrs)}/>")
+            w.line(depth, f"<{tag}{attrs}/>")
         else:
-            w.line(depth, f"<{tag}{_attrs(attrs)}>")
+            w.line(depth, f"<{tag}{attrs}>")
             w.line(depth + 1, _leaf("desc", {}, item.desc))
             w.line(depth, f"</{tag}>")
     elif isinstance(item, AnchorRef):
@@ -378,6 +370,19 @@ def _write_body_item(w: _Writer, depth: int, item, materialize: bool) -> None:
         w.line(depth, _render_opaque(item))
     else:
         raise TeiSerializeError(f"cannot serialise body item {item!r}")
+
+
+def _event_tag(item: Kinesic | Incident) -> tuple[str, str]:
+    """Element name and rendered attributes of a kinesic or incident."""
+    attrs = {
+        "end": _ref(item.end),
+        "start": _ref(item.start),
+        "type": item.type,
+        "who": _ref(item.who),
+    }
+    if not item.id_generated:
+        attrs["xml:id"] = item.id
+    return ("kinesic" if isinstance(item, Kinesic) else "incident"), _attrs(attrs)
 
 
 def _render_anchor(anchor: AnchorRef, materialize: bool) -> str:
@@ -394,18 +399,10 @@ def _render_content(item, materialize: bool) -> str:
     if isinstance(item, Vocal):
         return f"<vocal{_attrs({'who': _ref(item.who)})}><desc>{_esc_text(item.desc)}</desc></vocal>"
     if isinstance(item, (Kinesic, Incident)):
-        tag = "kinesic" if isinstance(item, Kinesic) else "incident"
-        attrs = {
-            "end": _ref(item.end),
-            "start": _ref(item.start),
-            "type": item.type,
-            "who": _ref(item.who),
-        }
-        if not item.id_generated:
-            attrs["xml:id"] = item.id
+        tag, attrs = _event_tag(item)
         if item.desc is None:
-            return f"<{tag}{_attrs(attrs)}/>"
-        return f"<{tag}{_attrs(attrs)}><desc>{_esc_text(item.desc)}</desc></{tag}>"
+            return f"<{tag}{attrs}/>"
+        return f"<{tag}{attrs}><desc>{_esc_text(item.desc)}</desc></{tag}>"
     if isinstance(item, Seg):
         attrs = {"subtype": item.subtype, "type": item.type, "xml:id": item.id}
         inner = "".join(_render_content(part, materialize) for part in item.content)

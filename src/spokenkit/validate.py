@@ -26,10 +26,10 @@ from spokenkit.tei.model import (
     FeatureLib,
     Incident,
     Kinesic,
-    Seg,
     TagLib,
     Utterance,
     W,
+    content_items,
 )
 from spokenkit.tei.parser import build_document_library, inline_structures
 from spokenkit.tei.spans import document_spans, document_tokens
@@ -147,7 +147,7 @@ def check_ids(doc: Document) -> list[Issue]:
     return issues
 
 
-def _known_ids(doc: Document) -> set[str]:
+def _known_ids(doc: Document, token_ids: set[str]) -> set[str]:
     known = {d.raw.lstrip("#") for d in doc.declared_ids}
     known.update(d.raw for d in doc.declared_ids)
     for tl in doc.timelines:
@@ -162,10 +162,20 @@ def _known_ids(doc: Document) -> set[str]:
     known.update(a.id for a in doc.annotations)
     if doc.metadata is not None:
         known.update(p.id for p in doc.metadata.participants)
-    known.update(t.id for t in document_tokens(doc) if t.id)
+    known.update(token_ids)
     for entry in doc.lexical_entries:
         known.update(f.id for f in entry.forms if f.id)
     return known
+
+
+_REF_BEARING = (AnchorRef, Kinesic, Incident, W)
+
+
+def _body_location(item) -> str:
+    """Where findings on id-less content of a top-level body item are reported."""
+    if isinstance(item, Utterance):
+        return item.id
+    return getattr(item, "id", None) or "body"
 
 
 def check_refs(doc: Document) -> list[Issue]:
@@ -175,8 +185,8 @@ def check_refs(doc: Document) -> list[Issue]:
     participants = (
         {p.id for p in doc.metadata.participants} if doc.metadata is not None else set()
     )
-    token_ids = {t.id for t in document_tokens(doc) if t.id}
-    known = _known_ids(doc)
+    token_ids = {t.id for t in document_tokens(doc)}
+    known = _known_ids(doc, token_ids)
     ana_targets = _ana_targets(doc)
 
     def dangle(attr: str, ref: str, location: str) -> None:
@@ -188,28 +198,22 @@ def check_refs(doc: Document) -> list[Issue]:
         if who is not None and who not in participants:
             dangle("who", who, location)
 
-    def walk_content(items, location: str) -> None:
-        for item in items:
-            if isinstance(item, AnchorRef):
-                if item.synch is not None and item.synch not in point_ids:
-                    dangle("synch", item.synch, location)
-            elif isinstance(item, (Kinesic, Incident)):
-                check_who(item.who, item.id or location)
-                for attr, ref in (("start", item.start), ("end", item.end)):
-                    if ref is not None and ref not in point_ids:
-                        dangle(attr, ref, item.id or location)
-            elif isinstance(item, Seg):
-                walk_content(item.content, location)
-            elif isinstance(item, W):
-                if item.ana is not None and item.ana not in ana_targets:
-                    dangle("ana", item.ana, item.id or location)
-
     for item in doc.body:
         if isinstance(item, Utterance):
             check_who(item.who, item.id)
-            walk_content(item.content, item.id)
-        elif isinstance(item, (Kinesic, Incident, AnchorRef, Seg, W)):
-            walk_content([item], getattr(item, "id", None) or "body")
+        location = _body_location(item)
+        for inner in content_items((item,), _REF_BEARING):
+            if isinstance(inner, AnchorRef):
+                if inner.synch is not None and inner.synch not in point_ids:
+                    dangle("synch", inner.synch, location)
+            elif isinstance(inner, W):
+                if inner.ana is not None and inner.ana not in ana_targets:
+                    dangle("ana", inner.ana, inner.id or location)
+            else:
+                check_who(inner.who, inner.id or location)
+                for attr, ref in (("start", inner.start), ("end", inner.end)):
+                    if ref is not None and ref not in point_ids:
+                        dangle(attr, ref, inner.id or location)
 
     for group, n in document_spans(doc):
         for span in group.spans:
@@ -294,7 +298,7 @@ def check_temporal(doc: Document) -> list[Issue]:
             continue
         indices = [
             point_index[a.point]
-            for a in _anchors_of(item.content)
+            for a in content_items(item.content, AnchorRef)
             if a.point is not None and a.point in point_index
         ]
         if any(b < a for a, b in zip(indices, indices[1:])):
@@ -321,14 +325,6 @@ def check_temporal(doc: Document) -> list[Issue]:
     return issues
 
 
-def _anchors_of(items):
-    for item in items:
-        if isinstance(item, AnchorRef):
-            yield item
-        elif isinstance(item, Seg):
-            yield from _anchors_of(item.content)
-
-
 def check_span_order(doc: Document) -> list[Issue]:
     """Spans whose from/to run against document order."""
     issues: list[Issue] = []
@@ -351,15 +347,11 @@ def check_span_order(doc: Document) -> list[Issue]:
 def _ana_bearing(doc: Document) -> list[tuple[str, str]]:
     """(location, ana ref) pairs for every analysis reference in use."""
     refs: list[tuple[str, str]] = []
-
-    def walk(items, location: str) -> None:
-        for item in items:
-            if isinstance(item, W) and item.ana is not None:
-                refs.append((item.id or location, item.ana))
-            elif isinstance(item, (Seg, Utterance)):
-                walk(item.content, getattr(item, "id", None) or location)
-
-    walk(doc.body, "body")
+    for item in doc.body:
+        location = _body_location(item)
+        for w in content_items((item,), W):
+            if w.ana is not None:
+                refs.append((w.id or location, w.ana))
     for group, n in document_spans(doc):
         for span in group.spans:
             if span.ana is not None:
@@ -460,9 +452,7 @@ def validate_all(doc: Document, options: ValidateOptions | None = None) -> Valid
     issues.extend(check_refs(doc))
     issues.extend(check_temporal(doc))
     issues.extend(check_span_order(doc))
-    has_tagset_material = bool(doc.tagset_declarations) or opts.library is not None
-    if has_tagset_material or _ana_bearing(doc):
-        issues.extend(check_tagset(doc, opts.library, opts.registry, opts.language))
+    issues.extend(check_tagset(doc, opts.library, opts.registry, opts.language))
     for level in doc.levels:
         for violation in check_level_coherence(doc, level.id):
             issues.append(_issue(LEVEL_INCOHERENT, violation.annotation, violation.message))

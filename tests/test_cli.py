@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+
 from spokenkit.cli import main
 from tests.conftest import FIXTURES, fixture_bytes, fixture_path
 
@@ -58,18 +62,16 @@ def test_validate_with_registry_and_language(capsys):
     assert "DOMAIN_VIOLATION" in out
 
 
-def test_validate_multiple_files_with_jobs(capsys):
+def test_validate_multiple_files_in_input_order(capsys):
     code, out, _ = run(
         capsys,
         "validate",
-        "--jobs",
-        "4",
         fixture_path("anchored_dialogue.xml"),
         fixture_path("inline_anchors.xml"),
         fixture_path("seg.xml"),
     )
     assert code == 1
-    # sections appear in input order regardless of worker scheduling
+    # one section per file, in input order
     first = out.index("anchored_dialogue.xml")
     second = out.index("inline_anchors.xml")
     third = out.index("seg.xml")
@@ -247,3 +249,57 @@ def test_convert_category_mapping_via_config(capsys, tmp_path):
     )
     assert code == 0
     assert "<u " in out
+
+
+# ---------------------------------------------------------------- golden output
+
+GOLDEN = FIXTURES / "cli_golden.json"
+GOLDEN_COMMANDS = (
+    ("validate",),
+    ("overlaps",),
+    ("convert", "--from", "tei", "--to", "tier"),
+    ("convert", "--from", "tei", "--to", "tei"),
+)
+
+
+def cli_outputs() -> list[dict]:
+    """Exit code, stdout and stderr of each golden command on each XML fixture.
+
+    Fixture paths are written relative to the repository root, and output is
+    kept as lines with their ends so the comparison stays byte-exact.
+    Regenerate the golden file, after checking that a change in output is
+    intended, with::
+
+        PYTHONPATH=src python -c 'import tests.test_cli as t; t.write_golden()'
+    """
+    prefix = str(FIXTURES) + "/"
+    cases = []
+    for fixture in sorted(FIXTURES.glob("*.xml")):
+        for command in GOLDEN_COMMANDS:
+            argv = [command[0], str(fixture), *command[1:]]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            cases.append(
+                {
+                    "argv": [a.replace(prefix, "tests/fixtures/") for a in argv],
+                    "exit": code,
+                    "stdout": out.getvalue().replace(prefix, "tests/fixtures/").splitlines(True),
+                    "stderr": err.getvalue().replace(prefix, "tests/fixtures/").splitlines(True),
+                }
+            )
+    return cases
+
+
+def write_golden() -> None:
+    GOLDEN.write_text(
+        json.dumps(cli_outputs(), indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
+    )
+
+
+def test_cli_output_on_every_fixture_matches_golden_file():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    actual = cli_outputs()
+    assert [case["argv"] for case in actual] == [case["argv"] for case in golden]
+    for got, want in zip(actual, golden):
+        assert got == want, " ".join(want["argv"])

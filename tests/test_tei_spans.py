@@ -11,6 +11,7 @@ from spokenkit.tei import (
     resolve_ana,
     seg_stats,
 )
+from spokenkit.tei.model import AnchorRef, Pc, Seg, TextSegment, Utterance, W, content_items
 from tests.conftest import fixture_bytes
 
 
@@ -110,3 +111,25 @@ def test_seg_stats_counts_nested_segments():
     )
     doc, _ = parse_document(data)
     assert seg_stats(doc) == {"phrase": 2}
+
+
+_W1 = W("b", id="w1")
+_W2 = W("c", id="w2")
+_ANCHOR = AnchorRef(synch="T1")
+_INNER = Seg(type="inner", content=(_ANCHOR, _W2))
+_OUTER = Seg(type="outer", content=(_W1, _INNER))
+_UTT = Utterance("u1", content=(TextSegment("a "), _OUTER, Pc(".")))
+
+
+@pytest.mark.parametrize(
+    "items, kind, expected",
+    [
+        ((_UTT,), W, [_W1, _W2]),
+        ((_UTT, _W1), (W, AnchorRef), [_W1, _ANCHOR, _W2, _W1]),
+        ((_UTT,), (Utterance, Seg), [_UTT, _OUTER, _INNER]),
+        ((), W, []),
+    ],
+    ids=["nested-segs", "kind-tuple", "container-first", "empty"],
+)
+def test_content_items(items, kind, expected):
+    assert content_items(items, kind) == expected

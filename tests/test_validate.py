@@ -178,6 +178,17 @@ def test_unknown_analysis_reference():
     assert codes(issues) == [UNKNOWN_TAG]
 
 
+def test_id_less_token_findings_share_the_utterance_location():
+    data = fixture_bytes("anchored_dialogue.xml").replace(
+        b'<u who="#SPK0"><anchor synch="#T6"/>Ah oui?. ',
+        b'<u xml:id="u1" who="#SPK0"><anchor synch="#T6"/>'
+        b'<seg xml:id="s1"><w ana="#nope">Ah</w></seg> oui?. ',
+    )
+    doc, _ = parse_document(data)
+    assert [(i.code, i.location) for i in check_refs(doc)] == [(DANGLING_REF, "u1")]
+    assert [(i.code, i.location) for i in check_tagset(doc)] == [(UNKNOWN_TAG, "u1")]
+
+
 def test_neuter_with_french_restriction_violates_domain(registry):
     doc, _ = parse_document(fixture_bytes("tagged_neuter.xml"))
     issues = check_tagset(doc, registry=registry, language="fr")
