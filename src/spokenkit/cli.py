@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from spokenkit import tier as tier_format
+from spokenkit.core.model import Finding
 from spokenkit.core.temporal import overlaps_report, sequence_implicit
 from spokenkit.datacat import RegistryFormatError, load_registry
 from spokenkit.featstruct import TagsetError, TagsetLibrary, UnknownTagError, atom_value
@@ -92,6 +93,11 @@ def _out(stream, data: bytes | str) -> None:
     stream.write(data)
 
 
+def _warn(findings: list[Finding]) -> None:
+    for finding in findings:
+        print(f"warning: {finding}", file=sys.stderr)
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_validate(args) -> int:
@@ -147,18 +153,15 @@ def cmd_convert(args) -> int:
 
     if args.from_format == "tei":
         doc, warnings = parse_document(data)
-        for warning in warnings:
-            print(f"warning: {warning}", file=sys.stderr)
+        _warn(warnings)
         if rules is not None:
             doc, findings = promote_document(doc, rules)
-            for finding in findings:
-                print(f"warning: {finding}", file=sys.stderr)
+            _warn(findings)
         if args.to_format == "tei":
             output = serialize_document(doc, materialize_timeline=args.materialize_timeline)
         else:
             doc, findings = resolve_anchors(doc)
-            for finding in findings:
-                print(f"warning: {finding.message}", file=sys.stderr)
+            _warn(findings)
             doc = sequence_implicit(doc)
             td, residue = tier_format.from_core(doc)
             for item in residue:
@@ -182,8 +185,7 @@ def cmd_convert(args) -> int:
 def cmd_overlaps(args) -> int:
     doc, _ = parse_document(_read(args.path))
     doc, findings = resolve_anchors(doc)
-    for finding in findings:
-        print(f"warning: {finding.message}", file=sys.stderr)
+    _warn(findings)
     doc = sequence_implicit(doc)
     report = overlaps_report(doc)
     for pair in report.pairs:

@@ -33,6 +33,9 @@ RANGING_MECHANISMS = (MECH_SCALE, MECH_EVENT, MECH_COMPONENT)
 
 SYNTHETIC_PREFIX = "~auto"
 
+ERROR = "error"
+WARNING = "warning"
+
 
 class UnknownIdError(LookupError):
     """A cross-reference names an id that does not exist."""
@@ -41,6 +44,21 @@ class UnknownIdError(LookupError):
         super().__init__(f"unknown {kind} {ref!r}")
         self.kind = kind
         self.ref = ref
+
+
+@dataclass(frozen=True)
+class Finding:
+    """A problem met by a pipeline stage: parser, anchors, spans, conventions
+    or validator. ``location`` names the identifier concerned, else the
+    element; ``str()`` gives the message alone."""
+
+    code: str
+    severity: str
+    location: str
+    message: str
+
+    def __str__(self) -> str:
+        return self.message
 
 
 @dataclass(frozen=True)

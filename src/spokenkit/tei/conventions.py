@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from spokenkit.core.model import Document, Qualifier
+from spokenkit.core.model import WARNING, Document, Finding, Qualifier
 from spokenkit.tei.model import Incident, Kinesic, TextSegment, Utterance, Vocal
 
 
@@ -61,7 +61,7 @@ def _make_element(element: str, desc: str):
 
 def promote_conventions(
     utt: Utterance, rules: tuple[ConventionRule, ...] | None = None
-) -> tuple[Utterance, list[str]]:
+) -> tuple[Utterance, list[Finding]]:
     """Rewrite convention markers in an utterance's text segments.
 
     Matches are applied left to right; everything around them is preserved
@@ -70,7 +70,7 @@ def promote_conventions(
     """
     if rules is None:
         rules = BUILTIN_RULES
-    findings: list[str] = []
+    findings: list[Finding] = []
     new_content: list = []
     for item in utt.content:
         if not isinstance(item, TextSegment):
@@ -78,7 +78,8 @@ def promote_conventions(
             continue
         pieces = _apply_rules(item.text, rules)
         if any(isinstance(p, str) and "((" in p for p in pieces):
-            findings.append(f"unbalanced '((' in utterance {utt.id!r}; text left as is")
+            message = f"unbalanced '((' in utterance {utt.id!r}; text left as is"
+            findings.append(Finding("UNBALANCED_MARKER", WARNING, utt.id, message))
             new_content.append(item)
             continue
         for piece in pieces:
@@ -110,9 +111,9 @@ def _apply_rules(text: str, rules: tuple[ConventionRule, ...]) -> list:
 
 def promote_document(
     doc: Document, rules: tuple[ConventionRule, ...] | None = None
-) -> tuple[Document, list[str]]:
+) -> tuple[Document, list[Finding]]:
     """Apply convention promotion to every utterance of a document."""
-    findings: list[str] = []
+    findings: list[Finding] = []
     new_body: list = []
     changed = False
     for item in doc.body:

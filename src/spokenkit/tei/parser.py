@@ -20,11 +20,13 @@ from spokenkit.core.model import (
     MECH_EVENT,
     PRIMARY,
     UNIT_SYMBOLIC,
+    WARNING,
     Annotation,
     ComponentRefs,
     DeclaredId,
     Document,
     EventInterval,
+    Finding,
     Layer,
     Level,
     Qualifier,
@@ -126,13 +128,13 @@ def _text_of(el: ET.Element | None) -> str | None:
 
 @dataclass
 class _ParseContext:
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[Finding] = field(default_factory=list)
     anchor_order: list[str] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
     declared: set[str] = field(default_factory=set)
 
-    def warn(self, message: str) -> None:
-        self.warnings.append(message)
+    def warn(self, code: str, location: str, message: str) -> None:
+        self.warnings.append(Finding(code, WARNING, location, message))
 
     def fresh_id(self, prefix: str) -> str:
         n = self.counters.get(prefix, 0)
@@ -144,7 +146,7 @@ class _ParseContext:
                 return candidate
 
 
-def parse_document(data: bytes | str) -> tuple[Document, list[str]]:
+def parse_document(data: bytes | str) -> tuple[Document, list[Finding]]:
     """Parse markup into a Document, returning it with any parse warnings.
 
     Accepts input with or without the TEI namespace (a warning is recorded
@@ -162,7 +164,7 @@ def parse_document(data: bytes | str) -> tuple[Document, list[str]]:
         if ns != TEI_NS:
             raise TeiParseError(f"unexpected root namespace {ns!r}")
     else:
-        ctx.warn("document is not in the TEI namespace")
+        ctx.warn("NO_TEI_NS", "TEI", "document is not in the TEI namespace")
     if _local(root.tag) != "TEI":
         raise TeiParseError(f"expected a TEI root element, got {_local(root.tag)!r}")
 
@@ -177,14 +179,13 @@ def parse_document(data: bytes | str) -> tuple[Document, list[str]]:
     header_el = _child(root, "teiHeader")
     if header_el is None:
         raise TeiParseError("document has no teiHeader")
-    metadata = _parse_header(header_el, ctx)
-
     timelines: list[Timeline] = []
     body_items: list = []
     back_items: list = []
     text_el = _child(root, "text")
-    if text_el is not None:
-        for child in text_el:
+    try:
+        metadata = _parse_header(header_el, ctx)
+        for child in () if text_el is None else text_el:
             local = _local(child.tag)
             if local == "timeline":
                 timelines.append(_parse_timeline(child, ctx))
@@ -194,6 +195,8 @@ def parse_document(data: bytes | str) -> tuple[Document, list[str]]:
                 back_items = _parse_back(child, ctx)
             else:
                 body_items.append(_opaque(child))
+    except RecursionError:
+        raise TeiParseError("markup is nested too deeply to parse") from None
 
     timelines = _absorb_anchor_points(timelines, ctx)
     doc = Document(
@@ -259,11 +262,11 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
             file_extras.append(("fileDesc", _opaque(child)))
 
     if not title:
-        ctx.warn("fileDesc has no title")
+        ctx.warn("NO_TITLE", "fileDesc", "fileDesc has no title")
     if not publication:
-        ctx.warn("fileDesc has no publication statement text")
+        ctx.warn("NO_PUBLICATION", "fileDesc", "fileDesc has no publication statement text")
     if not source:
-        ctx.warn("fileDesc has no source description text")
+        ctx.warn("NO_SOURCE_DESC", "fileDesc", "fileDesc has no source description text")
 
     applications: list[AppInfo] = []
     encoding_extras: list[tuple[str, OpaqueElement]] = []
@@ -414,18 +417,19 @@ def _parse_person(person_el: ET.Element, ctx: _ParseContext) -> Person:
 def _parse_timeline(tl_el: ET.Element, ctx: _ParseContext) -> Timeline:
     unit = tl_el.get("unit", UNIT_SYMBOLIC)
     if unit not in ("ms", "s", UNIT_SYMBOLIC):
-        ctx.warn(f"timeline unit {unit!r} is not recognised; treating as symbolic")
+        message = f"timeline unit {unit!r} is not recognised; treating as symbolic"
+        ctx.warn("UNKNOWN_UNIT", "timeline", message)
         unit = UNIT_SYMBOLIC
     points: list[TimePoint] = []
     seen: set[str] = set()
     for when in _children(tl_el, "when"):
         pid = when.get(XML_ID)
         if pid is None:
-            ctx.warn("timeline point without xml:id ignored")
+            ctx.warn("POINT_WITHOUT_ID", "when", "timeline point without xml:id ignored")
             continue
         pid = strip_ref(pid)
         if pid in seen:
-            ctx.warn(f"duplicate timeline point {pid!r}; keeping the first")
+            ctx.warn("DUP_POINT", pid, f"duplicate timeline point {pid!r}; keeping the first")
             continue
         seen.add(pid)
         offset = None
@@ -434,7 +438,8 @@ def _parse_timeline(tl_el: ET.Element, ctx: _ParseContext) -> Timeline:
             try:
                 offset = Decimal(raw_offset)
             except InvalidOperation:
-                ctx.warn(f"point {pid!r} has a non-numeric offset {raw_offset!r}")
+                message = f"point {pid!r} has a non-numeric offset {raw_offset!r}"
+                ctx.warn("BAD_OFFSET", pid, message)
         points.append(TimePoint(pid, len(points), offset))
     tl_id = tl_el.get(XML_ID)
     declared = tl_id is not None
@@ -570,7 +575,8 @@ def _parse_w(w_el: ET.Element, ctx: _ParseContext) -> W:
     for child in w_el:
         # Anchors may not split tokens; anything inside a token is preserved
         # opaquely and reported.
-        ctx.warn(f"element {_local(child.tag)!r} inside w is not supported; preserved opaquely")
+        message = f"element {_local(child.tag)!r} inside w is not supported; preserved opaquely"
+        ctx.warn("UNSUPPORTED_IN_W", "w", message)
         extras.append(_opaque(child))
     w_id = w_el.get(XML_ID)
     return W(
@@ -632,7 +638,8 @@ def _parse_flib(el: ET.Element, ctx: _ParseContext) -> FeatureLib:
                 if fid is not None:
                     break
         if fid is not None and fid != strip_ref(fid):
-            ctx.warn(f"feature identifier {fid!r} contains '#'; normalised to {strip_ref(fid)!r}")
+            message = f"feature identifier {fid!r} contains '#'; normalised to {strip_ref(fid)!r}"
+            ctx.warn("HASH_IN_FEATURE_ID", fid, message)
         features.append(
             Feature(
                 name=f_el.get("name", ""),
@@ -649,7 +656,7 @@ def _parse_fvlib(el: ET.Element, ctx: _ParseContext) -> TagLib:
         tag_id = fs_el.get(XML_ID)
         feats = fs_el.get("feats")
         if tag_id is None or feats is None:
-            ctx.warn("fvLib entry without xml:id and feats ignored")
+            ctx.warn("INCOMPLETE_TAG", "fs", "fvLib entry without xml:id and feats ignored")
             continue
         tags.append(TagDecl(strip_ref(tag_id), tuple(strip_ref(r) for r in feats.split())))
     return TagLib(tuple(tags), el.get("n"))
@@ -658,7 +665,7 @@ def _parse_fvlib(el: ET.Element, ctx: _ParseContext) -> TagLib:
 def _parse_inline_fs(el: ET.Element, ctx: _ParseContext) -> InlineStructure | None:
     fs_id = el.get(XML_ID)
     if fs_id is None:
-        ctx.warn("free-standing fs without xml:id ignored")
+        ctx.warn("FS_WITHOUT_ID", "fs", "free-standing fs without xml:id ignored")
         return None
     return InlineStructure(strip_ref(fs_id), _parse_fs(el, ctx))
 
@@ -668,10 +675,11 @@ def _parse_fs(el: ET.Element, ctx: _ParseContext) -> FeatureStructure:
     for f_el in _children(el, "f"):
         name = f_el.get("name", "")
         if not name:
-            ctx.warn("feature without a name ignored")
+            ctx.warn("FEATURE_WITHOUT_NAME", "f", "feature without a name ignored")
             continue
         if name in features:
-            ctx.warn(f"feature {name!r} bound twice in one structure; keeping the first")
+            message = f"feature {name!r} bound twice in one structure; keeping the first"
+            ctx.warn("DUP_FEATURE", name, message)
             continue
         features[name] = _parse_fsvalue(f_el, ctx)
     return FeatureStructure(features, type=el.get("type"))
@@ -690,7 +698,7 @@ def _parse_fsvalue(f_el: ET.Element, ctx: _ParseContext) -> FSValue:
             try:
                 return Numeric(int(raw)) if re.fullmatch(r"-?\d+", raw) else Numeric(float(raw))
             except ValueError:
-                ctx.warn(f"non-numeric value {raw!r}; kept as string")
+                ctx.warn("BAD_NUMERIC", "numeric", f"non-numeric value {raw!r}; kept as string")
                 return Str(raw)
         if local == "string":
             return Str(_text_of(child) or "")
@@ -810,23 +818,14 @@ def _attach_annotations(doc: Document, ctx: _ParseContext) -> Document:
 
 # ---------------------------------------------------------------- anchors
 
-@dataclass(frozen=True)
-class AnchorFinding:
-    """A problem met while resolving anchors; the event stays unresolved."""
-
-    location: str
-    ref: str | None
-    message: str
-
-
-def resolve_anchors(doc: Document) -> tuple[Document, list[AnchorFinding]]:
+def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
     """Compute event intervals from anchors and start/end attributes.
 
     An utterance spans [first anchor, last anchor); free-standing events use
     their start/end references. Dangling point references are findings, and
     the affected event keeps no interval.
     """
-    findings: list[AnchorFinding] = []
+    findings: list[Finding] = []
     point_home: dict[str, str] = {}
     for tl in doc.timelines:
         for p in tl.points:
@@ -838,9 +837,8 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[AnchorFinding]]:
         if pid is None:
             return None
         if pid not in point_home:
-            findings.append(
-                AnchorFinding(event_id, pid, f"{event_id!r} references unknown point {pid!r}")
-            )
+            message = f"{event_id!r} references unknown point {pid!r}"
+            findings.append(Finding("DANGLING_REF", WARNING, event_id, message))
             return None
         return pid
 
@@ -857,11 +855,8 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[AnchorFinding]]:
                 if point_home[first] == point_home[last]:
                     intervals[item.id] = EventInterval(first, last, point_home[first])
                 else:
-                    findings.append(
-                        AnchorFinding(
-                            item.id, None, f"{item.id!r} anchors span different timelines"
-                        )
-                    )
+                    message = f"{item.id!r} anchors span different timelines"
+                    findings.append(Finding("TIMELINE_MISMATCH", WARNING, item.id, message))
         elif isinstance(item, (Kinesic, Incident)) and item.id:
             start = lookup(item.id, item.start)
             end = lookup(item.id, item.end)
@@ -869,11 +864,8 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[AnchorFinding]]:
                 if point_home[start] == point_home[end]:
                     intervals[item.id] = EventInterval(start, end, point_home[start])
                 else:
-                    findings.append(
-                        AnchorFinding(
-                            item.id, None, f"{item.id!r} start and end are on different timelines"
-                        )
-                    )
+                    message = f"{item.id!r} start and end are on different timelines"
+                    findings.append(Finding("TIMELINE_MISMATCH", WARNING, item.id, message))
             elif start is not None:
                 intervals[item.id] = EventInterval(start, start, point_home[start])
 

@@ -7,12 +7,14 @@ tokens, and one token may belong to any number of word forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from spokenkit.core.model import (
     MECH_COMPONENT,
+    WARNING,
     ComponentRefs,
     Document,
+    Finding,
     Layer,
     Level,
     Qualifier,
@@ -30,14 +32,6 @@ from spokenkit.tei.parser import (
 WORDFORM_LAYER = "wordForms"
 
 
-@dataclass(frozen=True)
-class SpanFinding:
-    """A span that could not be turned into a word form."""
-
-    location: str
-    message: str
-
-
 def document_tokens(doc: Document) -> list[W]:
     """All identified tokens of the document, in document order."""
     return [w for w in content_items(doc.body, W) if w.id]
@@ -51,7 +45,7 @@ def document_spans(doc: Document) -> list[tuple[SpanGroup, int]]:
     return groups
 
 
-def extract_spans(doc: Document) -> tuple[list[WordForm], list[SpanFinding]]:
+def extract_spans(doc: Document) -> tuple[list[WordForm], list[Finding]]:
     """Turn span descriptions into word-form annotations.
 
     Each span covers the contiguous token run from its ``from`` token to its
@@ -60,7 +54,7 @@ def extract_spans(doc: Document) -> tuple[list[WordForm], list[SpanFinding]]:
     orthography and grammatical features), otherwise into the tagset.
     Out-of-order spans and dangling references are findings, not errors.
     """
-    findings: list[SpanFinding] = []
+    findings: list[Finding] = []
     tokens = document_tokens(doc)
     token_pos = {tok.id: n for n, tok in enumerate(tokens)}
     forms = {
@@ -77,21 +71,16 @@ def extract_spans(doc: Document) -> tuple[list[WordForm], list[SpanFinding]]:
     for group, _ in document_spans(doc):
         for span in group.spans:
             location = span.id or f"span over {span.from_}..{span.to}"
-            if span.from_ not in token_pos:
-                findings.append(SpanFinding(location, f"span references unknown token {span.from_!r}"))
-                continue
-            if span.to not in token_pos:
-                findings.append(SpanFinding(location, f"span references unknown token {span.to!r}"))
+            missing = [ref for ref in (span.from_, span.to) if ref not in token_pos]
+            if missing:
+                message = f"span references unknown token {missing[0]!r}"
+                findings.append(Finding("DANGLING_REF", WARNING, location, message))
                 continue
             lo = token_pos[span.from_]
             hi = token_pos[span.to]
             if lo > hi:
-                findings.append(
-                    SpanFinding(
-                        location,
-                        f"span runs from {span.from_!r} to {span.to!r} against document order",
-                    )
-                )
+                message = f"span runs from {span.from_!r} to {span.to!r} against document order"
+                findings.append(Finding("SPAN_ORDER", WARNING, location, message))
                 continue
             run = tokens[lo : hi + 1]
             counter += 1
@@ -108,9 +97,8 @@ def extract_spans(doc: Document) -> tuple[list[WordForm], list[SpanFinding]]:
                     fs = resolve_ana(doc, lib, span.ana)
                     qualifiers.extend(Qualifier(path, str(atom)) for path, atom in flatten(fs))
                 else:
-                    findings.append(
-                        SpanFinding(location, f"span analysis {span.ana!r} resolves to nothing")
-                    )
+                    message = f"span analysis {span.ana!r} resolves to nothing"
+                    findings.append(Finding("DANGLING_REF", WARNING, location, message))
             if not qualifiers:
                 qualifiers.append(Qualifier("wordForm", orth or "".join(t.text for t in run)))
             word_forms.append(
@@ -128,7 +116,7 @@ def extract_spans(doc: Document) -> tuple[list[WordForm], list[SpanFinding]]:
     return word_forms, findings
 
 
-def attach_word_forms(doc: Document) -> tuple[Document, list[SpanFinding]]:
+def attach_word_forms(doc: Document) -> tuple[Document, list[Finding]]:
     """Extract word forms and return a document carrying them as annotations.
 
     Declares the word-form layer and its component-ranged level alongside.

@@ -2,18 +2,22 @@
 
 Checks never mutate their input and never refuse to run on defective
 documents: the point is to load what is there and report on it. Each
-finding is an :class:`Issue` with a stable code, a severity, and a location
-that names a real element or input line.
+finding is a :class:`~spokenkit.core.model.Finding` with a stable code, a
+severity, and a location that names a real element or input line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from spokenkit.core.model import (
+    ERROR,
+    WARNING,
     ComponentRefs,
+    DeclaredId,
     Document,
     EventInterval,
+    Finding,
     Token,
     UnknownIdError,
     WordForm,
@@ -46,9 +50,6 @@ LEVEL_INCOHERENT = "LEVEL_INCOHERENT"
 UNKNOWN_CATEGORY = "UNKNOWN_CATEGORY"
 TAGSET_ERROR = "TAGSET_ERROR"
 
-ERROR = "error"
-WARNING = "warning"
-
 # Anchor disorder and offset contradictions may be intentional retrospective
 # alignment, so they default to warnings; identifier and reference breakage
 # does not.
@@ -69,28 +70,20 @@ DEFAULT_SEVERITY = {
 _SEVERITY_RANK = {ERROR: 0, WARNING: 1}
 
 
-@dataclass(frozen=True)
-class Issue:
-    code: str
-    severity: str
-    location: str
-    message: str
-
-
-def _issue(code: str, location: str, message: str) -> Issue:
-    return Issue(code, DEFAULT_SEVERITY[code], location, message)
+def _finding(code: str, location: str, message: str) -> Finding:
+    return Finding(code, DEFAULT_SEVERITY[code], location, message)
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    issues: tuple[Issue, ...]
+    issues: tuple[Finding, ...]
 
     @property
-    def errors(self) -> tuple[Issue, ...]:
+    def errors(self) -> tuple[Finding, ...]:
         return tuple(i for i in self.issues if i.severity == ERROR)
 
     @property
-    def warnings(self) -> tuple[Issue, ...]:
+    def warnings(self) -> tuple[Finding, ...]:
         return tuple(i for i in self.issues if i.severity == WARNING)
 
     @property
@@ -116,34 +109,39 @@ class ValidateOptions:
     severity_overrides: dict[str, str] = field(default_factory=dict)
 
 
-def _declared_ids(doc: Document) -> list[str]:
+def _declared_ids(doc: Document) -> list[DeclaredId]:
     if doc.declared_ids:
-        return [d.raw for d in doc.declared_ids]
+        return list(doc.declared_ids)
     # Constructed documents: collect identifiers from the model itself.
-    ids: list[str] = []
+    ids: list[DeclaredId] = []
     for tl in doc.timelines:
-        ids.extend(p.id for p in tl.points if not p.synthetic)
+        ids.extend(DeclaredId(p.id, "when") for p in tl.points if not p.synthetic)
     if doc.metadata is not None:
-        ids.extend(p.id for p in doc.metadata.participants)
-    ids.extend(a.id for a in doc.annotations)
+        ids.extend(DeclaredId(p.id, "person") for p in doc.metadata.participants)
+    ids.extend(DeclaredId(a.id, "annotation") for a in doc.annotations)
     return ids
 
 
-def check_ids(doc: Document) -> list[Issue]:
+def check_ids(doc: Document) -> list[Finding]:
     """Duplicate identifiers and identifiers that cannot be identifiers."""
-    issues: list[Issue] = []
+    issues: list[Finding] = []
     seen: dict[str, int] = {}
-    for raw in _declared_ids(doc):
-        seen[raw] = seen.get(raw, 0) + 1
+    for declared in _declared_ids(doc):
+        raw = declared.raw
+        if raw:
+            seen[raw] = seen.get(raw, 0) + 1
+        else:
+            message = f"identifier on {declared.kind!r} is empty"
+            issues.append(_finding(BAD_ID, declared.kind, message))
     for raw, count in seen.items():
         if count > 1:
             issues.append(
-                _issue(DUP_ID, raw, f"identifier {raw!r} is declared {count} times")
+                _finding(DUP_ID, raw, f"identifier {raw!r} is declared {count} times")
             )
         if "#" in raw:
-            issues.append(_issue(BAD_ID, raw, f"identifier {raw!r} contains '#'"))
+            issues.append(_finding(BAD_ID, raw, f"identifier {raw!r} contains '#'"))
         elif any(c.isspace() for c in raw):
-            issues.append(_issue(BAD_ID, raw, f"identifier {raw!r} contains whitespace"))
+            issues.append(_finding(BAD_ID, raw, f"identifier {raw!r} contains whitespace"))
     return issues
 
 
@@ -172,15 +170,13 @@ _REF_BEARING = (AnchorRef, Kinesic, Incident, W)
 
 
 def _body_location(item) -> str:
-    """Where findings on id-less content of a top-level body item are reported."""
-    if isinstance(item, Utterance):
-        return item.id
+    """Where findings on a top-level body item and its id-less content are reported."""
     return getattr(item, "id", None) or "body"
 
 
-def check_refs(doc: Document) -> list[Issue]:
+def check_refs(doc: Document) -> list[Finding]:
     """Closure of every cross-reference the document can carry."""
-    issues: list[Issue] = []
+    issues: list[Finding] = []
     point_ids = {p.id for tl in doc.timelines for p in tl.points}
     participants = (
         {p.id for p in doc.metadata.participants} if doc.metadata is not None else set()
@@ -191,7 +187,7 @@ def check_refs(doc: Document) -> list[Issue]:
 
     def dangle(attr: str, ref: str, location: str) -> None:
         issues.append(
-            _issue(DANGLING_REF, location, f"@{attr} reference {ref!r} resolves to nothing")
+            _finding(DANGLING_REF, location, f"@{attr} reference {ref!r} resolves to nothing")
         )
 
     def check_who(who: str | None, location: str) -> None:
@@ -199,9 +195,9 @@ def check_refs(doc: Document) -> list[Issue]:
             dangle("who", who, location)
 
     for item in doc.body:
-        if isinstance(item, Utterance):
-            check_who(item.who, item.id)
         location = _body_location(item)
+        if isinstance(item, Utterance):
+            check_who(item.who, location)
         for inner in content_items((item,), _REF_BEARING):
             if isinstance(inner, AnchorRef):
                 if inner.synch is not None and inner.synch not in point_ids:
@@ -285,9 +281,9 @@ def _ana_targets(doc: Document) -> set[str]:
     return targets
 
 
-def check_temporal(doc: Document) -> list[Issue]:
+def check_temporal(doc: Document) -> list[Finding]:
     """Anchor order within utterances and offset consistency on timelines."""
-    issues: list[Issue] = []
+    issues: list[Finding] = []
     point_index: dict[str, int] = {}
     for tl in doc.timelines:
         for p in tl.points:
@@ -303,9 +299,9 @@ def check_temporal(doc: Document) -> list[Issue]:
         ]
         if any(b < a for a, b in zip(indices, indices[1:])):
             issues.append(
-                _issue(
+                _finding(
                     ANCHOR_ORDER,
-                    item.id,
+                    _body_location(item),
                     f"anchors of utterance {item.id!r} decrease in timeline order",
                 )
             )
@@ -315,7 +311,7 @@ def check_temporal(doc: Document) -> list[Issue]:
         for earlier, later in zip(with_offsets, with_offsets[1:]):
             if earlier.offset > later.offset:
                 issues.append(
-                    _issue(
+                    _finding(
                         OFFSET_ORDER,
                         later.id,
                         f"offset of {later.id!r} ({later.offset}) is smaller than "
@@ -325,16 +321,16 @@ def check_temporal(doc: Document) -> list[Issue]:
     return issues
 
 
-def check_span_order(doc: Document) -> list[Issue]:
+def check_span_order(doc: Document) -> list[Finding]:
     """Spans whose from/to run against document order."""
-    issues: list[Issue] = []
+    issues: list[Finding] = []
     token_pos = {t.id: n for n, t in enumerate(document_tokens(doc)) if t.id}
     for group, n in document_spans(doc):
         for span in group.spans:
             if span.from_ in token_pos and span.to in token_pos:
                 if token_pos[span.from_] > token_pos[span.to]:
                     issues.append(
-                        _issue(
+                        _finding(
                             SPAN_ORDER,
                             span.id or f"spanGrp[{n}]",
                             f"span runs from {span.from_!r} to {span.to!r} "
@@ -364,14 +360,14 @@ def check_tagset(
     lib: TagsetLibrary | None = None,
     registry: Registry | None = None,
     language: str | None = None,
-) -> list[Issue]:
+) -> list[Finding]:
     """Resolution of analysis references, and domain conformance if a registry is given."""
-    issues: list[Issue] = []
+    issues: list[Finding] = []
     if lib is None:
         try:
             lib = build_document_library(doc)
         except TagsetError as exc:
-            issues.append(_issue(TAGSET_ERROR, "back", str(exc)))
+            issues.append(_finding(TAGSET_ERROR, "back", str(exc)))
             lib = TagsetLibrary({}, {})
     inline = inline_structures(doc)
     form_ids = {f.id for entry in doc.lexical_entries for f in entry.forms if f.id}
@@ -385,7 +381,7 @@ def check_tagset(
             continue
         else:
             issues.append(
-                _issue(UNKNOWN_TAG, location, f"analysis reference {ref!r} has no target")
+                _finding(UNKNOWN_TAG, location, f"analysis reference {ref!r} has no target")
             )
             continue
         if registry is not None:
@@ -393,8 +389,8 @@ def check_tagset(
     return issues
 
 
-def _domain_check(fs, registry: Registry, language: str | None, location: str) -> list[Issue]:
-    issues: list[Issue] = []
+def _domain_check(fs, registry: Registry, language: str | None, location: str) -> list[Finding]:
+    issues: list[Finding] = []
     for path, atom in flatten(fs):
         if isinstance(atom, (bool, int, float)):
             continue
@@ -402,7 +398,7 @@ def _domain_check(fs, registry: Registry, language: str | None, location: str) -
         feature_cat = registry.by_name(feature_name)
         if feature_cat is None:
             issues.append(
-                _issue(
+                _finding(
                     UNKNOWN_CATEGORY,
                     location,
                     f"feature {feature_name!r} matches no registered data category",
@@ -412,7 +408,7 @@ def _domain_check(fs, registry: Registry, language: str | None, location: str) -
         value_cat = registry.by_name(str(atom))
         if value_cat is None:
             issues.append(
-                _issue(
+                _finding(
                     UNKNOWN_CATEGORY,
                     location,
                     f"value {atom!r} matches no registered data category",
@@ -421,7 +417,7 @@ def _domain_check(fs, registry: Registry, language: str | None, location: str) -
             continue
         if feature_cat.kind != COMPLEX:
             issues.append(
-                _issue(
+                _finding(
                     UNKNOWN_CATEGORY,
                     location,
                     f"feature {feature_name!r} maps to a simple category and takes no values",
@@ -436,18 +432,18 @@ def _domain_check(fs, registry: Registry, language: str | None, location: str) -
                 if verdict == "languageRestricted"
                 else f"value {atom!r} is outside the domain of {feature_name!r}"
             )
-            issues.append(_issue(DOMAIN_VIOLATION, location, detail))
+            issues.append(_finding(DOMAIN_VIOLATION, location, detail))
     return issues
 
 
 def validate_all(doc: Document, options: ValidateOptions | None = None) -> ValidationReport:
     """Run every check; a pure function of its input, so reports are stable.
 
-    Issues are ordered by severity, code, then location, and deduplicated on
-    (code, location).
+    Findings are ordered by severity, code, location, then message; exact
+    duplicates are reported once.
     """
     opts = options or ValidateOptions()
-    issues: list[Issue] = []
+    issues: list[Finding] = []
     issues.extend(check_ids(doc))
     issues.extend(check_refs(doc))
     issues.extend(check_temporal(doc))
@@ -455,18 +451,14 @@ def validate_all(doc: Document, options: ValidateOptions | None = None) -> Valid
     issues.extend(check_tagset(doc, opts.library, opts.registry, opts.language))
     for level in doc.levels:
         for violation in check_level_coherence(doc, level.id):
-            issues.append(_issue(LEVEL_INCOHERENT, violation.annotation, violation.message))
+            issues.append(_finding(LEVEL_INCOHERENT, violation.annotation, violation.message))
 
     if opts.severity_overrides:
         issues = [
-            Issue(i.code, opts.severity_overrides.get(i.code, i.severity), i.location, i.message)
-            for i in issues
+            replace(i, severity=opts.severity_overrides.get(i.code, i.severity)) for i in issues
         ]
-    deduped: dict[tuple[str, str], Issue] = {}
-    for issue in issues:
-        deduped.setdefault((issue.code, issue.location), issue)
     ordered = sorted(
-        deduped.values(),
+        set(issues),
         key=lambda i: (_SEVERITY_RANK.get(i.severity, 2), i.code, i.location, i.message),
     )
     return ValidationReport(tuple(ordered))

@@ -78,6 +78,16 @@ def test_validate_multiple_files_in_input_order(capsys):
     assert first < second < third
 
 
+def test_validate_too_deep_document_fails_alone(capsys, tmp_path):
+    deep = tmp_path / "deep.xml"
+    data = fixture_bytes("seg.xml").replace(b"<body>", b"<body><u>" + b"<seg>" * 3000, 1)
+    deep.write_bytes(data.replace(b"</body>", b"</seg>" * 3000 + b"</u></body>", 1))
+    code, out, err = run(capsys, "validate", str(deep), fixture_path("anchored_dialogue.xml"))
+    assert code == 2
+    assert err == f"{deep}: markup is nested too deeply to parse\n"
+    assert "anchored_dialogue.xml ==\n0 error(s), 0 warning(s)\n" in out
+
+
 def test_validate_severity_override_via_config(capsys, tmp_path):
     config = tmp_path / "config.tsv"
     config.write_text("severity\tDUP_ID\twarning\n")

@@ -138,7 +138,7 @@ def test_namespace_free_input_parses_to_equal_document():
     stripped = data.replace(b' xmlns="http://www.tei-c.org/ns/1.0"', b"")
     with_ns, _ = parse_document(data)
     without_ns, warnings = parse_document(stripped)
-    assert any("namespace" in w for w in warnings)
+    assert any("namespace" in w.message for w in warnings)
     assert without_ns == with_ns
     assert parse_document(serialize_document(without_ns))[0] == with_ns
 

@@ -242,6 +242,37 @@ def test_issues_are_ordered_and_deduplicated():
     assert len(keys) == len(set(keys))
 
 
+def text_doc(text: bytes):
+    doc, _ = parse_document(
+        b'<TEI xmlns="http://www.tei-c.org/ns/1.0"><teiHeader><fileDesc>'
+        b"<titleStmt><title>t</title></titleStmt><publicationStmt><p>p</p></publicationStmt>"
+        b"<sourceDesc><p>s</p></sourceDesc></fileDesc></teiHeader><text>" + text + b"</text></TEI>"
+    )
+    return doc
+
+
+def test_distinct_findings_at_one_location_are_all_reported():
+    doc = text_doc(b'<body><u xml:id="u1" who="#GHOST">Hi <anchor synch="#T9"/></u></body>')
+    assert [(i.code, i.location, i.message) for i in validate_all(doc).issues] == [
+        (DANGLING_REF, "u1", "@synch reference 'T9' resolves to nothing"),
+        (DANGLING_REF, "u1", "@who reference 'GHOST' resolves to nothing"),
+    ]
+
+
+def test_empty_identifier_is_a_bad_id_and_findings_inside_it_are_located_at_body():
+    doc = text_doc(
+        b'<timeline><when xml:id="T1"/><when xml:id="T2"/></timeline><body>'
+        b'<u xml:id="" who="#GHOST"><anchor synch="#T2"/>Hi <anchor synch="#T1"/>'
+        b'<anchor synch="#T9"/></u></body>'
+    )
+    assert [(i.code, i.location) for i in validate_all(doc).issues] == [
+        (DANGLING_REF, "body"),
+        (DANGLING_REF, "body"),
+        (ANCHOR_ORDER, "body"),
+        (BAD_ID, "u"),
+    ]
+
+
 def test_severity_overrides_apply():
     doc, _ = parse_document(fixture_bytes("inline_anchors.xml"))
     report = validate_all(
