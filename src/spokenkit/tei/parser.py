@@ -96,7 +96,26 @@ class TeiParseError(ValueError):
     """The input cannot be loaded at all (ill-formed, or no file description)."""
 
 
+# Every element name the reader dispatches on. Their tags, with and without
+# the TEI namespace, resolve to the local name by one dictionary lookup.
+_VOCABULARY = (
+    "TEI", "teiHeader", "fileDesc", "titleStmt", "title", "publicationStmt", "p",
+    "sourceDesc", "recordingStmt", "recording", "equipment", "date", "broadcast",
+    "encodingDesc", "appInfo", "application", "label", "ptr", "profileDesc",
+    "particDesc", "person", "persName", "abbr", "birth", "name", "langKnowledge",
+    "langKnown", "settingDesc", "langUsage", "revisionDesc", "change", "text",
+    "timeline", "when", "body", "back", "u", "anchor", "vocal", "desc", "kinesic",
+    "incident", "seg", "w", "pc", "spanGrp", "span", "fLib", "fvLib", "fs", "f",
+    "binary", "symbol", "numeric", "string", "entry", "form", "orth", "gramGrp",
+)
+_LOCAL_NAMES = {name: name for name in _VOCABULARY}
+_LOCAL_NAMES.update({f"{{{TEI_NS}}}{name}": name for name in _VOCABULARY})
+
+
 def _local(tag: str) -> str:
+    local = _LOCAL_NAMES.get(tag)
+    if local is not None:
+        return local
     return tag.rsplit("}", 1)[-1] if isinstance(tag, str) and tag.startswith("{") else tag
 
 
@@ -169,18 +188,22 @@ def parse_document(data: bytes | str) -> tuple[Document, list[Finding]]:
         raise TeiParseError(f"expected a TEI root element, got {_local(root.tag)!r}")
 
     declared_ids: list[DeclaredId] = []
+    declare = ctx.declared.add
+    xml_id = XML_ID
     for el in root.iter():
-        raw = el.get(XML_ID)
+        raw = el.get(xml_id)
         if raw is not None:
             declared_ids.append(DeclaredId(raw, _local(el.tag)))
-            ctx.declared.add(raw)
-            ctx.declared.add(strip_ref(raw))
+            declare(raw)
+            if raw[:1] == "#":
+                declare(raw[1:])
 
     header_el = _child(root, "teiHeader")
     if header_el is None:
         raise TeiParseError("document has no teiHeader")
     timelines: list[Timeline] = []
     body_items: list = []
+    utterance_views: list[tuple[str, list[W]]] = []
     back_items: list = []
     text_el = _child(root, "text")
     try:
@@ -190,7 +213,7 @@ def parse_document(data: bytes | str) -> tuple[Document, list[Finding]]:
             if local == "timeline":
                 timelines.append(_parse_timeline(child, ctx))
             elif local == "body":
-                body_items = _parse_body(child, ctx, timelines)
+                body_items, utterance_views = _parse_body(child, ctx, timelines)
             elif local == "back":
                 back_items = _parse_back(child, ctx)
             else:
@@ -207,7 +230,7 @@ def parse_document(data: bytes | str) -> tuple[Document, list[Finding]]:
         back=tuple(back_items),
         declared_ids=tuple(declared_ids),
     )
-    doc = _attach_annotations(doc, ctx)
+    doc = _attach_annotations(doc, ctx, utterance_views)
     return doc, ctx.warnings
 
 
@@ -422,7 +445,9 @@ def _parse_timeline(tl_el: ET.Element, ctx: _ParseContext) -> Timeline:
         unit = UNIT_SYMBOLIC
     points: list[TimePoint] = []
     seen: set[str] = set()
-    for when in _children(tl_el, "when"):
+    for when in tl_el:
+        if _local(when.tag) != "when":
+            continue
         pid = when.get(XML_ID)
         if pid is None:
             ctx.warn("POINT_WITHOUT_ID", "when", "timeline point without xml:id ignored")
@@ -473,14 +498,21 @@ def _absorb_anchor_points(timelines: list[Timeline], ctx: _ParseContext) -> list
     return [Timeline(IMPLICIT_TIMELINE, UNIT_SYMBOLIC, points, implicit=True)]
 
 
-def _parse_body(body_el: ET.Element, ctx: _ParseContext, timelines: list[Timeline]) -> list:
+def _parse_body(
+    body_el: ET.Element, ctx: _ParseContext, timelines: list[Timeline]
+) -> tuple[list, list[tuple[str, list[W]]]]:
+    """Body items, and the (text, identified tokens) of each utterance among them."""
     items: list = []
+    utterance_views: list[tuple[str, list[W]]] = []
     if body_el.text and body_el.text.strip():
         items.append(TextSegment(body_el.text))
     for child in body_el:
         local = _local(child.tag)
         if local == "u":
-            items.append(_parse_utterance(child, ctx))
+            parts: list[str] = []
+            words: list[W] = []
+            items.append(_parse_utterance(child, ctx, parts, words))
+            utterance_views.append(("".join(parts), words))
         elif local == "kinesic":
             items.append(_parse_event(child, Kinesic, "kinesic", ctx))
         elif local == "incident":
@@ -495,7 +527,7 @@ def _parse_body(body_el: ET.Element, ctx: _ParseContext, timelines: list[Timelin
             items.append(_opaque(child))
         if child.tail and child.tail.strip():
             items.append(TextSegment(child.tail))
-    return items
+    return items, utterance_views
 
 
 def _parse_anchor(el: ET.Element, ctx: _ParseContext) -> AnchorRef:
@@ -503,7 +535,7 @@ def _parse_anchor(el: ET.Element, ctx: _ParseContext) -> AnchorRef:
     if declares is not None:
         declares = strip_ref(declares)
         ctx.anchor_order.append(declares)
-    return AnchorRef(synch=_norm_ref(el.get("synch")), declares=declares)
+    return AnchorRef(_norm_ref(el.get("synch")), declares)
 
 
 def _parse_event(el: ET.Element, cls, prefix: str, ctx: _ParseContext):
@@ -521,70 +553,90 @@ def _parse_event(el: ET.Element, cls, prefix: str, ctx: _ParseContext):
     )
 
 
-def _parse_utterance(u_el: ET.Element, ctx: _ParseContext) -> Utterance:
+def _parse_utterance(
+    u_el: ET.Element, ctx: _ParseContext, parts: list[str], words: list[W]
+) -> Utterance:
     explicit = u_el.get(XML_ID)
     utt_id = strip_ref(explicit) if explicit is not None else ctx.fresh_id("u")
     return Utterance(
         id=utt_id,
         who=_norm_ref(u_el.get("who")),
-        content=tuple(_parse_mixed(u_el, ctx)),
+        content=tuple(_parse_mixed(u_el, ctx, parts, words)),
         id_generated=explicit is None,
     )
 
 
-def _parse_mixed(el: ET.Element, ctx: _ParseContext) -> list:
+def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str], words: list[W]) -> list:
+    """The content items of ``el``, with nested segs.
+
+    In the same walk, the text that ``content_text`` would give for these
+    items goes to ``parts`` and the tokens with an id go to ``words``, both
+    in document order.
+    """
     items: list = []
-    if el.text:
-        items.append(TextSegment(el.text))
+    append = items.append
+    text = el.text
+    if text:
+        append(TextSegment(text))
+        parts.append(text)
     for child in el:
         local = _local(child.tag)
-        if local == "anchor":
-            items.append(_parse_anchor(child, ctx))
-        elif local == "vocal":
-            items.append(
-                Vocal(desc=_text_of(_child(child, "desc")) or "", who=_norm_ref(child.get("who")))
-            )
-        elif local == "kinesic":
-            items.append(_parse_event(child, Kinesic, "kinesic", ctx))
-        elif local == "incident":
-            items.append(_parse_event(child, Incident, "incident", ctx))
+        if local == "w":
+            w = _parse_w(child, ctx)
+            append(w)
+            parts.append(w.text)
+            if w.id:
+                words.append(w)
+        elif local == "anchor":
+            append(_parse_anchor(child, ctx))
+        elif local == "pc":
+            pc_id = child.get(XML_ID)
+            pc_text = "".join(child.itertext()) if len(child) else child.text or ""
+            append(Pc(pc_text, strip_ref(pc_id) if pc_id else None))
+            parts.append(pc_text)
         elif local == "seg":
             seg_id = child.get(XML_ID)
-            items.append(
+            append(
                 Seg(
                     type=child.get("type"),
                     subtype=child.get("subtype"),
-                    content=tuple(_parse_mixed(child, ctx)),
+                    content=tuple(_parse_mixed(child, ctx, parts, words)),
                     id=strip_ref(seg_id) if seg_id else None,
                 )
             )
-        elif local == "w":
-            items.append(_parse_w(child, ctx))
-        elif local == "pc":
-            pc_id = child.get(XML_ID)
-            items.append(Pc("".join(child.itertext()), strip_ref(pc_id) if pc_id else None))
+        elif local == "vocal":
+            append(
+                Vocal(desc=_text_of(_child(child, "desc")) or "", who=_norm_ref(child.get("who")))
+            )
+        elif local == "kinesic":
+            append(_parse_event(child, Kinesic, "kinesic", ctx))
+        elif local == "incident":
+            append(_parse_event(child, Incident, "incident", ctx))
         else:
-            items.append(_opaque(child))
-        if child.tail:
-            items.append(TextSegment(child.tail))
+            append(_opaque(child))
+        tail = child.tail
+        if tail:
+            append(TextSegment(tail))
+            parts.append(tail)
     return items
 
 
 def _parse_w(w_el: ET.Element, ctx: _ParseContext) -> W:
-    extras = []
-    for child in w_el:
-        # Anchors may not split tokens; anything inside a token is preserved
-        # opaquely and reported.
-        message = f"element {_local(child.tag)!r} inside w is not supported; preserved opaquely"
-        ctx.warn("UNSUPPORTED_IN_W", "w", message)
-        extras.append(_opaque(child))
+    # The token's text is its own characters: the element's text and the tails
+    # of its children, never text inside a child.
+    text = w_el.text or ""
+    extras: tuple[OpaqueElement, ...] = ()
+    if len(w_el):
+        for child in w_el:
+            # Anchors may not split tokens; anything inside a token is
+            # preserved opaquely and reported.
+            message = f"element {_local(child.tag)!r} inside w is not supported; preserved opaquely"
+            ctx.warn("UNSUPPORTED_IN_W", "w", message)
+            if child.tail:
+                text += child.tail
+        extras = tuple(_opaque(child) for child in w_el)
     w_id = w_el.get(XML_ID)
-    return W(
-        text="".join(w_el.itertext()),
-        id=strip_ref(w_id) if w_id else None,
-        ana=_norm_ref(w_el.get("ana")),
-        extras=tuple(extras),
-    )
+    return W(text, strip_ref(w_id) if w_id else None, _norm_ref(w_el.get("ana")), extras)
 
 
 def _parse_span_group(el: ET.Element, ctx: _ParseContext) -> SpanGroup:
@@ -741,36 +793,39 @@ def _event_feature(kind: str, event_type: str | None) -> str:
     return kind
 
 
-def _attach_annotations(doc: Document, ctx: _ParseContext) -> Document:
+def _attach_annotations(
+    doc: Document, ctx: _ParseContext, utterance_views: list[tuple[str, list[W]]]
+) -> Document:
     annotations: list[Annotation] = []
     event_features: set[str] = set()
     tokens: list[Token] = []
+    views = iter(utterance_views)
 
     for item in doc.body:
         if isinstance(item, Utterance):
+            text, words = next(views)
             annotations.append(
                 Annotation(
                     id=item.id,
                     source=DEFAULT_SOURCE,
                     range=None,
-                    qualifiers=(Qualifier("utterance", item.plain_text()),),
+                    qualifiers=(Qualifier("utterance", text),),
                     layer=EVENTS_LAYER,
                     who=item.who,
                 )
             )
             event_features.add("utterance")
-            for w in content_items(item.content, W):
-                if w.id:
-                    tokens.append(
-                        Token(
-                            id=w.id,
-                            source=DEFAULT_SOURCE,
-                            range=ComponentRefs((w.id,)),
-                            qualifiers=(Qualifier("token", w.text),),
-                            layer=TOKENS_LAYER,
-                            surface=w.text,
-                        )
+            for w in words:
+                tokens.append(
+                    Token(
+                        id=w.id,
+                        source=DEFAULT_SOURCE,
+                        range=ComponentRefs((w.id,)),
+                        qualifiers=(Qualifier("token", w.text),),
+                        layer=TOKENS_LAYER,
+                        surface=w.text,
                     )
+                )
         elif isinstance(item, (Kinesic, Incident)):
             kind = "kinesic" if isinstance(item, Kinesic) else "incident"
             feature = _event_feature(kind, item.type)
@@ -823,7 +878,8 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
 
     An utterance spans [first anchor, last anchor); free-standing events use
     their start/end references. Dangling point references are findings, and
-    the affected event keeps no interval.
+    the affected event keeps no interval. Findings are located at the event
+    id, or at ``body`` when the id is empty.
     """
     findings: list[Finding] = []
     point_home: dict[str, str] = {}
@@ -832,34 +888,36 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
             point_home.setdefault(p.id, tl.id)
 
     intervals: dict[str, EventInterval] = {}
-
-    def lookup(event_id: str, pid: str | None) -> str | None:
-        if pid is None:
-            return None
-        if pid not in point_home:
-            message = f"{event_id!r} references unknown point {pid!r}"
-            findings.append(Finding("DANGLING_REF", WARNING, event_id, message))
-            return None
-        return pid
-
     for item in doc.body:
         if isinstance(item, Utterance):
-            refs = [
-                anchor.point
-                for anchor in content_items(item.content, AnchorRef)
-                if anchor.point is not None
-            ]
-            resolved = [pid for pid in (lookup(item.id, pid) for pid in refs) if pid is not None]
-            if resolved:
-                first, last = resolved[0], resolved[-1]
+            location = item.id or "body"
+            first = last = None
+            for anchor in content_items(item.content, AnchorRef):
+                pid = anchor.declares
+                if pid is None:
+                    pid = anchor.synch
+                    if pid is None:
+                        continue
+                if pid in point_home:
+                    if first is None:
+                        first = pid
+                    last = pid
+                else:
+                    findings.append(_dangling(item.id, location, pid))
+            if first is not None:
                 if point_home[first] == point_home[last]:
                     intervals[item.id] = EventInterval(first, last, point_home[first])
                 else:
                     message = f"{item.id!r} anchors span different timelines"
-                    findings.append(Finding("TIMELINE_MISMATCH", WARNING, item.id, message))
+                    findings.append(Finding("TIMELINE_MISMATCH", WARNING, location, message))
         elif isinstance(item, (Kinesic, Incident)) and item.id:
-            start = lookup(item.id, item.start)
-            end = lookup(item.id, item.end)
+            start, end = item.start, item.end
+            if start is not None and start not in point_home:
+                findings.append(_dangling(item.id, item.id, start))
+                start = None
+            if end is not None and end not in point_home:
+                findings.append(_dangling(item.id, item.id, end))
+                end = None
             if start is not None and end is not None:
                 if point_home[start] == point_home[end]:
                     intervals[item.id] = EventInterval(start, end, point_home[start])
@@ -871,11 +929,19 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
 
     if not intervals:
         return doc, findings
-    annotations = tuple(
-        replace(ann, range=intervals[ann.id]) if ann.id in intervals and ann.range is None else ann
-        for ann in doc.annotations
-    )
-    return replace(doc, annotations=annotations), findings
+    interval_of = intervals.get
+    annotations = []
+    for ann in doc.annotations:
+        interval = interval_of(ann.id)
+        if interval is not None and ann.range is None:
+            ann = replace(ann, range=interval)
+        annotations.append(ann)
+    return replace(doc, annotations=tuple(annotations)), findings
+
+
+def _dangling(event_id: str, location: str, pid: str) -> Finding:
+    message = f"{event_id!r} references unknown point {pid!r}"
+    return Finding("DANGLING_REF", WARNING, location, message)
 
 
 # ---------------------------------------------------------------- analyses

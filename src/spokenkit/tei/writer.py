@@ -109,20 +109,23 @@ def serialize_document(doc: Document, materialize_timeline: bool = False) -> byt
     w = _Writer()
     w.line(0, '<?xml version="1.0" encoding="UTF-8"?>')
     w.line(0, f'<TEI xmlns="{TEI_NS}">')
-    _write_header(w, 1, doc.metadata)
-    w.line(1, "<text>")
-    for timeline in doc.timelines:
-        _write_timeline(w, 2, timeline, materialize_timeline)
-    body = doc.body if doc.body else tuple(_materialized_body(doc))
-    w.line(2, "<body>")
-    for item in body:
-        _write_body_item(w, 3, item, materialize_timeline)
-    w.line(2, "</body>")
-    if doc.back:
-        w.line(2, "<back>")
-        for item in doc.back:
-            _write_back_item(w, 3, item)
-        w.line(2, "</back>")
+    try:
+        _write_header(w, 1, doc.metadata)
+        w.line(1, "<text>")
+        for timeline in doc.timelines:
+            _write_timeline(w, 2, timeline, materialize_timeline)
+        body = doc.body if doc.body else tuple(_materialized_body(doc))
+        w.line(2, "<body>")
+        for item in body:
+            _write_body_item(w, 3, item, materialize_timeline)
+        w.line(2, "</body>")
+        if doc.back:
+            w.line(2, "<back>")
+            for item in doc.back:
+                _write_back_item(w, 3, item)
+            w.line(2, "</back>")
+    except RecursionError:
+        raise TeiSerializeError("markup is nested too deeply to serialise") from None
     w.line(1, "</text>")
     w.line(0, "</TEI>")
     return w.render()

@@ -88,6 +88,17 @@ def test_validate_too_deep_document_fails_alone(capsys, tmp_path):
     assert "anchored_dialogue.xml ==\n0 error(s), 0 warning(s)\n" in out
 
 
+def test_convert_too_deep_document_to_tei_is_a_usage_error(capsys, tmp_path):
+    # Deep enough for the writer's recursion limit, not for the reader's.
+    deep = tmp_path / "deep.xml"
+    data = fixture_bytes("seg.xml").replace(b"<body>", b"<body><u>" + b"<seg>" * 450, 1)
+    deep.write_bytes(data.replace(b"</body>", b"</seg>" * 450 + b"</u></body>", 1))
+    code, out, err = run(capsys, "convert", str(deep), "--from", "tei", "--to", "tei")
+    assert code == 2
+    assert out == ""
+    assert err == "spokenkit: markup is nested too deeply to serialise\n"
+
+
 def test_validate_severity_override_via_config(capsys, tmp_path):
     config = tmp_path / "config.tsv"
     config.write_text("severity\tDUP_ID\twarning\n")

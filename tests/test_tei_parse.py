@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import pytest
 
-from spokenkit.core import EventInterval
+from spokenkit.core import EventInterval, Finding
 from spokenkit.tei import (
     Kinesic,
     TeiParseError,
     TextSegment,
     Utterance,
     Vocal,
+    W,
     parse_document,
     resolve_anchors,
+    serialize_document,
 )
+from spokenkit.tei.model import content_items
 from tests.conftest import fixture_bytes
 
 DIALOGUE_POINT_IDS = ["T1", "T2", "T3", "T4", "T4bar", "T5", "T6", "T7"]
@@ -113,6 +116,22 @@ def test_resolve_anchors_dangling_point():
     assert doc.annotation("u3").range == EventInterval("T6", "T6", "timeline1")
 
 
+def test_resolve_anchors_locates_findings_of_an_empty_id_at_body():
+    data = fixture_bytes("anchored_dialogue.xml").replace(
+        b"<body>",
+        b'<timeline xml:id="tl2"><when xml:id="X1"/></timeline><body>'
+        b'<u xml:id=""><anchor synch="#T9"/></u>'
+        b'<u xml:id=""><anchor synch="#T1"/><anchor synch="#X1"/></u>',
+        1,
+    )
+    doc, _ = parse_document(data)
+    _, findings = resolve_anchors(doc)
+    assert findings == [
+        Finding("DANGLING_REF", "warning", "body", "'' references unknown point 'T9'"),
+        Finding("TIMELINE_MISMATCH", "warning", "body", "'' anchors span different timelines"),
+    ]
+
+
 def test_duplicate_anchor_declaration_keeps_first(inline_doc):
     timeline = inline_doc.primary_timeline
     assert timeline.implicit
@@ -175,6 +194,16 @@ def test_anchor_inside_token_is_reported_and_preserved():
     from spokenkit.tei import serialize_document
 
     assert b"<anchor" in serialize_document(doc).split(b'xml:id="t2"')[1].split(b"</w>")[0]
+
+
+def test_token_with_a_child_element_keeps_its_text_across_round_trips():
+    data = fixture_bytes("pomme.xml").replace(
+        b'<w xml:id="t2">de</w>', b'<w xml:id="t2">ab<hi>Q</hi>c</w>'
+    )
+    doc, _ = parse_document(data)
+    assert [w.text for w in content_items(doc.body, W) if w.id == "t2"] == ["abc"]
+    reparsed, _ = parse_document(serialize_document(doc))
+    assert reparsed == doc
 
 
 def test_timeline_inside_body_is_accepted():

@@ -1,0 +1,280 @@
+"""The reader's one-pass walk against the content walkers it replaces.
+
+``parse_document`` builds each utterance's text and token annotations while
+it parses the content, and ``resolve_anchors`` keeps only the first and last
+resolved anchor. The references below compute the same results from the
+parsed content with ``content_text`` and ``content_items``, on random
+documents.
+"""
+
+from __future__ import annotations
+
+import random
+
+from spokenkit.core import (
+    Annotation,
+    ComponentRefs,
+    EventInterval,
+    Finding,
+    Qualifier,
+    Token,
+)
+from spokenkit.core.model import WARNING
+from spokenkit.tei import (
+    AnchorRef,
+    Incident,
+    Kinesic,
+    Pc,
+    Seg,
+    Utterance,
+    Vocal,
+    W,
+    parse_document,
+    resolve_anchors,
+)
+from spokenkit.tei.model import content_items, content_text
+
+TEI_NS = "http://www.tei-c.org/ns/1.0"
+WORDS = ("oui", "non", "très", "bien", "a&b", "x<y", " ", "")
+TIMELINE_IDS = ("T0", "T1", "T2", "T3", "T4")
+SECOND_TIMELINE_IDS = ("X0", "X1")
+
+
+class _Gen:
+    """Random markup for one document; ids are numbered per document."""
+
+    def __init__(self, rand: random.Random) -> None:
+        self.rand = rand
+        self.n = 0
+        self.declared: list[str] = []
+
+    def next_id(self, prefix: str) -> str:
+        self.n += 1
+        return f"{prefix}{self.n}"
+
+    def text(self) -> str:
+        word = self.rand.choice(WORDS)
+        return word.replace("&", "&amp;").replace("<", "&lt;")
+
+    def point_ref(self) -> str:
+        choices = list(TIMELINE_IDS) + list(SECOND_TIMELINE_IDS) + self.declared + ["nowhere"]
+        ref = self.rand.choice(choices)
+        return ref if self.rand.random() < 0.3 else "#" + ref
+
+    def anchor(self) -> str:
+        if self.rand.random() < 0.3:
+            pid = self.next_id("A")
+            self.declared.append(pid)
+            return f'<anchor xml:id="{pid}"/>'
+        if self.rand.random() < 0.05:
+            return "<anchor/>"
+        return f'<anchor synch="{self.point_ref()}"/>'
+
+    def w(self) -> str:
+        attrs = ""
+        if self.rand.random() < 0.7:
+            attrs += f' xml:id="{self.next_id("w")}"'
+        if self.rand.random() < 0.3:
+            attrs += ' ana="#tag"'
+        if self.rand.random() < 0.1:
+            inner = f"{self.text()}<hi>{self.text()}</hi>{self.text()}"
+        elif self.rand.random() < 0.05:
+            inner = f"{self.text()}{self.anchor()}{self.text()}"
+        else:
+            inner = self.text()
+        return f"<w{attrs}>{inner}</w>"
+
+    def pc(self) -> str:
+        attrs = f' xml:id="{self.next_id("p")}"' if self.rand.random() < 0.5 else ""
+        inner = "<c>.</c>." if self.rand.random() < 0.1 else self.rand.choice((".", ",", ""))
+        return f"<pc{attrs}>{inner}</pc>"
+
+    def event(self, tag: str, free: bool) -> str:
+        attrs = f' type="{self.rand.choice(("nv", "gesture", ""))}"'
+        if self.rand.random() < 0.6:
+            attrs += f' xml:id="{self.next_id(tag[0])}"'
+        if free and self.rand.random() < 0.8:
+            attrs += f' start="{self.point_ref()}"'
+            if self.rand.random() < 0.7:
+                attrs += f' end="{self.point_ref()}"'
+        if self.rand.random() < 0.3:
+            return f"<{tag}{attrs}/>"
+        return f"<{tag}{attrs}><desc>{self.text()}</desc></{tag}>"
+
+    def content(self, depth: int) -> str:
+        parts = [self.text()]
+        for _ in range(self.rand.randint(0, 6)):
+            kind = self.rand.random()
+            if kind < 0.3:
+                parts.append(self.w())
+            elif kind < 0.45:
+                parts.append(self.anchor())
+            elif kind < 0.55:
+                parts.append(self.pc())
+            elif kind < 0.7 and depth < 3:
+                seg_id = f' xml:id="{self.next_id("s")}"' if self.rand.random() < 0.5 else ""
+                parts.append(f'<seg type="phrase"{seg_id}>{self.content(depth + 1)}</seg>')
+            elif kind < 0.75:
+                parts.append(f"<vocal><desc>{self.text()}</desc></vocal>")
+            elif kind < 0.8:
+                parts.append(self.event("kinesic", free=False))
+            elif kind < 0.85:
+                parts.append(self.event("incident", free=False))
+            elif kind < 0.9:
+                parts.append(f"<hi>{self.text()}</hi>")
+            parts.append(self.text())
+        return "".join(parts)
+
+    def utterance(self) -> str:
+        roll = self.rand.random()
+        attrs = ' who="#S1"'
+        if roll < 0.6:
+            attrs += f' xml:id="{self.next_id("u")}"'
+        elif roll < 0.7:
+            attrs += ' xml:id=""'
+        return f"<u{attrs}>{self.content(0)}</u>"
+
+    def document(self) -> str:
+        timelines = []
+        if self.rand.random() < 0.8:
+            whens = "".join(f'<when xml:id="{pid}"/>' for pid in TIMELINE_IDS)
+            timelines.append(f'<timeline unit="ms" xml:id="tl1">{whens}</timeline>')
+        if self.rand.random() < 0.3:
+            whens = "".join(f'<when xml:id="{pid}"/>' for pid in SECOND_TIMELINE_IDS)
+            timelines.append(f'<timeline xml:id="tl2">{whens}</timeline>')
+        body = []
+        for _ in range(self.rand.randint(0, 6)):
+            kind = self.rand.random()
+            if kind < 0.6:
+                body.append(self.utterance())
+            elif kind < 0.75:
+                body.append(self.event("kinesic", free=True))
+            elif kind < 0.9:
+                body.append(self.event("incident", free=True))
+            else:
+                body.append(self.anchor())
+        ns = f' xmlns="{TEI_NS}"' if self.rand.random() < 0.85 else ""
+        return (
+            f"<TEI{ns}><teiHeader><fileDesc><titleStmt><title>t</title></titleStmt>"
+            "<publicationStmt><p>p</p></publicationStmt><sourceDesc><p>s</p></sourceDesc>"
+            f"</fileDesc></teiHeader><text>{''.join(timelines)}"
+            f"<body>{''.join(body)}</body></text></TEI>"
+        )
+
+
+def reference_tokens(doc) -> list[Token]:
+    return [
+        Token(
+            id=w.id,
+            source="source1",
+            range=ComponentRefs((w.id,)),
+            qualifiers=(Qualifier("token", w.text),),
+            layer="tokens",
+            surface=w.text,
+        )
+        for w in content_items(doc.body, W)
+        if w.id
+    ]
+
+
+def reference_resolution(doc) -> tuple[dict[str, EventInterval], list[Finding]]:
+    """Intervals and findings from the first and last resolved anchor of each utterance."""
+    home: dict[str, str] = {}
+    for tl in doc.timelines:
+        for p in tl.points:
+            home.setdefault(p.id, tl.id)
+    intervals: dict[str, EventInterval] = {}
+    findings: list[Finding] = []
+
+    def known(item, pid):
+        if pid is not None and pid not in home:
+            message = f"{item.id!r} references unknown point {pid!r}"
+            findings.append(Finding("DANGLING_REF", WARNING, item.id or "body", message))
+            return None
+        return pid
+
+    for item in doc.body:
+        if isinstance(item, Utterance):
+            points = [anchor.point for anchor in content_items(item.content, AnchorRef)]
+            resolved = [known(item, pid) for pid in points if pid is not None]
+            resolved = [pid for pid in resolved if pid is not None]
+            if not resolved:
+                continue
+            first, last = resolved[0], resolved[-1]
+            if home[first] == home[last]:
+                intervals[item.id] = EventInterval(first, last, home[first])
+            else:
+                message = f"{item.id!r} anchors span different timelines"
+                findings.append(Finding("TIMELINE_MISMATCH", WARNING, item.id or "body", message))
+        elif isinstance(item, (Kinesic, Incident)) and item.id:
+            start, end = known(item, item.start), known(item, item.end)
+            if start is not None and end is not None:
+                if home[start] == home[end]:
+                    intervals[item.id] = EventInterval(start, end, home[start])
+                else:
+                    message = f"{item.id!r} start and end are on different timelines"
+                    findings.append(Finding("TIMELINE_MISMATCH", WARNING, item.id, message))
+            elif start is not None:
+                intervals[item.id] = EventInterval(start, start, home[start])
+    return intervals, findings
+
+
+def cases_of(doc, warnings, findings) -> set[str]:
+    """Which of the cases the random documents must cover this document has."""
+    words = content_items(doc.body, W)
+    anchors = content_items(doc.body, AnchorRef)
+    utterances = [item for item in doc.body if isinstance(item, Utterance)]
+    inline = [item for u in utterances for item in content_items(u.content, (Vocal, Kinesic, Incident))]
+    cases = {
+        "nested seg": any(content_items(seg.content, Seg) for seg in content_items(doc.body, Seg)),
+        "identified w": any(w.id for w in words),
+        "id-less w": any(not w.id for w in words),
+        "w with child": any(w.extras for w in words),
+        "pc": bool(content_items(doc.body, Pc)),
+        "inline vocal": any(isinstance(item, Vocal) for item in inline),
+        "inline kinesic": any(isinstance(item, Kinesic) for item in inline),
+        "inline incident": any(isinstance(item, Incident) for item in inline),
+        "declaring anchor": any(a.declares for a in anchors),
+        "referencing anchor": any(a.synch for a in anchors),
+        "unknown point": any(f.code == "DANGLING_REF" for f in findings),
+        "timeline mismatch": any(f.code == "TIMELINE_MISMATCH" for f in findings),
+        "empty utterance id": any(u.id == "" for u in utterances),
+        "second timeline": len(doc.timelines) > 1,
+        "no namespace": any(w.code == "NO_TEI_NS" for w in warnings),
+    }
+    return {name for name, present in cases.items() if present}
+
+
+def test_one_pass_read_matches_content_walkers_on_random_documents():
+    rand = random.Random(20111018)
+    seen: set[str] = set()
+    for _ in range(300):
+        doc, warnings = parse_document(_Gen(rand).document())
+
+        utterances = [item for item in doc.body if isinstance(item, Utterance)]
+        utterance_annotations = [
+            a for a in doc.annotations if type(a) is Annotation and a.qualifiers[0].feature == "utterance"
+        ]
+        assert [(a.id, a.who, a.qualifiers[0].value) for a in utterance_annotations] == [
+            (u.id, u.who, content_text(u.content)) for u in utterances
+        ]
+        tokens = reference_tokens(doc)
+        assert list(doc.annotations[len(doc.annotations) - len(tokens) :]) == tokens
+        assert sum(isinstance(a, Token) for a in doc.annotations) == len(tokens)
+
+        resolved, findings = resolve_anchors(doc)
+        intervals, expected_findings = reference_resolution(doc)
+        assert findings == expected_findings
+        assert [(type(a), a.id) for a in resolved.annotations] == [
+            (type(a), a.id) for a in doc.annotations
+        ]
+        assert [a.range for a in resolved.annotations] == [
+            a.range if a.range is not None else intervals.get(a.id) for a in doc.annotations
+        ]
+        seen |= cases_of(doc, warnings, findings)
+    assert seen == {
+        "nested seg", "identified w", "id-less w", "w with child", "pc", "inline vocal",
+        "inline kinesic", "inline incident", "declaring anchor", "referencing anchor",
+        "unknown point", "timeline mismatch", "empty utterance id", "second timeline",
+        "no namespace",
+    }
