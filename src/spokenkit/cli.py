@@ -19,7 +19,6 @@ from spokenkit.core.temporal import overlaps_report, sequence_implicit
 from spokenkit.datacat import RegistryFormatError, load_registry
 from spokenkit.featstruct import TagsetError, TagsetLibrary, UnknownTagError, atom_value
 from spokenkit.tei import (
-    ConventionRule,
     ConventionRuleError,
     TeiParseError,
     TeiSerializeError,
@@ -40,7 +39,6 @@ EXIT_USAGE = 2
 @dataclass
 class Config:
     severity_overrides: dict[str, str] = field(default_factory=dict)
-    rules: tuple[ConventionRule, ...] = ()
     category_map: dict[str, str] = field(default_factory=dict)
 
 
@@ -49,11 +47,10 @@ class CliError(Exception):
 
 
 def load_config(data: str | bytes) -> Config:
-    """Read the plain-text config: severity, convention and category lines."""
+    """Read the plain-text config: severity and category lines."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     config = Config()
-    rule_lines: list[str] = []
     for line_no, line in enumerate(data.splitlines(), start=1):
         if not line or line.startswith("#"):
             continue
@@ -64,14 +61,10 @@ def load_config(data: str | bytes) -> Config:
             if severity not in ("error", "warning"):
                 raise CliError(f"config line {line_no}: severity must be error or warning")
             config.severity_overrides[code] = severity
-        elif kind == "convention" and len(fields) == 4:
-            rule_lines.append("\t".join(fields[1:]))
         elif kind == "category" and len(fields) == 3:
             config.category_map[fields[1]] = fields[2]
         else:
             raise CliError(f"config line {line_no}: unrecognised entry {kind!r}")
-    if rule_lines:
-        config.rules = load_convention_rules("\n".join(rule_lines))
     return config
 
 

@@ -326,12 +326,6 @@ class Document:
     back: tuple = ()
     declared_ids: tuple[DeclaredId, ...] = field(default=(), compare=False)
 
-    def source(self, source_id: str) -> SourceRef:
-        for s in self.sources:
-            if s.id == source_id:
-                return s
-        raise UnknownIdError("source", source_id)
-
     def timeline(self, timeline_id: str) -> Timeline:
         for t in self.timelines:
             if t.id == timeline_id:
@@ -359,12 +353,6 @@ class Document:
     @property
     def primary_timeline(self) -> Timeline | None:
         return self.timelines[0] if self.timelines else None
-
-    def timeline_of_point(self, point_id: str) -> Timeline | None:
-        for t in self.timelines:
-            if point_id in t:
-                return t
-        return None
 
     @property
     def lexical_entries(self) -> tuple:

@@ -211,10 +211,6 @@ class Registry:
         return Comparability(DISJOINT)
 
 
-def register(reg: Registry, cat: DataCategory) -> Registry:
-    return reg.register(cat)
-
-
 class RegistryFormatError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")

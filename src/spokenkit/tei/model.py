@@ -89,6 +89,7 @@ class Pc:
 
     text: str
     id: str | None = None
+    extras: tuple[OpaqueElement, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -181,12 +182,6 @@ class InflectedForm:
 @dataclass(frozen=True)
 class LexicalEntry:
     forms: tuple[InflectedForm, ...] = ()
-
-    def form(self, form_id: str) -> InflectedForm | None:
-        for f in self.forms:
-            if f.id == form_id:
-                return f
-        return None
 
 
 @dataclass(frozen=True)
@@ -285,9 +280,3 @@ class Metadata:
     encoding_extras: tuple[OpaqueElement, ...] = ()
     profile_extras: tuple[OpaqueElement, ...] = ()
     header_extras: tuple[OpaqueElement, ...] = ()
-
-    def participant(self, person_id: str) -> Person | None:
-        for p in self.participants:
-            if p.id == person_id:
-                return p
-        return None

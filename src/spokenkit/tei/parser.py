@@ -45,6 +45,7 @@ from spokenkit.featstruct import (
     Str,
     Symbol,
     TagDecl,
+    TagsetError,
     TagsetLibrary,
     build_library,
     strip_ref,
@@ -230,7 +231,7 @@ def parse_document(data: bytes | str) -> tuple[Document, list[Finding]]:
         back=tuple(back_items),
         declared_ids=tuple(declared_ids),
     )
-    doc = _attach_annotations(doc, ctx, utterance_views)
+    doc = _attach_annotations(doc, utterance_views)
     return doc, ctx.warnings
 
 
@@ -582,7 +583,7 @@ def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str], words: li
     for child in el:
         local = _local(child.tag)
         if local == "w":
-            w = _parse_w(child, ctx)
+            w = _parse_token(child, local, ctx)
             append(w)
             parts.append(w.text)
             if w.id:
@@ -590,10 +591,9 @@ def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str], words: li
         elif local == "anchor":
             append(_parse_anchor(child, ctx))
         elif local == "pc":
-            pc_id = child.get(XML_ID)
-            pc_text = "".join(child.itertext()) if len(child) else child.text or ""
-            append(Pc(pc_text, strip_ref(pc_id) if pc_id else None))
-            parts.append(pc_text)
+            pc = _parse_token(child, local, ctx)
+            append(pc)
+            parts.append(pc.text)
         elif local == "seg":
             seg_id = child.get(XML_ID)
             append(
@@ -621,22 +621,29 @@ def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str], words: li
     return items
 
 
-def _parse_w(w_el: ET.Element, ctx: _ParseContext) -> W:
+def _parse_token(el: ET.Element, local: str, ctx: _ParseContext) -> W | Pc:
+    """A ``w`` or ``pc`` element, whose ``local`` name is given."""
     # The token's text is its own characters: the element's text and the tails
     # of its children, never text inside a child.
-    text = w_el.text or ""
+    text = el.text or ""
     extras: tuple[OpaqueElement, ...] = ()
-    if len(w_el):
-        for child in w_el:
+    if len(el):
+        for child in el:
             # Anchors may not split tokens; anything inside a token is
             # preserved opaquely and reported.
-            message = f"element {_local(child.tag)!r} inside w is not supported; preserved opaquely"
-            ctx.warn("UNSUPPORTED_IN_W", "w", message)
+            message = (
+                f"element {_local(child.tag)!r} inside {local} is not supported; "
+                "preserved opaquely"
+            )
+            ctx.warn(f"UNSUPPORTED_IN_{local.upper()}", local, message)
             if child.tail:
                 text += child.tail
-        extras = tuple(_opaque(child) for child in w_el)
-    w_id = w_el.get(XML_ID)
-    return W(text, strip_ref(w_id) if w_id else None, _norm_ref(w_el.get("ana")), extras)
+        extras = tuple(_opaque(child) for child in el)
+    token_id = el.get(XML_ID)
+    token_id = strip_ref(token_id) if token_id else None
+    if local == "pc":
+        return Pc(text, token_id, extras)
+    return W(text, token_id, _norm_ref(el.get("ana")), extras)
 
 
 def _parse_span_group(el: ET.Element, ctx: _ParseContext) -> SpanGroup:
@@ -793,9 +800,7 @@ def _event_feature(kind: str, event_type: str | None) -> str:
     return kind
 
 
-def _attach_annotations(
-    doc: Document, ctx: _ParseContext, utterance_views: list[tuple[str, list[W]]]
-) -> Document:
+def _attach_annotations(doc: Document, utterance_views: list[tuple[str, list[W]]]) -> Document:
     annotations: list[Annotation] = []
     event_features: set[str] = set()
     tokens: list[Token] = []
@@ -831,7 +836,7 @@ def _attach_annotations(
             feature = _event_feature(kind, item.type)
             annotations.append(
                 Annotation(
-                    id=item.id or ctx.fresh_id(kind),
+                    id=item.id,
                     source=DEFAULT_SOURCE,
                     range=None,
                     qualifiers=(Qualifier(feature, item.desc or ""),),
@@ -910,20 +915,21 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
                 else:
                     message = f"{item.id!r} anchors span different timelines"
                     findings.append(Finding("TIMELINE_MISMATCH", WARNING, location, message))
-        elif isinstance(item, (Kinesic, Incident)) and item.id:
+        elif isinstance(item, (Kinesic, Incident)) and item.id is not None:
+            location = item.id or "body"
             start, end = item.start, item.end
             if start is not None and start not in point_home:
-                findings.append(_dangling(item.id, item.id, start))
+                findings.append(_dangling(item.id, location, start))
                 start = None
             if end is not None and end not in point_home:
-                findings.append(_dangling(item.id, item.id, end))
+                findings.append(_dangling(item.id, location, end))
                 end = None
             if start is not None and end is not None:
                 if point_home[start] == point_home[end]:
                     intervals[item.id] = EventInterval(start, end, point_home[start])
                 else:
                     message = f"{item.id!r} start and end are on different timelines"
-                    findings.append(Finding("TIMELINE_MISMATCH", WARNING, item.id, message))
+                    findings.append(Finding("TIMELINE_MISMATCH", WARNING, location, message))
             elif start is not None:
                 intervals[item.id] = EventInterval(start, start, point_home[start])
 
@@ -958,8 +964,28 @@ def build_document_library(doc: Document) -> TagsetLibrary:
     return build_library(features, tags)
 
 
-def inline_structures(doc: Document) -> dict[str, FeatureStructure]:
-    return {item.id: item.fs for item in doc.back if isinstance(item, InlineStructure)}
+def analysis_targets(
+    doc: Document, lib: TagsetLibrary | None = None
+) -> dict[str, FeatureStructure | InflectedForm]:
+    """What each analysis reference of the document resolves to, by target id.
+
+    The table holds the tags of ``lib``, expanded into their structures; the
+    document's free-standing structures; and its lexical forms. An id in more
+    than one of these resolves to the tag, then the structure, then the form.
+    ``lib`` defaults to the document's own library; when that is
+    inconsistent, no tag resolves.
+    """
+    if lib is None:
+        try:
+            lib = build_document_library(doc)
+        except TagsetError:
+            lib = TagsetLibrary({}, {})
+    targets: dict[str, FeatureStructure | InflectedForm] = {
+        form.id: form for entry in doc.lexical_entries for form in entry.forms if form.id
+    }
+    targets.update((item.id, item.fs) for item in doc.back if isinstance(item, InlineStructure))
+    targets.update((tag_id, tag.expanded) for tag_id, tag in lib.tag_lib.items())
+    return targets
 
 
 def resolve_ana(
@@ -968,14 +994,12 @@ def resolve_ana(
     """Resolve an analysis reference to its feature structure.
 
     Tag references resolve through the library (built from the document when
-    not supplied); references to free-standing structures resolve directly.
+    not supplied, raising :class:`TagsetError` when it is inconsistent);
+    references to free-standing structures resolve directly.
     """
     if lib is None:
         lib = build_document_library(doc)
-    target = strip_ref(ref)
-    if target in lib.tag_lib:
-        return lib.tag_lib[target].expanded
-    inline = inline_structures(doc)
-    if target in inline:
-        return inline[target]
-    raise UnknownIdError("analysis target", ref)
+    target = analysis_targets(doc, lib).get(strip_ref(ref))
+    if not isinstance(target, FeatureStructure):
+        raise UnknownIdError("analysis target", ref)
+    return target

@@ -20,14 +20,9 @@ from spokenkit.core.model import (
     Qualifier,
     WordForm,
 )
-from spokenkit.featstruct import TagsetError, TagsetLibrary, flatten
-from spokenkit.tei.model import Seg, SpanGroup, W, content_items
-from spokenkit.tei.parser import (
-    DEFAULT_SOURCE,
-    build_document_library,
-    inline_structures,
-    resolve_ana,
-)
+from spokenkit.featstruct import flatten
+from spokenkit.tei.model import InflectedForm, Seg, SpanGroup, W, content_items
+from spokenkit.tei.parser import DEFAULT_SOURCE, analysis_targets
 
 WORDFORM_LAYER = "wordForms"
 
@@ -49,22 +44,16 @@ def extract_spans(doc: Document) -> tuple[list[WordForm], list[Finding]]:
     """Turn span descriptions into word-form annotations.
 
     Each span covers the contiguous token run from its ``from`` token to its
-    ``to`` token in document order. The analysis reference resolves into a
-    lexical entry's inflected form when one matches (contributing the
-    orthography and grammatical features), otherwise into the tagset.
+    ``to`` token in document order. The analysis reference resolves as in
+    :func:`analysis_targets`: a lexical entry's inflected form contributes
+    its orthography and grammatical features, a feature structure its
+    flattened feature paths.
     Out-of-order spans and dangling references are findings, not errors.
     """
     findings: list[Finding] = []
     tokens = document_tokens(doc)
     token_pos = {tok.id: n for n, tok in enumerate(tokens)}
-    forms = {
-        form.id: form for entry in doc.lexical_entries for form in entry.forms if form.id
-    }
-    try:
-        lib: TagsetLibrary | None = build_document_library(doc)
-    except TagsetError:
-        lib = None
-    inline = inline_structures(doc)
+    targets = analysis_targets(doc)
 
     word_forms: list[WordForm] = []
     counter = 0
@@ -88,14 +77,13 @@ def extract_spans(doc: Document) -> tuple[list[WordForm], list[Finding]]:
             lex_ref = None
             orth = None
             if span.ana is not None:
-                form = forms.get(span.ana)
-                if form is not None:
-                    lex_ref = form.id
-                    orth = form.orth
-                    qualifiers.extend(Qualifier(name, value) for name, value in form.grammar)
-                elif span.ana in inline or (lib is not None and span.ana in lib.tag_lib):
-                    fs = resolve_ana(doc, lib, span.ana)
-                    qualifiers.extend(Qualifier(path, str(atom)) for path, atom in flatten(fs))
+                target = targets.get(span.ana)
+                if isinstance(target, InflectedForm):
+                    lex_ref = target.id
+                    orth = target.orth
+                    qualifiers.extend(Qualifier(name, value) for name, value in target.grammar)
+                elif target is not None:
+                    qualifiers.extend(Qualifier(path, str(atom)) for path, atom in flatten(target))
                 else:
                     message = f"span analysis {span.ana!r} resolves to nothing"
                     findings.append(Finding("DANGLING_REF", WARNING, location, message))

@@ -415,7 +415,8 @@ def _render_content(item, materialize: bool) -> str:
         extras = "".join(_render_opaque(extra) for extra in item.extras)
         return f"<w{_attrs(attrs)}>{_esc_text(item.text)}{extras}</w>"
     if isinstance(item, Pc):
-        return f"<pc{_attrs({'xml:id': item.id})}>{_esc_text(item.text)}</pc>"
+        extras = "".join(_render_opaque(extra) for extra in item.extras)
+        return f"<pc{_attrs({'xml:id': item.id})}>{_esc_text(item.text)}{extras}</pc>"
     if isinstance(item, OpaqueElement):
         return _render_opaque(item)
     raise TeiSerializeError(f"cannot serialise content item {item!r}")

@@ -206,47 +206,34 @@ def serialize_tier(td: TierDocument) -> str:
     point_map = dict(td.points)
     tier_map = {t.id: t for t in td.tiers}
     lines: list[str] = []
-
-    def speaker_line(sid: str) -> str:
-        s = speaker_map[sid]
-        return f"@speaker\t{s.id}\t{s.name}"
-
-    def point_line(pid: str) -> str:
-        offset = point_map[pid]
-        return f"@point\t{pid}\t{offset if offset is not None else '-'}"
-
-    def tier_line(tier: Tier) -> str:
-        return f"@tier\t{tier.id}\t{tier.speaker if tier.speaker is not None else '-'}\t{tier.category}"
-
-    def event_line(tier: Tier, event: TierEvent) -> str:
-        return f"event\t{tier.id}\t{event.start}\t{event.end}\t{event.text}"
-
-    if td.records:
-        for record in td.records:
-            kind = record[0]
-            if kind == "blank":
-                lines.append("")
-            elif kind == "comment":
-                lines.append(record[1])
-            elif kind == "speaker":
-                lines.append(speaker_line(record[1]))
-            elif kind == "point":
-                lines.append(point_line(record[1]))
-            elif kind == "tier":
-                lines.append(tier_line(tier_map[record[1]]))
-            elif kind == "event":
-                tier = tier_map[record[1]]
-                lines.append(event_line(tier, tier.events[record[2]]))
-    else:
-        for speaker in td.speakers:
-            lines.append(speaker_line(speaker.id))
-        for pid, _ in td.points:
-            lines.append(point_line(pid))
-        for tier in td.tiers:
-            lines.append(tier_line(tier))
-        for tier in td.tiers:
-            for event in tier.events:
-                lines.append(event_line(tier, event))
+    # A constructed document has no records; it is written in canonical
+    # order: speakers, points, tiers, then each tier's events.
+    records = td.records or (
+        [("speaker", s.id) for s in td.speakers]
+        + [("point", pid) for pid, _ in td.points]
+        + [("tier", t.id) for t in td.tiers]
+        + [("event", t.id, n) for t in td.tiers for n in range(len(t.events))]
+    )
+    for record in records:
+        kind = record[0]
+        if kind == "event":
+            tier = tier_map[record[1]]
+            event = tier.events[record[2]]
+            lines.append(f"event\t{tier.id}\t{event.start}\t{event.end}\t{event.text}")
+        elif kind == "point":
+            offset = point_map[record[1]]
+            lines.append(f"@point\t{record[1]}\t{offset if offset is not None else '-'}")
+        elif kind == "tier":
+            tier = tier_map[record[1]]
+            speaker_id = tier.speaker if tier.speaker is not None else "-"
+            lines.append(f"@tier\t{tier.id}\t{speaker_id}\t{tier.category}")
+        elif kind == "speaker":
+            speaker = speaker_map[record[1]]
+            lines.append(f"@speaker\t{speaker.id}\t{speaker.name}")
+        elif kind == "comment":
+            lines.append(record[1])
+        elif kind == "blank":
+            lines.append("")
     return "".join(line + "\n" for line in lines)
 
 

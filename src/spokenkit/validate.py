@@ -24,7 +24,7 @@ from spokenkit.core.model import (
     check_level_coherence,
 )
 from spokenkit.datacat import COMPLEX, OK, Registry
-from spokenkit.featstruct import TagsetError, TagsetLibrary, flatten
+from spokenkit.featstruct import FeatureStructure, TagsetError, TagsetLibrary, flatten
 from spokenkit.tei.model import (
     AnchorRef,
     FeatureLib,
@@ -35,7 +35,7 @@ from spokenkit.tei.model import (
     W,
     content_items,
 )
-from spokenkit.tei.parser import build_document_library, inline_structures
+from spokenkit.tei.parser import analysis_targets, build_document_library
 from spokenkit.tei.spans import document_spans, document_tokens
 
 DUP_ID = "DUP_ID"
@@ -174,8 +174,12 @@ def _body_location(item) -> str:
     return getattr(item, "id", None) or "body"
 
 
-def check_refs(doc: Document) -> list[Finding]:
-    """Closure of every cross-reference the document can carry."""
+def check_refs(doc: Document, lib: TagsetLibrary | None = None) -> list[Finding]:
+    """Closure of every cross-reference the document can carry.
+
+    Analysis references resolve as in :func:`analysis_targets`, through
+    ``lib`` when given.
+    """
     issues: list[Finding] = []
     point_ids = {p.id for tl in doc.timelines for p in tl.points}
     participants = (
@@ -183,7 +187,7 @@ def check_refs(doc: Document) -> list[Finding]:
     )
     token_ids = {t.id for t in document_tokens(doc)}
     known = _known_ids(doc, token_ids)
-    ana_targets = _ana_targets(doc)
+    ana_targets = analysis_targets(doc, lib)
 
     def dangle(attr: str, ref: str, location: str) -> None:
         issues.append(
@@ -269,16 +273,6 @@ def check_refs(doc: Document) -> list[Finding]:
         if not any(level.id == layer.level for level in doc.levels):
             dangle("level", layer.level, layer.id)
     return issues
-
-
-def _ana_targets(doc: Document) -> set[str]:
-    targets: set[str] = set(inline_structures(doc))
-    for item in doc.back:
-        if isinstance(item, TagLib):
-            targets.update(tag.id for tag in item.tags)
-    for entry in doc.lexical_entries:
-        targets.update(f.id for f in entry.forms if f.id)
-    return targets
 
 
 def check_temporal(doc: Document) -> list[Finding]:
@@ -369,23 +363,16 @@ def check_tagset(
         except TagsetError as exc:
             issues.append(_finding(TAGSET_ERROR, "back", str(exc)))
             lib = TagsetLibrary({}, {})
-    inline = inline_structures(doc)
-    form_ids = {f.id for entry in doc.lexical_entries for f in entry.forms if f.id}
+    targets = analysis_targets(doc, lib)
 
     for location, ref in _ana_bearing(doc):
-        if ref in lib.tag_lib:
-            fs = lib.tag_lib[ref].expanded
-        elif ref in inline:
-            fs = inline[ref]
-        elif ref in form_ids:
-            continue
-        else:
+        target = targets.get(ref)
+        if target is None:
             issues.append(
                 _finding(UNKNOWN_TAG, location, f"analysis reference {ref!r} has no target")
             )
-            continue
-        if registry is not None:
-            issues.extend(_domain_check(fs, registry, language, location))
+        elif registry is not None and isinstance(target, FeatureStructure):
+            issues.extend(_domain_check(target, registry, language, location))
     return issues
 
 
@@ -445,7 +432,7 @@ def validate_all(doc: Document, options: ValidateOptions | None = None) -> Valid
     opts = options or ValidateOptions()
     issues: list[Finding] = []
     issues.extend(check_ids(doc))
-    issues.extend(check_refs(doc))
+    issues.extend(check_refs(doc, opts.library))
     issues.extend(check_temporal(doc))
     issues.extend(check_span_order(doc))
     issues.extend(check_tagset(doc, opts.library, opts.registry, opts.language))

@@ -113,6 +113,32 @@ def test_validate_severity_override_via_config(capsys, tmp_path):
     assert "warning DUP_ID" in out
 
 
+def test_validate_with_external_tagset_resolves_its_tags(capsys, tmp_path):
+    # Ncfs__ is declared by the external tagset only.
+    doc = tmp_path / "doc.xml"
+    doc.write_bytes(
+        fixture_bytes("tagged_sentence.xml").replace(b'ana="#Ncms__"', b'ana="#Ncfs__"')
+    )
+    code, out, _ = run(capsys, "validate", "--tagset", fixture_path("tags.xml"), str(doc))
+    assert (code, out) == (0, "0 error(s), 0 warning(s)\n")
+    code, out, _ = run(capsys, "validate", str(doc))
+    assert code == 1
+    assert "error DANGLING_REF w3" in out and "error UNKNOWN_TAG w3" in out
+
+
+def test_config_convention_line_is_an_unrecognised_entry(capsys, tmp_path):
+    config = tmp_path / "config.tsv"
+    config.write_text("convention\t\\[g:(.+?)\\]\tkinesic\t1\n")
+    code, _, err = run(
+        capsys,
+        "convert", fixture_path("inline_anchors.xml"),
+        "--from", "tei", "--to", "tei",
+        "--config", str(config),
+    )
+    assert code == 2
+    assert "config line 1: unrecognised entry 'convention'" in err
+
+
 # ---------------------------------------------------------------- convert
 
 def test_convert_tier_to_tei_and_back_reproduces_file(capsys, tmp_path):

@@ -121,7 +121,8 @@ def test_resolve_anchors_locates_findings_of_an_empty_id_at_body():
         b"<body>",
         b'<timeline xml:id="tl2"><when xml:id="X1"/></timeline><body>'
         b'<u xml:id=""><anchor synch="#T9"/></u>'
-        b'<u xml:id=""><anchor synch="#T1"/><anchor synch="#X1"/></u>',
+        b'<u xml:id=""><anchor synch="#T1"/><anchor synch="#X1"/></u>'
+        b'<kinesic xml:id="" start="T8"/>',
         1,
     )
     doc, _ = parse_document(data)
@@ -129,7 +130,18 @@ def test_resolve_anchors_locates_findings_of_an_empty_id_at_body():
     assert findings == [
         Finding("DANGLING_REF", "warning", "body", "'' references unknown point 'T9'"),
         Finding("TIMELINE_MISMATCH", "warning", "body", "'' anchors span different timelines"),
+        Finding("DANGLING_REF", "warning", "body", "'' references unknown point 'T8'"),
     ]
+
+
+def test_free_standing_event_with_an_empty_id_gets_its_interval():
+    data = fixture_bytes("anchored_dialogue.xml").replace(
+        b'<incident who="SPK0"', b'<incident xml:id="" who="SPK0"'
+    )
+    doc, _ = parse_document(data)
+    doc, findings = resolve_anchors(doc)
+    assert findings == []
+    assert doc.annotation("").range == EventInterval("T3", "T5", "timeline1")
 
 
 def test_duplicate_anchor_declaration_keeps_first(inline_doc):
@@ -203,6 +215,18 @@ def test_token_with_a_child_element_keeps_its_text_across_round_trips():
     doc, _ = parse_document(data)
     assert [w.text for w in content_items(doc.body, W) if w.id == "t2"] == ["abc"]
     reparsed, _ = parse_document(serialize_document(doc))
+    assert reparsed == doc
+
+
+def test_punctuation_with_a_child_element_keeps_its_markup_across_round_trips():
+    data = fixture_bytes("tagged_sentence.xml").replace(
+        b"<pc>.</pc>", b'<pc xml:id="p9">a<c>.</c></pc>'
+    )
+    doc, warnings = parse_document(data)
+    assert [(w.code, w.location) for w in warnings] == [("UNSUPPORTED_IN_PC", "pc")]
+    written = serialize_document(doc)
+    assert b'<pc xml:id="p9">a<c>.</c></pc>' in written
+    reparsed, _ = parse_document(written)
     assert reparsed == doc
 
 

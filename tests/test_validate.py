@@ -10,9 +10,12 @@ from spokenkit.core import (
     Qualifier,
     TimePoint,
     Timeline,
+    UnknownIdError,
 )
 from spokenkit.datacat import load_registry
-from spokenkit.tei import parse_document
+from spokenkit.featstruct import FeatureStructure, Symbol, TagsetError
+from spokenkit.tei import extract_spans, parse_document, resolve_ana
+from spokenkit.tei.parser import analysis_targets
 from spokenkit.validate import (
     ANCHOR_ORDER,
     BAD_ID,
@@ -22,6 +25,7 @@ from spokenkit.validate import (
     LEVEL_INCOHERENT,
     OFFSET_ORDER,
     SPAN_ORDER,
+    TAGSET_ERROR,
     UNKNOWN_TAG,
     ValidateOptions,
     check_ids,
@@ -189,6 +193,18 @@ def test_id_less_token_findings_share_the_utterance_location():
     assert [(i.code, i.location) for i in check_tagset(doc)] == [(UNKNOWN_TAG, "u1")]
 
 
+def test_inconsistent_document_tagset_leaves_its_tags_unresolved_in_both_checks():
+    data = fixture_bytes("tagged_sentence.xml").replace(b'feats="#NC #mas #sing"', b'feats="#mas #neu"')
+    doc, _ = parse_document(data)
+    assert [(i.code, i.location) for i in validate_all(doc).issues] == [
+        (DANGLING_REF, "w3"),
+        (TAGSET_ERROR, "back"),
+        (UNKNOWN_TAG, "w3"),
+    ]
+    with pytest.raises(TagsetError):
+        resolve_ana(doc, None, "Ncms__")
+
+
 def test_neuter_with_french_restriction_violates_domain(registry):
     doc, _ = parse_document(fixture_bytes("tagged_neuter.xml"))
     issues = check_tagset(doc, registry=registry, language="fr")
@@ -324,3 +340,59 @@ def test_preserved_feature_name_typo_surfaces_against_registry(registry):
     unknown = [i for i in issues if i.code == "UNKNOWN_CATEGORY"]
     assert any("partOfSPeech" in i.message for i in unknown)
     assert all(i.severity == "warning" for i in unknown)
+
+
+# ---------------------------------------------------------------- analysis references
+
+# One invented reference of each kind: what its target is, or None.
+ANALYSIS_REFS = {"T1": "tag", "fs1": "structure", "lf1": "form", "nothing": None}
+
+ANALYSIS_BACK = (
+    b'<back><fLib><f name="pos" xml:id="N"><symbol value="noun"/></f></fLib>'
+    b'<fvLib><fs feats="#N" xml:id="T1"/></fvLib>'
+    b'<fs xml:id="fs1"><f name="pos"><symbol value="verb"/></f></fs>'
+    b'<entry><form xml:id="lf1"><orth>cc</orth></form></entry>'
+)
+
+
+def test_every_consumer_agrees_on_what_an_analysis_reference_resolves_to():
+    words = b"".join(
+        b'<w ana="#%s" xml:id="w_%s">x</w>' % (ref.encode(), ref.encode()) for ref in ANALYSIS_REFS
+    )
+    spans = b"".join(
+        b'<span ana="#%s" from="#w_%s" to="#w_%s" xml:id="s_%s"/>' % ((ref.encode(),) * 4)
+        for ref in ANALYSIS_REFS
+    )
+    doc = text_doc(
+        b'<body><u xml:id="u1">' + words + b"</u></body>"
+        + ANALYSIS_BACK + b"<spanGrp>" + spans + b"</spanGrp></back>"
+    )
+    dangling = {i.location for i in check_refs(doc)}
+    unknown = {i.location for i in check_tagset(doc)}
+    word_forms, findings = extract_spans(doc)
+    unresolved_spans = {f.location for f in findings}
+    lex_refs = {wf.id: wf.lex_ref for wf in word_forms}
+    for ref, kind in ANALYSIS_REFS.items():
+        resolves = kind is not None
+        for location in (f"w_{ref}", f"s_{ref}"):
+            assert (location in dangling) is not resolves, location
+            assert (location in unknown) is not resolves, location
+        assert (f"s_{ref}" in unresolved_spans) is not resolves, ref
+        assert (lex_refs[f"s_{ref}"] == ref) is (kind == "form"), ref
+        if kind in ("tag", "structure"):
+            assert isinstance(resolve_ana(doc, None, ref), FeatureStructure)
+        else:
+            with pytest.raises(UnknownIdError):
+                resolve_ana(doc, None, ref)
+
+
+def test_a_tag_outranks_a_structure_and_a_structure_a_form_of_the_same_id():
+    doc = text_doc(
+        b"<body/>" + ANALYSIS_BACK
+        + b'<fs xml:id="T1"><f name="pos"><symbol value="verb"/></f></fs>'
+        + b'<entry><form xml:id="T1"><orth>t</orth></form><form xml:id="fs1"><orth>f</orth></form>'
+        + b"</entry></back>"
+    )
+    targets = analysis_targets(doc)
+    assert targets["T1"] == FeatureStructure({"pos": Symbol("noun")})
+    assert targets["fs1"] == FeatureStructure({"pos": Symbol("verb")})
