@@ -367,42 +367,36 @@ class Document:
         return tuple(item for item in self.back if isinstance(item, (FeatureLib, TagLib)))
 
 
-@dataclass(frozen=True)
-class LevelViolation:
-    """One annotation breaking one of its level's coherence requirements."""
-
-    annotation: str
-    kind: str  # 'source' | 'mechanism' | 'category'
-    message: str
-
-
-def check_level_coherence(doc: Document, level_id: str) -> list[LevelViolation]:
+def check_level_coherence(doc: Document, level_id: str) -> list[Finding]:
     """Check every annotation of a level against the level's declaration.
 
-    Reports source membership, ranging-mechanism and category-selection
-    violations. Annotations without a range are not checked for mechanism
-    (their ranging is still pending).
+    Reports source membership (``LEVEL_SOURCE``), ranging-mechanism
+    (``LEVEL_MECHANISM``) and category-selection (``LEVEL_CATEGORY``)
+    violations as errors located at the annotation id. Annotations without a
+    range are not checked for mechanism (their ranging is still pending).
     """
     level = doc.level(level_id)
     layer_ids = {layer.id for layer in doc.layers if layer.level == level_id}
-    violations: list[LevelViolation] = []
+    violations: list[Finding] = []
     for ann in doc.annotations:
         if ann.layer not in layer_ids:
             continue
         if ann.source not in level.sources:
             violations.append(
-                LevelViolation(
+                Finding(
+                    "LEVEL_SOURCE",
+                    ERROR,
                     ann.id,
-                    "source",
                     f"annotation {ann.id!r} uses source {ann.source!r} "
                     f"not declared for level {level_id!r}",
                 )
             )
         if ann.range is not None and mechanism(ann.range) != level.ranging_mechanism:
             violations.append(
-                LevelViolation(
+                Finding(
+                    "LEVEL_MECHANISM",
+                    ERROR,
                     ann.id,
-                    "mechanism",
                     f"annotation {ann.id!r} uses {mechanism(ann.range)} ranging "
                     f"but level {level_id!r} declares {level.ranging_mechanism}",
                 )
@@ -410,9 +404,10 @@ def check_level_coherence(doc: Document, level_id: str) -> list[LevelViolation]:
         for q in ann.qualifiers:
             if q.feature_key() not in level.category_selection:
                 violations.append(
-                    LevelViolation(
+                    Finding(
+                        "LEVEL_CATEGORY",
+                        ERROR,
                         ann.id,
-                        "category",
                         f"annotation {ann.id!r} qualifier feature {q.feature_key()!r} "
                         f"is outside the category selection of level {level_id!r}",
                     )

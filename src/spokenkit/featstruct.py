@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ def strip_ref(ref: str) -> str:
 
 
 def build_library(
-    feature_decls: Iterable[Feature], tag_decls: Iterable[TagDecl | tuple[str, Sequence[str]]]
+    feature_decls: Iterable[Feature], tag_decls: Iterable[TagDecl]
 ) -> TagsetLibrary:
     """Resolve declarations into a library, expanding every tag eagerly.
 
@@ -237,8 +237,6 @@ def build_library(
 
     tag_lib: dict[str, TagDefinition] = {}
     for decl in tag_decls:
-        if isinstance(decl, tuple):
-            decl = TagDecl(decl[0], tuple(decl[1]))
         tag_id = strip_ref(decl.id)
         if tag_id in feature_lib or tag_id in tag_lib:
             raise TagsetError(f"duplicate identifier {tag_id!r}")

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, replace
 
 from spokenkit.core.model import WARNING, Document, Finding, Qualifier
-from spokenkit.tei.model import Incident, Kinesic, TextSegment, Utterance, Vocal
+from spokenkit.tei.model import EVENT_CLASSES, TextSegment, Utterance, Vocal
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,9 @@ class ConventionRule:
 
 
 BUILTIN_RULES = (ConventionRule(re.compile(r"\(\((.+?)\)\)"), "vocal"),)
+
+# The class of each element a rule can produce.
+_ELEMENT_CLASSES = {"vocal": Vocal, **EVENT_CLASSES}
 
 
 class ConventionRuleError(ValueError):
@@ -41,7 +44,7 @@ def load_convention_rules(data: str | bytes) -> tuple[ConventionRule, ...]:
         if len(fields) != 3:
             raise ConventionRuleError(f"line {line_no}: expected 3 tab-separated fields")
         pattern, element, group = fields
-        if element not in ("vocal", "kinesic", "incident"):
+        if element not in _ELEMENT_CLASSES:
             raise ConventionRuleError(f"line {line_no}: unknown element {element!r}")
         try:
             compiled = re.compile(pattern)
@@ -49,14 +52,6 @@ def load_convention_rules(data: str | bytes) -> tuple[ConventionRule, ...]:
             raise ConventionRuleError(f"line {line_no}: bad pattern: {exc}") from exc
         rules.append(ConventionRule(compiled, element, int(group) if group.isdigit() else group))
     return tuple(rules)
-
-
-def _make_element(element: str, desc: str):
-    if element == "vocal":
-        return Vocal(desc=desc)
-    if element == "kinesic":
-        return Kinesic(desc=desc)
-    return Incident(desc=desc)
 
 
 def promote_conventions(
@@ -102,7 +97,8 @@ def _apply_rules(text: str, rules: tuple[ConventionRule, ...]) -> list:
             cursor = 0
             for match in rule.pattern.finditer(piece):
                 next_pieces.append(piece[cursor : match.start()])
-                next_pieces.append(_make_element(rule.element, match.group(rule.desc_group)))
+                desc = match.group(rule.desc_group)
+                next_pieces.append(_ELEMENT_CLASSES[rule.element](desc=desc))
                 cursor = match.end()
             next_pieces.append(piece[cursor:])
         pieces = next_pieces

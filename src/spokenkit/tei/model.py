@@ -8,7 +8,7 @@ Text inside utterances is kept verbatim, including whitespace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import ClassVar, Union
 
 from spokenkit.featstruct import Feature, FeatureStructure, TagDecl
 
@@ -48,8 +48,10 @@ class Vocal:
 
 
 @dataclass(frozen=True)
-class Kinesic:
-    """A gesture or similar non-verbal event, inline or free-standing."""
+class TimedEvent:
+    """A timed non-verbal event, inline or free-standing; ``tag`` names its element."""
+
+    tag: ClassVar[str]
 
     desc: str | None = None
     type: str | None = None
@@ -61,16 +63,21 @@ class Kinesic:
 
 
 @dataclass(frozen=True)
-class Incident:
-    """An incidental event in the situation, inline or free-standing."""
+class Kinesic(TimedEvent):
+    """A gesture or similar non-verbal event."""
 
-    desc: str | None = None
-    type: str | None = None
-    who: str | None = None
-    start: str | None = None
-    end: str | None = None
-    id: str | None = None
-    id_generated: bool = field(default=True, compare=False)
+    tag = "kinesic"
+
+
+@dataclass(frozen=True)
+class Incident(TimedEvent):
+    """An incidental event in the situation."""
+
+    tag = "incident"
+
+
+# The only mapping from event element names to their classes.
+EVENT_CLASSES: dict[str, type[TimedEvent]] = {cls.tag: cls for cls in (Kinesic, Incident)}
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,7 @@ class Seg:
     id: str | None = None
 
 
-ContentItem = Union[TextSegment, AnchorRef, Vocal, Kinesic, Incident, Seg, W, Pc, OpaqueElement]
+ContentItem = Union[TextSegment, AnchorRef, Vocal, TimedEvent, Seg, W, Pc, OpaqueElement]
 
 
 @dataclass(frozen=True)
@@ -209,7 +216,7 @@ class InlineStructure:
 
 
 BackItem = Union[FeatureLib, TagLib, LexicalEntry, InlineStructure, SpanGroup, OpaqueElement]
-BodyItem = Union[Utterance, Kinesic, Incident, AnchorRef, SpanGroup, TextSegment, OpaqueElement]
+BodyItem = Union[Utterance, TimedEvent, AnchorRef, SpanGroup, TextSegment, OpaqueElement]
 
 
 @dataclass(frozen=True)

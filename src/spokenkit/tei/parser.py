@@ -51,15 +51,14 @@ from spokenkit.featstruct import (
     strip_ref,
 )
 from spokenkit.tei.model import (
+    EVENT_CLASSES,
     AnchorRef,
     AppInfo,
     Birth,
     Change,
     FeatureLib,
-    Incident,
     InflectedForm,
     InlineStructure,
-    Kinesic,
     LangKnown,
     LexicalEntry,
     Metadata,
@@ -72,6 +71,7 @@ from spokenkit.tei.model import (
     SpanGroup,
     TagLib,
     TextSegment,
+    TimedEvent,
     Utterance,
     Vocal,
     W,
@@ -214,7 +214,7 @@ def parse_document(data: bytes | str) -> tuple[Document, list[Finding]]:
             if local == "timeline":
                 timelines.append(_parse_timeline(child, ctx))
             elif local == "body":
-                body_items, utterance_views = _parse_body(child, ctx, timelines)
+                _parse_body(child, ctx, timelines, body_items, utterance_views)
             elif local == "back":
                 back_items = _parse_back(child, ctx)
             else:
@@ -464,7 +464,14 @@ def _parse_timeline(tl_el: ET.Element, ctx: _ParseContext) -> Timeline:
             try:
                 offset = Decimal(raw_offset)
             except InvalidOperation:
+                pass
+            if offset is None or offset.is_nan():
+                offset = None
                 message = f"point {pid!r} has a non-numeric offset {raw_offset!r}"
+                ctx.warn("BAD_OFFSET", pid, message)
+            elif offset < 0:
+                offset = None
+                message = f"point {pid!r} has a negative offset {raw_offset!r}"
                 ctx.warn("BAD_OFFSET", pid, message)
         points.append(TimePoint(pid, len(points), offset))
     tl_id = tl_el.get(XML_ID)
@@ -500,11 +507,14 @@ def _absorb_anchor_points(timelines: list[Timeline], ctx: _ParseContext) -> list
 
 
 def _parse_body(
-    body_el: ET.Element, ctx: _ParseContext, timelines: list[Timeline]
-) -> tuple[list, list[tuple[str, list[W]]]]:
-    """Body items, and the (text, identified tokens) of each utterance among them."""
-    items: list = []
-    utterance_views: list[tuple[str, list[W]]] = []
+    body_el: ET.Element,
+    ctx: _ParseContext,
+    timelines: list[Timeline],
+    items: list,
+    utterance_views: list[tuple[str, list[W]]],
+) -> None:
+    """Append the body items to ``items``, and the (text, identified tokens)
+    of each utterance among them to ``utterance_views``."""
     if body_el.text and body_el.text.strip():
         items.append(TextSegment(body_el.text))
     for child in body_el:
@@ -514,10 +524,8 @@ def _parse_body(
             words: list[W] = []
             items.append(_parse_utterance(child, ctx, parts, words))
             utterance_views.append(("".join(parts), words))
-        elif local == "kinesic":
-            items.append(_parse_event(child, Kinesic, "kinesic", ctx))
-        elif local == "incident":
-            items.append(_parse_event(child, Incident, "incident", ctx))
+        elif local in EVENT_CLASSES:
+            items.append(_parse_event(child, EVENT_CLASSES[local], ctx))
         elif local == "anchor":
             items.append(_parse_anchor(child, ctx))
         elif local == "spanGrp":
@@ -528,7 +536,6 @@ def _parse_body(
             items.append(_opaque(child))
         if child.tail and child.tail.strip():
             items.append(TextSegment(child.tail))
-    return items, utterance_views
 
 
 def _parse_anchor(el: ET.Element, ctx: _ParseContext) -> AnchorRef:
@@ -539,10 +546,10 @@ def _parse_anchor(el: ET.Element, ctx: _ParseContext) -> AnchorRef:
     return AnchorRef(_norm_ref(el.get("synch")), declares)
 
 
-def _parse_event(el: ET.Element, cls, prefix: str, ctx: _ParseContext):
+def _parse_event(el: ET.Element, cls: type[TimedEvent], ctx: _ParseContext) -> TimedEvent:
     desc = _text_of(_child(el, "desc"))
     explicit = el.get(XML_ID)
-    event_id = strip_ref(explicit) if explicit is not None else ctx.fresh_id(prefix)
+    event_id = strip_ref(explicit) if explicit is not None else ctx.fresh_id(cls.tag)
     return cls(
         desc=desc,
         type=el.get("type"),
@@ -608,10 +615,8 @@ def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str], words: li
             append(
                 Vocal(desc=_text_of(_child(child, "desc")) or "", who=_norm_ref(child.get("who")))
             )
-        elif local == "kinesic":
-            append(_parse_event(child, Kinesic, "kinesic", ctx))
-        elif local == "incident":
-            append(_parse_event(child, Incident, "incident", ctx))
+        elif local in EVENT_CLASSES:
+            append(_parse_event(child, EVENT_CLASSES[local], ctx))
         else:
             append(_opaque(child))
         tail = child.tail
@@ -689,6 +694,10 @@ def _parse_back(back_el: ET.Element, ctx: _ParseContext) -> list:
 def _parse_flib(el: ET.Element, ctx: _ParseContext) -> FeatureLib:
     features: list[Feature] = []
     for f_el in _children(el, "f"):
+        name = f_el.get("name", "")
+        if not name:
+            ctx.warn("FEATURE_WITHOUT_NAME", "f", "feature without a name ignored")
+            continue
         fid = f_el.get(XML_ID)
         if fid is None:
             # The identifier occasionally sits on the value element instead.
@@ -701,7 +710,7 @@ def _parse_flib(el: ET.Element, ctx: _ParseContext) -> FeatureLib:
             ctx.warn("HASH_IN_FEATURE_ID", fid, message)
         features.append(
             Feature(
-                name=f_el.get("name", ""),
+                name=name,
                 value=_parse_fsvalue(f_el, ctx),
                 id=strip_ref(fid) if fid else None,
             )
@@ -808,18 +817,8 @@ def _attach_annotations(doc: Document, utterance_views: list[tuple[str, list[W]]
 
     for item in doc.body:
         if isinstance(item, Utterance):
-            text, words = next(views)
-            annotations.append(
-                Annotation(
-                    id=item.id,
-                    source=DEFAULT_SOURCE,
-                    range=None,
-                    qualifiers=(Qualifier("utterance", text),),
-                    layer=EVENTS_LAYER,
-                    who=item.who,
-                )
-            )
-            event_features.add("utterance")
+            feature = "utterance"
+            value, words = next(views)
             for w in words:
                 tokens.append(
                     Token(
@@ -831,20 +830,22 @@ def _attach_annotations(doc: Document, utterance_views: list[tuple[str, list[W]]
                         surface=w.text,
                     )
                 )
-        elif isinstance(item, (Kinesic, Incident)):
-            kind = "kinesic" if isinstance(item, Kinesic) else "incident"
-            feature = _event_feature(kind, item.type)
-            annotations.append(
-                Annotation(
-                    id=item.id,
-                    source=DEFAULT_SOURCE,
-                    range=None,
-                    qualifiers=(Qualifier(feature, item.desc or ""),),
-                    layer=EVENTS_LAYER,
-                    who=item.who,
-                )
+        elif isinstance(item, TimedEvent):
+            feature = _event_feature(item.tag, item.type)
+            value = item.desc or ""
+        else:
+            continue
+        annotations.append(
+            Annotation(
+                id=item.id,
+                source=DEFAULT_SOURCE,
+                range=None,
+                qualifiers=(Qualifier(feature, value),),
+                layer=EVENTS_LAYER,
+                who=item.who,
             )
-            event_features.add(feature)
+        )
+        event_features.add(feature)
 
     layers: list[Layer] = []
     levels: list[Level] = []
@@ -884,7 +885,8 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
     An utterance spans [first anchor, last anchor); free-standing events use
     their start/end references. Dangling point references are findings, and
     the affected event keeps no interval. Findings are located at the event
-    id, or at ``body`` when the id is empty.
+    id, or at ``body`` when the id is empty. Body items that share an id give
+    their intervals, in body order, to the annotations with that id.
     """
     findings: list[Finding] = []
     point_home: dict[str, str] = {}
@@ -892,8 +894,13 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
         for p in tl.points:
             point_home.setdefault(p.id, tl.id)
 
-    intervals: dict[str, EventInterval] = {}
+    # The interval, or None, of the first body item with each id; those of
+    # ids that several body items share are listed in body order.
+    intervals: dict[str, EventInterval | None] = {}
+    shared: dict[str, list[EventInterval | None]] = {}
+    resolved = False
     for item in doc.body:
+        interval = None
         if isinstance(item, Utterance):
             location = item.id or "body"
             first = last = None
@@ -911,11 +918,11 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
                     findings.append(_dangling(item.id, location, pid))
             if first is not None:
                 if point_home[first] == point_home[last]:
-                    intervals[item.id] = EventInterval(first, last, point_home[first])
+                    interval = EventInterval(first, last, point_home[first])
                 else:
                     message = f"{item.id!r} anchors span different timelines"
                     findings.append(Finding("TIMELINE_MISMATCH", WARNING, location, message))
-        elif isinstance(item, (Kinesic, Incident)) and item.id is not None:
+        elif isinstance(item, TimedEvent) and item.id is not None:
             location = item.id or "body"
             start, end = item.start, item.end
             if start is not None and start not in point_home:
@@ -926,19 +933,31 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
                 end = None
             if start is not None and end is not None:
                 if point_home[start] == point_home[end]:
-                    intervals[item.id] = EventInterval(start, end, point_home[start])
+                    interval = EventInterval(start, end, point_home[start])
                 else:
                     message = f"{item.id!r} start and end are on different timelines"
                     findings.append(Finding("TIMELINE_MISMATCH", WARNING, location, message))
             elif start is not None:
-                intervals[item.id] = EventInterval(start, start, point_home[start])
+                interval = EventInterval(start, start, point_home[start])
+        else:
+            continue
+        if interval is not None:
+            resolved = True
+        if item.id in intervals:
+            shared.setdefault(item.id, [intervals[item.id]]).append(interval)
+        else:
+            intervals[item.id] = interval
 
-    if not intervals:
+    if not resolved:
         return doc, findings
     interval_of = intervals.get
+    # The n-th annotation with a shared id belongs to the n-th body item with it.
+    queues = {key: iter(queue) for key, queue in shared.items()}
     annotations = []
     for ann in doc.annotations:
         interval = interval_of(ann.id)
+        if queues and ann.id in queues:
+            interval = next(queues[ann.id], None)
         if interval is not None and ann.range is None:
             ann = replace(ann, range=interval)
         annotations.append(ann)

@@ -21,10 +21,10 @@ from spokenkit.featstruct import (
     Symbol,
 )
 from spokenkit.tei.model import (
+    EVENT_CLASSES,
     AnchorRef,
     AppInfo,
     FeatureLib,
-    Incident,
     InflectedForm,
     InlineStructure,
     Kinesic,
@@ -39,6 +39,7 @@ from spokenkit.tei.model import (
     SpanGroup,
     TagLib,
     TextSegment,
+    TimedEvent,
     Utterance,
     Vocal,
     W,
@@ -328,18 +329,11 @@ def _materialized_body(doc: Document):
                 ),
                 id_generated=False,
             )
-        elif feature == "incident":
-            yield Incident(
-                desc=text, who=ann.who, start=start, end=end, id=ann.id, id_generated=False
-            )
-        elif feature == "kinesic":
-            yield Kinesic(
-                desc=text, who=ann.who, start=start, end=end, id=ann.id, id_generated=False
-            )
         else:
-            yield Kinesic(
+            cls = EVENT_CLASSES.get(feature, Kinesic)
+            yield cls(
                 desc=text,
-                type=feature,
+                type=None if feature == cls.tag else feature,
                 who=ann.who,
                 start=start,
                 end=end,
@@ -355,7 +349,7 @@ def _write_body_item(w: _Writer, depth: int, item, materialize: bool) -> None:
             attrs["xml:id"] = item.id
         content = "".join(_render_content(part, materialize) for part in item.content)
         w.line(depth, f"<u{_attrs(attrs)}>{content}</u>")
-    elif isinstance(item, (Kinesic, Incident)):
+    elif isinstance(item, TimedEvent):
         tag, attrs = _event_tag(item)
         if item.desc is None:
             w.line(depth, f"<{tag}{attrs}/>")
@@ -363,20 +357,16 @@ def _write_body_item(w: _Writer, depth: int, item, materialize: bool) -> None:
             w.line(depth, f"<{tag}{attrs}>")
             w.line(depth + 1, _leaf("desc", {}, item.desc))
             w.line(depth, f"</{tag}>")
-    elif isinstance(item, AnchorRef):
-        w.line(depth, _render_anchor(item, materialize))
     elif isinstance(item, SpanGroup):
         _write_span_group(w, depth, item)
-    elif isinstance(item, TextSegment):
-        w.line(depth, _esc_text(item.text))
-    elif isinstance(item, OpaqueElement):
-        w.line(depth, _render_opaque(item))
+    elif isinstance(item, (AnchorRef, TextSegment, OpaqueElement)):
+        w.line(depth, _render_content(item, materialize))
     else:
         raise TeiSerializeError(f"cannot serialise body item {item!r}")
 
 
-def _event_tag(item: Kinesic | Incident) -> tuple[str, str]:
-    """Element name and rendered attributes of a kinesic or incident."""
+def _event_tag(item: TimedEvent) -> tuple[str, str]:
+    """Element name and rendered attributes of a timed event."""
     attrs = {
         "end": _ref(item.end),
         "start": _ref(item.start),
@@ -385,7 +375,7 @@ def _event_tag(item: Kinesic | Incident) -> tuple[str, str]:
     }
     if not item.id_generated:
         attrs["xml:id"] = item.id
-    return ("kinesic" if isinstance(item, Kinesic) else "incident"), _attrs(attrs)
+    return item.tag, _attrs(attrs)
 
 
 def _render_anchor(anchor: AnchorRef, materialize: bool) -> str:
@@ -401,7 +391,7 @@ def _render_content(item, materialize: bool) -> str:
         return _render_anchor(item, materialize)
     if isinstance(item, Vocal):
         return f"<vocal{_attrs({'who': _ref(item.who)})}><desc>{_esc_text(item.desc)}</desc></vocal>"
-    if isinstance(item, (Kinesic, Incident)):
+    if isinstance(item, TimedEvent):
         tag, attrs = _event_tag(item)
         if item.desc is None:
             return f"<{tag}{attrs}/>"

@@ -105,8 +105,6 @@ def parse_tier(data: bytes | str) -> TierDocument:
     events: dict[str, list[TierEvent]] = {}
     records: list[tuple] = []
     seen_speakers: set[str] = set()
-    seen_points: set[str] = set()
-    seen_tiers: set[str] = set()
 
     for line_no, line in enumerate(data.splitlines(), start=1):
         if not line:
@@ -130,16 +128,16 @@ def parse_tier(data: bytes | str) -> TierDocument:
             if len(fields) != 3:
                 raise TierParseError(line_no, "@point takes id and offset (or '-')")
             _, pid, raw_offset = fields
-            if pid in seen_points:
+            if pid in point_lines:
                 raise TierParseError(line_no, f"duplicate point {pid!r}")
-            seen_points.add(pid)
             offset = None
             if raw_offset != "-":
                 try:
                     offset = Decimal(raw_offset)
+                    negative = offset < 0  # a NaN offset raises InvalidOperation here
                 except InvalidOperation:
                     raise TierParseError(line_no, f"bad offset {raw_offset!r}") from None
-                if offset < 0:
+                if negative:
                     raise TierParseError(line_no, f"negative offset {raw_offset!r}")
             points.append((pid, offset))
             point_lines[pid] = line_no
@@ -148,9 +146,8 @@ def parse_tier(data: bytes | str) -> TierDocument:
             if len(fields) != 4:
                 raise TierParseError(line_no, "@tier takes id, speaker (or '-') and category")
             _, tid, speaker, category = fields
-            if tid in seen_tiers:
+            if tid in events:
                 raise TierParseError(line_no, f"duplicate tier {tid!r}")
-            seen_tiers.add(tid)
             tier_decls.append((tid, None if speaker == "-" else speaker, category))
             events[tid] = []
             records.append(("tier", tid))
@@ -254,21 +251,20 @@ def to_core(td: TierDocument, category_map: Mapping[str, str] | None = None) -> 
     layers: list[Layer] = []
     annotations: list[Annotation] = []
     for tier in td.tiers:
+        pid = category_map.get(tier.category) if category_map else None
+        feature = tier.category if pid is None else CategoryRef(pid)
         level_id = f"level_{tier.category}"
         if level_id not in levels:
             levels[level_id] = Level(
                 level_id,
                 sources=frozenset({TIER_SOURCE}),
                 ranging_mechanism=MECH_EVENT,
-                category_selection=frozenset({_feature_key(tier.category, category_map)}),
+                category_selection=frozenset({tier.category if pid is None else pid}),
             )
         layers.append(
             Layer(tier.id, tier.category, level_id, speaker=tier.speaker, category=tier.category)
         )
         for n, event in enumerate(tier.events, start=1):
-            feature: str | CategoryRef = tier.category
-            if category_map and tier.category in category_map:
-                feature = CategoryRef(category_map[tier.category])
             annotations.append(
                 Annotation(
                     id=f"{tier.id}_e{n}",
@@ -293,12 +289,6 @@ def to_core(td: TierDocument, category_map: Mapping[str, str] | None = None) -> 
         levels=tuple(levels.values()),
         annotations=tuple(annotations),
     )
-
-
-def _feature_key(category: str, category_map: Mapping[str, str] | None) -> str:
-    if category_map and category in category_map:
-        return category_map[category]
-    return category
 
 
 @dataclass(frozen=True)
@@ -334,7 +324,6 @@ def from_core(doc: Document) -> tuple[TierDocument, list[ResidueItem]]:
             seen_speakers.add(person.id)
 
     tiers: dict[tuple, dict] = {}
-    order: list[tuple] = []
     used_ids: set[str] = set()
 
     def tier_slot(key: tuple, tier_id: str, speaker: str | None, category: str) -> dict:
@@ -346,7 +335,6 @@ def from_core(doc: Document) -> tuple[TierDocument, list[ResidueItem]]:
                 candidate = f"{tier_id}_{n}"
             used_ids.add(candidate)
             tiers[key] = {"id": candidate, "speaker": speaker, "category": category, "events": []}
-            order.append(key)
         return tiers[key]
 
     # Layers that declare a tier category are tiers already; materialise them
@@ -398,12 +386,7 @@ def from_core(doc: Document) -> tuple[TierDocument, list[ResidueItem]]:
             seen_speakers.add(ann.who)
 
     built = tuple(
-        Tier(
-            tiers[key]["id"],
-            tiers[key]["speaker"],
-            tiers[key]["category"],
-            tuple(tiers[key]["events"]),
-        )
-        for key in order
+        Tier(slot["id"], slot["speaker"], slot["category"], tuple(slot["events"]))
+        for slot in tiers.values()
     )
     return TierDocument(tuple(speakers), points, built), residue

@@ -28,9 +28,8 @@ from spokenkit.featstruct import FeatureStructure, TagsetError, TagsetLibrary, f
 from spokenkit.tei.model import (
     AnchorRef,
     FeatureLib,
-    Incident,
-    Kinesic,
     TagLib,
+    TimedEvent,
     Utterance,
     W,
     content_items,
@@ -166,7 +165,7 @@ def _known_ids(doc: Document, token_ids: set[str]) -> set[str]:
     return known
 
 
-_REF_BEARING = (AnchorRef, Kinesic, Incident, W)
+_REF_BEARING = (AnchorRef, TimedEvent, W)
 
 
 def _body_location(item) -> str:
@@ -438,7 +437,7 @@ def validate_all(doc: Document, options: ValidateOptions | None = None) -> Valid
     issues.extend(check_tagset(doc, opts.library, opts.registry, opts.language))
     for level in doc.levels:
         for violation in check_level_coherence(doc, level.id):
-            issues.append(_finding(LEVEL_INCOHERENT, violation.annotation, violation.message))
+            issues.append(_finding(LEVEL_INCOHERENT, violation.location, violation.message))
 
     if opts.severity_overrides:
         issues = [

@@ -150,7 +150,7 @@ def test_component_annotation_in_event_level_is_a_violation():
         ]
     )
     violations = check_level_coherence(doc, "level1")
-    assert [v.kind for v in violations] == ["mechanism"]
+    assert [v.code for v in violations] == ["LEVEL_MECHANISM"]
 
 
 def test_qualifier_outside_selection_is_a_violation():
@@ -166,7 +166,7 @@ def test_qualifier_outside_selection_is_a_violation():
         ]
     )
     violations = check_level_coherence(doc, "level1")
-    assert [v.kind for v in violations] == ["category"]
+    assert [v.code for v in violations] == ["LEVEL_CATEGORY"]
     assert "grammaticalGender" in violations[0].message
 
 
@@ -183,7 +183,7 @@ def test_source_outside_level_is_a_violation():
         ]
     )
     doc.sources = doc.sources + (SourceRef("other"),)
-    assert [v.kind for v in check_level_coherence(doc, "level1")] == ["source"]
+    assert [v.code for v in check_level_coherence(doc, "level1")] == ["LEVEL_SOURCE"]
 
 
 def test_unknown_level_raises():

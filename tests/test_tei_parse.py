@@ -5,6 +5,7 @@ import pytest
 from spokenkit.core import EventInterval, Finding
 from spokenkit.tei import (
     Kinesic,
+    OpaqueElement,
     TeiParseError,
     TextSegment,
     Utterance,
@@ -239,3 +240,82 @@ def test_timeline_inside_body_is_accepted():
     assert doc.primary_timeline == baseline.primary_timeline
     resolved, findings = resolve_anchors(doc)
     assert findings == []
+
+
+def test_body_items_that_share_an_id_keep_their_own_intervals():
+    data = (
+        fixture_bytes("anchored_dialogue.xml")
+        .replace(
+            b'<incident who="SPK0"',
+            b'<kinesic xml:id=""/><kinesic xml:id="" start="#T1" end="#T2"/>'
+            b'<incident xml:id="" who="SPK0"',
+        )
+        .replace(b'<u who="#SPK1">', b'<u xml:id="dup" who="#SPK1">')
+        .replace(
+            b'<u who="#SPK0"><anchor synch="#T6"/>',
+            b'<u xml:id="dup" who="#SPK0"><anchor synch="#T6"/>',
+        )
+    )
+    doc, _ = parse_document(data)
+    doc, findings = resolve_anchors(doc)
+    assert findings == []
+    assert [(a.id, a.range) for a in doc.annotations] == [
+        ("u1", EventInterval("T1", "T4", "timeline1")),
+        ("dup", EventInterval("T3", "T6", "timeline1")),
+        ("", None),
+        ("", EventInterval("T1", "T2", "timeline1")),
+        ("", EventInterval("T3", "T5", "timeline1")),
+        ("dup", EventInterval("T6", "T7", "timeline1")),
+    ]
+
+
+def test_only_the_second_of_two_items_with_an_id_resolves():
+    data = fixture_bytes("anchored_dialogue.xml")
+    body = data[data.index(b"<body>") : data.index(b"</body>") + len(b"</body>")]
+    data = data.replace(
+        body,
+        b'<body><u xml:id="">no anchor</u>'
+        b'<u xml:id=""><anchor synch="#T1"/><anchor synch="#T2"/></u></body>',
+    )
+    doc, _ = parse_document(data)
+    doc, _ = resolve_anchors(doc)
+    assert [(a.id, a.range) for a in doc.annotations] == [
+        ("", None),
+        ("", EventInterval("T1", "T2", "timeline1")),
+    ]
+
+
+def test_library_feature_without_a_name_is_reported_and_skipped():
+    data = fixture_bytes("tagged_sentence.xml").replace(
+        b'<f name="grammaticalGender" xml:id="neu">', b'<f name="" xml:id="neu">'
+    )
+    doc, warnings = parse_document(data)
+    assert [(w.code, w.location) for w in warnings] == [("FEATURE_WITHOUT_NAME", "f")]
+    gender = doc.back[1]
+    assert [f.id for f in gender.features] == ["fem", "mas"]
+
+
+@pytest.mark.parametrize(
+    "offset, message",
+    [
+        ("-1", "point 'T2' has a negative offset '-1'"),
+        ("NaN", "point 'T2' has a non-numeric offset 'NaN'"),
+    ],
+)
+def test_negative_or_nan_timeline_offset_is_reported_and_dropped(offset, message):
+    data = fixture_bytes("anchored_dialogue.xml").replace(
+        b'<when xml:id="T2"/>', b'<when xml:id="T2" absolute="%s"/>' % offset.encode()
+    )
+    doc, warnings = parse_document(data)
+    assert warnings == [Finding("BAD_OFFSET", "warning", "T2", message)]
+    assert [p.offset for p in doc.primary_timeline.points] == [None] * len(DIALOGUE_POINT_IDS)
+
+
+def test_element_before_body_is_kept_opaquely():
+    data = fixture_bytes("pomme.xml").replace(b"<body>", b"<front><p>Preface</p></front><body>", 1)
+    doc, _ = parse_document(data)
+    baseline, _ = parse_document(fixture_bytes("pomme.xml"))
+    preface = OpaqueElement("p", (), "Preface")
+    assert doc.body[0] == OpaqueElement("front", (), None, (preface,), (None,))
+    assert doc.body[1:] == baseline.body
+    assert b"<front><p>Preface</p></front>" in serialize_document(doc)

@@ -177,13 +177,16 @@ def reference_tokens(doc) -> list[Token]:
     ]
 
 
-def reference_resolution(doc) -> tuple[dict[str, EventInterval], list[Finding]]:
-    """Intervals and findings from the first and last resolved anchor of each utterance."""
+def reference_resolution(doc) -> tuple[dict[str, list[EventInterval | None]], list[Finding]]:
+    """Intervals and findings from the first and last resolved anchor of each utterance.
+
+    The intervals of the body items with each id are listed in body order.
+    """
     home: dict[str, str] = {}
     for tl in doc.timelines:
         for p in tl.points:
             home.setdefault(p.id, tl.id)
-    intervals: dict[str, EventInterval] = {}
+    intervals: dict[str, list[EventInterval | None]] = {}
     findings: list[Finding] = []
 
     def known(item, pid):
@@ -194,28 +197,35 @@ def reference_resolution(doc) -> tuple[dict[str, EventInterval], list[Finding]]:
         return pid
 
     for item in doc.body:
+        interval = None
         if isinstance(item, Utterance):
             points = [anchor.point for anchor in content_items(item.content, AnchorRef)]
             resolved = [known(item, pid) for pid in points if pid is not None]
             resolved = [pid for pid in resolved if pid is not None]
-            if not resolved:
-                continue
-            first, last = resolved[0], resolved[-1]
-            if home[first] == home[last]:
-                intervals[item.id] = EventInterval(first, last, home[first])
-            else:
-                message = f"{item.id!r} anchors span different timelines"
-                findings.append(Finding("TIMELINE_MISMATCH", WARNING, item.id or "body", message))
-        elif isinstance(item, (Kinesic, Incident)) and item.id:
+            if resolved:
+                first, last = resolved[0], resolved[-1]
+                if home[first] == home[last]:
+                    interval = EventInterval(first, last, home[first])
+                else:
+                    message = f"{item.id!r} anchors span different timelines"
+                    findings.append(
+                        Finding("TIMELINE_MISMATCH", WARNING, item.id or "body", message)
+                    )
+        elif isinstance(item, (Kinesic, Incident)) and item.id is not None:
             start, end = known(item, item.start), known(item, item.end)
             if start is not None and end is not None:
                 if home[start] == home[end]:
-                    intervals[item.id] = EventInterval(start, end, home[start])
+                    interval = EventInterval(start, end, home[start])
                 else:
                     message = f"{item.id!r} start and end are on different timelines"
-                    findings.append(Finding("TIMELINE_MISMATCH", WARNING, item.id, message))
+                    findings.append(
+                        Finding("TIMELINE_MISMATCH", WARNING, item.id or "body", message)
+                    )
             elif start is not None:
-                intervals[item.id] = EventInterval(start, start, home[start])
+                interval = EventInterval(start, start, home[start])
+        else:
+            continue
+        intervals.setdefault(item.id, []).append(interval)
     return intervals, findings
 
 
@@ -268,8 +278,12 @@ def test_one_pass_read_matches_content_walkers_on_random_documents():
         assert [(type(a), a.id) for a in resolved.annotations] == [
             (type(a), a.id) for a in doc.annotations
         ]
+        # The n-th annotation with an id takes the n-th interval listed for it.
+        queues = {key: iter(found) for key, found in intervals.items()}
+        taken = [next(queues.get(a.id, iter(())), None) for a in doc.annotations]
         assert [a.range for a in resolved.annotations] == [
-            a.range if a.range is not None else intervals.get(a.id) for a in doc.annotations
+            a.range if a.range is not None else interval
+            for a, interval in zip(doc.annotations, taken)
         ]
         seen |= cases_of(doc, warnings, findings)
     assert seen == {

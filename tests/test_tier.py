@@ -78,6 +78,13 @@ def test_malformed_line_reports_line():
     assert exc.value.line_no == 1
 
 
+@pytest.mark.parametrize("offset", ["NaN", "sNaN"])
+def test_nan_offset_is_a_bad_offset(offset):
+    with pytest.raises(TierParseError) as exc:
+        parse_tier(f"@point\tp0\t-\n@point\tp1\t{offset}\n")
+    assert str(exc.value) == f"line 2: bad offset {offset!r}"
+
+
 def test_serialize_round_trips_file_bit_exactly():
     raw = fixture_bytes("score_dialogue.tier").decode("utf-8")
     assert serialize_tier(parse_tier(raw)) == raw
