@@ -127,11 +127,22 @@ def promote_document(
 
 
 def _refresh_utterance_values(doc: Document) -> Document:
-    """Re-derive utterance annotation text after content rewrites."""
-    texts = {item.id: item.plain_text() for item in doc.body if isinstance(item, Utterance)}
+    """Re-derive utterance annotation text after content rewrites.
+
+    The n-th utterance annotation with an id takes the text of the n-th
+    utterance with that id.
+    """
+    texts: dict[str | None, list[str]] = {}
+    for item in doc.body:
+        if isinstance(item, Utterance):
+            texts.setdefault(item.id, []).append(item.plain_text())
+    queues = {key: iter(queue) for key, queue in texts.items()}
+    no_texts = iter(())
     annotations = []
     for ann in doc.annotations:
-        if ann.id in texts and ann.qualifiers and ann.qualifiers[0].feature == "utterance":
-            ann = replace(ann, qualifiers=(Qualifier("utterance", texts[ann.id]),))
+        if ann.qualifiers and ann.qualifiers[0].feature == "utterance":
+            text = next(queues.get(ann.id, no_texts), None)
+            if text is not None:
+                ann = replace(ann, qualifiers=(Qualifier("utterance", text),))
         annotations.append(ann)
     return replace(doc, annotations=tuple(annotations))

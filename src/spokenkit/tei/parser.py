@@ -90,7 +90,7 @@ DEFAULT_SOURCE = "source1"
 IMPLICIT_TIMELINE = "~implicit"
 
 # Event features every parse-built transcription level admits.
-BASE_EVENT_FEATURES = frozenset({"utterance", "incident", "kinesic", "vocal"})
+BASE_EVENT_FEATURES = frozenset({"utterance", "vocal", *EVENT_CLASSES})
 
 
 class TeiParseError(ValueError):
@@ -693,11 +693,7 @@ def _parse_back(back_el: ET.Element, ctx: _ParseContext) -> list:
 
 def _parse_flib(el: ET.Element, ctx: _ParseContext) -> FeatureLib:
     features: list[Feature] = []
-    for f_el in _children(el, "f"):
-        name = f_el.get("name", "")
-        if not name:
-            ctx.warn("FEATURE_WITHOUT_NAME", "f", "feature without a name ignored")
-            continue
+    for name, f_el in _named_features(el, ctx):
         fid = f_el.get(XML_ID)
         if fid is None:
             # The identifier occasionally sits on the value element instead.
@@ -740,17 +736,23 @@ def _parse_inline_fs(el: ET.Element, ctx: _ParseContext) -> InlineStructure | No
 
 def _parse_fs(el: ET.Element, ctx: _ParseContext) -> FeatureStructure:
     features: dict[str, FSValue] = {}
-    for f_el in _children(el, "f"):
-        name = f_el.get("name", "")
-        if not name:
-            ctx.warn("FEATURE_WITHOUT_NAME", "f", "feature without a name ignored")
-            continue
+    for name, f_el in _named_features(el, ctx):
         if name in features:
             message = f"feature {name!r} bound twice in one structure; keeping the first"
             ctx.warn("DUP_FEATURE", name, message)
             continue
         features[name] = _parse_fsvalue(f_el, ctx)
     return FeatureStructure(features, type=el.get("type"))
+
+
+def _named_features(el: ET.Element, ctx: _ParseContext):
+    """The name and element of each ``<f>`` child; a nameless one is reported and skipped."""
+    for f_el in _children(el, "f"):
+        name = f_el.get("name", "")
+        if name:
+            yield name, f_el
+        else:
+            ctx.warn("FEATURE_WITHOUT_NAME", "f", "feature without a name ignored")
 
 
 def _parse_fsvalue(f_el: ET.Element, ctx: _ParseContext) -> FSValue:
@@ -894,10 +896,8 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
         for p in tl.points:
             point_home.setdefault(p.id, tl.id)
 
-    # The interval, or None, of the first body item with each id; those of
-    # ids that several body items share are listed in body order.
-    intervals: dict[str, EventInterval | None] = {}
-    shared: dict[str, list[EventInterval | None]] = {}
+    # The interval, or None, of each body item, listed per id in body order.
+    intervals: dict[str | None, list[EventInterval | None]] = {}
     resolved = False
     for item in doc.body:
         interval = None
@@ -943,21 +943,16 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
             continue
         if interval is not None:
             resolved = True
-        if item.id in intervals:
-            shared.setdefault(item.id, [intervals[item.id]]).append(interval)
-        else:
-            intervals[item.id] = interval
+        intervals.setdefault(item.id, []).append(interval)
 
     if not resolved:
         return doc, findings
-    interval_of = intervals.get
-    # The n-th annotation with a shared id belongs to the n-th body item with it.
-    queues = {key: iter(queue) for key, queue in shared.items()}
+    # The n-th annotation with an id belongs to the n-th body item with it.
+    queues = {key: iter(queue) for key, queue in intervals.items()}
+    no_intervals = iter(())
     annotations = []
     for ann in doc.annotations:
-        interval = interval_of(ann.id)
-        if queues and ann.id in queues:
-            interval = next(queues[ann.id], None)
+        interval = next(queues.get(ann.id, no_intervals), None)
         if interval is not None and ann.range is None:
             ann = replace(ann, range=interval)
         annotations.append(ann)

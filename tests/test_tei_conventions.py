@@ -100,3 +100,22 @@ def test_promote_document_rewrites_annotation_values():
     assert "((" not in promoted.annotation("u1").qualifiers[0].value
     unchanged, _ = promote_document(promoted)
     assert unchanged == promoted
+
+
+def test_utterances_that_share_an_id_keep_their_own_promoted_text():
+    data = fixture_bytes("anchored_dialogue.xml")
+    body = data[data.index(b"<body>") : data.index(b"</body>") + len(b"</body>")]
+    data = data.replace(
+        body,
+        b'<body><u xml:id="">yes ((cough))</u><u xml:id="">((laugh)) no</u>'
+        b'<u xml:id="d">one</u><u xml:id="d">two ((sigh))</u></body>',
+    )
+    doc, _ = parse_document(data)
+    promoted, findings = promote_document(doc)
+    assert findings == []
+    assert [(a.id, a.qualifiers[0].value) for a in promoted.annotations] == [
+        ("", "yes "),
+        ("", " no"),
+        ("d", "one"),
+        ("d", "two "),
+    ]

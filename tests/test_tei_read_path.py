@@ -177,16 +177,17 @@ def reference_tokens(doc) -> list[Token]:
     ]
 
 
-def reference_resolution(doc) -> tuple[dict[str, list[EventInterval | None]], list[Finding]]:
+def reference_resolution(doc) -> tuple[list[EventInterval | None], list[Finding]]:
     """Intervals and findings from the first and last resolved anchor of each utterance.
 
-    The intervals of the body items with each id are listed in body order.
+    There is one interval, or None, per utterance and free-standing event, in
+    body order.
     """
     home: dict[str, str] = {}
     for tl in doc.timelines:
         for p in tl.points:
             home.setdefault(p.id, tl.id)
-    intervals: dict[str, list[EventInterval | None]] = {}
+    intervals: list[EventInterval | None] = []
     findings: list[Finding] = []
 
     def known(item, pid):
@@ -211,7 +212,7 @@ def reference_resolution(doc) -> tuple[dict[str, list[EventInterval | None]], li
                     findings.append(
                         Finding("TIMELINE_MISMATCH", WARNING, item.id or "body", message)
                     )
-        elif isinstance(item, (Kinesic, Incident)) and item.id is not None:
+        elif isinstance(item, (Kinesic, Incident)):
             start, end = known(item, item.start), known(item, item.end)
             if start is not None and end is not None:
                 if home[start] == home[end]:
@@ -225,7 +226,7 @@ def reference_resolution(doc) -> tuple[dict[str, list[EventInterval | None]], li
                 interval = EventInterval(start, start, home[start])
         else:
             continue
-        intervals.setdefault(item.id, []).append(interval)
+        intervals.append(interval)
     return intervals, findings
 
 
@@ -278,13 +279,9 @@ def test_one_pass_read_matches_content_walkers_on_random_documents():
         assert [(type(a), a.id) for a in resolved.annotations] == [
             (type(a), a.id) for a in doc.annotations
         ]
-        # The n-th annotation with an id takes the n-th interval listed for it.
-        queues = {key: iter(found) for key, found in intervals.items()}
-        taken = [next(queues.get(a.id, iter(())), None) for a in doc.annotations]
-        assert [a.range for a in resolved.annotations] == [
-            a.range if a.range is not None else interval
-            for a, interval in zip(doc.annotations, taken)
-        ]
+        # Each utterance and event has its own annotation, in body order, before the tokens.
+        assert len(intervals) == len(doc.annotations) - len(tokens)
+        assert [a.range for a in resolved.annotations] == intervals + [t.range for t in tokens]
         seen |= cases_of(doc, warnings, findings)
     assert seen == {
         "nested seg", "identified w", "id-less w", "w with child", "pc", "inline vocal",
