@@ -262,6 +262,7 @@ def main(argv: list[str] | None = None) -> int:
         TagsetError,
         UnknownTagError,
         tier_format.TierParseError,
+        tier_format.TierSerializeError,
         RegistryFormatError,
     ) as exc:
         print(f"spokenkit: {exc}", file=sys.stderr)

@@ -109,15 +109,20 @@ _VOCABULARY = (
     "incident", "seg", "w", "pc", "spanGrp", "span", "fLib", "fvLib", "fs", "f",
     "binary", "symbol", "numeric", "string", "entry", "form", "orth", "gramGrp",
 )
+_TEI_PREFIX = f"{{{TEI_NS}}}"
 _LOCAL_NAMES = {name: name for name in _VOCABULARY}
-_LOCAL_NAMES.update({f"{{{TEI_NS}}}{name}": name for name in _VOCABULARY})
+_LOCAL_NAMES.update({_TEI_PREFIX + name: name for name in _VOCABULARY})
 
 
 def _local(tag: str) -> str:
+    """The local name of a tag in the TEI namespace or in none. A tag in any
+    other namespace keeps it, so it never passes for a TEI element."""
     local = _LOCAL_NAMES.get(tag)
     if local is not None:
         return local
-    return tag.rsplit("}", 1)[-1] if isinstance(tag, str) and tag.startswith("{") else tag
+    if isinstance(tag, str) and tag.startswith(_TEI_PREFIX):
+        return tag[len(_TEI_PREFIX):]
+    return tag
 
 
 def _norm_ref(value: str | None) -> str | None:
@@ -136,8 +141,7 @@ def _opaque(el: ET.Element) -> OpaqueElement:
     attrib = tuple(sorted((_attr_name(k), v) for k, v in el.attrib.items()))
     children = tuple(_opaque(child) for child in el)
     tails = tuple(child.tail for child in el)
-    tag = _local(el.tag) if el.tag.startswith("{%s}" % TEI_NS) else el.tag
-    return OpaqueElement(tag, attrib, el.text, children, tails)
+    return OpaqueElement(_local(el.tag), attrib, el.text, children, tails)
 
 
 def _text_of(el: ET.Element | None) -> str | None:

@@ -1,13 +1,17 @@
 """Canonical serialiser for the spoken-transcription markup subset.
 
 Output form is fixed: UTF-8, two-space indentation for structural elements,
-alphabetical attribute order, '&' and '<' (and '>') escaped, references
-written with a leading '#'. Mixed content inside utterances is emitted
-verbatim, so parsing the output reproduces the document structurally.
+alphabetical attribute order, references written with a leading '#'. '&',
+'<' and '>' are escaped everywhere, and '"' in attribute values; CR is
+written as a character reference everywhere, and tab and LF in attribute
+values. Characters XML 1.0 cannot carry at all are refused with
+``TeiSerializeError``. Mixed content inside utterances is emitted verbatim,
+so parsing the output reproduces the document structurally.
 """
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 
 from spokenkit.core.model import Document, EventInterval, Timeline
@@ -52,17 +56,45 @@ class TeiSerializeError(ValueError):
     """The document cannot be serialised as requested."""
 
 
+# Characters XML 1.0 cannot carry, not even as character references (§2.2),
+# are refused: the escapes below refuse the C0 controls other than tab, LF
+# and CR, and ``_Writer.render`` refuses U+FFFE, U+FFFF and lone surrogates.
+# Keeping every class below U+0100 keeps its compilation at import cheap.
+_C0_NOT_XML = "\x00-\x08\x0b\x0c\x0e-\x1f"
+# CR is a reference everywhere, or end-of-line handling turns it into LF
+# (§2.11); tab and LF are references in attributes, or attribute-value
+# normalisation turns them into spaces (§3.3.3).
+_TEXT_SPECIAL = re.compile(f"[&<>\r{_C0_NOT_XML}]")
+_ATTR_SPECIAL = re.compile(f'[&<>"\t\n\r{_C0_NOT_XML}]')
+_ESCAPES = {
+    "&": "&amp;",
+    "<": "&lt;",
+    ">": "&gt;",
+    '"': "&quot;",
+    "\t": "&#9;",
+    "\n": "&#10;",
+    "\r": "&#13;",
+}
+
+
+def _not_xml(char: str) -> TeiSerializeError:
+    return TeiSerializeError(f"character U+{ord(char):04X} cannot be written in XML")
+
+
+def _escape(match: re.Match) -> str:
+    char = match.group()
+    try:
+        return _ESCAPES[char]
+    except KeyError:
+        raise _not_xml(char) from None
+
+
 def _esc_text(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return _TEXT_SPECIAL.sub(_escape, text) if _TEXT_SPECIAL.search(text) else text
 
 
 def _esc_attr(value: str) -> str:
-    return (
-        value.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
+    return _ATTR_SPECIAL.sub(_escape, value) if _ATTR_SPECIAL.search(value) else value
 
 
 def _attrs(pairs: dict[str, str | None]) -> str:
@@ -86,7 +118,14 @@ class _Writer:
         self.lines.append("  " * depth + text)
 
     def render(self) -> bytes:
-        return ("\n".join(self.lines) + "\n").encode("utf-8")
+        text = "\n".join(self.lines) + "\n"
+        for char in "\ufffe\uffff":
+            if char in text:
+                raise _not_xml(char)
+        try:
+            return text.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate
+            raise _not_xml(exc.object[exc.start]) from None
 
 
 def serialize_document(doc: Document, materialize_timeline: bool = False) -> bytes:
@@ -115,10 +154,12 @@ def serialize_document(doc: Document, materialize_timeline: bool = False) -> byt
         w.line(1, "<text>")
         for timeline in doc.timelines:
             _write_timeline(w, 2, timeline, materialize_timeline)
-        body = doc.body if doc.body else tuple(_materialized_body(doc))
         w.line(2, "<body>")
-        for item in body:
-            _write_body_item(w, 3, item, materialize_timeline)
+        if doc.body:
+            for item in doc.body:
+                _write_body_item(w, 3, item, materialize_timeline)
+        else:
+            _write_generated_body(w, 3, doc)
         w.line(2, "</body>")
         if doc.back:
             w.line(2, "<back>")
@@ -288,11 +329,14 @@ def _write_timeline(w: _Writer, depth: int, timeline: Timeline, materialize: boo
     if timeline.id_declared:
         attrs["xml:id"] = timeline.id
     w.line(depth, f"<timeline{_attrs(attrs)}>")
+    indent = "  " * (depth + 1)
+    lines = w.lines
     for point in points:
-        point_attrs: dict[str, str | None] = {"xml:id": point.id}
-        if point.offset is not None:
-            point_attrs["absolute"] = _number(point.offset)
-        w.line(depth + 1, f"<when{_attrs(point_attrs)}/>")
+        ident = _esc_attr(point.id)
+        if point.offset is None:
+            lines.append(f'{indent}<when xml:id="{ident}"/>')
+        else:
+            lines.append(f'{indent}<when absolute="{_number(point.offset)}" xml:id="{ident}"/>')
     w.line(depth, "</timeline>")
 
 
@@ -304,42 +348,39 @@ def _number(value) -> str:
     return str(value)
 
 
-def _materialized_body(doc: Document):
-    """Body items generated from event-ranged annotations (converted input).
+def _write_generated_body(w: _Writer, depth: int, doc: Document) -> None:
+    """Body lines generated from event-ranged annotations (converted input).
 
     The element kind follows the layer's tier category when one is declared;
     qualifier features redirected to registry pids then still serialise as
-    the right element.
+    the right element. Utterances hold the text between two anchors; other
+    kinds are timed events whose ``desc`` holds the text.
     """
+    indent = "  " * depth
+    inner = "  " * (depth + 1)
+    lines = w.lines
     layer_categories = {layer.id: layer.category for layer in doc.layers}
     for ann in doc.annotations:
-        if not isinstance(ann.range, EventInterval) or not ann.qualifiers:
+        interval = ann.range
+        if not isinstance(interval, EventInterval):
             continue
-        feature = layer_categories.get(ann.layer) or ann.qualifiers[0].feature_key()
-        text = ann.qualifiers[0].value_key()
-        start, end = ann.range.start, ann.range.end
+        qualifier = ann.qualifiers[0]
+        feature = layer_categories.get(ann.layer) or qualifier.feature_key()
+        text = _esc_text(qualifier.value_key())
+        start, end = _esc_attr(interval.start), _esc_attr(interval.end)
+        who = "" if ann.who is None else f' who="#{_esc_attr(ann.who)}"'
+        ident = _esc_attr(ann.id)
         if feature in ("utterance", "verbal"):
-            yield Utterance(
-                id=ann.id,
-                who=ann.who,
-                content=(
-                    AnchorRef(synch=start),
-                    TextSegment(text),
-                    AnchorRef(synch=end),
-                ),
-                id_generated=False,
+            lines.append(
+                f'{indent}<u{who} xml:id="{ident}"><anchor synch="#{start}"/>'
+                f'{text}<anchor synch="#{end}"/></u>'
             )
         else:
-            cls = EVENT_CLASSES.get(feature, Kinesic)
-            yield cls(
-                desc=text,
-                type=None if feature == cls.tag else feature,
-                who=ann.who,
-                start=start,
-                end=end,
-                id=ann.id,
-                id_generated=False,
-            )
+            tag = EVENT_CLASSES.get(feature, Kinesic).tag
+            kind = "" if feature == tag else f' type="{_esc_attr(feature)}"'
+            lines.append(f'{indent}<{tag} end="#{end}" start="#{start}"{kind}{who} xml:id="{ident}">')
+            lines.append(f"{inner}<desc>{text}</desc>" if text else f"{inner}<desc/>")
+            lines.append(f"{indent}</{tag}>")
 
 
 def _write_body_item(w: _Writer, depth: int, item, materialize: bool) -> None:

@@ -54,6 +54,19 @@ class TierParseError(ValueError):
         self.line_no = line_no
 
 
+class TierSerializeError(ValueError):
+    """The document has a field the format cannot carry; ``line_no`` is the
+    output line it would have been written on."""
+
+    def __init__(self, line_no: int, message: str):
+        super().__init__(f"cannot write tier line {line_no}: {message}")
+        self.line_no = line_no
+
+
+# The line boundaries of ``str.splitlines``, which the reader splits on.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 @dataclass(frozen=True)
 class TierSpeaker:
     id: str
@@ -198,7 +211,11 @@ def parse_tier(data: bytes | str) -> TierDocument:
 
 
 def serialize_tier(td: TierDocument) -> str:
-    """Serialise a tier document; parsed files reproduce their input bytes."""
+    """Serialise a tier document; parsed files reproduce their input bytes.
+
+    A field that holds a tab, or a line break the reader would split on (any
+    ``str.splitlines`` separator), raises ``TierSerializeError``.
+    """
     speaker_map = {s.id: s for s in td.speakers}
     point_map = dict(td.points)
     tier_map = {t.id: t for t in td.tiers}
@@ -216,22 +233,35 @@ def serialize_tier(td: TierDocument) -> str:
         if kind == "event":
             tier = tier_map[record[1]]
             event = tier.events[record[2]]
-            lines.append(f"event\t{tier.id}\t{event.start}\t{event.end}\t{event.text}")
+            line, tabs = f"event\t{tier.id}\t{event.start}\t{event.end}\t{event.text}", 4
         elif kind == "point":
             offset = point_map[record[1]]
-            lines.append(f"@point\t{record[1]}\t{offset if offset is not None else '-'}")
+            line, tabs = f"@point\t{record[1]}\t{offset if offset is not None else '-'}", 2
         elif kind == "tier":
             tier = tier_map[record[1]]
             speaker_id = tier.speaker if tier.speaker is not None else "-"
-            lines.append(f"@tier\t{tier.id}\t{speaker_id}\t{tier.category}")
+            line, tabs = f"@tier\t{tier.id}\t{speaker_id}\t{tier.category}", 3
         elif kind == "speaker":
             speaker = speaker_map[record[1]]
-            lines.append(f"@speaker\t{speaker.id}\t{speaker.name}")
+            line, tabs = f"@speaker\t{speaker.id}\t{speaker.name}", 2
         elif kind == "comment":
-            lines.append(record[1])
+            line = record[1]
+            tabs = line.count("\t")
         elif kind == "blank":
-            lines.append("")
+            line, tabs = "", 0
+        else:
+            continue
+        if line.count("\t") != tabs:
+            raise TierSerializeError(len(lines) + 1, f"a field of this {kind} line holds a tab")
+        lines.append(line)
+    if _line_break_in("".join(lines)):
+        line_no = next(n for n, line in enumerate(lines, 1) if _line_break_in(line))
+        raise TierSerializeError(line_no, "a field holds a line break")
     return "".join(line + "\n" for line in lines)
+
+
+def _line_break_in(text: str) -> bool:
+    return any(char in text for char in _LINE_BREAKS)
 
 
 def to_core(td: TierDocument, category_map: Mapping[str, str] | None = None) -> Document:

@@ -364,6 +364,9 @@ def check_tagset(
             lib = TagsetLibrary({}, {})
     targets = analysis_targets(doc, lib)
 
+    # Each distinct reference is checked once; its problems recur at every
+    # location that bears it.
+    domain_problems: dict[str, list[tuple[str, str]]] = {}
     for location, ref in _ana_bearing(doc):
         target = targets.get(ref)
         if target is None:
@@ -371,41 +374,34 @@ def check_tagset(
                 _finding(UNKNOWN_TAG, location, f"analysis reference {ref!r} has no target")
             )
         elif registry is not None and isinstance(target, FeatureStructure):
-            issues.extend(_domain_check(target, registry, language, location))
+            problems = domain_problems.get(ref)
+            if problems is None:
+                problems = domain_problems[ref] = _domain_check(target, registry, language)
+            issues.extend(_finding(code, location, message) for code, message in problems)
     return issues
 
 
-def _domain_check(fs, registry: Registry, language: str | None, location: str) -> list[Finding]:
-    issues: list[Finding] = []
+def _domain_check(fs, registry: Registry, language: str | None) -> list[tuple[str, str]]:
+    """(code, message) of each domain problem of one feature structure."""
+    problems: list[tuple[str, str]] = []
     for path, atom in flatten(fs):
         if isinstance(atom, (bool, int, float)):
             continue
         feature_name = path.rsplit("/", 1)[-1]
         feature_cat = registry.by_name(feature_name)
         if feature_cat is None:
-            issues.append(
-                _finding(
-                    UNKNOWN_CATEGORY,
-                    location,
-                    f"feature {feature_name!r} matches no registered data category",
-                )
+            problems.append(
+                (UNKNOWN_CATEGORY, f"feature {feature_name!r} matches no registered data category")
             )
             continue
         value_cat = registry.by_name(str(atom))
         if value_cat is None:
-            issues.append(
-                _finding(
-                    UNKNOWN_CATEGORY,
-                    location,
-                    f"value {atom!r} matches no registered data category",
-                )
-            )
+            problems.append((UNKNOWN_CATEGORY, f"value {atom!r} matches no registered data category"))
             continue
         if feature_cat.kind != COMPLEX:
-            issues.append(
-                _finding(
+            problems.append(
+                (
                     UNKNOWN_CATEGORY,
-                    location,
                     f"feature {feature_name!r} maps to a simple category and takes no values",
                 )
             )
@@ -418,8 +414,8 @@ def _domain_check(fs, registry: Registry, language: str | None, location: str) -
                 if verdict == "languageRestricted"
                 else f"value {atom!r} is outside the domain of {feature_name!r}"
             )
-            issues.append(_finding(DOMAIN_VIOLATION, location, detail))
-    return issues
+            problems.append((DOMAIN_VIOLATION, detail))
+    return problems
 
 
 def validate_all(doc: Document, options: ValidateOptions | None = None) -> ValidationReport:

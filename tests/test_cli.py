@@ -158,6 +158,27 @@ def test_convert_tier_to_tei_and_back_reproduces_file(capsys, tmp_path):
     assert out.encode("utf-8") == fixture_bytes("score_dialogue.tier")
 
 
+def test_convert_tier_event_with_control_character_to_tei_exits_two(capsys, tmp_path):
+    # XML 1.0 cannot carry U+0001, not even as a character reference.
+    source = tmp_path / "control.tier"
+    source.write_bytes(fixture_bytes("score_dialogue.tier").replace(b"Ah oui", b"Ah\x01oui"))
+    code, out, err = run(capsys, "convert", str(source), "--from", "tier", "--to", "tei")
+    assert code == 2
+    assert out == ""
+    assert err == "spokenkit: character U+0001 cannot be written in XML\n"
+
+
+def test_convert_tei_utterance_with_tab_to_tier_exits_two(capsys, tmp_path):
+    # A tab in event text would split the tier line into six fields.
+    source = tmp_path / "tab.xml"
+    source.write_bytes(fixture_bytes("anchored_dialogue.xml").replace(b"Okay.", b"Okay.&#9;", 1))
+    code, out, err = run(capsys, "convert", str(source), "--from", "tei", "--to", "tier")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("spokenkit: cannot write tier line ")
+    assert err.endswith(": a field of this event line holds a tab\n")
+
+
 def test_convert_dialogue_to_tier(capsys):
     code, out, _ = run(
         capsys, "convert", fixture_path("anchored_dialogue.xml"), "--from", "tei", "--to", "tier"
@@ -307,10 +328,14 @@ GOLDEN_COMMANDS = (
     ("convert", "--from", "tei", "--to", "tier"),
     ("convert", "--from", "tei", "--to", "tei"),
 )
+TIER_GOLDEN_COMMANDS = (
+    ("convert", "--from", "tier", "--to", "tei"),
+    ("convert", "--from", "tier", "--to", "tier"),
+)
 
 
 def cli_outputs() -> list[dict]:
-    """Exit code, stdout and stderr of each golden command on each XML fixture.
+    """Exit code, stdout and stderr of each golden command on each fixture.
 
     Fixture paths are written relative to the repository root, and output is
     kept as lines with their ends so the comparison stays byte-exact.
@@ -320,21 +345,22 @@ def cli_outputs() -> list[dict]:
         PYTHONPATH=src python -c 'import tests.test_cli as t; t.write_golden()'
     """
     prefix = str(FIXTURES) + "/"
+    runs = [(f, c) for f in sorted(FIXTURES.glob("*.xml")) for c in GOLDEN_COMMANDS]
+    runs += [(f, c) for f in sorted(FIXTURES.glob("*.tier")) for c in TIER_GOLDEN_COMMANDS]
     cases = []
-    for fixture in sorted(FIXTURES.glob("*.xml")):
-        for command in GOLDEN_COMMANDS:
-            argv = [command[0], str(fixture), *command[1:]]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            cases.append(
-                {
-                    "argv": [a.replace(prefix, "tests/fixtures/") for a in argv],
-                    "exit": code,
-                    "stdout": out.getvalue().replace(prefix, "tests/fixtures/").splitlines(True),
-                    "stderr": err.getvalue().replace(prefix, "tests/fixtures/").splitlines(True),
-                }
-            )
+    for fixture, command in runs:
+        argv = [command[0], str(fixture), *command[1:]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        cases.append(
+            {
+                "argv": [a.replace(prefix, "tests/fixtures/") for a in argv],
+                "exit": code,
+                "stdout": out.getvalue().replace(prefix, "tests/fixtures/").splitlines(True),
+                "stderr": err.getvalue().replace(prefix, "tests/fixtures/").splitlines(True),
+            }
+        )
     return cases
 
 

@@ -319,3 +319,15 @@ def test_element_before_body_is_kept_opaquely():
     assert doc.body[0] == OpaqueElement("front", (), None, (preface,), (None,))
     assert doc.body[1:] == baseline.body
     assert b"<front><p>Preface</p></front>" in serialize_document(doc)
+
+
+def test_element_in_a_foreign_namespace_is_kept_opaquely():
+    data = fixture_bytes("anchored_dialogue.xml").replace(
+        b"<body>", b'<body><x:kinesic xmlns:x="urn:other" type="wave"/>', 1
+    )
+    doc, _ = parse_document(data)
+    assert doc.body[0] == OpaqueElement("{urn:other}kinesic", (("type", "wave"),))
+    assert not any(isinstance(item, Kinesic) and item.type == "wave" for item in doc.body)
+    out = serialize_document(doc)
+    assert b'<kinesic xmlns="urn:other" type="wave"/>' in out
+    assert parse_document(out)[0] == doc

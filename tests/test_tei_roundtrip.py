@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from spokenkit.core import sequence_implicit
 from spokenkit.tei import (
+    OpaqueElement,
     TeiSerializeError,
+    TextSegment,
+    Utterance,
     parse_document,
     resolve_anchors,
     serialize_document,
@@ -53,6 +58,37 @@ def test_ampersand_and_angle_brackets_escaped():
     assert b"A &amp; B &lt; C" in out
     reparsed, _ = parse_document(out)
     assert reparsed == doc
+
+
+def test_carriage_return_in_text_round_trips():
+    data = fixture_bytes("anchored_dialogue.xml").replace(b"Okay.", b"Okay.&#13;")
+    doc, _ = parse_document(data)
+    out = serialize_document(doc)
+    assert b"Okay.&#13;" in out
+    assert parse_document(out)[0] == doc
+
+
+def test_tab_newline_and_carriage_return_in_attribute_round_trip():
+    data = fixture_bytes("anchored_dialogue.xml").replace(
+        b"<body>", b'<body><note n="a&#9;b&#10;c&#13;d">x</note>'
+    )
+    doc, _ = parse_document(data)
+    out = serialize_document(doc)
+    assert b'<note n="a&#9;b&#10;c&#13;d">x</note>' in out
+    assert parse_document(out)[0] == doc
+
+
+@pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x0b", "\x1f", "\ud800", "\ufffe", "\uffff"])
+@pytest.mark.parametrize("where", ["text", "attribute"])
+def test_characters_xml_cannot_carry_are_refused(char, where):
+    doc, _ = parse_document(fixture_bytes("anchored_dialogue.xml"))
+    if where == "text":
+        doc = replace(doc, body=(Utterance(id="u", content=(TextSegment(f"a{char}b"),)),))
+    else:
+        doc = replace(doc, body=(OpaqueElement("note", (("n", f"a{char}b"),)),))
+    with pytest.raises(TeiSerializeError) as exc:
+        serialize_document(doc)
+    assert str(exc.value) == f"character U+{ord(char):04X} cannot be written in XML"
 
 
 def test_header_only_document_round_trips():

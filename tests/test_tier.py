@@ -18,6 +18,7 @@ from spokenkit.tier import (
     TierDocument,
     TierEvent,
     TierParseError,
+    TierSerializeError,
     TierSpeaker,
     from_core,
     parse_tier,
@@ -101,6 +102,38 @@ def test_serialize_preserves_comments_and_interleaving():
         "event\tt1\tp0\tp1\thello\n"
     )
     assert serialize_tier(parse_tier(raw)) == raw
+
+
+# The separators ``str.splitlines`` splits on, which the reader uses.
+LINE_BREAKS = ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _one_event_document(text="hi", name="Speaker", point="p1", category="verbal"):
+    return TierDocument(
+        speakers=(TierSpeaker("s1", name),),
+        points=(("p0", None), (point, None)),
+        tiers=(Tier("t1", "s1", category, (TierEvent("p0", point, text),)),),
+    )
+
+
+@pytest.mark.parametrize("separator", ["\t", *LINE_BREAKS])
+@pytest.mark.parametrize("field", ["text", "name", "point", "category"])
+def test_serialize_refuses_a_field_holding_a_separator(field, separator):
+    value = f"a{separator}b"
+    with pytest.raises(TierSerializeError) as exc:
+        serialize_tier(_one_event_document(**{field: value}))
+    line_no = {"name": 1, "point": 3, "category": 4, "text": 5}[field]
+    assert str(exc.value).startswith(f"cannot write tier line {line_no}: a field ")
+
+
+def test_serialize_writes_characters_that_split_no_line():
+    td = _one_event_document(text="a\x1fb \u2027 \x7f", name="\x00 \x1b")
+    assert parse_tier(serialize_tier(td)) == td
+
+
+def test_crlf_file_still_parses():
+    raw = fixture_bytes("score_dialogue.tier").decode("utf-8")
+    assert parse_tier(raw.replace("\n", "\r\n")) == parse_tier(raw)
 
 
 def test_to_core_structure():
