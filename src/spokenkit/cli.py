@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from spokenkit import tier as tier_format
-from spokenkit.core.model import Finding
+from spokenkit.core.model import Finding, decode_utf8
 from spokenkit.core.temporal import overlaps_report, sequence_implicit
 from spokenkit.datacat import RegistryFormatError, load_registry
 from spokenkit.featstruct import TagsetError, TagsetLibrary, UnknownTagError, atom_value
@@ -48,8 +48,7 @@ class CliError(Exception):
 
 def load_config(data: str | bytes) -> Config:
     """Read the plain-text config: severity and category lines."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    data = decode_utf8(data, lambda n, message: CliError(f"config line {n}: {message}"))
     config = Config()
     for line_no, line in enumerate(data.splitlines(), start=1):
         if not line or line.startswith("#"):
@@ -125,6 +124,10 @@ def cmd_validate(args) -> int:
             print(f"{path}: {exc}", file=sys.stderr)
             failed = True
             continue
+        except Exception as exc:  # one file's failure must not hide the others' reports
+            print(f"{path}: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+            failed = True
+            continue
         if multi:
             _out(sys.stdout, f"== {path} ==\n")
         _out(sys.stdout, report.to_tsv() if args.format == "tsv" else report.to_text())
@@ -169,7 +172,10 @@ def cmd_convert(args) -> int:
             output = serialize_document(doc, materialize_timeline=args.materialize_timeline)
 
     if args.output:
-        Path(args.output).write_bytes(output)
+        try:
+            Path(args.output).write_bytes(output)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
         _out(sys.stdout, output)
     return EXIT_OK

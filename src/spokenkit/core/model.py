@@ -4,14 +4,15 @@ An annotation is an elementary statement about a source: a reference to the
 source, a range picking out the annotated portion, and one or more
 feature-value qualifiers. Documents bundle annotations together with the
 timelines, layers and levels that organise them. Everything here is plain
-data; parsing and serialisation live in the format modules.
+data, plus the UTF-8 decoding the line-oriented readers share; parsing and
+serialisation live in the format modules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Union
 
 if TYPE_CHECKING:
     from spokenkit.tei.model import Metadata
@@ -44,6 +45,19 @@ class UnknownIdError(LookupError):
         super().__init__(f"unknown {kind} {ref!r}")
         self.kind = kind
         self.ref = ref
+
+
+def decode_utf8(data: str | bytes, error: Callable[[int, str], Exception]) -> str:
+    """``data`` as text. Bytes that are not UTF-8 raise ``error(line_no,
+    message)`` for the line, counted as ``str.splitlines`` counts, that holds
+    the first bad byte."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise error(line_no, f"byte 0x{data[exc.start]:02x} is not valid UTF-8") from None
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from spokenkit.core.model import CategoryRef, Qualifier
+from spokenkit.core.model import CategoryRef, Qualifier, decode_utf8
 
 COMPLEX = "complex"
 SIMPLE = "simple"
@@ -224,8 +224,7 @@ def load_registry(data: str | bytes) -> Registry:
     with '#' comment lines. Valid files round-trip bit-exactly through
     :func:`dump_registry`.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    data = decode_utf8(data, RegistryFormatError)
     reg = Registry()
     for line_no, line in enumerate(data.splitlines(), start=1):
         if line.startswith("#"):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from spokenkit.core.model import WARNING, Document, Finding, Qualifier
+from spokenkit.core.model import WARNING, Document, Finding, Qualifier, decode_utf8
 from spokenkit.tei.model import EVENT_CLASSES, TextSegment, Utterance, Vocal
 
 
@@ -34,8 +34,7 @@ class ConventionRuleError(ValueError):
 
 def load_convention_rules(data: str | bytes) -> tuple[ConventionRule, ...]:
     """Read rules from ``pattern<TAB>element<TAB>descGroup`` lines."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    data = decode_utf8(data, lambda n, message: ConventionRuleError(f"line {n}: {message}"))
     rules: list[ConventionRule] = []
     for line_no, line in enumerate(data.splitlines(), start=1):
         if not line or line.startswith("#"):

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
+from itertools import islice
+from operator import attrgetter, le, lt
 from typing import Mapping
 
 from spokenkit.core.model import (
@@ -38,6 +40,7 @@ from spokenkit.core.model import (
     Token,
     UnknownIdError,
     WordForm,
+    decode_utf8,
 )
 from spokenkit.tei.model import Metadata, Person
 
@@ -63,6 +66,8 @@ class TierSerializeError(ValueError):
         self.line_no = line_no
 
 
+_ZERO = Decimal(0)
+
 # The line boundaries of ``str.splitlines``, which the reader splits on.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
@@ -78,7 +83,6 @@ class TierEvent:
     start: str
     end: str
     text: str
-    line: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -108,27 +112,56 @@ class TierDocument:
 
 def parse_tier(data: bytes | str) -> TierDocument:
     """Parse the tier file format; all problems carry their line number."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    data = decode_utf8(data, TierParseError)
 
     speakers: list[TierSpeaker] = []
     points: list[tuple[str, Decimal | None]] = []
-    point_lines: dict[str, int] = {}
+    index: dict[str, int] = {}  # point id -> position in declaration order
+    offsets: list[Decimal] = []
     tier_decls: list[tuple[str, str | None, str]] = []
     events: dict[str, list[TierEvent]] = {}
-    records: list[tuple] = []
     seen_speakers: set[str] = set()
+    records: list[tuple] = []  # one per line, so a record's position gives its line
+    record = records.append
 
     for line_no, line in enumerate(data.splitlines(), start=1):
-        if not line:
-            records.append(("blank",))
-            continue
-        if line.startswith("#"):
-            records.append(("comment", line))
-            continue
         fields = line.split("\t")
         kind = fields[0]
-        if kind == "@speaker":
+        if kind == "event":
+            if len(fields) != 5:
+                raise TierParseError(
+                    line_no, "event takes tier-id, start-point, end-point and text"
+                )
+            _, tid, start, end, text = fields
+            tier_events = events.get(tid)
+            if tier_events is None:
+                raise TierParseError(line_no, f"event for undeclared tier {tid!r}")
+            record(("event", tid, len(tier_events)))
+            tier_events.append(TierEvent(start, end, text))
+        elif kind == "@point":
+            if len(fields) != 3:
+                raise TierParseError(line_no, "@point takes id and offset (or '-')")
+            _, pid, raw_offset = fields
+            if pid in index:
+                raise TierParseError(line_no, f"duplicate point {pid!r}")
+            offset = None
+            if raw_offset != "-":
+                try:
+                    offset = Decimal(raw_offset)
+                    negative = offset < _ZERO  # a NaN offset raises InvalidOperation here
+                except InvalidOperation:
+                    raise TierParseError(line_no, f"bad offset {raw_offset!r}") from None
+                if negative:
+                    raise TierParseError(line_no, f"negative offset {raw_offset!r}")
+                offsets.append(offset)
+            index[pid] = len(points)
+            points.append((pid, offset))
+            record(("point", pid))
+        elif not line:
+            record(("blank",))
+        elif line[0] == "#":
+            record(("comment", line))
+        elif kind == "@speaker":
             if len(fields) != 3:
                 raise TierParseError(line_no, "@speaker takes id and name")
             _, sid, name = fields
@@ -136,25 +169,7 @@ def parse_tier(data: bytes | str) -> TierDocument:
                 raise TierParseError(line_no, f"duplicate speaker {sid!r}")
             seen_speakers.add(sid)
             speakers.append(TierSpeaker(sid, name))
-            records.append(("speaker", sid))
-        elif kind == "@point":
-            if len(fields) != 3:
-                raise TierParseError(line_no, "@point takes id and offset (or '-')")
-            _, pid, raw_offset = fields
-            if pid in point_lines:
-                raise TierParseError(line_no, f"duplicate point {pid!r}")
-            offset = None
-            if raw_offset != "-":
-                try:
-                    offset = Decimal(raw_offset)
-                    negative = offset < 0  # a NaN offset raises InvalidOperation here
-                except InvalidOperation:
-                    raise TierParseError(line_no, f"bad offset {raw_offset!r}") from None
-                if negative:
-                    raise TierParseError(line_no, f"negative offset {raw_offset!r}")
-            points.append((pid, offset))
-            point_lines[pid] = line_no
-            records.append(("point", pid))
+            record(("speaker", sid))
         elif kind == "@tier":
             if len(fields) != 4:
                 raise TierParseError(line_no, "@tier takes id, speaker (or '-') and category")
@@ -163,46 +178,15 @@ def parse_tier(data: bytes | str) -> TierDocument:
                 raise TierParseError(line_no, f"duplicate tier {tid!r}")
             tier_decls.append((tid, None if speaker == "-" else speaker, category))
             events[tid] = []
-            records.append(("tier", tid))
-        elif kind == "event":
-            if len(fields) != 5:
-                raise TierParseError(
-                    line_no, "event takes tier-id, start-point, end-point and text"
-                )
-            _, tid, start, end, text = fields
-            if tid not in events:
-                raise TierParseError(line_no, f"event for undeclared tier {tid!r}")
-            events[tid].append(TierEvent(start, end, text, line=line_no))
-            records.append(("event", tid, len(events[tid]) - 1))
+            record(("tier", tid))
         else:
             raise TierParseError(line_no, f"unrecognised record {kind!r}")
 
-    index = {pid: n for n, (pid, _) in enumerate(points)}
     for tid, tier_events in events.items():
-        for event in tier_events:
-            for pid in (event.start, event.end):
-                if pid not in index:
-                    raise TierParseError(event.line or 0, f"unknown point {pid!r}")
-            if index[event.start] >= index[event.end]:
-                raise TierParseError(
-                    event.line or 0,
-                    f"event start {event.start!r} is not strictly before end {event.end!r}",
-                )
-        ordered = sorted(tier_events, key=lambda e: index[e.start])
-        for prev, nxt in zip(ordered, ordered[1:]):
-            if index[prev.end] > index[nxt.start]:
-                raise TierParseError(
-                    nxt.line or 0,
-                    f"event overlaps previous event of tier {tid!r} "
-                    f"(previous ends at {prev.end!r})",
-                )
-
-    with_offsets = [(pid, offset) for pid, offset in points if offset is not None]
-    for (_, earlier), (pid, later) in zip(with_offsets, with_offsets[1:]):
-        if earlier > later:
-            raise TierParseError(
-                point_lines[pid], f"offset of {pid!r} contradicts declaration order"
-            )
+        if not _events_fit(tier_events, index):
+            _raise_event_defect(tid, tier_events, index, records)
+    if not all(map(le, offsets, islice(offsets, 1, None))):
+        _raise_offset_inversion(points, records)
 
     tiers = tuple(
         Tier(tid, speaker, category, tuple(events[tid])) for tid, speaker, category in tier_decls
@@ -210,16 +194,80 @@ def parse_tier(data: bytes | str) -> TierDocument:
     return TierDocument(tuple(speakers), tuple(points), tiers, tuple(records))
 
 
+def _events_fit(tier_events: list[TierEvent], index: dict[str, int]) -> bool:
+    """Whether every event names known points, starts before it ends and
+    overlaps no other event of its tier; checked without a Python loop."""
+    try:
+        starts = list(map(index.__getitem__, map(attrgetter("start"), tier_events)))
+        ends = list(map(index.__getitem__, map(attrgetter("end"), tier_events)))
+    except KeyError:
+        return False
+    if not all(map(lt, starts, ends)):
+        return False
+    if not all(map(le, starts, islice(starts, 1, None))):
+        order = sorted(range(len(starts)), key=starts.__getitem__)
+        starts = list(map(starts.__getitem__, order))
+        ends = list(map(ends.__getitem__, order))
+    return all(map(le, ends, islice(starts, 1, None)))
+
+
+def _raise_event_defect(
+    tid: str, tier_events: list[TierEvent], index: dict[str, int], records: list[tuple]
+) -> None:
+    """Raise for the first event of the tier that fails a check of
+    :func:`_events_fit`: event checks in file order, then overlaps in start
+    order."""
+    lines = [n for n, record in enumerate(records, 1) if record[0] == "event" and record[1] == tid]
+    for event, line_no in zip(tier_events, lines):
+        for pid in (event.start, event.end):
+            if pid not in index:
+                raise TierParseError(line_no, f"unknown point {pid!r}")
+        if index[event.start] >= index[event.end]:
+            raise TierParseError(
+                line_no, f"event start {event.start!r} is not strictly before end {event.end!r}"
+            )
+    ordered = sorted(zip(tier_events, lines), key=lambda pair: index[pair[0].start])
+    for (prev, _), (nxt, line_no) in zip(ordered, ordered[1:]):
+        if index[prev.end] > index[nxt.start]:
+            raise TierParseError(
+                line_no,
+                f"event overlaps previous event of tier {tid!r} (previous ends at {prev.end!r})",
+            )
+
+
+def _raise_offset_inversion(
+    points: list[tuple[str, Decimal | None]], records: list[tuple]
+) -> None:
+    """Raise at the declaration of the first point whose offset is below the
+    offset of the point with an offset declared before it."""
+    with_offsets = [(pid, offset) for pid, offset in points if offset is not None]
+    for (_, earlier), (pid, later) in zip(with_offsets, with_offsets[1:]):
+        if earlier > later:
+            raise TierParseError(
+                records.index(("point", pid)) + 1,
+                f"offset of {pid!r} contradicts declaration order",
+            )
+
+
+# The tabs the line of each kind of record holds when no field holds one; a
+# comment line holds its own.
+_TEMPLATE_TABS = {"event": 4, "point": 2, "tier": 3, "speaker": 2, "blank": 0, "comment": None}
+
+
 def serialize_tier(td: TierDocument) -> str:
     """Serialise a tier document; parsed files reproduce their input bytes.
 
     A field that holds a tab, or a line break the reader would split on (any
-    ``str.splitlines`` separator), raises ``TierSerializeError``.
+    ``str.splitlines`` separator), raises ``TierSerializeError``, and so does
+    a tier whose speaker id is ``-``, which the reader takes for no speaker.
     """
     speaker_map = {s.id: s for s in td.speakers}
     point_map = dict(td.points)
     tier_map = {t.id: t for t in td.tiers}
+    events_of = {t.id: t.events for t in td.tiers}
     lines: list[str] = []
+    write = lines.append
+    tabs = 0  # the tabs the written templates hold
     # A constructed document has no records; it is written in canonical
     # order: speakers, points, tiers, then each tier's events.
     records = td.records or (
@@ -231,33 +279,42 @@ def serialize_tier(td: TierDocument) -> str:
     for record in records:
         kind = record[0]
         if kind == "event":
-            tier = tier_map[record[1]]
-            event = tier.events[record[2]]
-            line, tabs = f"event\t{tier.id}\t{event.start}\t{event.end}\t{event.text}", 4
+            event = events_of[record[1]][record[2]]
+            write(f"event\t{record[1]}\t{event.start}\t{event.end}\t{event.text}\n")
+            tabs += 4
         elif kind == "point":
             offset = point_map[record[1]]
-            line, tabs = f"@point\t{record[1]}\t{offset if offset is not None else '-'}", 2
+            write(f"@point\t{record[1]}\t{offset if offset is not None else '-'}\n")
+            tabs += 2
         elif kind == "tier":
             tier = tier_map[record[1]]
+            if tier.speaker == "-":
+                raise TierSerializeError(
+                    len(lines) + 1, "speaker id '-' would read back as no speaker"
+                )
             speaker_id = tier.speaker if tier.speaker is not None else "-"
-            line, tabs = f"@tier\t{tier.id}\t{speaker_id}\t{tier.category}", 3
+            write(f"@tier\t{tier.id}\t{speaker_id}\t{tier.category}\n")
+            tabs += 3
         elif kind == "speaker":
             speaker = speaker_map[record[1]]
-            line, tabs = f"@speaker\t{speaker.id}\t{speaker.name}", 2
+            write(f"@speaker\t{speaker.id}\t{speaker.name}\n")
+            tabs += 2
         elif kind == "comment":
-            line = record[1]
-            tabs = line.count("\t")
+            write(record[1] + "\n")
+            tabs += record[1].count("\t")
         elif kind == "blank":
-            line, tabs = "", 0
-        else:
-            continue
-        if line.count("\t") != tabs:
-            raise TierSerializeError(len(lines) + 1, f"a field of this {kind} line holds a tab")
-        lines.append(line)
-    if _line_break_in("".join(lines)):
-        line_no = next(n for n, line in enumerate(lines, 1) if _line_break_in(line))
+            write("\n")
+    text = "".join(lines)
+    if text.count("\t") != tabs:
+        kinds = [record[0] for record in records if record[0] in _TEMPLATE_TABS]
+        for line_no, (kind, written) in enumerate(zip(kinds, lines), 1):
+            if _TEMPLATE_TABS[kind] not in (None, written.count("\t")):
+                raise TierSerializeError(line_no, f"a field of this {kind} line holds a tab")
+    # Each line ends in the one LF its template adds.
+    if text.count("\n") != len(lines) or any(c in text for c in _LINE_BREAKS if c != "\n"):
+        line_no = next(n for n, written in enumerate(lines, 1) if _line_break_in(written[:-1]))
         raise TierSerializeError(line_no, "a field holds a line break")
-    return "".join(line + "\n" for line in lines)
+    return text
 
 
 def _line_break_in(text: str) -> bool:
@@ -272,37 +329,45 @@ def to_core(td: TierDocument, category_map: Mapping[str, str] | None = None) -> 
     tier category (optionally redirected to a data-category pid) and whose
     value is the event text. Speakers become participants.
     """
+    points = td.points
     timeline = Timeline(
         TIER_TIMELINE,
-        UNIT_S if any(offset is not None for _, offset in td.points) else UNIT_SYMBOLIC,
-        tuple(TimePoint(pid, n, offset) for n, (pid, offset) in enumerate(td.points)),
+        UNIT_S if any(offset is not None for _, offset in points) else UNIT_SYMBOLIC,
+        tuple([TimePoint(pid, n, offset) for n, (pid, offset) in enumerate(points)]),
     )
     levels: dict[str, Level] = {}
     layers: list[Layer] = []
     annotations: list[Annotation] = []
+    annotate = annotations.append
+    source, timeline_id = TIER_SOURCE, TIER_TIMELINE
     for tier in td.tiers:
-        pid = category_map.get(tier.category) if category_map else None
-        feature = tier.category if pid is None else CategoryRef(pid)
-        level_id = f"level_{tier.category}"
+        tier_id, speaker, category = tier.id, tier.speaker, tier.category
+        pid = category_map.get(category) if category_map else None
+        feature = category if pid is None else CategoryRef(pid)
+        level_id = f"level_{category}"
         if level_id not in levels:
             levels[level_id] = Level(
                 level_id,
                 sources=frozenset({TIER_SOURCE}),
                 ranging_mechanism=MECH_EVENT,
-                category_selection=frozenset({tier.category if pid is None else pid}),
+                category_selection=frozenset({category if pid is None else pid}),
             )
-        layers.append(
-            Layer(tier.id, tier.category, level_id, speaker=tier.speaker, category=tier.category)
-        )
+        layers.append(Layer(tier_id, category, level_id, speaker=speaker, category=category))
+        # Events with the same text share one qualifier tuple.
+        qualifiers: dict[str, tuple[Qualifier]] = {}
         for n, event in enumerate(tier.events, start=1):
-            annotations.append(
+            text = event.text
+            shared = qualifiers.get(text)
+            if shared is None:
+                shared = qualifiers[text] = (Qualifier(feature, text),)
+            annotate(
                 Annotation(
-                    id=f"{tier.id}_e{n}",
-                    source=TIER_SOURCE,
-                    range=EventInterval(event.start, event.end, TIER_TIMELINE),
-                    qualifiers=(Qualifier(feature, event.text),),
-                    layer=tier.id,
-                    who=tier.speaker,
+                    id=f"{tier_id}_e{n}",
+                    source=source,
+                    range=EventInterval(event.start, event.end, timeline_id),
+                    qualifiers=shared,
+                    layer=tier_id,
+                    who=speaker,
                 )
             )
     metadata = Metadata(

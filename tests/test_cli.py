@@ -319,6 +319,100 @@ def test_convert_category_mapping_via_config(capsys, tmp_path):
     assert "<u " in out
 
 
+def test_convert_tei_speaker_dash_to_tier_exits_two(capsys, tmp_path):
+    # The tier reader reads a '-' speaker field as "no speaker".
+    source = tmp_path / "dash.xml"
+    source.write_bytes(fixture_bytes("anchored_dialogue.xml").replace(b"SPK0", b"-"))
+    code, out, err = run(capsys, "convert", str(source), "--from", "tei", "--to", "tier")
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        "spokenkit: cannot write tier line 11: speaker id '-' would read back as no speaker\n"
+    )
+
+
+def test_convert_to_unwritable_output_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.xml"
+    code, out, err = run(
+        capsys,
+        "convert", fixture_path("score_dialogue.tier"),
+        "--from", "tier", "--to", "tei",
+        "-o", str(target),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"spokenkit: cannot write {target}: No such file or directory\n"
+
+
+NOT_UTF8 = b"# first\n\ncategory\tverbal\tx\xff\n"
+
+
+def test_non_utf8_tier_file_exits_two(capsys, tmp_path):
+    raw = fixture_bytes("score_dialogue.tier")
+    source = tmp_path / "latin1.tier"
+    source.write_bytes(raw.replace("ça".encode(), b"\xe7a"))
+    line_no = raw[: raw.index("ça".encode())].count(b"\n") + 1
+    code, out, err = run(capsys, "convert", str(source), "--from", "tier", "--to", "tei")
+    assert (code, out) == (2, "")
+    assert err == f"spokenkit: line {line_no}: byte 0xe7 is not valid UTF-8\n"
+
+
+def test_non_utf8_config_exits_two(capsys, tmp_path):
+    config = tmp_path / "config.tsv"
+    config.write_bytes(NOT_UTF8)
+    code, out, err = run(
+        capsys,
+        "convert", fixture_path("score_dialogue.tier"),
+        "--from", "tier", "--to", "tei",
+        "--config", str(config),
+    )
+    assert (code, out) == (2, "")
+    assert err == "spokenkit: config line 3: byte 0xff is not valid UTF-8\n"
+
+
+def test_non_utf8_registry_exits_two(capsys, tmp_path):
+    registry = tmp_path / "registry.tsv"
+    registry.write_bytes(NOT_UTF8)
+    code, out, err = run(
+        capsys, "validate", "--registry", str(registry), fixture_path("tagged_neuter.xml")
+    )
+    assert (code, out) == (2, "")
+    assert err == f"spokenkit: bad registry {registry}: line 3: byte 0xff is not valid UTF-8\n"
+
+
+def test_non_utf8_convention_rules_exit_two(capsys, tmp_path):
+    rules = tmp_path / "rules.tsv"
+    rules.write_bytes(NOT_UTF8)
+    code, out, err = run(
+        capsys,
+        "convert", fixture_path("anchored_dialogue.xml"),
+        "--from", "tei", "--to", "tei",
+        "--conventions", str(rules),
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"spokenkit: bad convention rules {rules}: line 3: byte 0xff is not valid UTF-8\n"
+    )
+
+
+def test_validate_unexpected_exception_fails_only_its_file(capsys, monkeypatch):
+    import spokenkit.cli as cli
+
+    real = cli.validate_all
+    calls = []
+
+    def validate_all(doc, options):
+        calls.append(doc)
+        if len(calls) == 1:
+            raise RuntimeError("boom")
+        return real(doc, options)
+
+    monkeypatch.setattr(cli, "validate_all", validate_all)
+    first, second = fixture_path("inline_anchors.xml"), fixture_path("anchored_dialogue.xml")
+    code, out, err = run(capsys, "validate", first, second)
+    assert code == 2
+    assert err == f"{first}: unexpected RuntimeError: boom\n"
+    assert out == f"== {second} ==\n0 error(s), 0 warning(s)\n"
+
+
 # ---------------------------------------------------------------- golden output
 
 GOLDEN = FIXTURES / "cli_golden.json"

@@ -336,3 +336,101 @@ def test_offset_inversion_reports_declaring_line():
     with pytest.raises(TierParseError) as exc:
         parse_tier(data)
     assert exc.value.line_no == 2
+
+
+# ---------------------------------------------------------------- error lines
+
+FOUR_POINTS = "@point\tp0\t-\n@point\tp1\t-\n@point\tp2\t-\n@point\tp3\t-\n"
+
+
+def _error(data: str) -> TierParseError:
+    with pytest.raises(TierParseError) as exc:
+        parse_tier(data)
+    return exc.value
+
+
+def test_tiers_are_checked_in_declaration_order_not_line_order():
+    # t2's unknown point (line 7) is earlier in the file than t1's overlap
+    # (line 9), but t1 is declared first, so its overlap is the error.
+    data = (
+        FOUR_POINTS
+        + "@tier\tt1\t-\tv\n@tier\tt2\t-\tv\n"
+        + "event\tt2\tp0\tp9\tx\n"
+        + "event\tt1\tp0\tp2\ta\n"
+        + "event\tt1\tp1\tp3\tb\n"
+    )
+    assert str(_error(data)) == (
+        "line 9: event overlaps previous event of tier 't1' (previous ends at 'p2')"
+    )
+
+
+def test_event_defects_in_a_tier_come_before_its_overlaps():
+    data = (
+        FOUR_POINTS
+        + "@tier\tt1\t-\tv\n"
+        + "event\tt1\tp0\tp2\ta\n"
+        + "event\tt1\tp1\tp3\tb\n"
+        + "event\tt1\tp3\tp1\tc\n"
+    )
+    assert str(_error(data)) == "line 8: event start 'p3' is not strictly before end 'p1'"
+
+
+def test_a_record_defect_comes_before_every_event_defect():
+    data = FOUR_POINTS + "@tier\tt1\t-\tv\nevent\tt1\tp9\tp1\tx\n@pointless\n"
+    assert str(_error(data)) == "line 7: unrecognised record '@pointless'"
+
+
+def test_unknown_start_is_named_before_unknown_end():
+    data = FOUR_POINTS + "@tier\tt1\t-\tv\nevent\tt1\tq1\tq2\tx\n"
+    assert str(_error(data)) == "line 6: unknown point 'q1'"
+
+
+def test_overlap_between_events_listed_out_of_time_order():
+    data = (
+        FOUR_POINTS
+        + "@tier\tt1\t-\tv\n"
+        + "event\tt1\tp2\tp3\tlate\n"
+        + "event\tt1\tp1\tp3\tmiddle\n"
+        + "event\tt1\tp0\tp1\tearly\n"
+    )
+    assert str(_error(data)) == (
+        "line 6: event overlaps previous event of tier 't1' (previous ends at 'p3')"
+    )
+
+
+def test_equal_starts_in_one_tier_name_the_later_line():
+    data = (
+        FOUR_POINTS
+        + "@tier\tt1\t-\tv\n"
+        + "event\tt1\tp0\tp2\tlong\n"
+        + "event\tt1\tp0\tp1\tshort\n"
+    )
+    assert str(_error(data)) == (
+        "line 7: event overlaps previous event of tier 't1' (previous ends at 'p2')"
+    )
+
+
+def test_points_declared_after_the_events_that_use_them():
+    events = "@tier\tt1\t-\tv\nevent\tt1\tp0\tp1\ta\nevent\tt1\tp1\tp2\tb\n"
+    late = events + "@point\tp0\t-\n@point\tp1\t0.5\n@point\tp2\t-\n"
+    td = parse_tier(late)
+    assert [e.text for e in td.tier("t1").events] == ["a", "b"]
+    assert serialize_tier(td) == late
+    unset = "@point\tp0\t-\n@point\tp1\t-\n@point\tp2\t-\n"
+    reversed_late = events.replace("p1\tp2", "p2\tp1") + unset
+    assert str(_error(reversed_late)) == "line 3: event start 'p2' is not strictly before end 'p1'"
+
+
+def test_offset_inversion_across_unset_points():
+    data = "@point\tp0\t5\n@point\tp1\t-\n@point\tp2\t-\n@point\tp3\t3\n"
+    assert str(_error(data)) == "line 4: offset of 'p3' contradicts declaration order"
+
+
+def test_equal_offsets_are_in_order():
+    td = parse_tier("@point\tp0\t5\n@point\tp1\t-\n@point\tp2\t5.0\n")
+    assert [offset for _, offset in td.points] == [Decimal(5), None, Decimal("5.0")]
+
+
+def test_event_defects_come_before_offset_inversions():
+    data = "@point\tp0\t5\n@point\tp1\t2\n@tier\tt1\t-\tv\nevent\tt1\tp1\tp0\tx\n"
+    assert str(_error(data)) == "line 4: event start 'p1' is not strictly before end 'p0'"
