@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-from itertools import islice
-from operator import attrgetter, le, lt
+from itertools import islice, repeat
+from operator import attrgetter, itemgetter, le, lt
 from typing import Mapping
 
 from spokenkit.core.model import (
@@ -250,8 +250,8 @@ def _raise_offset_inversion(
 
 
 # The tabs the line of each kind of record holds when no field holds one; a
-# comment line holds its own.
-_TEMPLATE_TABS = {"event": 4, "point": 2, "tier": 3, "speaker": 2, "blank": 0, "comment": None}
+# comment line holds its own, which are counted as it is written.
+_TEMPLATE_TABS = {"event": 4, "point": 2, "tier": 3, "speaker": 2, "blank": 0, "comment": 0}
 
 
 def serialize_tier(td: TierDocument) -> str:
@@ -260,6 +260,7 @@ def serialize_tier(td: TierDocument) -> str:
     A field that holds a tab, or a line break the reader would split on (any
     ``str.splitlines`` separator), raises ``TierSerializeError``, and so does
     a tier whose speaker id is ``-``, which the reader takes for no speaker.
+    The checks run in that order, each naming the first line it fails on.
     """
     speaker_map = {s.id: s for s in td.speakers}
     point_map = dict(td.points)
@@ -267,7 +268,7 @@ def serialize_tier(td: TierDocument) -> str:
     events_of = {t.id: t.events for t in td.tiers}
     lines: list[str] = []
     write = lines.append
-    tabs = 0  # the tabs the written templates hold
+    comment_tabs = 0
     # A constructed document has no records; it is written in canonical
     # order: speakers, points, tiers, then each tier's events.
     records = td.records or (
@@ -281,39 +282,40 @@ def serialize_tier(td: TierDocument) -> str:
         if kind == "event":
             event = events_of[record[1]][record[2]]
             write(f"event\t{record[1]}\t{event.start}\t{event.end}\t{event.text}\n")
-            tabs += 4
         elif kind == "point":
             offset = point_map[record[1]]
             write(f"@point\t{record[1]}\t{offset if offset is not None else '-'}\n")
-            tabs += 2
         elif kind == "tier":
             tier = tier_map[record[1]]
-            if tier.speaker == "-":
-                raise TierSerializeError(
-                    len(lines) + 1, "speaker id '-' would read back as no speaker"
-                )
             speaker_id = tier.speaker if tier.speaker is not None else "-"
             write(f"@tier\t{tier.id}\t{speaker_id}\t{tier.category}\n")
-            tabs += 3
         elif kind == "speaker":
             speaker = speaker_map[record[1]]
             write(f"@speaker\t{speaker.id}\t{speaker.name}\n")
-            tabs += 2
         elif kind == "comment":
             write(record[1] + "\n")
-            tabs += record[1].count("\t")
+            comment_tabs += record[1].count("\t")
         elif kind == "blank":
             write("\n")
     text = "".join(lines)
-    if text.count("\t") != tabs:
-        kinds = [record[0] for record in records if record[0] in _TEMPLATE_TABS]
-        for line_no, (kind, written) in enumerate(zip(kinds, lines), 1):
-            if _TEMPLATE_TABS[kind] not in (None, written.count("\t")):
+    kinds = list(map(itemgetter(0), records))
+    if text.count("\t") != comment_tabs + sum(map(_TEMPLATE_TABS.get, kinds, repeat(0))):
+        written = [kind for kind in kinds if kind in _TEMPLATE_TABS]
+        for line_no, (kind, line) in enumerate(zip(written, lines), 1):
+            if kind != "comment" and line.count("\t") != _TEMPLATE_TABS[kind]:
                 raise TierSerializeError(line_no, f"a field of this {kind} line holds a tab")
     # Each line ends in the one LF its template adds.
     if text.count("\n") != len(lines) or any(c in text for c in _LINE_BREAKS if c != "\n"):
-        line_no = next(n for n, written in enumerate(lines, 1) if _line_break_in(written[:-1]))
+        line_no = next(n for n, line in enumerate(lines, 1) if _line_break_in(line[:-1]))
         raise TierSerializeError(line_no, "a field holds a line break")
+    if any(tier.speaker == "-" for tier in td.tiers):
+        written = [record for record in records if record[0] in _TEMPLATE_TABS]
+        line_no = next(
+            n
+            for n, record in enumerate(written, 1)
+            if record[0] == "tier" and tier_map[record[1]].speaker == "-"
+        )
+        raise TierSerializeError(line_no, "speaker id '-' would read back as no speaker")
     return text
 
 
@@ -329,45 +331,42 @@ def to_core(td: TierDocument, category_map: Mapping[str, str] | None = None) -> 
     tier category (optionally redirected to a data-category pid) and whose
     value is the event text. Speakers become participants.
     """
-    points = td.points
     timeline = Timeline(
         TIER_TIMELINE,
-        UNIT_S if any(offset is not None for _, offset in points) else UNIT_SYMBOLIC,
-        tuple([TimePoint(pid, n, offset) for n, (pid, offset) in enumerate(points)]),
+        UNIT_S if any(offset is not None for _, offset in td.points) else UNIT_SYMBOLIC,
+        tuple(TimePoint(pid, n, offset) for n, (pid, offset) in enumerate(td.points)),
     )
     levels: dict[str, Level] = {}
     layers: list[Layer] = []
     annotations: list[Annotation] = []
-    annotate = annotations.append
-    source, timeline_id = TIER_SOURCE, TIER_TIMELINE
     for tier in td.tiers:
-        tier_id, speaker, category = tier.id, tier.speaker, tier.category
-        pid = category_map.get(category) if category_map else None
-        feature = category if pid is None else CategoryRef(pid)
-        level_id = f"level_{category}"
+        pid = category_map.get(tier.category) if category_map else None
+        feature = tier.category if pid is None else CategoryRef(pid)
+        level_id = f"level_{tier.category}"
         if level_id not in levels:
             levels[level_id] = Level(
                 level_id,
                 sources=frozenset({TIER_SOURCE}),
                 ranging_mechanism=MECH_EVENT,
-                category_selection=frozenset({category if pid is None else pid}),
+                category_selection=frozenset({tier.category if pid is None else pid}),
             )
-        layers.append(Layer(tier_id, category, level_id, speaker=speaker, category=category))
+        layers.append(
+            Layer(tier.id, tier.category, level_id, speaker=tier.speaker, category=tier.category)
+        )
         # Events with the same text share one qualifier tuple.
         qualifiers: dict[str, tuple[Qualifier]] = {}
         for n, event in enumerate(tier.events, start=1):
-            text = event.text
-            shared = qualifiers.get(text)
+            shared = qualifiers.get(event.text)
             if shared is None:
-                shared = qualifiers[text] = (Qualifier(feature, text),)
-            annotate(
+                shared = qualifiers[event.text] = (Qualifier(feature, event.text),)
+            annotations.append(
                 Annotation(
-                    id=f"{tier_id}_e{n}",
-                    source=source,
-                    range=EventInterval(event.start, event.end, timeline_id),
+                    id=f"{tier.id}_e{n}",
+                    source=TIER_SOURCE,
+                    range=EventInterval(event.start, event.end, TIER_TIMELINE),
                     qualifiers=shared,
-                    layer=tier_id,
-                    who=speaker,
+                    layer=tier.id,
+                    who=tier.speaker,
                 )
             )
     metadata = Metadata(

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from decimal import Decimal
 
 import pytest
 
+from spokenkit.cli import main
 from spokenkit.core import (
     CategoryRef,
     EventInterval,
@@ -124,6 +126,37 @@ def test_serialize_refuses_a_field_holding_a_separator(field, separator):
         serialize_tier(_one_event_document(**{field: value}))
     line_no = {"name": 1, "point": 3, "category": 4, "text": 5}[field]
     assert str(exc.value).startswith(f"cannot write tier line {line_no}: a field ")
+
+
+def _speaker_dash_document(name="Speaker", category="verbal"):
+    return TierDocument(
+        speakers=(TierSpeaker("s1", name),),
+        points=(("p0", None), ("p1", None)),
+        tiers=(
+            Tier("t1", "s1", category, (TierEvent("p0", "p1", "hi"),)),
+            Tier("t2", "-", "verbal"),
+        ),
+    )
+
+
+def test_serialize_refuses_speaker_dash_at_its_tier_line():
+    with pytest.raises(TierSerializeError) as exc:
+        serialize_tier(_speaker_dash_document())
+    assert str(exc.value) == "cannot write tier line 5: speaker id '-' would read back as no speaker"
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"name": "a\tb"}, "cannot write tier line 1: a field of this speaker line holds a tab"),
+        ({"name": "a\nb"}, "cannot write tier line 1: a field holds a line break"),
+        ({"category": "a\tb"}, "cannot write tier line 4: a field of this tier line holds a tab"),
+    ],
+)
+def test_separator_in_a_field_is_named_before_a_speaker_dash(field, message):
+    with pytest.raises(TierSerializeError) as exc:
+        serialize_tier(_speaker_dash_document(**field))
+    assert str(exc.value) == message
 
 
 def test_serialize_writes_characters_that_split_no_line():
@@ -434,3 +467,55 @@ def test_equal_offsets_are_in_order():
 def test_event_defects_come_before_offset_inversions():
     data = "@point\tp0\t5\n@point\tp1\t2\n@tier\tt1\t-\tv\nevent\tt1\tp1\tp0\tx\n"
     assert str(_error(data)) == "line 4: event start 'p1' is not strictly before end 'p0'"
+
+
+# ---------------------------------------------------------------- pinned output
+
+WORDS = ["ja", "oui", "mhm", "(laughs)", "ça", "so"]
+
+
+def score_text(n_events: int, seed: int) -> str:
+    """A tier document of ``n_events`` events: 3 speakers x 2 categories, with
+    offsets, comments and events listed in time order across tiers."""
+    rng = random.Random(seed)
+    speakers = ["A", "B", "C"]
+    categories = ["verbal", "gesture"]
+    cursors = {(s, c): rng.randint(0, 500) for s in speakers for c in categories}
+    stamps, events = [], []
+    for n in range(n_events):
+        key = (rng.choice(speakers), rng.choice(categories))
+        start = cursors[key] + rng.randint(0, 900)
+        end = start + rng.randint(1, 1500)
+        cursors[key] = end
+        stamps += [(start, 2 * n), (end, 2 * n + 1)]
+        text = " ".join(rng.choice(WORDS) for _ in range(3))
+        if key[1] != "verbal":
+            text = rng.choice(["nod", "wave"])
+        events.append((key, 2 * n, 2 * n + 1, text))
+    stamps.sort()
+    name = {slot: f"p{n}" for n, (_, slot) in enumerate(stamps)}
+    lines = ["# generated score", ""]
+    lines += [f"@speaker\t{s}\tSpeaker {s}" for s in speakers]
+    lines += [f"@point\tp{n}\t{ms // 1000}.{ms % 1000:03d}" for n, (ms, _) in enumerate(stamps)]
+    lines += [f"@tier\t{s}_{c}\t{s}\t{c}" for s in speakers for c in categories]
+    events.sort(key=lambda e: int(name[e[1]][1:]))
+    lines += [f"event\t{s}_{c}\t{name[a]}\t{name[b]}\t{text}" for (s, c), a, b, text in events]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_convert_from_tier_output_is_pinned(capsys, tmp_path):
+    source = tmp_path / "score.tier"
+    source.write_text(score_text(2000, seed=901), encoding="utf-8")
+    config = tmp_path / "categories.cfg"
+    config.write_text("category\tverbal\thttp://dcr.example.org/utterance\n", encoding="utf-8")
+    digests = {}
+    for target in ("tier", "tei"):
+        argv = ["convert", str(source), "--from", "tier", "--to", target, "--config", str(config)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        digests[target] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digests == {
+        "tier": "d28e8d641656492f8315db7bb1f25629a3e18e0046fb6bbea72b52df4b3fe040",
+        "tei": "798345d2589aa3ea78eb5a20ab6a08a1ee009cb9d3d2bd6100fb52d303c39509",
+    }

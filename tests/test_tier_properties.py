@@ -3,14 +3,10 @@ one planted defect is refused at the line of that defect."""
 
 from __future__ import annotations
 
-import hashlib
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spokenkit.cli import main
 from spokenkit.tier import TierParseError, parse_tier, serialize_tier
 
 # The separators ``str.splitlines`` splits on, and the field separator.
@@ -150,55 +146,3 @@ def test_a_planted_defect_is_reported_at_its_line(case):
     with pytest.raises(TierParseError) as exc:
         parse_tier(text)
     assert exc.value.line_no == line_no, str(exc.value)
-
-
-# ---------------------------------------------------------------- pinned output
-
-WORDS = ["ja", "oui", "mhm", "(laughs)", "ça", "so"]
-
-
-def score_text(n_events: int, seed: int) -> str:
-    """A tier document of ``n_events`` events: 3 speakers x 2 categories, with
-    offsets, comments and events listed in time order across tiers."""
-    rng = random.Random(seed)
-    speakers = ["A", "B", "C"]
-    categories = ["verbal", "gesture"]
-    cursors = {(s, c): rng.randint(0, 500) for s in speakers for c in categories}
-    stamps, events = [], []
-    for n in range(n_events):
-        key = (rng.choice(speakers), rng.choice(categories))
-        start = cursors[key] + rng.randint(0, 900)
-        end = start + rng.randint(1, 1500)
-        cursors[key] = end
-        stamps += [(start, 2 * n), (end, 2 * n + 1)]
-        text = " ".join(rng.choice(WORDS) for _ in range(3))
-        if key[1] != "verbal":
-            text = rng.choice(["nod", "wave"])
-        events.append((key, 2 * n, 2 * n + 1, text))
-    stamps.sort()
-    name = {slot: f"p{n}" for n, (_, slot) in enumerate(stamps)}
-    lines = ["# generated score", ""]
-    lines += [f"@speaker\t{s}\tSpeaker {s}" for s in speakers]
-    lines += [f"@point\tp{n}\t{ms // 1000}.{ms % 1000:03d}" for n, (ms, _) in enumerate(stamps)]
-    lines += [f"@tier\t{s}_{c}\t{s}\t{c}" for s in speakers for c in categories]
-    events.sort(key=lambda e: int(name[e[1]][1:]))
-    lines += [f"event\t{s}_{c}\t{name[a]}\t{name[b]}\t{text}" for (s, c), a, b, text in events]
-    return "".join(line + "\n" for line in lines)
-
-
-def test_convert_from_tier_output_is_pinned(capsys, tmp_path):
-    source = tmp_path / "score.tier"
-    source.write_text(score_text(2000, seed=901), encoding="utf-8")
-    config = tmp_path / "categories.cfg"
-    config.write_text("category\tverbal\thttp://dcr.example.org/utterance\n", encoding="utf-8")
-    digests = {}
-    for target in ("tier", "tei"):
-        argv = ["convert", str(source), "--from", "tier", "--to", target, "--config", str(config)]
-        code = main(argv)
-        out, err = capsys.readouterr()
-        assert (code, err) == (0, "")
-        digests[target] = hashlib.sha256(out.encode("utf-8")).hexdigest()
-    assert digests == {
-        "tier": "d28e8d641656492f8315db7bb1f25629a3e18e0046fb6bbea72b52df4b3fe040",
-        "tei": "798345d2589aa3ea78eb5a20ab6a08a1ee009cb9d3d2bd6100fb52d303c39509",
-    }
