@@ -17,7 +17,13 @@ from spokenkit import tier as tier_format
 from spokenkit.core.model import Finding, decode_utf8
 from spokenkit.core.temporal import overlaps_report, sequence_implicit
 from spokenkit.datacat import RegistryFormatError, load_registry
-from spokenkit.featstruct import TagsetError, TagsetLibrary, UnknownTagError, atom_value
+from spokenkit.featstruct import (
+    FeatureStructure,
+    TagsetError,
+    TagsetLibrary,
+    UnknownTagError,
+    flatten,
+)
 from spokenkit.tei import (
     ConventionRuleError,
     TeiParseError,
@@ -206,9 +212,11 @@ def cmd_tag(args) -> int:
     definition = library.tag_lib.get(ref)
     if definition is None:
         raise CliError(f"unknown tag {args.tag!r}")
+    # Top-level features in declaration order; a nested value as name/sub=value lines.
     for feature_ref in definition.feats:
         feature = library.feature_lib[feature_ref]
-        _out(sys.stdout, f"{feature.name}={atom_value(feature.value)}\n")
+        for path, value in flatten(FeatureStructure({feature.name: feature.value})):
+            _out(sys.stdout, f"{path}={value}\n")
     return EXIT_OK
 
 

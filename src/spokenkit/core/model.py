@@ -10,7 +10,7 @@ serialisation live in the format modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from decimal import Decimal
 from typing import TYPE_CHECKING, Callable, Iterable, Union
 
@@ -97,20 +97,19 @@ class SourceRef:
 class TimePoint:
     """A reference point on a timeline.
 
-    Order is ordinal (the ``index`` within the timeline); a numeric ``offset``
-    in the timeline unit is advisory and checked for consistency by the
-    validator, never used for ordering.
+    Order is ordinal: the point's position in its timeline, read with
+    ``Timeline.index_of``. A numeric ``offset`` in the timeline unit is
+    advisory and checked for consistency by the validator, never used for
+    ordering.
     """
 
     id: str
-    index: int
+    _: KW_ONLY
     offset: Number | None = None
     synthetic: bool = False
     anchor_declared: bool = False
 
     def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"point {self.id!r}: index must be >= 0")
         if self.offset is not None and self.offset < 0:
             raise ValueError(f"point {self.id!r}: offset must be non-negative")
 
@@ -124,37 +123,34 @@ class Timeline:
     points: tuple[TimePoint, ...] = ()
     implicit: bool = False
     id_declared: bool = field(default=False, compare=False)
-    # Point id -> point, built from ``points`` by ``__post_init__`` (also after ``replace``).
-    _by_id: dict[str, TimePoint] = field(init=False, repr=False, compare=False)
+    # Point id -> position in ``points``, built by ``__post_init__`` (also after ``replace``).
+    _by_id: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.unit not in TIMELINE_UNITS:
             raise ValueError(f"timeline {self.id!r}: unit must be one of {TIMELINE_UNITS}")
-        by_id: dict[str, TimePoint] = {}
+        by_id: dict[str, int] = {}
         for n, point in enumerate(self.points):
-            if point.index != n:
-                raise ValueError(f"timeline {self.id!r}: point indices must be consecutive from 0")
             if point.id in by_id:
                 raise ValueError(f"timeline {self.id!r}: duplicate point id {point.id!r}")
-            by_id[point.id] = point
+            by_id[point.id] = n
         object.__setattr__(self, "_by_id", by_id)
 
     def __contains__(self, point_id: str) -> bool:
         return point_id in self._by_id
 
     def point(self, point_id: str) -> TimePoint:
+        return self.points[self.index_of(point_id)]
+
+    def index_of(self, point_id: str) -> int:
         try:
             return self._by_id[point_id]
         except KeyError:
             raise UnknownIdError("timeline point", point_id) from None
 
-    def index_of(self, point_id: str) -> int:
-        return self.point(point_id).index
-
     @classmethod
     def of(cls, timeline_id: str, point_ids: Iterable[str], unit: str = UNIT_SYMBOLIC) -> "Timeline":
-        points = tuple(TimePoint(pid, n) for n, pid in enumerate(point_ids))
-        return cls(timeline_id, unit, points)
+        return cls(timeline_id, unit, tuple(TimePoint(pid) for pid in point_ids))
 
 
 @dataclass(frozen=True)
@@ -258,23 +254,26 @@ class Annotation:
 
 @dataclass(frozen=True, kw_only=True)
 class Token(Annotation):
-    """Surface segmentation unit of a transcription."""
-
-    surface: str = ""
+    """Surface segmentation unit of a transcription; its surface is the value
+    of its ``token`` qualifier."""
 
 
 @dataclass(frozen=True, kw_only=True)
 class WordForm(Annotation):
     """Lexical abstraction over one or more tokens (n-to-n with tokens)."""
 
-    tokens: tuple[str, ...] = ()
     lex_ref: str | None = None
     orth: str | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not self.tokens:
-            raise ValueError(f"word form {self.id!r} requires at least one token")
+        if not isinstance(self.range, ComponentRefs):
+            raise ValueError(f"word form {self.id!r} requires a component range over its tokens")
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        """The ids of the tokens covered: the targets of the component range."""
+        return self.range.targets
 
 
 @dataclass(frozen=True)

@@ -232,7 +232,7 @@ def sequence_implicit(doc: Document) -> Document:
 
     def fresh_point() -> TimePoint:
         nonlocal counter
-        point = TimePoint(f"{SYNTHETIC_PREFIX}{counter}", len(points), synthetic=True)
+        point = TimePoint(f"{SYNTHETIC_PREFIX}{counter}", synthetic=True)
         counter += 1
         points.append(point)
         return point

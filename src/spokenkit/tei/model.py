@@ -283,7 +283,5 @@ class Metadata:
     setting: str | None = None
     language_usage: OpaqueElement | None = None
     revisions: tuple[Change, ...] = ()
-    file_extras: tuple[OpaqueElement, ...] = ()
-    encoding_extras: tuple[OpaqueElement, ...] = ()
-    profile_extras: tuple[OpaqueElement, ...] = ()
-    header_extras: tuple[OpaqueElement, ...] = ()
+    # Unknown header elements as (slot, element) pairs; the slot names their parent element.
+    extras: tuple[tuple[str, OpaqueElement], ...] = ()

@@ -259,7 +259,7 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
 
     title = publication = source = ""
     recordings: list[Recording] = []
-    file_extras: list[tuple[str, OpaqueElement]] = []
+    extras: list[tuple[str, OpaqueElement]] = []
 
     for child in file_desc:
         local = _local(child.tag)
@@ -268,13 +268,13 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
                 if _local(sub.tag) == "title":
                     title = _text_of(sub) or ""
                 else:
-                    file_extras.append(("titleStmt", _opaque(sub)))
+                    extras.append(("titleStmt", _opaque(sub)))
         elif local == "publicationStmt":
             for sub in child:
                 if _local(sub.tag) == "p" and not publication:
                     publication = _text_of(sub) or ""
                 else:
-                    file_extras.append(("publicationStmt", _opaque(sub)))
+                    extras.append(("publicationStmt", _opaque(sub)))
         elif local == "sourceDesc":
             for sub in child:
                 sublocal = _local(sub.tag)
@@ -285,9 +285,9 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
                         _parse_recording(rec) for rec in _children(sub, "recording")
                     )
                 else:
-                    file_extras.append(("sourceDesc", _opaque(sub)))
+                    extras.append(("sourceDesc", _opaque(sub)))
         else:
-            file_extras.append(("fileDesc", _opaque(child)))
+            extras.append(("fileDesc", _opaque(child)))
 
     if not title:
         ctx.warn("NO_TITLE", "fileDesc", "fileDesc has no title")
@@ -297,7 +297,6 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
         ctx.warn("NO_SOURCE_DESC", "fileDesc", "fileDesc has no source description text")
 
     applications: list[AppInfo] = []
-    encoding_extras: list[tuple[str, OpaqueElement]] = []
     encoding = _child(header_el, "encodingDesc")
     if encoding is not None:
         for child in encoding:
@@ -306,14 +305,13 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
                     if _local(app.tag) == "application":
                         applications.append(_parse_application(app))
                     else:
-                        encoding_extras.append(("encodingDesc", _opaque(app)))
+                        extras.append(("appInfo", _opaque(app)))
             else:
-                encoding_extras.append(("encodingDesc", _opaque(child)))
+                extras.append(("encodingDesc", _opaque(child)))
 
     participants: list[Person] = []
     setting: str | None = None
     language_usage: OpaqueElement | None = None
-    profile_extras: list[tuple[str, OpaqueElement]] = []
     profile = _child(header_el, "profileDesc")
     if profile is not None:
         for child in profile:
@@ -323,16 +321,15 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
                     if _local(sub.tag) == "person":
                         participants.append(_parse_person(sub, ctx))
                     else:
-                        profile_extras.append(("particDesc", _opaque(sub)))
+                        extras.append(("particDesc", _opaque(sub)))
             elif local == "settingDesc":
                 setting = _text_of(child)
             elif local == "langUsage":
                 language_usage = _opaque(child)
             else:
-                profile_extras.append(("profileDesc", _opaque(child)))
+                extras.append(("profileDesc", _opaque(child)))
 
     revisions: list[Change] = []
-    header_extras: list[tuple[str, OpaqueElement]] = []
     for child in header_el:
         local = _local(child.tag)
         if local in ("fileDesc", "encodingDesc", "profileDesc"):
@@ -344,9 +341,9 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
                         Change(change.get("when"), _norm_ref(change.get("who")), _text_of(change))
                     )
                 else:
-                    header_extras.append(("revisionDesc", _opaque(change)))
+                    extras.append(("revisionDesc", _opaque(change)))
         else:
-            header_extras.append(("teiHeader", _opaque(child)))
+            extras.append(("teiHeader", _opaque(child)))
 
     return Metadata(
         title=title,
@@ -358,10 +355,7 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
         setting=setting,
         language_usage=language_usage,
         revisions=tuple(revisions),
-        file_extras=tuple(file_extras),
-        encoding_extras=tuple(encoding_extras),
-        profile_extras=tuple(profile_extras),
-        header_extras=tuple(header_extras),
+        extras=tuple(extras),
     )
 
 
@@ -477,7 +471,7 @@ def _parse_timeline(tl_el: ET.Element, ctx: _ParseContext) -> Timeline:
                 offset = None
                 message = f"point {pid!r} has a negative offset {raw_offset!r}"
                 ctx.warn("BAD_OFFSET", pid, message)
-        points.append(TimePoint(pid, len(points), offset))
+        points.append(TimePoint(pid, offset=offset))
     tl_id = tl_el.get(XML_ID)
     declared = tl_id is not None
     if tl_id is None:
@@ -499,14 +493,10 @@ def _absorb_anchor_points(timelines: list[Timeline], ctx: _ParseContext) -> list
             extra.append(pid)
     if not extra:
         return timelines
+    points = tuple(TimePoint(pid, anchor_declared=True) for pid in extra)
     if timelines:
         base = timelines[0]
-        offset = len(base.points)
-        new_points = base.points + tuple(
-            TimePoint(pid, offset + n, anchor_declared=True) for n, pid in enumerate(extra)
-        )
-        return [replace(base, points=new_points)] + timelines[1:]
-    points = tuple(TimePoint(pid, n, anchor_declared=True) for n, pid in enumerate(extra))
+        return [replace(base, points=base.points + points)] + timelines[1:]
     return [Timeline(IMPLICIT_TIMELINE, UNIT_SYMBOLIC, points, implicit=True)]
 
 
@@ -833,7 +823,6 @@ def _attach_annotations(doc: Document, utterance_views: list[tuple[str, list[W]]
                         range=ComponentRefs((w.id,)),
                         qualifiers=(Qualifier("token", w.text),),
                         layer=TOKENS_LAYER,
-                        surface=w.text,
                     )
                 )
         elif isinstance(item, TimedEvent):

@@ -96,7 +96,6 @@ def extract_spans(doc: Document) -> tuple[list[WordForm], list[Finding]]:
                     range=ComponentRefs(tuple(t.id for t in run)),
                     qualifiers=tuple(qualifiers),
                     layer=WORDFORM_LAYER,
-                    tokens=tuple(t.id for t in run),
                     lex_ref=lex_ref,
                     orth=orth,
                 )

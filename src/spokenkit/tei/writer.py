@@ -98,12 +98,10 @@ def _esc_attr(value: str) -> str:
 
 
 def _attrs(pairs: dict[str, str | None]) -> str:
-    parts = []
-    for name in sorted(pairs):
-        value = pairs[name]
-        if value is not None:
-            parts.append(f' {name}="{_esc_attr(value)}"')
-    return "".join(parts)
+    """Rendered attributes in dict order; every caller lists names alphabetically."""
+    return "".join(
+        f' {name}="{_esc_attr(value)}"' for name, value in pairs.items() if value is not None
+    )
 
 
 def _ref(value: str | None) -> str | None:
@@ -176,15 +174,16 @@ def serialize_document(doc: Document, materialize_timeline: bool = False) -> byt
 # ---------------------------------------------------------------- header
 
 def _write_header(w: _Writer, depth: int, md: Metadata) -> None:
+    slots = {slot for slot, _ in md.extras}
     w.line(depth, "<teiHeader>")
     w.line(depth + 1, "<fileDesc>")
     w.line(depth + 2, "<titleStmt>")
     w.line(depth + 3, _leaf("title", {}, md.title))
-    _write_extras(w, depth + 3, md.file_extras, "titleStmt")
+    _write_extras(w, depth + 3, md, "titleStmt")
     w.line(depth + 2, "</titleStmt>")
     w.line(depth + 2, "<publicationStmt>")
     w.line(depth + 3, _leaf("p", {}, md.publication))
-    _write_extras(w, depth + 3, md.file_extras, "publicationStmt")
+    _write_extras(w, depth + 3, md, "publicationStmt")
     w.line(depth + 2, "</publicationStmt>")
     w.line(depth + 2, "<sourceDesc>")
     w.line(depth + 3, _leaf("p", {}, md.source))
@@ -193,29 +192,30 @@ def _write_header(w: _Writer, depth: int, md: Metadata) -> None:
         for rec in md.recordings:
             _write_recording(w, depth + 4, rec)
         w.line(depth + 3, "</recordingStmt>")
-    _write_extras(w, depth + 3, md.file_extras, "sourceDesc")
+    _write_extras(w, depth + 3, md, "sourceDesc")
     w.line(depth + 2, "</sourceDesc>")
-    _write_extras(w, depth + 2, md.file_extras, "fileDesc")
+    _write_extras(w, depth + 2, md, "fileDesc")
     w.line(depth + 1, "</fileDesc>")
 
-    if md.applications or md.encoding_extras:
+    if md.applications or slots & {"appInfo", "encodingDesc"}:
         w.line(depth + 1, "<encodingDesc>")
-        if md.applications:
+        if md.applications or "appInfo" in slots:
             w.line(depth + 2, "<appInfo>")
             for app in md.applications:
                 _write_application(w, depth + 3, app)
+            _write_extras(w, depth + 3, md, "appInfo")
             w.line(depth + 2, "</appInfo>")
-        _write_extras(w, depth + 2, md.encoding_extras, "encodingDesc")
+        _write_extras(w, depth + 2, md, "encodingDesc")
         w.line(depth + 1, "</encodingDesc>")
 
-    partic_extras = [e for slot, e in md.profile_extras if slot == "particDesc"]
-    if md.participants or md.setting is not None or md.language_usage or md.profile_extras:
+    partic = md.participants or "particDesc" in slots
+    if partic or md.setting is not None or md.language_usage or "profileDesc" in slots:
         w.line(depth + 1, "<profileDesc>")
-        if md.participants or partic_extras:
+        if partic:
             w.line(depth + 2, "<particDesc>")
             for person in md.participants:
                 _write_person(w, depth + 3, person)
-            _write_extras(w, depth + 3, md.profile_extras, "particDesc")
+            _write_extras(w, depth + 3, md, "particDesc")
             w.line(depth + 2, "</particDesc>")
         if md.setting is not None:
             w.line(depth + 2, "<settingDesc>")
@@ -223,26 +223,24 @@ def _write_header(w: _Writer, depth: int, md: Metadata) -> None:
             w.line(depth + 2, "</settingDesc>")
         if md.language_usage is not None:
             w.line(depth + 2, _render_opaque(md.language_usage))
-        _write_extras(w, depth + 2, md.profile_extras, "profileDesc")
+        _write_extras(w, depth + 2, md, "profileDesc")
         w.line(depth + 1, "</profileDesc>")
 
-    revision_extras = [e for slot, e in md.header_extras if slot == "revisionDesc"]
-    if md.revisions or revision_extras:
+    if md.revisions or "revisionDesc" in slots:
         w.line(depth + 1, "<revisionDesc>")
         for change in md.revisions:
             w.line(
                 depth + 2,
                 _leaf("change", {"when": change.when, "who": _ref(change.who)}, change.text or ""),
             )
-        for extra in revision_extras:
-            w.line(depth + 2, _render_opaque(extra))
+        _write_extras(w, depth + 2, md, "revisionDesc")
         w.line(depth + 1, "</revisionDesc>")
-    _write_extras(w, depth + 1, md.header_extras, "teiHeader")
+    _write_extras(w, depth + 1, md, "teiHeader")
     w.line(depth, "</teiHeader>")
 
 
-def _write_extras(w: _Writer, depth: int, extras, slot: str) -> None:
-    for where, element in extras:
+def _write_extras(w: _Writer, depth: int, md: Metadata, slot: str) -> None:
+    for where, element in md.extras:
         if where == slot:
             w.line(depth, _render_opaque(element))
 

@@ -334,7 +334,7 @@ def to_core(td: TierDocument, category_map: Mapping[str, str] | None = None) -> 
     timeline = Timeline(
         TIER_TIMELINE,
         UNIT_S if any(offset is not None for _, offset in td.points) else UNIT_SYMBOLIC,
-        tuple(TimePoint(pid, n, offset) for n, (pid, offset) in enumerate(td.points)),
+        tuple(TimePoint(pid, offset=offset) for pid, offset in td.points),
     )
     levels: dict[str, Level] = {}
     layers: list[Layer] = []

@@ -259,15 +259,13 @@ def check_refs(doc: Document, lib: TagsetLibrary | None = None) -> list[Finding]
                 for ref in (ann.range.start, ann.range.end):
                     if ref not in tl:
                         dangle("point", ref, ann.id)
-        elif isinstance(ann.range, ComponentRefs) and not isinstance(ann, WordForm):
-            # word-form component targets are their token references, below
+        elif isinstance(ann.range, ComponentRefs):
+            # A word form's targets are its tokens; other targets may be any identifier.
+            word_form = isinstance(ann, WordForm)
+            attr, ids = ("tokens", annotation_tokens) if word_form else ("target", known)
             for target in ann.range.targets:
-                if target not in known:
-                    dangle("target", target, ann.id)
-        if isinstance(ann, WordForm):
-            for token_ref in ann.tokens:
-                if token_ref not in annotation_tokens:
-                    dangle("tokens", token_ref, ann.id)
+                if target not in ids:
+                    dangle(attr, target, ann.id)
     for layer in doc.layers:
         if not any(level.id == layer.level for level in doc.levels):
             dangle("level", layer.level, layer.id)
@@ -279,8 +277,8 @@ def check_temporal(doc: Document) -> list[Finding]:
     issues: list[Finding] = []
     point_index: dict[str, int] = {}
     for tl in doc.timelines:
-        for p in tl.points:
-            point_index.setdefault(p.id, p.index)
+        for n, p in enumerate(tl.points):
+            point_index.setdefault(p.id, n)
 
     for item in doc.body:
         if not isinstance(item, Utterance):

@@ -286,6 +286,24 @@ def test_tag_expand_prints_feature_value_pairs(capsys):
     ]
 
 
+def test_tag_expand_prints_a_nested_value_as_paths(capsys, tmp_path):
+    lib = fixture_bytes("tags.xml").replace(
+        b'<symbol value="singular"/>',
+        b'<fs><f name="count"><symbol value="one"/></f>'
+        b'<f name="agreement"><binary value="true"/></f></fs>',
+    )
+    path = tmp_path / "nested.xml"
+    path.write_bytes(lib)
+    code, out, err = run(capsys, "tag", "expand", "--lib", str(path), "Ncms__")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "partOfSpeech=commonNoun",
+        "grammaticalGender=masculine",
+        "grammaticalNumber/agreement=True",
+        "grammaticalNumber/count=one",
+    ]
+
+
 def test_tag_list(capsys):
     code, out, _ = run(capsys, "tag", "list", "--lib", fixture_path("tags.xml"))
     assert code == 0

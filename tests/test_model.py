@@ -49,9 +49,7 @@ def test_component_refs_non_empty_and_distinct():
 
 def test_timeline_indices_must_be_consecutive():
     with pytest.raises(ValueError):
-        Timeline("tl", "ms", (TimePoint("a", 0), TimePoint("b", 2)))
-    with pytest.raises(ValueError):
-        Timeline("tl", "ms", (TimePoint("a", 0), TimePoint("a", 1)))
+        Timeline("tl", "ms", (TimePoint("a"), TimePoint("a")))
 
 
 def test_timeline_point_lookup():
@@ -74,9 +72,10 @@ def test_timeline_unknown_point_id():
 
 def test_timeline_lookup_follows_replaced_points():
     tl = Timeline.of("tl", ["a", "b", "c"])
-    changed = replace(tl, points=(TimePoint("c", 0), TimePoint("d", 1)))
+    changed = replace(tl, points=(TimePoint("c"), TimePoint("d")))
     assert changed.index_of("c") == 0
-    assert changed.point("d").index == 1
+    assert changed.index_of("d") == 1
+    assert changed.point("d") == TimePoint("d")
     assert "a" not in changed
     with pytest.raises(UnknownIdError):
         changed.point("b")
@@ -84,16 +83,16 @@ def test_timeline_lookup_follows_replaced_points():
 
 
 def test_timeline_index_does_not_affect_equality_hash_or_repr():
-    points = (TimePoint("a", 0, offset=10), TimePoint("b", 1))
+    points = (TimePoint("a", offset=10), TimePoint("b"))
     one = Timeline("tl", "ms", points)
-    other = Timeline("tl", "ms", tuple(TimePoint(p.id, p.index, p.offset) for p in points))
+    other = Timeline("tl", "ms", tuple(TimePoint(p.id, offset=p.offset) for p in points))
     assert one == other
     assert hash(one) == hash(other)
     assert repr(one) == repr(other)
     assert "by_id" not in repr(one)
     assert repr(one) == (
-        "Timeline(id='tl', unit='ms', points=(TimePoint(id='a', index=0, offset=10, "
-        "synthetic=False, anchor_declared=False), TimePoint(id='b', index=1, offset=None, "
+        "Timeline(id='tl', unit='ms', points=(TimePoint(id='a', offset=10, "
+        "synthetic=False, anchor_declared=False), TimePoint(id='b', offset=None, "
         "synthetic=False, anchor_declared=False)), implicit=False, id_declared=False)"
     )
 
@@ -105,7 +104,14 @@ def test_timeline_rejects_duplicate_point_id():
 
 def test_negative_offset_rejected():
     with pytest.raises(ValueError):
-        TimePoint("p", 0, offset=-1)
+        TimePoint("p", offset=-1)
+
+
+def test_time_point_takes_no_positional_index():
+    # A point's order is its position in the timeline; a stale positional
+    # index must not quietly become an offset.
+    with pytest.raises(TypeError):
+        TimePoint("p", 0)
 
 
 def test_annotation_requires_qualifier():
@@ -202,12 +208,18 @@ def test_dialogue_level_is_coherent(dialogue_doc):
 def test_word_form_requires_tokens():
     from spokenkit.core import WordForm
 
-    with pytest.raises(ValueError):
-        WordForm(
+    def word_form(rng):
+        return WordForm(
             id="wf",
             source="src",
-            range=ComponentRefs(("t1",)),
+            range=rng,
             qualifiers=(Qualifier("wordForm", "x"),),
             layer="wordForms",
-            tokens=(),
         )
+
+    for rng in (None, EventInterval("a", "b", "tl")):
+        with pytest.raises(ValueError, match="requires a component range"):
+            word_form(rng)
+    with pytest.raises(ValueError):
+        word_form(ComponentRefs(()))
+    assert word_form(ComponentRefs(("t1", "t2"))).tokens == ("t1", "t2")

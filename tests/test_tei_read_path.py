@@ -170,7 +170,6 @@ def reference_tokens(doc) -> list[Token]:
             range=ComponentRefs((w.id,)),
             qualifiers=(Qualifier("token", w.text),),
             layer="tokens",
-            surface=w.text,
         )
         for w in content_items(doc.body, W)
         if w.id

@@ -208,7 +208,7 @@ def _random_document(rng):
     timeline = Timeline(
         "tl",
         "ms",
-        tuple(TimePoint(f"T{i}", i, offset=None) for i in range(n_points)),
+        tuple(TimePoint(f"T{i}", offset=None) for i in range(n_points)),
         id_declared=True,
     )
     people = tuple(Person(id=f"S{i}", name=f"Speaker {i}") for i in range(rng.randint(1, 3)))
@@ -340,3 +340,72 @@ def test_rich_header_round_trips():
     from spokenkit.validate import validate_all
 
     assert validate_all(doc).issues == ()
+
+
+HEADER_EXTRAS = """<?xml version="1.0" encoding="UTF-8"?>
+<TEI xmlns="http://www.tei-c.org/ns/1.0">
+  <teiHeader>
+    <fileDesc>
+      <titleStmt>
+        <title>T</title>
+        <author>A</author>
+      </titleStmt>
+      <publicationStmt>
+        <p>P</p>
+        <availability status="free"/>
+      </publicationStmt>
+      <sourceDesc>
+        <p>S</p>
+        <bibl>B</bibl>
+      </sourceDesc>
+      <notesStmt><note>N</note></notesStmt>
+    </fileDesc>
+    <encodingDesc>
+      <appInfo>
+{application}        <note type="app">kept inside appInfo</note>
+      </appInfo>
+      <projectDesc><p>D</p></projectDesc>
+    </encodingDesc>
+    <profileDesc>
+      <particDesc>
+        <listOrg/>
+      </particDesc>
+      <textClass><keywords><term>K</term></keywords></textClass>
+    </profileDesc>
+    <revisionDesc>
+      <listChange/>
+    </revisionDesc>
+    <xenoData>X</xenoData>
+  </teiHeader>
+  <text>
+    <body>
+      <u>Hi</u>
+    </body>
+  </text>
+</TEI>
+"""
+
+
+@pytest.mark.parametrize(
+    "application", ["", '        <application ident="aligner" version="2.1"/>\n']
+)
+def test_unknown_header_elements_round_trip_in_their_slots(application):
+    # One unknown element in every header slot; an <appInfo> child other than
+    # <application> stays inside <appInfo>, which is written even without
+    # applications.
+    text = HEADER_EXTRAS.format(application=application).encode("utf-8")
+    doc, warnings = parse_document(text)
+    assert warnings == []
+    assert serialize_document(doc) == text
+    assert [slot for slot, _ in doc.metadata.extras] == [
+        "titleStmt",
+        "publicationStmt",
+        "sourceDesc",
+        "fileDesc",
+        "appInfo",
+        "encodingDesc",
+        "particDesc",
+        "profileDesc",
+        "revisionDesc",
+        "teiHeader",
+    ]

@@ -1,22 +1,33 @@
-"""The writer's generated body against the body items it replaces.
+"""The writer's generated body against the body items it replaces, and the
+writer's attribute order.
 
 A document with event-ranged annotations and no body (a converted tier file)
 gets its body written straight from the annotations. The reference below
 builds the utterance and timed-event items that such a body stands for, and
 the writer's ordinary body path must give the same bytes for them, on random
-tier documents.
+tier documents. The writer writes attributes in the order its call sites
+list them, which must be alphabetical.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 from decimal import Decimal
 
 from spokenkit.core import EventInterval
-from spokenkit.tei import AnchorRef, Kinesic, TextSegment, Utterance, serialize_document
+from spokenkit.tei import (
+    AnchorRef,
+    Kinesic,
+    TextSegment,
+    Utterance,
+    parse_document,
+    serialize_document,
+)
 from spokenkit.tei.model import EVENT_CLASSES
 from spokenkit.tier import Tier, TierDocument, TierEvent, TierSpeaker, to_core
+from tests.conftest import FIXTURES
 
 # Tier categories: utterances, the event elements, and unmapped kinds that
 # become typed kinesics.
@@ -92,3 +103,69 @@ def test_generated_body_matches_reference_items_on_random_tier_documents():
         assert serialize_document(doc) == expected
         generated += len(doc.annotations)
     assert generated > 500
+
+
+# One document that reaches every writer branch that writes attributes.
+ALL_ATTRIBUTES = b"""<TEI xmlns="http://www.tei-c.org/ns/1.0"><teiHeader>
+<fileDesc><titleStmt><title>t</title></titleStmt><publicationStmt><p>p</p></publicationStmt>
+<sourceDesc><p>s</p><recordingStmt><recording type="audio"><date>d</date>
+<broadcast><recording type="video"/></broadcast></recording></recordingStmt></sourceDesc></fileDesc>
+<encodingDesc><appInfo><application ident="a" version="1"><label>l</label><ptr target="#u1"/>
+</application><application ident="b" version="2"/></appInfo></encodingDesc>
+<profileDesc><particDesc>
+<person age="30" sex="f" xml:id="A"><persName>Ann</persName>
+<birth when="1980"><date>1980</date><name type="place">Lyon</name></birth>
+<langKnowledge tags="fr"><langKnown level="L1" tag="fr">French</langKnown></langKnowledge></person>
+<person sex="m" xml:id="B"><birth when="1970"/></person></particDesc></profileDesc>
+<revisionDesc><change when="2011" who="#A">c</change></revisionDesc></teiHeader>
+<text><timeline unit="ms" xml:id="TL"><when absolute="0" xml:id="T0"/><when xml:id="T1"/></timeline>
+<body>
+<u who="#A" xml:id="u1"><anchor synch="#T0"/><anchor xml:id="T2"/><vocal who="#B"><desc>laugh</desc></vocal>
+<kinesic end="#T1" start="#T0" type="nod" who="#A" xml:id="k1"><desc>nods</desc></kinesic>
+<incident type="door"/><seg subtype="x" type="y" xml:id="s1"><w ana="#f1" xml:id="w1">oui</w>
+<pc xml:id="p1">.</pc></seg><anchor synch="#T1"/></u>
+<incident end="#T1" start="#T0" type="noise" who="#B" xml:id="i1"><desc>bang</desc></incident>
+<kinesic start="#T0" xml:id="k2"/>
+<spanGrp type="words"><span ana="#f1" from="#w1" to="#w1" xml:id="sp1">oui</span>
+<span from="#w1" to="#w1"/></spanGrp>
+</body><back>
+<fLib n="pos"><f name="pos" xml:id="N"><symbol value="noun"/></f>
+<f name="count" xml:id="C"><numeric value="2"/></f><f name="neg" xml:id="G"><binary value="true"/></f>
+<f name="agr" xml:id="R"><fs type="agr"><f name="num"><symbol value="sg"/></f></fs></f></fLib>
+<fvLib n="tags"><fs feats="#N #C" xml:id="NC"/></fvLib>
+<entry><form type="inflected" xml:id="f1"><orth>oui</orth><gramGrp><pos>adv</pos></gramGrp></form></entry>
+<fs type="ana" xml:id="fs1"><f name="inner"><fs type="x"><f name="k"><string>v</string></f></fs></f>
+<f name="v"><symbol value="w"/></f></fs><fs type="empty" xml:id="fs2"/>
+</back></text></TEI>"""
+
+_START_TAG = re.compile(r"<([A-Za-z][\w:.-]*)((?:\s+[\w:.-]+=\"[^\"]*\")*)\s*/?>")
+_ATTR_NAME = re.compile(r'\s([\w:.-]+)="')
+
+
+def start_tag_attributes(data: bytes) -> list[tuple[str, list[str]]]:
+    """Each start tag's name and attribute names, namespace declarations left out."""
+    return [
+        (m.group(1), [n for n in _ATTR_NAME.findall(m.group(2)) if n != "xmlns"])
+        for m in _START_TAG.finditer(data.decode("utf-8"))
+    ]
+
+
+def test_every_written_start_tag_lists_its_attributes_alphabetically():
+    outputs = []
+    for fixture in sorted(FIXTURES.glob("*.xml")):
+        doc, _ = parse_document(fixture.read_bytes())
+        outputs.append(serialize_document(doc))
+    doc, warnings = parse_document(ALL_ATTRIBUTES)
+    assert warnings == []
+    outputs.append(serialize_document(doc))
+    outputs.append(serialize_document(doc, materialize_timeline=True))
+    rng = random.Random(7)
+    outputs.append(serialize_document(to_core(random_tier_document(rng), PIDS)))
+    seen = set()
+    for output in outputs:
+        for tag, names in start_tag_attributes(output):
+            assert names == sorted(names), (tag, names)
+            seen.add(tag)
+    assert {"recording", "application", "person", "birth", "langKnown", "change"} <= seen
+    assert {"timeline", "when", "u", "anchor", "vocal", "kinesic", "incident", "seg"} <= seen
+    assert {"w", "pc", "spanGrp", "span", "fLib", "f", "fvLib", "fs", "form", "numeric"} <= seen

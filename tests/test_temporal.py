@@ -46,7 +46,7 @@ def test_compare_points_identity(dialogue_timeline):
 
 
 def test_compare_points_with_offsets():
-    tl = Timeline("tl", "ms", (TimePoint("p1", 0, offset=100), TimePoint("p2", 1, offset=250)))
+    tl = Timeline("tl", "ms", (TimePoint("p1", offset=100), TimePoint("p2", offset=250)))
     assert compare_points(tl, "p2", "p1") == "after"
 
 

@@ -121,6 +121,31 @@ def test_word_form_token_removal_leaves_dangling_reference(pomme_doc):
     assert any("t2" in i.message for i in issues)
 
 
+
+def test_component_targets_are_tokens_for_word_forms_and_any_id_otherwise(pomme_doc):
+    from spokenkit.core import WordForm
+    from spokenkit.tei import attach_word_forms
+
+    doc, _ = attach_word_forms(pomme_doc)
+    utterance = pomme_doc.body[0].id
+    extra = tuple(
+        cls(
+            id=f"{cls.__name__}{n}",
+            source=doc.sources[0].id,
+            range=ComponentRefs((target,)),
+            qualifiers=(Qualifier("wordForm", "x"),),
+            layer=doc.layers[-1].id,
+        )
+        for cls in (Annotation, WordForm)
+        for n, target in enumerate(("t2", utterance, "ghost"))
+    )
+    issues = check_refs(replace(doc, annotations=doc.annotations + extra))
+    assert [(i.location, i.message) for i in issues] == [
+        ("Annotation2", "@target reference 'ghost' resolves to nothing"),
+        ("WordForm1", f"@tokens reference {utterance!r} resolves to nothing"),
+        ("WordForm2", "@tokens reference 'ghost' resolves to nothing"),
+    ]
+
 # ---------------------------------------------------------------- temporal
 
 def test_dialogue_is_temporally_clean(dialogue_doc):
@@ -151,7 +176,7 @@ def test_offset_inversion_is_flagged():
 
 def test_equal_offsets_are_not_flagged():
     tl = Timeline(
-        "tl", "ms", (TimePoint("a", 0, offset=100), TimePoint("b", 1, offset=100))
+        "tl", "ms", (TimePoint("a", offset=100), TimePoint("b", offset=100))
     )
     from spokenkit.core import Document
 
