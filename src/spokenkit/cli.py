@@ -212,10 +212,12 @@ def cmd_tag(args) -> int:
     definition = library.tag_lib.get(ref)
     if definition is None:
         raise CliError(f"unknown tag {args.tag!r}")
-    # Top-level features in declaration order; a nested value as name/sub=value lines.
+    # Top-level features in declaration order; a nested value as name/sub=value
+    # lines, and a value without an atomic leaf as one empty name= line.
     for feature_ref in definition.feats:
         feature = library.feature_lib[feature_ref]
-        for path, value in flatten(FeatureStructure({feature.name: feature.value})):
+        leaves = flatten(FeatureStructure({feature.name: feature.value}))
+        for path, value in leaves or [(feature.name, "")]:
             _out(sys.stdout, f"{path}={value}\n")
     return EXIT_OK
 

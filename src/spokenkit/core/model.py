@@ -253,12 +253,6 @@ class Annotation:
 
 
 @dataclass(frozen=True, kw_only=True)
-class Token(Annotation):
-    """Surface segmentation unit of a transcription; its surface is the value
-    of its ``token`` qualifier."""
-
-
-@dataclass(frozen=True, kw_only=True)
 class WordForm(Annotation):
     """Lexical abstraction over one or more tokens (n-to-n with tokens)."""
 

@@ -270,6 +270,23 @@ class Change:
     text: str | None = None
 
 
+# The header elements an unknown element may sit in, in the order the writer
+# places their unknown elements. The reader keeps ``Metadata.extras`` in this
+# order, so a parsed header is written and read back unchanged.
+HEADER_SLOTS = (
+    "titleStmt",
+    "publicationStmt",
+    "sourceDesc",
+    "fileDesc",
+    "appInfo",
+    "encodingDesc",
+    "particDesc",
+    "profileDesc",
+    "revisionDesc",
+    "teiHeader",
+)
+
+
 @dataclass(frozen=True)
 class Metadata:
     """Header metadata; the file description fields are mandatory."""
@@ -283,5 +300,6 @@ class Metadata:
     setting: str | None = None
     language_usage: OpaqueElement | None = None
     revisions: tuple[Change, ...] = ()
-    # Unknown header elements as (slot, element) pairs; the slot names their parent element.
+    # Unknown header elements as (slot, element) pairs; the slot, one of
+    # HEADER_SLOTS, names their parent element.
     extras: tuple[tuple[str, OpaqueElement], ...] = ()

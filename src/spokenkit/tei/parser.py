@@ -16,13 +16,11 @@ from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 
 from spokenkit.core.model import (
-    MECH_COMPONENT,
     MECH_EVENT,
     PRIMARY,
     UNIT_SYMBOLIC,
     WARNING,
     Annotation,
-    ComponentRefs,
     DeclaredId,
     Document,
     EventInterval,
@@ -33,7 +31,6 @@ from spokenkit.core.model import (
     SourceRef,
     TimePoint,
     Timeline,
-    Token,
     UnknownIdError,
 )
 from spokenkit.featstruct import (
@@ -52,6 +49,7 @@ from spokenkit.featstruct import (
 )
 from spokenkit.tei.model import (
     EVENT_CLASSES,
+    HEADER_SLOTS,
     AnchorRef,
     AppInfo,
     Birth,
@@ -83,9 +81,7 @@ XML_NS = "http://www.w3.org/XML/1998/namespace"
 XML_ID = "{%s}id" % XML_NS
 
 EVENTS_LAYER = "events"
-TOKENS_LAYER = "tokens"
 TRANSCRIPTION_LEVEL = "transcription"
-TOKENS_LEVEL = "tokenization"
 DEFAULT_SOURCE = "source1"
 IMPLICIT_TIMELINE = "~implicit"
 
@@ -208,7 +204,7 @@ def parse_document(data: bytes | str) -> tuple[Document, list[Finding]]:
         raise TeiParseError("document has no teiHeader")
     timelines: list[Timeline] = []
     body_items: list = []
-    utterance_views: list[tuple[str, list[W]]] = []
+    utterance_texts: list[str] = []
     back_items: list = []
     text_el = _child(root, "text")
     try:
@@ -218,7 +214,7 @@ def parse_document(data: bytes | str) -> tuple[Document, list[Finding]]:
             if local == "timeline":
                 timelines.append(_parse_timeline(child, ctx))
             elif local == "body":
-                _parse_body(child, ctx, timelines, body_items, utterance_views)
+                _parse_body(child, ctx, timelines, body_items, utterance_texts)
             elif local == "back":
                 back_items = _parse_back(child, ctx)
             else:
@@ -235,7 +231,7 @@ def parse_document(data: bytes | str) -> tuple[Document, list[Finding]]:
         back=tuple(back_items),
         declared_ids=tuple(declared_ids),
     )
-    doc = _attach_annotations(doc, utterance_views)
+    doc = _attach_annotations(doc, utterance_texts)
     return doc, ctx.warnings
 
 
@@ -344,6 +340,8 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
                     extras.append(("revisionDesc", _opaque(change)))
         else:
             extras.append(("teiHeader", _opaque(child)))
+    # The writer groups unknown elements by slot; keep them in its order.
+    extras.sort(key=lambda extra: HEADER_SLOTS.index(extra[0]))
 
     return Metadata(
         title=title,
@@ -505,19 +503,18 @@ def _parse_body(
     ctx: _ParseContext,
     timelines: list[Timeline],
     items: list,
-    utterance_views: list[tuple[str, list[W]]],
+    utterance_texts: list[str],
 ) -> None:
-    """Append the body items to ``items``, and the (text, identified tokens)
-    of each utterance among them to ``utterance_views``."""
+    """Append the body items to ``items``, and the text of each utterance
+    among them to ``utterance_texts``."""
     if body_el.text and body_el.text.strip():
         items.append(TextSegment(body_el.text))
     for child in body_el:
         local = _local(child.tag)
         if local == "u":
             parts: list[str] = []
-            words: list[W] = []
-            items.append(_parse_utterance(child, ctx, parts, words))
-            utterance_views.append(("".join(parts), words))
+            items.append(_parse_utterance(child, ctx, parts))
+            utterance_texts.append("".join(parts))
         elif local in EVENT_CLASSES:
             items.append(_parse_event(child, EVENT_CLASSES[local], ctx))
         elif local == "anchor":
@@ -555,25 +552,22 @@ def _parse_event(el: ET.Element, cls: type[TimedEvent], ctx: _ParseContext) -> T
     )
 
 
-def _parse_utterance(
-    u_el: ET.Element, ctx: _ParseContext, parts: list[str], words: list[W]
-) -> Utterance:
+def _parse_utterance(u_el: ET.Element, ctx: _ParseContext, parts: list[str]) -> Utterance:
     explicit = u_el.get(XML_ID)
     utt_id = strip_ref(explicit) if explicit is not None else ctx.fresh_id("u")
     return Utterance(
         id=utt_id,
         who=_norm_ref(u_el.get("who")),
-        content=tuple(_parse_mixed(u_el, ctx, parts, words)),
+        content=tuple(_parse_mixed(u_el, ctx, parts)),
         id_generated=explicit is None,
     )
 
 
-def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str], words: list[W]) -> list:
+def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str]) -> list:
     """The content items of ``el``, with nested segs.
 
     In the same walk, the text that ``content_text`` would give for these
-    items goes to ``parts`` and the tokens with an id go to ``words``, both
-    in document order.
+    items goes to ``parts``, in document order.
     """
     items: list = []
     append = items.append
@@ -583,25 +577,19 @@ def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str], words: li
         parts.append(text)
     for child in el:
         local = _local(child.tag)
-        if local == "w":
-            w = _parse_token(child, local, ctx)
-            append(w)
-            parts.append(w.text)
-            if w.id:
-                words.append(w)
+        if local == "w" or local == "pc":
+            token = _parse_token(child, local, ctx)
+            append(token)
+            parts.append(token.text)
         elif local == "anchor":
             append(_parse_anchor(child, ctx))
-        elif local == "pc":
-            pc = _parse_token(child, local, ctx)
-            append(pc)
-            parts.append(pc.text)
         elif local == "seg":
             seg_id = child.get(XML_ID)
             append(
                 Seg(
                     type=child.get("type"),
                     subtype=child.get("subtype"),
-                    content=tuple(_parse_mixed(child, ctx, parts, words)),
+                    content=tuple(_parse_mixed(child, ctx, parts)),
                     id=strip_ref(seg_id) if seg_id else None,
                 )
             )
@@ -805,26 +793,20 @@ def _event_feature(kind: str, event_type: str | None) -> str:
     return kind
 
 
-def _attach_annotations(doc: Document, utterance_views: list[tuple[str, list[W]]]) -> Document:
+def _attach_annotations(doc: Document, utterance_texts: list[str]) -> Document:
+    """One annotation per utterance and free-standing event, in body order.
+
+    Tokens are not annotations: each identified ``w`` is a component of the
+    body already, read with ``document_tokens``.
+    """
     annotations: list[Annotation] = []
     event_features: set[str] = set()
-    tokens: list[Token] = []
-    views = iter(utterance_views)
+    texts = iter(utterance_texts)
 
     for item in doc.body:
         if isinstance(item, Utterance):
             feature = "utterance"
-            value, words = next(views)
-            for w in words:
-                tokens.append(
-                    Token(
-                        id=w.id,
-                        source=DEFAULT_SOURCE,
-                        range=ComponentRefs((w.id,)),
-                        qualifiers=(Qualifier("token", w.text),),
-                        layer=TOKENS_LAYER,
-                    )
-                )
+            value = next(texts)
         elif isinstance(item, TimedEvent):
             feature = _event_feature(item.tag, item.type)
             value = item.desc or ""
@@ -842,34 +824,16 @@ def _attach_annotations(doc: Document, utterance_views: list[tuple[str, list[W]]
         )
         event_features.add(feature)
 
-    layers: list[Layer] = []
-    levels: list[Level] = []
-    if annotations:
-        layers.append(Layer(EVENTS_LAYER, "transcription events", TRANSCRIPTION_LEVEL))
-        levels.append(
-            Level(
-                TRANSCRIPTION_LEVEL,
-                sources=frozenset({DEFAULT_SOURCE}),
-                ranging_mechanism=MECH_EVENT,
-                category_selection=frozenset(BASE_EVENT_FEATURES | event_features),
-            )
-        )
-    if tokens:
-        layers.append(Layer(TOKENS_LAYER, "surface tokens", TOKENS_LEVEL))
-        levels.append(
-            Level(
-                TOKENS_LEVEL,
-                sources=frozenset({DEFAULT_SOURCE}),
-                ranging_mechanism=MECH_COMPONENT,
-                category_selection=frozenset({"token"}),
-            )
-        )
-    return replace(
-        doc,
-        annotations=tuple(annotations) + tuple(tokens),
-        layers=tuple(layers),
-        levels=tuple(levels),
+    if not annotations:
+        return doc
+    layer = Layer(EVENTS_LAYER, "transcription events", TRANSCRIPTION_LEVEL)
+    level = Level(
+        TRANSCRIPTION_LEVEL,
+        sources=frozenset({DEFAULT_SOURCE}),
+        ranging_mechanism=MECH_EVENT,
+        category_selection=frozenset(BASE_EVENT_FEATURES | event_features),
     )
+    return replace(doc, annotations=tuple(annotations), layers=(layer,), levels=(level,))
 
 
 # ---------------------------------------------------------------- anchors

@@ -26,6 +26,7 @@ from spokenkit.featstruct import (
 )
 from spokenkit.tei.model import (
     EVENT_CLASSES,
+    HEADER_SLOTS,
     AnchorRef,
     AppInfo,
     FeatureLib,
@@ -174,16 +175,20 @@ def serialize_document(doc: Document, materialize_timeline: bool = False) -> byt
 # ---------------------------------------------------------------- header
 
 def _write_header(w: _Writer, depth: int, md: Metadata) -> None:
-    slots = {slot for slot, _ in md.extras}
+    extras: dict[str, list[OpaqueElement]] = {slot: [] for slot in HEADER_SLOTS}
+    for slot, element in md.extras:
+        if slot not in extras:
+            raise TeiSerializeError(f"unknown header element slot {slot!r}")
+        extras[slot].append(element)
     w.line(depth, "<teiHeader>")
     w.line(depth + 1, "<fileDesc>")
     w.line(depth + 2, "<titleStmt>")
     w.line(depth + 3, _leaf("title", {}, md.title))
-    _write_extras(w, depth + 3, md, "titleStmt")
+    _write_extras(w, depth + 3, extras["titleStmt"])
     w.line(depth + 2, "</titleStmt>")
     w.line(depth + 2, "<publicationStmt>")
     w.line(depth + 3, _leaf("p", {}, md.publication))
-    _write_extras(w, depth + 3, md, "publicationStmt")
+    _write_extras(w, depth + 3, extras["publicationStmt"])
     w.line(depth + 2, "</publicationStmt>")
     w.line(depth + 2, "<sourceDesc>")
     w.line(depth + 3, _leaf("p", {}, md.source))
@@ -192,30 +197,30 @@ def _write_header(w: _Writer, depth: int, md: Metadata) -> None:
         for rec in md.recordings:
             _write_recording(w, depth + 4, rec)
         w.line(depth + 3, "</recordingStmt>")
-    _write_extras(w, depth + 3, md, "sourceDesc")
+    _write_extras(w, depth + 3, extras["sourceDesc"])
     w.line(depth + 2, "</sourceDesc>")
-    _write_extras(w, depth + 2, md, "fileDesc")
+    _write_extras(w, depth + 2, extras["fileDesc"])
     w.line(depth + 1, "</fileDesc>")
 
-    if md.applications or slots & {"appInfo", "encodingDesc"}:
+    if md.applications or extras["appInfo"] or extras["encodingDesc"]:
         w.line(depth + 1, "<encodingDesc>")
-        if md.applications or "appInfo" in slots:
+        if md.applications or extras["appInfo"]:
             w.line(depth + 2, "<appInfo>")
             for app in md.applications:
                 _write_application(w, depth + 3, app)
-            _write_extras(w, depth + 3, md, "appInfo")
+            _write_extras(w, depth + 3, extras["appInfo"])
             w.line(depth + 2, "</appInfo>")
-        _write_extras(w, depth + 2, md, "encodingDesc")
+        _write_extras(w, depth + 2, extras["encodingDesc"])
         w.line(depth + 1, "</encodingDesc>")
 
-    partic = md.participants or "particDesc" in slots
-    if partic or md.setting is not None or md.language_usage or "profileDesc" in slots:
+    partic = md.participants or extras["particDesc"]
+    if partic or md.setting is not None or md.language_usage or extras["profileDesc"]:
         w.line(depth + 1, "<profileDesc>")
         if partic:
             w.line(depth + 2, "<particDesc>")
             for person in md.participants:
                 _write_person(w, depth + 3, person)
-            _write_extras(w, depth + 3, md, "particDesc")
+            _write_extras(w, depth + 3, extras["particDesc"])
             w.line(depth + 2, "</particDesc>")
         if md.setting is not None:
             w.line(depth + 2, "<settingDesc>")
@@ -223,26 +228,25 @@ def _write_header(w: _Writer, depth: int, md: Metadata) -> None:
             w.line(depth + 2, "</settingDesc>")
         if md.language_usage is not None:
             w.line(depth + 2, _render_opaque(md.language_usage))
-        _write_extras(w, depth + 2, md, "profileDesc")
+        _write_extras(w, depth + 2, extras["profileDesc"])
         w.line(depth + 1, "</profileDesc>")
 
-    if md.revisions or "revisionDesc" in slots:
+    if md.revisions or extras["revisionDesc"]:
         w.line(depth + 1, "<revisionDesc>")
         for change in md.revisions:
             w.line(
                 depth + 2,
                 _leaf("change", {"when": change.when, "who": _ref(change.who)}, change.text or ""),
             )
-        _write_extras(w, depth + 2, md, "revisionDesc")
+        _write_extras(w, depth + 2, extras["revisionDesc"])
         w.line(depth + 1, "</revisionDesc>")
-    _write_extras(w, depth + 1, md, "teiHeader")
+    _write_extras(w, depth + 1, extras["teiHeader"])
     w.line(depth, "</teiHeader>")
 
 
-def _write_extras(w: _Writer, depth: int, md: Metadata, slot: str) -> None:
-    for where, element in md.extras:
-        if where == slot:
-            w.line(depth, _render_opaque(element))
+def _write_extras(w: _Writer, depth: int, elements: list[OpaqueElement]) -> None:
+    for element in elements:
+        w.line(depth, _render_opaque(element))
 
 
 def _leaf(tag: str, attrs: dict[str, str | None], text: str) -> str:

@@ -37,7 +37,6 @@ from spokenkit.core.model import (
     SourceRef,
     TimePoint,
     Timeline,
-    Token,
     UnknownIdError,
     WordForm,
     decode_utf8,
@@ -438,8 +437,8 @@ def from_core(doc: Document) -> tuple[TierDocument, list[ResidueItem]]:
             tier_slot(("layer", layer.id), layer.id, layer.speaker, layer.category)
 
     for ann in doc.annotations:
-        if isinstance(ann, (Token, WordForm)):
-            residue.append(ResidueItem(ann.id, "token and word-form annotations have no tier form"))
+        if isinstance(ann, WordForm):
+            residue.append(ResidueItem(ann.id, "word-form annotations have no tier form"))
             continue
         if ann.range is None:
             residue.append(ResidueItem(ann.id, "no event interval (sequence implicit events first)"))

@@ -18,7 +18,6 @@ from spokenkit.core.model import (
     Document,
     EventInterval,
     Finding,
-    Token,
     UnknownIdError,
     WordForm,
     check_level_coherence,
@@ -243,7 +242,6 @@ def check_refs(doc: Document, lib: TagsetLibrary | None = None) -> list[Finding]
                 if target not in known:
                     dangle("target", target, app.ident or "appInfo")
 
-    annotation_tokens = {a.id for a in doc.annotations if isinstance(a, Token)} | token_ids
     for ann in doc.annotations:
         if not any(s.id == ann.source for s in doc.sources):
             dangle("source", ann.source, ann.id)
@@ -262,7 +260,7 @@ def check_refs(doc: Document, lib: TagsetLibrary | None = None) -> list[Finding]
         elif isinstance(ann.range, ComponentRefs):
             # A word form's targets are its tokens; other targets may be any identifier.
             word_form = isinstance(ann, WordForm)
-            attr, ids = ("tokens", annotation_tokens) if word_form else ("target", known)
+            attr, ids = ("tokens", token_ids) if word_form else ("target", known)
             for target in ann.range.targets:
                 if target not in ids:
                     dangle(attr, target, ann.id)

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 
+import pytest
+
 from spokenkit.cli import main
 from tests.conftest import FIXTURES, fixture_bytes, fixture_path
 
@@ -301,6 +303,20 @@ def test_tag_expand_prints_a_nested_value_as_paths(capsys, tmp_path):
         "grammaticalGender=masculine",
         "grammaticalNumber/agreement=True",
         "grammaticalNumber/count=one",
+    ]
+
+
+@pytest.mark.parametrize("value", [b"<fs/>", b'<fs><f name="count"><fs/></f></fs>'])
+def test_tag_expand_prints_a_value_without_leaves_as_an_empty_line(capsys, tmp_path, value):
+    lib = fixture_bytes("tags.xml").replace(b'<symbol value="singular"/>', value)
+    path = tmp_path / "empty.xml"
+    path.write_bytes(lib)
+    code, out, err = run(capsys, "tag", "expand", "--lib", str(path), "Ncms__")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "partOfSpeech=commonNoun",
+        "grammaticalGender=masculine",
+        "grammaticalNumber=",
     ]
 
 

@@ -5,7 +5,8 @@ reader builds: for each XML fixture, a SHA-256 digest of the document, its
 findings and its declared ids, after ``parse_document`` and again after
 ``resolve_anchors``. The digest covers every field that takes part in
 ``repr``, so it also pins ``declared_ids`` order, ``id_generated``, the
-``Token`` annotations and finding locations.
+annotations (one per utterance and free-standing event; tokens are body
+items, not annotations) and finding locations.
 """
 
 from __future__ import annotations

@@ -1,24 +1,18 @@
 """The reader's one-pass walk against the content walkers it replaces.
 
-``parse_document`` builds each utterance's text and token annotations while
-it parses the content, and ``resolve_anchors`` keeps only the first and last
-resolved anchor. The references below compute the same results from the
-parsed content with ``content_text`` and ``content_items``, on random
-documents.
+``parse_document`` builds each utterance's text while it parses the content,
+and ``resolve_anchors`` keeps only the first and last resolved anchor. The
+references below compute the same results from the parsed content with
+``content_text`` and ``content_items``, on random documents. Tokens are not
+annotations: the annotations are exactly one per utterance and free-standing
+event, in body order.
 """
 
 from __future__ import annotations
 
 import random
 
-from spokenkit.core import (
-    Annotation,
-    ComponentRefs,
-    EventInterval,
-    Finding,
-    Qualifier,
-    Token,
-)
+from spokenkit.core import Annotation, EventInterval, Finding, Qualifier
 from spokenkit.core.model import WARNING
 from spokenkit.tei import (
     AnchorRef,
@@ -162,18 +156,28 @@ class _Gen:
         )
 
 
-def reference_tokens(doc) -> list[Token]:
-    return [
-        Token(
-            id=w.id,
-            source="source1",
-            range=ComponentRefs((w.id,)),
-            qualifiers=(Qualifier("token", w.text),),
-            layer="tokens",
+def reference_annotations(doc) -> list[Annotation]:
+    """One annotation per utterance and free-standing event, in body order."""
+    annotations = []
+    for item in doc.body:
+        if isinstance(item, Utterance):
+            qualifier = Qualifier("utterance", content_text(item.content))
+        elif isinstance(item, (Kinesic, Incident)):
+            feature = item.type if item.type and item.type != "nv" else item.tag
+            qualifier = Qualifier(feature, item.desc or "")
+        else:
+            continue
+        annotations.append(
+            Annotation(
+                id=item.id,
+                source="source1",
+                range=None,
+                qualifiers=(qualifier,),
+                layer="events",
+                who=item.who,
+            )
         )
-        for w in content_items(doc.body, W)
-        if w.id
-    ]
+    return annotations
 
 
 def reference_resolution(doc) -> tuple[list[EventInterval | None], list[Finding]]:
@@ -261,16 +265,9 @@ def test_one_pass_read_matches_content_walkers_on_random_documents():
     for _ in range(300):
         doc, warnings = parse_document(_Gen(rand).document())
 
-        utterances = [item for item in doc.body if isinstance(item, Utterance)]
-        utterance_annotations = [
-            a for a in doc.annotations if type(a) is Annotation and a.qualifiers[0].feature == "utterance"
-        ]
-        assert [(a.id, a.who, a.qualifiers[0].value) for a in utterance_annotations] == [
-            (u.id, u.who, content_text(u.content)) for u in utterances
-        ]
-        tokens = reference_tokens(doc)
-        assert list(doc.annotations[len(doc.annotations) - len(tokens) :]) == tokens
-        assert sum(isinstance(a, Token) for a in doc.annotations) == len(tokens)
+        expected = reference_annotations(doc)
+        assert list(doc.annotations) == expected
+        assert [layer.id for layer in doc.layers] == (["events"] if expected else [])
 
         resolved, findings = resolve_anchors(doc)
         intervals, expected_findings = reference_resolution(doc)
@@ -278,9 +275,7 @@ def test_one_pass_read_matches_content_walkers_on_random_documents():
         assert [(type(a), a.id) for a in resolved.annotations] == [
             (type(a), a.id) for a in doc.annotations
         ]
-        # Each utterance and event has its own annotation, in body order, before the tokens.
-        assert len(intervals) == len(doc.annotations) - len(tokens)
-        assert [a.range for a in resolved.annotations] == intervals + [t.range for t in tokens]
+        assert [a.range for a in resolved.annotations] == intervals
         seen |= cases_of(doc, warnings, findings)
     assert seen == {
         "nested seg", "identified w", "id-less w", "w with child", "pc", "inline vocal",

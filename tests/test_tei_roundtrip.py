@@ -14,6 +14,7 @@ from spokenkit.tei import (
     resolve_anchors,
     serialize_document,
 )
+from spokenkit.tei.model import HEADER_SLOTS
 from tests.conftest import fixture_bytes
 
 FIXTURE_FILES = [
@@ -409,3 +410,33 @@ def test_unknown_header_elements_round_trip_in_their_slots(application):
         "revisionDesc",
         "teiHeader",
     ]
+
+
+def test_unknown_header_elements_before_known_ones_round_trip():
+    # A fileDesc extra read before a titleStmt extra is written after it; the
+    # reader keeps extras in the writer's slot order, so the parsed document
+    # equals itself after one round trip.
+    text = (
+        '<TEI xmlns="http://www.tei-c.org/ns/1.0"><teiHeader>'
+        "<revisionDesc><listChange/></revisionDesc><xenoData>X</xenoData>"
+        "<fileDesc><notesStmt><note>N</note></notesStmt>"
+        "<titleStmt><title>T</title><author>A</author></titleStmt>"
+        "<publicationStmt><p>P</p></publicationStmt><sourceDesc><p>S</p></sourceDesc>"
+        "</fileDesc></teiHeader><text><body/></text></TEI>"
+    )
+    doc, _ = parse_document(text)
+    assert [slot for slot, _ in doc.metadata.extras] == [
+        "titleStmt", "fileDesc", "revisionDesc", "teiHeader"
+    ]
+    written = serialize_document(doc)
+    again, _ = parse_document(written)
+    assert again == doc
+    assert serialize_document(again) == written
+
+
+def test_writer_refuses_a_header_extra_in_an_unknown_slot():
+    doc, _ = parse_document(fixture_bytes("pomme.xml"))
+    extra = ("nowhere", OpaqueElement("note", (), "N", (), ()))
+    assert "nowhere" not in HEADER_SLOTS
+    with pytest.raises(TeiSerializeError, match="nowhere"):
+        serialize_document(replace(doc, metadata=replace(doc.metadata, extras=(extra,))))
