@@ -10,8 +10,11 @@ serialisation live in the format modules.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import KW_ONLY, dataclass, field
 from decimal import Decimal
+from itertools import repeat
+from operator import gt
 from typing import TYPE_CHECKING, Callable, Iterable, Union
 
 if TYPE_CHECKING:
@@ -95,12 +98,13 @@ class SourceRef:
 
 @dataclass(frozen=True)
 class TimePoint:
-    """A reference point on a timeline.
+    """One point of a timeline, as a view built on request.
 
-    Order is ordinal: the point's position in its timeline, read with
-    ``Timeline.index_of``. A numeric ``offset`` in the timeline unit is
-    advisory and checked for consistency by the validator, never used for
-    ordering.
+    A timeline stores its points as columns; ``Timeline.points`` and
+    ``Timeline.point`` build these views. Order is ordinal: the point's
+    position in its timeline, read with ``Timeline.index_of``. A numeric
+    ``offset`` in the timeline unit is advisory and checked for consistency
+    by the validator, never used for ordering.
     """
 
     id: str
@@ -116,30 +120,62 @@ class TimePoint:
 
 @dataclass(frozen=True)
 class Timeline:
-    """Totally ordered reference points, optionally carrying numeric offsets."""
+    """Totally ordered reference points, optionally carrying numeric offsets.
+
+    The points are columns: the n-th point has id ``ids[n]`` and offset
+    ``offsets[n]``, and its position ``n`` is its order. ``synthetic`` holds
+    the ids of points made by implicit sequencing, ``anchor_declared`` the
+    ids of points that only an anchor declared.
+    """
 
     id: str
     unit: str = UNIT_SYMBOLIC
-    points: tuple[TimePoint, ...] = ()
+    ids: tuple[str, ...] = ()
+    offsets: tuple[Number | None, ...] = ()
+    synthetic: frozenset[str] = frozenset()
+    anchor_declared: frozenset[str] = frozenset()
     implicit: bool = False
     id_declared: bool = field(default=False, compare=False)
-    # Point id -> position in ``points``, built by ``__post_init__`` (also after ``replace``).
+    # Point id -> position in ``ids``, built by ``__post_init__`` (also after ``replace``).
     _by_id: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.unit not in TIMELINE_UNITS:
             raise ValueError(f"timeline {self.id!r}: unit must be one of {TIMELINE_UNITS}")
-        by_id: dict[str, int] = {}
-        for n, point in enumerate(self.points):
-            if point.id in by_id:
-                raise ValueError(f"timeline {self.id!r}: duplicate point id {point.id!r}")
-            by_id[point.id] = n
+        ids, offsets = self.ids, self.offsets
+        if len(offsets) != len(ids):
+            raise ValueError(
+                f"timeline {self.id!r}: {len(ids)} point ids but {len(offsets)} offsets"
+            )
+        by_id = dict(zip(ids, range(len(ids))))
+        if len(by_id) != len(ids):
+            seen: set[str] = set()
+            for pid in ids:
+                if pid in seen:
+                    raise ValueError(f"timeline {self.id!r}: duplicate point id {pid!r}")
+                seen.add(pid)
+        # ``filter(None, …)`` drops None and zero; ``0 > offset`` is ``offset < 0``.
+        if any(map(gt, repeat(0), filter(None, offsets))):
+            pid = next(p for p, o in zip(ids, offsets) if o is not None and o < 0)
+            raise ValueError(f"point {pid!r}: offset must be non-negative")
+        flags = (("synthetic", self.synthetic), ("anchor-declared", self.anchor_declared))
+        for kind, flagged in flags:
+            if not by_id.keys() >= flagged:
+                stray = min(flagged - by_id.keys())
+                message = f"{kind} point {stray!r} is not one of its ids"
+                raise ValueError(f"timeline {self.id!r}: {message}")
         object.__setattr__(self, "_by_id", by_id)
 
     def __contains__(self, point_id: str) -> bool:
         return point_id in self._by_id
 
+    @property
+    def points(self) -> "TimePoints":
+        """The points in order, as ``TimePoint`` views built when read."""
+        return TimePoints(self)
+
     def point(self, point_id: str) -> TimePoint:
+        """The point ``point_id`` as a ``TimePoint`` view."""
         return self.points[self.index_of(point_id)]
 
     def index_of(self, point_id: str) -> int:
@@ -150,7 +186,33 @@ class Timeline:
 
     @classmethod
     def of(cls, timeline_id: str, point_ids: Iterable[str], unit: str = UNIT_SYMBOLIC) -> "Timeline":
-        return cls(timeline_id, unit, tuple(TimePoint(pid) for pid in point_ids))
+        ids = tuple(point_ids)
+        return cls(timeline_id, unit, ids, (None,) * len(ids))
+
+
+class TimePoints(Sequence):
+    """A timeline's points as a sequence: its length is the timeline's, and
+    each ``TimePoint`` is built when it is read."""
+
+    __slots__ = ("_timeline",)
+
+    def __init__(self, timeline: Timeline) -> None:
+        self._timeline = timeline
+
+    def __len__(self) -> int:
+        return len(self._timeline.ids)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return tuple(self)[n]
+        tl = self._timeline
+        pid = tl.ids[n]
+        return TimePoint(
+            pid,
+            offset=tl.offsets[n],
+            synthetic=pid in tl.synthetic,
+            anchor_declared=pid in tl.anchor_declared,
+        )
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from spokenkit.core.model import (
     Annotation,
     Document,
     EventInterval,
-    TimePoint,
     Timeline,
     UnknownIdError,
 )
@@ -205,7 +204,7 @@ def overlaps_report(doc: Document) -> OverlapReport:
                 break
             end = min(e1, e2)
             if s2 < end:
-                shared = EventInterval(tl.points[s2].id, tl.points[end].id, tl.id)
+                shared = EventInterval(tl.ids[s2], tl.ids[end], tl.id)
                 pairs.append(OverlapPair(id1, id2, shared))
     return OverlapReport(tuple(pairs), skipped)
 
@@ -225,27 +224,26 @@ def sequence_implicit(doc: Document) -> Document:
     if doc.timelines:
         timeline = doc.timelines[0]
     else:
-        timeline = Timeline("~auto_timeline", UNIT_SYMBOLIC, (), implicit=True)
+        timeline = Timeline("~auto_timeline", UNIT_SYMBOLIC, implicit=True)
 
-    points = list(timeline.points)
-    counter = 1 + sum(1 for p in points if p.id.startswith(SYNTHETIC_PREFIX))
-
-    def fresh_point() -> TimePoint:
-        nonlocal counter
-        point = TimePoint(f"{SYNTHETIC_PREFIX}{counter}", synthetic=True)
-        counter += 1
-        points.append(point)
-        return point
-
+    counter = 1 + sum(1 for pid in timeline.ids if pid.startswith(SYNTHETIC_PREFIX))
+    added: list[str] = []
     new_annotations: list[Annotation] = []
     for ann in doc.annotations:
         if ann.range is None:
-            start = fresh_point()
-            end = fresh_point()
-            ann = replace(ann, range=EventInterval(start.id, end.id, timeline.id))
+            start = f"{SYNTHETIC_PREFIX}{counter}"
+            end = f"{SYNTHETIC_PREFIX}{counter + 1}"
+            counter += 2
+            added += (start, end)
+            ann = replace(ann, range=EventInterval(start, end, timeline.id))
         new_annotations.append(ann)
 
-    new_timeline = replace(timeline, points=tuple(points))
+    new_timeline = replace(
+        timeline,
+        ids=timeline.ids + tuple(added),
+        offsets=timeline.offsets + (None,) * len(added),
+        synthetic=timeline.synthetic | frozenset(added),
+    )
     if doc.timelines:
         timelines = (new_timeline,) + doc.timelines[1:]
     else:

@@ -29,7 +29,6 @@ from spokenkit.core.model import (
     Level,
     Qualifier,
     SourceRef,
-    TimePoint,
     Timeline,
     UnknownIdError,
 )
@@ -326,9 +325,15 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
                 extras.append(("profileDesc", _opaque(child)))
 
     revisions: list[Change] = []
+    sections: set[str] = set()
     for child in header_el:
         local = _local(child.tag)
         if local in ("fileDesc", "encodingDesc", "profileDesc"):
+            # The first of each was read above.
+            if local in sections:
+                message = f"teiHeader has more than one {local}; keeping the first"
+                ctx.warn("DUP_HEADER_SECTION", local, message)
+            sections.add(local)
             continue
         if local == "revisionDesc":
             for change in child:
@@ -440,7 +445,8 @@ def _parse_timeline(tl_el: ET.Element, ctx: _ParseContext) -> Timeline:
         message = f"timeline unit {unit!r} is not recognised; treating as symbolic"
         ctx.warn("UNKNOWN_UNIT", "timeline", message)
         unit = UNIT_SYMBOLIC
-    points: list[TimePoint] = []
+    ids: list[str] = []
+    offsets: list[Decimal | None] = []
     seen: set[str] = set()
     for when in tl_el:
         if _local(when.tag) != "when":
@@ -469,12 +475,13 @@ def _parse_timeline(tl_el: ET.Element, ctx: _ParseContext) -> Timeline:
                 offset = None
                 message = f"point {pid!r} has a negative offset {raw_offset!r}"
                 ctx.warn("BAD_OFFSET", pid, message)
-        points.append(TimePoint(pid, offset=offset))
+        ids.append(pid)
+        offsets.append(offset)
     tl_id = tl_el.get(XML_ID)
     declared = tl_id is not None
     if tl_id is None:
         tl_id = ctx.fresh_id("timeline")
-    return Timeline(strip_ref(tl_id), unit, tuple(points), id_declared=declared)
+    return Timeline(strip_ref(tl_id), unit, tuple(ids), tuple(offsets), id_declared=declared)
 
 
 def _absorb_anchor_points(timelines: list[Timeline], ctx: _ParseContext) -> list[Timeline]:
@@ -483,7 +490,7 @@ def _absorb_anchor_points(timelines: list[Timeline], ctx: _ParseContext) -> list
     Documents without an explicit timeline get an implicit one in anchor
     document order; it is never serialised as a timeline element.
     """
-    known = {p.id for tl in timelines for p in tl.points}
+    known = {pid for tl in timelines for pid in tl.ids}
     extra: list[str] = []
     for pid in ctx.anchor_order:
         if pid not in known:
@@ -491,11 +498,17 @@ def _absorb_anchor_points(timelines: list[Timeline], ctx: _ParseContext) -> list
             extra.append(pid)
     if not extra:
         return timelines
-    points = tuple(TimePoint(pid, anchor_declared=True) for pid in extra)
     if timelines:
-        base = timelines[0]
-        return [replace(base, points=base.points + points)] + timelines[1:]
-    return [Timeline(IMPLICIT_TIMELINE, UNIT_SYMBOLIC, points, implicit=True)]
+        base, rest = timelines[0], timelines[1:]
+    else:
+        base, rest = Timeline(IMPLICIT_TIMELINE, UNIT_SYMBOLIC, implicit=True), []
+    absorbed = replace(
+        base,
+        ids=base.ids + tuple(extra),
+        offsets=base.offsets + (None,) * len(extra),
+        anchor_declared=base.anchor_declared | frozenset(extra),
+    )
+    return [absorbed, *rest]
 
 
 def _parse_body(
@@ -850,8 +863,8 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
     findings: list[Finding] = []
     point_home: dict[str, str] = {}
     for tl in doc.timelines:
-        for p in tl.points:
-            point_home.setdefault(p.id, tl.id)
+        for pid in tl.ids:
+            point_home.setdefault(pid, tl.id)
 
     # The interval, or None, of each body item, listed per id in body order.
     intervals: dict[str | None, list[EventInterval | None]] = {}

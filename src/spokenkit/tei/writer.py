@@ -138,7 +138,7 @@ def serialize_document(doc: Document, materialize_timeline: bool = False) -> byt
     """
     if doc.metadata is None:
         raise TeiSerializeError("document has no header metadata; a file description is mandatory")
-    has_synthetic = any(p.synthetic for tl in doc.timelines for p in tl.points)
+    has_synthetic = any(tl.synthetic for tl in doc.timelines)
     if has_synthetic and not materialize_timeline:
         raise TeiSerializeError(
             "document contains synthetic timeline points; serialise with "
@@ -321,24 +321,24 @@ def _write_person(w: _Writer, depth: int, person: Person) -> None:
 # ---------------------------------------------------------------- timeline and body
 
 def _write_timeline(w: _Writer, depth: int, timeline: Timeline, materialize: bool) -> None:
-    if materialize:
-        points = list(timeline.points)
-    else:
-        points = [p for p in timeline.points if not p.anchor_declared and not p.synthetic]
-        if timeline.implicit or not points:
-            return
+    hidden = frozenset() if materialize else timeline.anchor_declared | timeline.synthetic
+    # The flagged ids are ids of the timeline, so this tells whether any point is left.
+    if not materialize and (timeline.implicit or len(hidden) == len(timeline.ids)):
+        return
     attrs: dict[str, str | None] = {"unit": timeline.unit}
     if timeline.id_declared:
         attrs["xml:id"] = timeline.id
     w.line(depth, f"<timeline{_attrs(attrs)}>")
     indent = "  " * (depth + 1)
     lines = w.lines
-    for point in points:
-        ident = _esc_attr(point.id)
-        if point.offset is None:
+    for pid, offset in zip(timeline.ids, timeline.offsets):
+        if pid in hidden:
+            continue
+        ident = _esc_attr(pid)
+        if offset is None:
             lines.append(f'{indent}<when xml:id="{ident}"/>')
         else:
-            lines.append(f'{indent}<when absolute="{_number(point.offset)}" xml:id="{ident}"/>')
+            lines.append(f'{indent}<when absolute="{_number(offset)}" xml:id="{ident}"/>')
     w.line(depth, "</timeline>")
 
 

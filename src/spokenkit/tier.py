@@ -35,7 +35,6 @@ from spokenkit.core.model import (
     Level,
     Qualifier,
     SourceRef,
-    TimePoint,
     Timeline,
     UnknownIdError,
     WordForm,
@@ -330,11 +329,9 @@ def to_core(td: TierDocument, category_map: Mapping[str, str] | None = None) -> 
     tier category (optionally redirected to a data-category pid) and whose
     value is the event text. Speakers become participants.
     """
-    timeline = Timeline(
-        TIER_TIMELINE,
-        UNIT_S if any(offset is not None for _, offset in td.points) else UNIT_SYMBOLIC,
-        tuple(TimePoint(pid, offset=offset) for pid, offset in td.points),
-    )
+    ids, offsets = zip(*td.points) if td.points else ((), ())
+    unit = UNIT_S if any(offset is not None for offset in offsets) else UNIT_SYMBOLIC
+    timeline = Timeline(TIER_TIMELINE, unit, ids, offsets)
     levels: dict[str, Level] = {}
     layers: list[Layer] = []
     annotations: list[Annotation] = []
@@ -405,8 +402,8 @@ def from_core(doc: Document) -> tuple[TierDocument, list[ResidueItem]]:
     points: tuple[tuple[str, Decimal | None], ...] = ()
     if timeline is not None:
         points = tuple(
-            (p.id, p.offset if isinstance(p.offset, Decimal) or p.offset is None else Decimal(str(p.offset)))
-            for p in timeline.points
+            (pid, offset if isinstance(offset, Decimal) or offset is None else Decimal(str(offset)))
+            for pid, offset in zip(timeline.ids, timeline.offsets)
         )
 
     speakers: list[TierSpeaker] = []

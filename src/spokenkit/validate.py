@@ -113,7 +113,7 @@ def _declared_ids(doc: Document) -> list[DeclaredId]:
     # Constructed documents: collect identifiers from the model itself.
     ids: list[DeclaredId] = []
     for tl in doc.timelines:
-        ids.extend(DeclaredId(p.id, "when") for p in tl.points if not p.synthetic)
+        ids.extend(DeclaredId(pid, "when") for pid in tl.ids if pid not in tl.synthetic)
     if doc.metadata is not None:
         ids.extend(DeclaredId(p.id, "person") for p in doc.metadata.participants)
     ids.extend(DeclaredId(a.id, "annotation") for a in doc.annotations)
@@ -148,7 +148,7 @@ def _known_ids(doc: Document, token_ids: set[str]) -> set[str]:
     known.update(d.raw for d in doc.declared_ids)
     for tl in doc.timelines:
         known.add(tl.id)
-        known.update(p.id for p in tl.points)
+        known.update(tl.ids)
     for s in doc.sources:
         known.add(s.id)
     for layer in doc.layers:
@@ -179,7 +179,7 @@ def check_refs(doc: Document, lib: TagsetLibrary | None = None) -> list[Finding]
     ``lib`` when given.
     """
     issues: list[Finding] = []
-    point_ids = {p.id for tl in doc.timelines for p in tl.points}
+    point_ids = {pid for tl in doc.timelines for pid in tl.ids}
     participants = (
         {p.id for p in doc.metadata.participants} if doc.metadata is not None else set()
     )
@@ -275,8 +275,8 @@ def check_temporal(doc: Document) -> list[Finding]:
     issues: list[Finding] = []
     point_index: dict[str, int] = {}
     for tl in doc.timelines:
-        for n, p in enumerate(tl.points):
-            point_index.setdefault(p.id, n)
+        for n, pid in enumerate(tl.ids):
+            point_index.setdefault(pid, n)
 
     for item in doc.body:
         if not isinstance(item, Utterance):
@@ -296,15 +296,15 @@ def check_temporal(doc: Document) -> list[Finding]:
             )
 
     for tl in doc.timelines:
-        with_offsets = [p for p in tl.points if p.offset is not None]
-        for earlier, later in zip(with_offsets, with_offsets[1:]):
-            if earlier.offset > later.offset:
+        with_offsets = [(pid, o) for pid, o in zip(tl.ids, tl.offsets) if o is not None]
+        for (earlier, earlier_offset), (later, later_offset) in zip(with_offsets, with_offsets[1:]):
+            if earlier_offset > later_offset:
                 issues.append(
                     _finding(
                         OFFSET_ORDER,
-                        later.id,
-                        f"offset of {later.id!r} ({later.offset}) is smaller than "
-                        f"offset of earlier point {earlier.id!r} ({earlier.offset})",
+                        later,
+                        f"offset of {later!r} ({later_offset}) is smaller than "
+                        f"offset of earlier point {earlier!r} ({earlier_offset})",
                     )
                 )
     return issues

@@ -48,8 +48,8 @@ def test_component_refs_non_empty_and_distinct():
 
 
 def test_timeline_indices_must_be_consecutive():
-    with pytest.raises(ValueError):
-        Timeline("tl", "ms", (TimePoint("a"), TimePoint("a")))
+    with pytest.raises(ValueError, match="duplicate point id 'a'"):
+        Timeline("tl", "ms", ("a", "a"), (None, None))
 
 
 def test_timeline_point_lookup():
@@ -72,7 +72,7 @@ def test_timeline_unknown_point_id():
 
 def test_timeline_lookup_follows_replaced_points():
     tl = Timeline.of("tl", ["a", "b", "c"])
-    changed = replace(tl, points=(TimePoint("c"), TimePoint("d")))
+    changed = replace(tl, ids=("c", "d"), offsets=(None, None))
     assert changed.index_of("c") == 0
     assert changed.index_of("d") == 1
     assert changed.point("d") == TimePoint("d")
@@ -83,17 +83,16 @@ def test_timeline_lookup_follows_replaced_points():
 
 
 def test_timeline_index_does_not_affect_equality_hash_or_repr():
-    points = (TimePoint("a", offset=10), TimePoint("b"))
-    one = Timeline("tl", "ms", points)
-    other = Timeline("tl", "ms", tuple(TimePoint(p.id, offset=p.offset) for p in points))
+    one = Timeline("tl", "ms", ("a", "b"), (10, None))
+    # Built from a timeline whose index held other positions.
+    other = replace(Timeline.of("tl", ["b", "a", "c"], "ms"), ids=("a", "b"), offsets=(10, None))
     assert one == other
     assert hash(one) == hash(other)
     assert repr(one) == repr(other)
     assert "by_id" not in repr(one)
     assert repr(one) == (
-        "Timeline(id='tl', unit='ms', points=(TimePoint(id='a', offset=10, "
-        "synthetic=False, anchor_declared=False), TimePoint(id='b', offset=None, "
-        "synthetic=False, anchor_declared=False)), implicit=False, id_declared=False)"
+        "Timeline(id='tl', unit='ms', ids=('a', 'b'), offsets=(10, None), "
+        "synthetic=frozenset(), anchor_declared=frozenset(), implicit=False, id_declared=False)"
     )
 
 

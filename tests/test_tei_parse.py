@@ -64,6 +64,21 @@ def test_person_metadata():
     assert (lang.tag, lang.level, lang.label) == ("de", "first", "German")
 
 
+@pytest.mark.parametrize("section", ["fileDesc", "encodingDesc", "profileDesc"])
+def test_repeated_header_section_is_reported_and_the_first_kept(section):
+    one = fixture_bytes("anchored_dialogue.xml").replace(
+        b"</teiHeader>", b"<encodingDesc><p>first</p></encodingDesc></teiHeader>"
+    )
+    second = b"<%s><p>second</p></%s></teiHeader>" % (section.encode(), section.encode())
+    baseline, baseline_warnings = parse_document(one)
+    doc, warnings = parse_document(one.replace(b"</teiHeader>", second))
+    message = f"teiHeader has more than one {section}; keeping the first"
+    assert warnings == baseline_warnings + [
+        Finding("DUP_HEADER_SECTION", "warning", section, message)
+    ]
+    assert doc == baseline
+
+
 def test_missing_file_desc_is_a_hard_error():
     data = b'<TEI xmlns="http://www.tei-c.org/ns/1.0"><teiHeader/><text><body/></text></TEI>'
     with pytest.raises(TeiParseError):

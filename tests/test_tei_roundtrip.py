@@ -193,7 +193,7 @@ def test_attribute_order_does_not_matter():
 def _random_document(rng):
     import random as _random
 
-    from spokenkit.core import Document, SourceRef, TimePoint, Timeline
+    from spokenkit.core import Document, SourceRef, Timeline
     from spokenkit.tei import (
         AnchorRef,
         Incident,
@@ -209,7 +209,8 @@ def _random_document(rng):
     timeline = Timeline(
         "tl",
         "ms",
-        tuple(TimePoint(f"T{i}", offset=None) for i in range(n_points)),
+        tuple(f"T{i}" for i in range(n_points)),
+        (None,) * n_points,
         id_declared=True,
     )
     people = tuple(Person(id=f"S{i}", name=f"Speaker {i}") for i in range(rng.randint(1, 3)))

@@ -16,7 +16,6 @@ from spokenkit.core import (
     ScaleInterval,
     SourceRef,
     TemporalRelation as R,
-    TimePoint,
     Timeline,
     UnknownIdError,
     compare_points,
@@ -46,7 +45,7 @@ def test_compare_points_identity(dialogue_timeline):
 
 
 def test_compare_points_with_offsets():
-    tl = Timeline("tl", "ms", (TimePoint("p1", offset=100), TimePoint("p2", offset=250)))
+    tl = Timeline("tl", "ms", ("p1", "p2"), (100, 250))
     assert compare_points(tl, "p2", "p1") == "after"
 
 

@@ -8,7 +8,6 @@ from spokenkit.core import (
     Annotation,
     ComponentRefs,
     Qualifier,
-    TimePoint,
     Timeline,
     UnknownIdError,
 )
@@ -166,18 +165,14 @@ def test_decreasing_anchors_in_one_utterance():
 def test_offset_inversion_is_flagged():
     doc, _ = parse_document(fixture_bytes("anchored_dialogue.xml"))
     tl = doc.timelines[0]
-    points = list(tl.points)
-    points[0] = replace(points[0], offset=500)
-    points[1] = replace(points[1], offset=100)
-    doc = replace(doc, timelines=(replace(tl, points=tuple(points)),))
+    offsets = (500, 100) + tl.offsets[2:]
+    doc = replace(doc, timelines=(replace(tl, offsets=offsets),))
     issues = check_temporal(doc)
     assert codes(issues) == [OFFSET_ORDER]
 
 
 def test_equal_offsets_are_not_flagged():
-    tl = Timeline(
-        "tl", "ms", (TimePoint("a", offset=100), TimePoint("b", offset=100))
-    )
+    tl = Timeline("tl", "ms", ("a", "b"), (100, 100))
     from spokenkit.core import Document
 
     assert check_temporal(Document(timelines=(tl,))) == []
