@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from dataclasses import KW_ONLY, dataclass, field
 from decimal import Decimal
 from itertools import repeat
-from operator import gt
+from operator import le
 from typing import TYPE_CHECKING, Callable, Iterable, Union
 
 if TYPE_CHECKING:
@@ -96,6 +96,16 @@ class SourceRef:
             raise ValueError(f"primary source {self.id!r} cannot have parent sources")
 
 
+def _offset_problem(offset: Number) -> str | None:
+    """Why ``offset`` cannot be a point's offset, or None when it can."""
+    # A signalling Decimal NaN refuses every comparison, so ask it first.
+    if (isinstance(offset, Decimal) and offset.is_nan()) or offset != offset:
+        return "offset must be a number, not NaN"
+    if offset < 0:
+        return "offset must be non-negative"
+    return None
+
+
 @dataclass(frozen=True)
 class TimePoint:
     """One point of a timeline, as a view built on request.
@@ -114,8 +124,9 @@ class TimePoint:
     anchor_declared: bool = False
 
     def __post_init__(self) -> None:
-        if self.offset is not None and self.offset < 0:
-            raise ValueError(f"point {self.id!r}: offset must be non-negative")
+        problem = None if self.offset is None else _offset_problem(self.offset)
+        if problem is not None:
+            raise ValueError(f"point {self.id!r}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -154,10 +165,17 @@ class Timeline:
                 if pid in seen:
                     raise ValueError(f"timeline {self.id!r}: duplicate point id {pid!r}")
                 seen.add(pid)
-        # ``filter(None, …)`` drops None and zero; ``0 > offset`` is ``offset < 0``.
-        if any(map(gt, repeat(0), filter(None, offsets))):
-            pid = next(p for p, o in zip(ids, offsets) if o is not None and o < 0)
-            raise ValueError(f"point {pid!r}: offset must be non-negative")
+        # ``filter(None, …)`` drops None and zero; ``0 <= offset`` is false for a
+        # negative offset and a float NaN, and a Decimal NaN raises instead.
+        try:
+            suspect = not all(map(le, repeat(0), filter(None, offsets)))
+        except ArithmeticError:
+            suspect = True
+        if suspect:
+            for pid, offset in zip(ids, offsets):
+                problem = None if offset is None else _offset_problem(offset)
+                if problem is not None:
+                    raise ValueError(f"point {pid!r}: {problem}")
         flags = (("synthetic", self.synthetic), ("anchor-declared", self.anchor_declared))
         for kind, flagged in flags:
             if not by_id.keys() >= flagged:
@@ -367,14 +385,6 @@ class Level:
             )
 
 
-@dataclass(frozen=True)
-class DeclaredId:
-    """An identifier as it appeared in the input, before any normalization."""
-
-    raw: str
-    kind: str
-
-
 @dataclass
 class Document:
     """A parsed or constructed corpus document.
@@ -393,7 +403,9 @@ class Document:
     annotations: tuple[Annotation, ...] = ()
     body: tuple = ()
     back: tuple = ()
-    declared_ids: tuple[DeclaredId, ...] = field(default=(), compare=False)
+    # (raw id, element name) of each identifier as it appeared in the input,
+    # before any normalization, in document order.
+    declared_ids: tuple[tuple[str, str], ...] = field(default=(), compare=False)
 
     def timeline(self, timeline_id: str) -> Timeline:
         for t in self.timelines:

@@ -21,7 +21,6 @@ from spokenkit.core.model import (
     UNIT_SYMBOLIC,
     WARNING,
     Annotation,
-    DeclaredId,
     Document,
     EventInterval,
     Finding,
@@ -93,7 +92,8 @@ class TeiParseError(ValueError):
 
 
 # Every element name the reader dispatches on. Their tags, with and without
-# the TEI namespace, resolve to the local name by one dictionary lookup.
+# the TEI namespace, resolve to the local name by one dictionary lookup, which
+# the reader's loops make inline; ``_local`` also names tags outside it.
 _VOCABULARY = (
     "TEI", "teiHeader", "fileDesc", "titleStmt", "title", "publicationStmt", "p",
     "sourceDesc", "recordingStmt", "recording", "equipment", "date", "broadcast",
@@ -151,9 +151,27 @@ class _ParseContext:
     anchor_order: list[str] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
     declared: set[str] = field(default_factory=set)
+    annotations: list[Annotation] = field(default_factory=list)
 
     def warn(self, code: str, location: str, message: str) -> None:
         self.warnings.append(Finding(code, WARNING, location, message))
+
+    def annotate(self, item: Utterance | TimedEvent, feature: str, value: str) -> None:
+        """Record the annotation of a body utterance or free-standing event.
+
+        Tokens are not annotations: each identified ``w`` is a component of
+        the body already, read with ``document_tokens``.
+        """
+        self.annotations.append(
+            Annotation(
+                id=item.id,
+                source=DEFAULT_SOURCE,
+                range=None,
+                qualifiers=(Qualifier(feature, value),),
+                layer=EVENTS_LAYER,
+                who=item.who,
+            )
+        )
 
     def fresh_id(self, prefix: str) -> str:
         n = self.counters.get(prefix, 0)
@@ -187,33 +205,30 @@ def parse_document(data: bytes | str) -> tuple[Document, list[Finding]]:
     if _local(root.tag) != "TEI":
         raise TeiParseError(f"expected a TEI root element, got {_local(root.tag)!r}")
 
-    declared_ids: list[DeclaredId] = []
-    declare = ctx.declared.add
-    xml_id = XML_ID
-    for el in root.iter():
-        raw = el.get(xml_id)
-        if raw is not None:
-            declared_ids.append(DeclaredId(raw, _local(el.tag)))
-            declare(raw)
-            if raw[:1] == "#":
-                declare(raw[1:])
+    local_names = _LOCAL_NAMES
+    declared_ids = [
+        (raw, local_names.get(el.tag) or _local(el.tag))
+        for el in root.iter()
+        if (raw := el.get(XML_ID)) is not None
+    ]
+    ctx.declared.update([raw for raw, _ in declared_ids])
+    ctx.declared.update([raw[1:] for raw, _ in declared_ids if raw[:1] == "#"])
 
     header_el = _child(root, "teiHeader")
     if header_el is None:
         raise TeiParseError("document has no teiHeader")
     timelines: list[Timeline] = []
     body_items: list = []
-    utterance_texts: list[str] = []
     back_items: list = []
     text_el = _child(root, "text")
     try:
         metadata = _parse_header(header_el, ctx)
         for child in () if text_el is None else text_el:
-            local = _local(child.tag)
+            local = local_names.get(child.tag)
             if local == "timeline":
                 timelines.append(_parse_timeline(child, ctx))
             elif local == "body":
-                _parse_body(child, ctx, timelines, body_items, utterance_texts)
+                _parse_body(child, ctx, timelines, body_items)
             elif local == "back":
                 back_items = _parse_back(child, ctx)
             else:
@@ -222,27 +237,47 @@ def parse_document(data: bytes | str) -> tuple[Document, list[Finding]]:
         raise TeiParseError("markup is nested too deeply to parse") from None
 
     timelines = _absorb_anchor_points(timelines, ctx)
+    # One annotation per utterance and free-standing event, in body order, on
+    # a transcription level that admits each event feature in use.
+    annotations = tuple(ctx.annotations)
+    layers: tuple[Layer, ...] = ()
+    levels: tuple[Level, ...] = ()
+    if annotations:
+        features = {ann.qualifiers[0].feature for ann in annotations}
+        layers = (Layer(EVENTS_LAYER, "transcription events", TRANSCRIPTION_LEVEL),)
+        levels = (
+            Level(
+                TRANSCRIPTION_LEVEL,
+                sources=frozenset({DEFAULT_SOURCE}),
+                ranging_mechanism=MECH_EVENT,
+                category_selection=frozenset(BASE_EVENT_FEATURES | features),
+            ),
+        )
     doc = Document(
         metadata=metadata,
         sources=(SourceRef(DEFAULT_SOURCE, PRIMARY),),
         timelines=tuple(timelines),
+        layers=layers,
+        levels=levels,
+        annotations=annotations,
         body=tuple(body_items),
         back=tuple(back_items),
         declared_ids=tuple(declared_ids),
     )
-    doc = _attach_annotations(doc, utterance_texts)
     return doc, ctx.warnings
 
 
 def _child(el: ET.Element, name: str) -> ET.Element | None:
+    """The first child named ``name``, one of the reader's vocabulary."""
     for child in el:
-        if _local(child.tag) == name:
+        if _LOCAL_NAMES.get(child.tag) == name:
             return child
     return None
 
 
 def _children(el: ET.Element, name: str) -> list[ET.Element]:
-    return [child for child in el if _local(child.tag) == name]
+    """The children named ``name``, one of the reader's vocabulary."""
+    return [child for child in el if _LOCAL_NAMES.get(child.tag) == name]
 
 
 # ---------------------------------------------------------------- header
@@ -257,22 +292,22 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
     extras: list[tuple[str, OpaqueElement]] = []
 
     for child in file_desc:
-        local = _local(child.tag)
+        local = _LOCAL_NAMES.get(child.tag)
         if local == "titleStmt":
             for sub in child:
-                if _local(sub.tag) == "title":
+                if _LOCAL_NAMES.get(sub.tag) == "title":
                     title = _text_of(sub) or ""
                 else:
                     extras.append(("titleStmt", _opaque(sub)))
         elif local == "publicationStmt":
             for sub in child:
-                if _local(sub.tag) == "p" and not publication:
+                if _LOCAL_NAMES.get(sub.tag) == "p" and not publication:
                     publication = _text_of(sub) or ""
                 else:
                     extras.append(("publicationStmt", _opaque(sub)))
         elif local == "sourceDesc":
             for sub in child:
-                sublocal = _local(sub.tag)
+                sublocal = _LOCAL_NAMES.get(sub.tag)
                 if sublocal == "p" and not source:
                     source = _text_of(sub) or ""
                 elif sublocal == "recordingStmt":
@@ -295,9 +330,9 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
     encoding = _child(header_el, "encodingDesc")
     if encoding is not None:
         for child in encoding:
-            if _local(child.tag) == "appInfo":
+            if _LOCAL_NAMES.get(child.tag) == "appInfo":
                 for app in child:
-                    if _local(app.tag) == "application":
+                    if _LOCAL_NAMES.get(app.tag) == "application":
                         applications.append(_parse_application(app))
                     else:
                         extras.append(("appInfo", _opaque(app)))
@@ -310,10 +345,10 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
     profile = _child(header_el, "profileDesc")
     if profile is not None:
         for child in profile:
-            local = _local(child.tag)
+            local = _LOCAL_NAMES.get(child.tag)
             if local == "particDesc":
                 for sub in child:
-                    if _local(sub.tag) == "person":
+                    if _LOCAL_NAMES.get(sub.tag) == "person":
                         participants.append(_parse_person(sub, ctx))
                     else:
                         extras.append(("particDesc", _opaque(sub)))
@@ -327,7 +362,7 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
     revisions: list[Change] = []
     sections: set[str] = set()
     for child in header_el:
-        local = _local(child.tag)
+        local = _LOCAL_NAMES.get(child.tag)
         if local in ("fileDesc", "encodingDesc", "profileDesc"):
             # The first of each was read above.
             if local in sections:
@@ -337,7 +372,7 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
             continue
         if local == "revisionDesc":
             for change in child:
-                if _local(change.tag) == "change":
+                if _LOCAL_NAMES.get(change.tag) == "change":
                     revisions.append(
                         Change(change.get("when"), _norm_ref(change.get("who")), _text_of(change))
                     )
@@ -367,7 +402,7 @@ def _parse_recording(rec_el: ET.Element) -> Recording:
     broadcast = None
     extras: list[OpaqueElement] = []
     for child in rec_el:
-        local = _local(child.tag)
+        local = _LOCAL_NAMES.get(child.tag)
         if local == "equipment":
             p = _child(child, "p")
             equipment = _text_of(p) if p is not None else _text_of(child)
@@ -398,7 +433,7 @@ def _parse_person(person_el: ET.Element, ctx: _ParseContext) -> Person:
     lang_tags = None
     extras: list[OpaqueElement] = []
     for child in person_el:
-        local = _local(child.tag)
+        local = _LOCAL_NAMES.get(child.tag)
         if local == "persName":
             abbr = _child(child, "abbr")
             if abbr is not None:
@@ -449,7 +484,7 @@ def _parse_timeline(tl_el: ET.Element, ctx: _ParseContext) -> Timeline:
     offsets: list[Decimal | None] = []
     seen: set[str] = set()
     for when in tl_el:
-        if _local(when.tag) != "when":
+        if _LOCAL_NAMES.get(when.tag) != "when":
             continue
         pid = when.get(XML_ID)
         if pid is None:
@@ -512,24 +547,23 @@ def _absorb_anchor_points(timelines: list[Timeline], ctx: _ParseContext) -> list
 
 
 def _parse_body(
-    body_el: ET.Element,
-    ctx: _ParseContext,
-    timelines: list[Timeline],
-    items: list,
-    utterance_texts: list[str],
+    body_el: ET.Element, ctx: _ParseContext, timelines: list[Timeline], items: list
 ) -> None:
-    """Append the body items to ``items``, and the text of each utterance
-    among them to ``utterance_texts``."""
+    """Append the body items to ``items``, and annotate each utterance and
+    free-standing event among them."""
     if body_el.text and body_el.text.strip():
         items.append(TextSegment(body_el.text))
     for child in body_el:
-        local = _local(child.tag)
+        local = _LOCAL_NAMES.get(child.tag)
         if local == "u":
             parts: list[str] = []
-            items.append(_parse_utterance(child, ctx, parts))
-            utterance_texts.append("".join(parts))
+            utterance = _parse_utterance(child, ctx, parts)
+            items.append(utterance)
+            ctx.annotate(utterance, "utterance", "".join(parts))
         elif local in EVENT_CLASSES:
-            items.append(_parse_event(child, EVENT_CLASSES[local], ctx))
+            event = _parse_event(child, EVENT_CLASSES[local], ctx)
+            items.append(event)
+            ctx.annotate(event, _event_feature(local, event.type), event.desc or "")
         elif local == "anchor":
             items.append(_parse_anchor(child, ctx))
         elif local == "spanGrp":
@@ -545,9 +579,13 @@ def _parse_body(
 def _parse_anchor(el: ET.Element, ctx: _ParseContext) -> AnchorRef:
     declares = el.get(XML_ID)
     if declares is not None:
-        declares = strip_ref(declares)
+        if declares[:1] == "#":
+            declares = declares[1:]
         ctx.anchor_order.append(declares)
-    return AnchorRef(_norm_ref(el.get("synch")), declares)
+    synch = el.get("synch")
+    if synch is not None and synch[:1] == "#":
+        synch = synch[1:]
+    return AnchorRef(synch, declares)
 
 
 def _parse_event(el: ET.Element, cls: type[TimedEvent], ctx: _ParseContext) -> TimedEvent:
@@ -584,16 +622,43 @@ def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str]) -> list:
     """
     items: list = []
     append = items.append
+    add_text = parts.append
     text = el.text
     if text:
         append(TextSegment(text))
-        parts.append(text)
+        add_text(text)
     for child in el:
-        local = _local(child.tag)
+        local = _LOCAL_NAMES.get(child.tag)
         if local == "w" or local == "pc":
-            token = _parse_token(child, local, ctx)
-            append(token)
-            parts.append(token.text)
+            # The token's text is its own characters: the element's text and
+            # the tails of its children, never text inside a child.
+            token_text = child.text or ""
+            extras: tuple[OpaqueElement, ...] = ()
+            if len(child):
+                for sub in child:
+                    # Anchors may not split tokens; anything inside a token
+                    # is preserved opaquely and reported.
+                    message = (
+                        f"element {_local(sub.tag)!r} inside {local} is not supported; "
+                        "preserved opaquely"
+                    )
+                    ctx.warn(f"UNSUPPORTED_IN_{local.upper()}", local, message)
+                    if sub.tail:
+                        token_text += sub.tail
+                extras = tuple(_opaque(sub) for sub in child)
+            token_id = child.get(XML_ID)
+            if not token_id:
+                token_id = None
+            elif token_id[0] == "#":
+                token_id = token_id[1:]
+            if local == "w":
+                ana = child.get("ana")
+                if ana is not None and ana[:1] == "#":
+                    ana = ana[1:]
+                append(W(token_text, token_id, ana, extras))
+            else:
+                append(Pc(token_text, token_id, extras))
+            add_text(token_text)
         elif local == "anchor":
             append(_parse_anchor(child, ctx))
         elif local == "seg":
@@ -617,33 +682,8 @@ def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str]) -> list:
         tail = child.tail
         if tail:
             append(TextSegment(tail))
-            parts.append(tail)
+            add_text(tail)
     return items
-
-
-def _parse_token(el: ET.Element, local: str, ctx: _ParseContext) -> W | Pc:
-    """A ``w`` or ``pc`` element, whose ``local`` name is given."""
-    # The token's text is its own characters: the element's text and the tails
-    # of its children, never text inside a child.
-    text = el.text or ""
-    extras: tuple[OpaqueElement, ...] = ()
-    if len(el):
-        for child in el:
-            # Anchors may not split tokens; anything inside a token is
-            # preserved opaquely and reported.
-            message = (
-                f"element {_local(child.tag)!r} inside {local} is not supported; "
-                "preserved opaquely"
-            )
-            ctx.warn(f"UNSUPPORTED_IN_{local.upper()}", local, message)
-            if child.tail:
-                text += child.tail
-        extras = tuple(_opaque(child) for child in el)
-    token_id = el.get(XML_ID)
-    token_id = strip_ref(token_id) if token_id else None
-    if local == "pc":
-        return Pc(text, token_id, extras)
-    return W(text, token_id, _norm_ref(el.get("ana")), extras)
 
 
 def _parse_span_group(el: ET.Element, ctx: _ParseContext) -> SpanGroup:
@@ -668,7 +708,7 @@ def _parse_span_group(el: ET.Element, ctx: _ParseContext) -> SpanGroup:
 def _parse_back(back_el: ET.Element, ctx: _ParseContext) -> list:
     items: list = []
     for child in back_el:
-        local = _local(child.tag)
+        local = _LOCAL_NAMES.get(child.tag)
         if local == "fLib":
             items.append(_parse_flib(child, ctx))
         elif local == "fvLib":
@@ -752,7 +792,7 @@ def _named_features(el: ET.Element, ctx: _ParseContext):
 
 def _parse_fsvalue(f_el: ET.Element, ctx: _ParseContext) -> FSValue:
     for child in f_el:
-        local = _local(child.tag)
+        local = _LOCAL_NAMES.get(child.tag)
         if local == "binary":
             return Binary(child.get("value", "false").lower() == "true")
         if local == "symbol":
@@ -804,49 +844,6 @@ def _event_feature(kind: str, event_type: str | None) -> str:
     if event_type and event_type != "nv":
         return event_type
     return kind
-
-
-def _attach_annotations(doc: Document, utterance_texts: list[str]) -> Document:
-    """One annotation per utterance and free-standing event, in body order.
-
-    Tokens are not annotations: each identified ``w`` is a component of the
-    body already, read with ``document_tokens``.
-    """
-    annotations: list[Annotation] = []
-    event_features: set[str] = set()
-    texts = iter(utterance_texts)
-
-    for item in doc.body:
-        if isinstance(item, Utterance):
-            feature = "utterance"
-            value = next(texts)
-        elif isinstance(item, TimedEvent):
-            feature = _event_feature(item.tag, item.type)
-            value = item.desc or ""
-        else:
-            continue
-        annotations.append(
-            Annotation(
-                id=item.id,
-                source=DEFAULT_SOURCE,
-                range=None,
-                qualifiers=(Qualifier(feature, value),),
-                layer=EVENTS_LAYER,
-                who=item.who,
-            )
-        )
-        event_features.add(feature)
-
-    if not annotations:
-        return doc
-    layer = Layer(EVENTS_LAYER, "transcription events", TRANSCRIPTION_LEVEL)
-    level = Level(
-        TRANSCRIPTION_LEVEL,
-        sources=frozenset({DEFAULT_SOURCE}),
-        ranging_mechanism=MECH_EVENT,
-        category_selection=frozenset(BASE_EVENT_FEATURES | event_features),
-    )
-    return replace(doc, annotations=tuple(annotations), layers=(layer,), levels=(level,))
 
 
 # ---------------------------------------------------------------- anchors

@@ -8,13 +8,16 @@ severity, and a location that names a real element or input line.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
+from typing import NamedTuple
 
 from spokenkit.core.model import (
     ERROR,
     WARNING,
     ComponentRefs,
-    DeclaredId,
     Document,
     EventInterval,
     Finding,
@@ -34,7 +37,7 @@ from spokenkit.tei.model import (
     content_items,
 )
 from spokenkit.tei.parser import analysis_targets, build_document_library
-from spokenkit.tei.spans import document_spans, document_tokens
+from spokenkit.tei.spans import document_spans
 
 DUP_ID = "DUP_ID"
 BAD_ID = "BAD_ID"
@@ -107,45 +110,49 @@ class ValidateOptions:
     severity_overrides: dict[str, str] = field(default_factory=dict)
 
 
-def _declared_ids(doc: Document) -> list[DeclaredId]:
+def _declared_ids(doc: Document) -> Sequence[tuple[str, str]]:
+    """(raw id, element name) of each identifier the document declares."""
     if doc.declared_ids:
-        return list(doc.declared_ids)
+        return doc.declared_ids
     # Constructed documents: collect identifiers from the model itself.
-    ids: list[DeclaredId] = []
+    ids: list[tuple[str, str]] = []
     for tl in doc.timelines:
-        ids.extend(DeclaredId(pid, "when") for pid in tl.ids if pid not in tl.synthetic)
+        ids.extend((pid, "when") for pid in tl.ids if pid not in tl.synthetic)
     if doc.metadata is not None:
-        ids.extend(DeclaredId(p.id, "person") for p in doc.metadata.participants)
-    ids.extend(DeclaredId(a.id, "annotation") for a in doc.annotations)
+        ids.extend((p.id, "person") for p in doc.metadata.participants)
+    ids.extend((a.id, "annotation") for a in doc.annotations)
     return ids
 
 
 def check_ids(doc: Document) -> list[Finding]:
     """Duplicate identifiers and identifiers that cannot be identifiers."""
+    declared = _declared_ids(doc)
+    counts = Counter(map(itemgetter(0), declared))
     issues: list[Finding] = []
-    seen: dict[str, int] = {}
-    for declared in _declared_ids(doc):
-        raw = declared.raw
-        if raw:
-            seen[raw] = seen.get(raw, 0) + 1
-        else:
-            message = f"identifier on {declared.kind!r} is empty"
-            issues.append(_finding(BAD_ID, declared.kind, message))
-    for raw, count in seen.items():
+    if "" in counts:
+        del counts[""]
+        issues = [
+            _finding(BAD_ID, kind, f"identifier on {kind!r} is empty")
+            for raw, kind in declared
+            if not raw
+        ]
+    for raw, count in counts.items():
         if count > 1:
             issues.append(
                 _finding(DUP_ID, raw, f"identifier {raw!r} is declared {count} times")
             )
         if "#" in raw:
             issues.append(_finding(BAD_ID, raw, f"identifier {raw!r} contains '#'"))
-        elif any(c.isspace() for c in raw):
+        elif raw.split() != [raw]:
+            # ``str.split`` splits at exactly the characters ``str.isspace`` accepts.
             issues.append(_finding(BAD_ID, raw, f"identifier {raw!r} contains whitespace"))
     return issues
 
 
-def _known_ids(doc: Document, token_ids: set[str]) -> set[str]:
-    known = {d.raw.lstrip("#") for d in doc.declared_ids}
-    known.update(d.raw for d in doc.declared_ids)
+def _known_ids(doc: Document, token_ids: Iterable[str]) -> set[str]:
+    raws = [raw for raw, _ in doc.declared_ids]
+    known = {raw.lstrip("#") for raw in raws}
+    known.update(raws)
     for tl in doc.timelines:
         known.add(tl.id)
         known.update(tl.ids)
@@ -167,9 +174,27 @@ def _known_ids(doc: Document, token_ids: set[str]) -> set[str]:
 _REF_BEARING = (AnchorRef, TimedEvent, W)
 
 
-def _body_location(item) -> str:
-    """Where findings on a top-level body item and its id-less content are reported."""
-    return getattr(item, "id", None) or "body"
+class _Content(NamedTuple):
+    """The body's content, walked once for every check that reads it.
+
+    ``items`` holds, for each body item in order, the item, where findings
+    on it and its id-less content are reported, and its ref-bearing items
+    (anchors, timed events and tokens, the body item itself when it is one)
+    in document order. ``token_pos`` gives each identified token's position
+    among the identified tokens; a repeated id keeps its last position.
+    """
+
+    items: list[tuple[object, str, list]]
+    token_pos: dict[str, int]
+
+
+def _walk_content(doc: Document) -> _Content:
+    items = [
+        (item, getattr(item, "id", None) or "body", content_items((item,), _REF_BEARING))
+        for item in doc.body
+    ]
+    tokens = [w for _, _, inner in items for w in inner if isinstance(w, W) and w.id]
+    return _Content(items, {w.id: n for n, w in enumerate(tokens)})
 
 
 def check_refs(doc: Document, lib: TagsetLibrary | None = None) -> list[Finding]:
@@ -178,12 +203,16 @@ def check_refs(doc: Document, lib: TagsetLibrary | None = None) -> list[Finding]
     Analysis references resolve as in :func:`analysis_targets`, through
     ``lib`` when given.
     """
+    return _check_refs(doc, lib, _walk_content(doc))
+
+
+def _check_refs(doc: Document, lib: TagsetLibrary | None, content: _Content) -> list[Finding]:
     issues: list[Finding] = []
     point_ids = {pid for tl in doc.timelines for pid in tl.ids}
     participants = (
         {p.id for p in doc.metadata.participants} if doc.metadata is not None else set()
     )
-    token_ids = {t.id for t in document_tokens(doc)}
+    token_ids = content.token_pos
     known = _known_ids(doc, token_ids)
     ana_targets = analysis_targets(doc, lib)
 
@@ -196,11 +225,10 @@ def check_refs(doc: Document, lib: TagsetLibrary | None = None) -> list[Finding]
         if who is not None and who not in participants:
             dangle("who", who, location)
 
-    for item in doc.body:
-        location = _body_location(item)
+    for item, location, inner_items in content.items:
         if isinstance(item, Utterance):
             check_who(item.who, location)
-        for inner in content_items((item,), _REF_BEARING):
+        for inner in inner_items:
             if isinstance(inner, AnchorRef):
                 if inner.synch is not None and inner.synch not in point_ids:
                     dangle("synch", inner.synch, location)
@@ -242,10 +270,12 @@ def check_refs(doc: Document, lib: TagsetLibrary | None = None) -> list[Finding]
                 if target not in known:
                     dangle("target", target, app.ident or "appInfo")
 
+    source_ids = {s.id for s in doc.sources}
+    layer_ids = {l.id for l in doc.layers}
     for ann in doc.annotations:
-        if not any(s.id == ann.source for s in doc.sources):
+        if ann.source not in source_ids:
             dangle("source", ann.source, ann.id)
-        if not any(l.id == ann.layer for l in doc.layers):
+        if ann.layer not in layer_ids:
             dangle("layer", ann.layer, ann.id)
         if isinstance(ann.range, EventInterval):
             try:
@@ -272,25 +302,29 @@ def check_refs(doc: Document, lib: TagsetLibrary | None = None) -> list[Finding]
 
 def check_temporal(doc: Document) -> list[Finding]:
     """Anchor order within utterances and offset consistency on timelines."""
+    return _check_temporal(doc, _walk_content(doc))
+
+
+def _check_temporal(doc: Document, content: _Content) -> list[Finding]:
     issues: list[Finding] = []
     point_index: dict[str, int] = {}
     for tl in doc.timelines:
         for n, pid in enumerate(tl.ids):
             point_index.setdefault(pid, n)
 
-    for item in doc.body:
+    for item, location, inner_items in content.items:
         if not isinstance(item, Utterance):
             continue
         indices = [
             point_index[a.point]
-            for a in content_items(item.content, AnchorRef)
-            if a.point is not None and a.point in point_index
+            for a in inner_items
+            if isinstance(a, AnchorRef) and a.point in point_index
         ]
         if any(b < a for a, b in zip(indices, indices[1:])):
             issues.append(
                 _finding(
                     ANCHOR_ORDER,
-                    _body_location(item),
+                    location,
                     f"anchors of utterance {item.id!r} decrease in timeline order",
                 )
             )
@@ -312,8 +346,12 @@ def check_temporal(doc: Document) -> list[Finding]:
 
 def check_span_order(doc: Document) -> list[Finding]:
     """Spans whose from/to run against document order."""
+    return _check_span_order(doc, _walk_content(doc))
+
+
+def _check_span_order(doc: Document, content: _Content) -> list[Finding]:
     issues: list[Finding] = []
-    token_pos = {t.id: n for n, t in enumerate(document_tokens(doc)) if t.id}
+    token_pos = content.token_pos
     for group, n in document_spans(doc):
         for span in group.spans:
             if span.from_ in token_pos and span.to in token_pos:
@@ -329,14 +367,14 @@ def check_span_order(doc: Document) -> list[Finding]:
     return issues
 
 
-def _ana_bearing(doc: Document) -> list[tuple[str, str]]:
+def _ana_bearing(doc: Document, content: _Content) -> list[tuple[str, str]]:
     """(location, ana ref) pairs for every analysis reference in use."""
-    refs: list[tuple[str, str]] = []
-    for item in doc.body:
-        location = _body_location(item)
-        for w in content_items((item,), W):
-            if w.ana is not None:
-                refs.append((w.id or location, w.ana))
+    refs = [
+        (w.id or location, w.ana)
+        for _, location, inner_items in content.items
+        for w in inner_items
+        if isinstance(w, W) and w.ana is not None
+    ]
     for group, n in document_spans(doc):
         for span in group.spans:
             if span.ana is not None:
@@ -351,6 +389,16 @@ def check_tagset(
     language: str | None = None,
 ) -> list[Finding]:
     """Resolution of analysis references, and domain conformance if a registry is given."""
+    return _check_tagset(doc, lib, registry, language, _walk_content(doc))
+
+
+def _check_tagset(
+    doc: Document,
+    lib: TagsetLibrary | None,
+    registry: Registry | None,
+    language: str | None,
+    content: _Content,
+) -> list[Finding]:
     issues: list[Finding] = []
     if lib is None:
         try:
@@ -363,7 +411,7 @@ def check_tagset(
     # Each distinct reference is checked once; its problems recur at every
     # location that bears it.
     domain_problems: dict[str, list[tuple[str, str]]] = {}
-    for location, ref in _ana_bearing(doc):
+    for location, ref in _ana_bearing(doc, content):
         target = targets.get(ref)
         if target is None:
             issues.append(
@@ -421,12 +469,13 @@ def validate_all(doc: Document, options: ValidateOptions | None = None) -> Valid
     duplicates are reported once.
     """
     opts = options or ValidateOptions()
+    content = _walk_content(doc)
     issues: list[Finding] = []
     issues.extend(check_ids(doc))
-    issues.extend(check_refs(doc, opts.library))
-    issues.extend(check_temporal(doc))
-    issues.extend(check_span_order(doc))
-    issues.extend(check_tagset(doc, opts.library, opts.registry, opts.language))
+    issues.extend(_check_refs(doc, opts.library, content))
+    issues.extend(_check_temporal(doc, content))
+    issues.extend(_check_span_order(doc, content))
+    issues.extend(_check_tagset(doc, opts.library, opts.registry, opts.language, content))
     for level in doc.levels:
         for violation in check_level_coherence(doc, level.id):
             issues.append(_finding(LEVEL_INCOHERENT, violation.location, violation.message))

@@ -164,7 +164,7 @@ def test_duplicate_anchor_declaration_keeps_first(inline_doc):
     timeline = inline_doc.primary_timeline
     assert timeline.implicit
     assert [p.id for p in timeline.points] == ["tp1u", "tp2u"]
-    assert [d.raw for d in inline_doc.declared_ids].count("tp2u") == 2
+    assert [raw for raw, _ in inline_doc.declared_ids].count("tp2u") == 2
 
 
 def test_inline_anchor_utterances_share_interval(inline_doc):

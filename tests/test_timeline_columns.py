@@ -32,6 +32,7 @@ OFFSETS = st.one_of(
     st.integers(-3, 1000),
     st.floats(min_value=-2.0, allow_infinity=False),
     st.decimals(min_value=-2, max_value=1000, allow_nan=False, places=3),
+    st.sampled_from([float("nan"), Decimal("NaN"), Decimal("sNaN")]),
 )
 
 
@@ -100,6 +101,19 @@ def test_columns_are_checked_as_points_were_and_index_their_positions(cols):
 def test_each_column_check_names_what_it_refuses(ids, offsets, synthetic, anchor_declared, message):
     with pytest.raises(ValueError, match=message):
         Timeline("tl", "s", ids, offsets, synthetic, anchor_declared)
+
+
+@pytest.mark.parametrize("nan", [float("nan"), Decimal("NaN"), Decimal("-NaN"), Decimal("sNaN")])
+@pytest.mark.parametrize("offsets", [("nan", 1), (0, "nan", 1), (None, 2, "nan")])
+def test_a_nan_offset_is_refused_with_the_point_named(nan, offsets):
+    ids = ("a", "b", "c")[: len(offsets)]
+    pid = ids[offsets.index("nan")]
+    offsets = tuple(nan if o == "nan" else o for o in offsets)
+    message = f"point {pid!r}: offset must be a number, not NaN"
+    with pytest.raises(ValueError, match=message):
+        Timeline("tl", "s", ids, offsets)
+    with pytest.raises(ValueError, match=message):
+        TimePoint(pid, offset=nan)
 
 
 def _tei_stages(data: bytes) -> None:

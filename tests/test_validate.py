@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from spokenkit.core import (
     Annotation,
     ComponentRefs,
+    Document,
     Qualifier,
     Timeline,
     UnknownIdError,
@@ -68,6 +70,18 @@ def test_whitespace_in_identifier_is_flagged():
     data = fixture_bytes("anchored_dialogue.xml").replace(b'xml:id="T4bar"', b'xml:id="T4 bar"')
     doc, _ = parse_document(data)
     assert (BAD_ID, "T4 bar") in [(i.code, i.location) for i in check_ids(doc)]
+
+
+def test_every_whitespace_code_point_anywhere_in_an_identifier_is_flagged():
+    """Each code point that ``str.isspace`` accepts flags an identifier,
+    leading, inner or trailing; no other code point of the Basic
+    Multilingual Plane does."""
+    spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+    flagged = [raw for c in spaces for raw in (c, f"{c}a", f"a{c}b", f"a{c}")]
+    clean = [f"a{chr(n)}b" for n in range(0x10000) if not chr(n).isspace() and chr(n) != "#"]
+    doc = Document(declared_ids=tuple((raw, "w") for raw in flagged + clean))
+    found = [(i.code, i.location) for i in check_ids(doc)]
+    assert sorted(found) == sorted((BAD_ID, raw) for raw in flagged)
 
 
 # ---------------------------------------------------------------- references
