@@ -11,7 +11,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from spokenkit.core.model import WARNING, Document, Finding, Qualifier, decode_utf8
+from spokenkit.core.model import (
+    WARNING,
+    Annotation,
+    Document,
+    Finding,
+    Qualifier,
+    decode_utf8,
+)
 from spokenkit.tei.model import EVENT_CLASSES, TextSegment, Utterance, Vocal
 
 
@@ -60,28 +67,30 @@ def promote_conventions(
 
     Matches are applied left to right; everything around them is preserved
     byte-exactly, so the operation is idempotent. A segment with a stray
-    ``((`` is left untouched and reported as a finding.
+    ``((`` is left untouched and reported as a finding. An utterance that no
+    rule changed is returned as it is.
     """
     if rules is None:
         rules = BUILTIN_RULES
     findings: list[Finding] = []
-    new_content: list = []
-    for item in utt.content:
-        if not isinstance(item, TextSegment):
+    new_content: list | None = None  # built from the first changed segment on
+    for n, item in enumerate(utt.content):
+        promoted = None
+        if isinstance(item, TextSegment):
+            pieces = _apply_rules(item.text, rules)
+            if any(isinstance(p, str) and "((" in p for p in pieces):
+                message = f"unbalanced '((' in utterance {utt.id!r}; text left as is"
+                findings.append(Finding("UNBALANCED_MARKER", WARNING, utt.id, message))
+            elif len(pieces) > 1:  # a rule matched
+                promoted = [TextSegment(p) if isinstance(p, str) else p for p in pieces if p != ""]
+        if promoted is not None:
+            if new_content is None:
+                new_content = list(utt.content[:n])
+            new_content.extend(promoted)
+        elif new_content is not None:
             new_content.append(item)
-            continue
-        pieces = _apply_rules(item.text, rules)
-        if any(isinstance(p, str) and "((" in p for p in pieces):
-            message = f"unbalanced '((' in utterance {utt.id!r}; text left as is"
-            findings.append(Finding("UNBALANCED_MARKER", WARNING, utt.id, message))
-            new_content.append(item)
-            continue
-        for piece in pieces:
-            if isinstance(piece, str):
-                if piece:
-                    new_content.append(TextSegment(piece))
-            else:
-                new_content.append(piece)
+    if new_content is None:
+        return utt, findings
     return replace(utt, content=tuple(new_content)), findings
 
 
@@ -107,41 +116,52 @@ def _apply_rules(text: str, rules: tuple[ConventionRule, ...]) -> list:
 def promote_document(
     doc: Document, rules: tuple[ConventionRule, ...] | None = None
 ) -> tuple[Document, list[Finding]]:
-    """Apply convention promotion to every utterance of a document."""
-    findings: list[Finding] = []
-    new_body: list = []
-    changed = False
-    for item in doc.body:
-        if isinstance(item, Utterance):
-            new_item, item_findings = promote_conventions(item, rules)
-            findings.extend(item_findings)
-            changed = changed or new_item != item
-            new_body.append(new_item)
-        else:
-            new_body.append(item)
-    if not changed:
-        return doc, findings
-    new_doc = replace(doc, body=tuple(new_body))
-    return _refresh_utterance_values(new_doc), findings
+    """Apply convention promotion to every utterance of a document.
 
-
-def _refresh_utterance_values(doc: Document) -> Document:
-    """Re-derive utterance annotation text after content rewrites.
-
-    The n-th utterance annotation with an id takes the text of the n-th
-    utterance with that id.
+    Only the utterances that a rule changed are rebuilt, and only their
+    annotations get their text re-derived.
     """
-    texts: dict[str | None, list[str]] = {}
-    for item in doc.body:
-        if isinstance(item, Utterance):
-            texts.setdefault(item.id, []).append(item.plain_text())
-    queues = {key: iter(queue) for key, queue in texts.items()}
-    no_texts = iter(())
-    annotations = []
-    for ann in doc.annotations:
-        if ann.qualifiers and ann.qualifiers[0].feature == "utterance":
-            text = next(queues.get(ann.id, no_texts), None)
-            if text is not None:
-                ann = replace(ann, qualifiers=(Qualifier("utterance", text),))
-        annotations.append(ann)
-    return replace(doc, annotations=tuple(annotations))
+    findings: list[Finding] = []
+    body: list | None = None
+    # The new text of each changed utterance, by its id and its ordinal
+    # among the utterances with that id.
+    texts: dict[str, dict[int, str]] = {}
+    ordinals: dict[str, int] = {}
+    for n, item in enumerate(doc.body):
+        if not isinstance(item, Utterance):
+            continue
+        ordinal = ordinals.get(item.id, 0)
+        ordinals[item.id] = ordinal + 1
+        new_item, item_findings = promote_conventions(item, rules)
+        findings.extend(item_findings)
+        if new_item is not item:
+            if body is None:
+                body = list(doc.body)
+            body[n] = new_item
+            texts.setdefault(item.id, {})[ordinal] = new_item.plain_text()
+    if body is None:
+        return doc, findings
+    annotations = _refresh_utterance_values(doc.annotations, texts)
+    return replace(doc, body=tuple(body), annotations=annotations), findings
+
+
+def _refresh_utterance_values(
+    annotations: tuple[Annotation, ...], texts: dict[str, dict[int, str]]
+) -> tuple[Annotation, ...]:
+    """Give the annotations of changed utterances their new text.
+
+    The n-th utterance annotation with an id stands for the n-th utterance
+    with that id.
+    """
+    refreshed = list(annotations)
+    ordinals: dict[str, int] = {}
+    for n, ann in enumerate(annotations):
+        by_ordinal = texts.get(ann.id)
+        if by_ordinal is None or not ann.qualifiers or ann.qualifiers[0].feature != "utterance":
+            continue
+        ordinal = ordinals.get(ann.id, 0)
+        ordinals[ann.id] = ordinal + 1
+        text = by_ordinal.get(ordinal)
+        if text is not None:
+            refreshed[n] = replace(ann, qualifiers=(Qualifier("utterance", text),))
+    return tuple(refreshed)

@@ -12,7 +12,9 @@ so parsing the output reproduces the document structurally.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from decimal import Decimal
+from typing import Any, NamedTuple
 
 from spokenkit.core.model import Document, EventInterval, Timeline
 from spokenkit.featstruct import (
@@ -156,7 +158,7 @@ def serialize_document(doc: Document, materialize_timeline: bool = False) -> byt
         w.line(2, "<body>")
         if doc.body:
             for item in doc.body:
-                _write_body_item(w, 3, item, materialize_timeline)
+                _renderers(item).write(w, 3, item, materialize_timeline)
         else:
             _write_generated_body(w, 3, doc)
         w.line(2, "</body>")
@@ -385,31 +387,52 @@ def _write_generated_body(w: _Writer, depth: int, doc: Document) -> None:
             lines.append(f"{indent}</{tag}>")
 
 
-def _write_body_item(w: _Writer, depth: int, item, materialize: bool) -> None:
-    if isinstance(item, Utterance):
-        attrs = {"who": _ref(item.who)}
-        if not item.id_generated:
-            attrs["xml:id"] = item.id
-        content = "".join(_render_content(part, materialize) for part in item.content)
-        w.line(depth, f"<u{_attrs(attrs)}>{content}</u>")
-    elif isinstance(item, TimedEvent):
-        tag, attrs = _event_tag(item)
-        if item.desc is None:
-            w.line(depth, f"<{tag}{attrs}/>")
-        else:
-            w.line(depth, f"<{tag}{attrs}>")
-            w.line(depth + 1, _leaf("desc", {}, item.desc))
-            w.line(depth, f"</{tag}>")
-    elif isinstance(item, SpanGroup):
-        _write_span_group(w, depth, item)
-    elif isinstance(item, (AnchorRef, TextSegment, OpaqueElement)):
-        w.line(depth, _render_content(item, materialize))
-    else:
-        raise TeiSerializeError(f"cannot serialise body item {item!r}")
+class _Renderers(NamedTuple):
+    """How one model class is written: ``render`` appends its markup to an
+    utterance's list of fragments, ``write`` adds it to the body as lines."""
+
+    render: Callable[[list, Any, bool], None]
+    write: Callable[[_Writer, int, Any, bool], None]
 
 
-def _event_tag(item: TimedEvent) -> tuple[str, str]:
-    """Element name and rendered attributes of a timed event."""
+def _renderers(item) -> _Renderers:
+    """The table entry of ``item``'s class or, for a subclass, of its nearest
+    base class in the table."""
+    for cls in type(item).__mro__:
+        entry = _RENDERERS.get(cls)
+        if entry is not None:
+            return entry
+    return _NOT_WRITABLE
+
+
+def _not_content(out: list, item, materialize: bool) -> None:
+    raise TeiSerializeError(f"cannot serialise content item {item!r}")
+
+
+def _not_body(w: _Writer, depth: int, item, materialize: bool) -> None:
+    raise TeiSerializeError(f"cannot serialise body item {item!r}")
+
+
+def _write_line(w: _Writer, depth: int, item, materialize: bool) -> None:
+    """Write an item that may also stand in content on a body line of its own."""
+    out = ["  " * depth]
+    _renderers(item).render(out, item, materialize)
+    w.lines.append("".join(out))
+
+
+def _write_utterance(w: _Writer, depth: int, utt: Utterance, materialize: bool) -> None:
+    who = "" if utt.who is None else f' who="#{_esc_attr(utt.who)}"'
+    ident = "" if utt.id_generated or utt.id is None else f' xml:id="{_esc_attr(utt.id)}"'
+    out = ["  " * depth, f"<u{who}{ident}>"]
+    table = _RENDERERS
+    for part in utt.content:
+        (table.get(type(part)) or _renderers(part)).render(out, part, materialize)
+    out.append("</u>")
+    w.lines.append("".join(out))
+
+
+def _event_tag(item: TimedEvent) -> str:
+    """The start tag of a timed event, without its closing '>'."""
     attrs = {
         "end": _ref(item.end),
         "start": _ref(item.start),
@@ -418,44 +441,80 @@ def _event_tag(item: TimedEvent) -> tuple[str, str]:
     }
     if not item.id_generated:
         attrs["xml:id"] = item.id
-    return item.tag, _attrs(attrs)
+    return f"<{item.tag}{_attrs(attrs)}"
 
 
-def _render_anchor(anchor: AnchorRef, materialize: bool) -> str:
-    if anchor.declares is not None and not materialize:
-        return f"<anchor{_attrs({'xml:id': anchor.declares})}/>"
-    return f"<anchor{_attrs({'synch': _ref(anchor.point)})}/>"
+def _write_event(w: _Writer, depth: int, item: TimedEvent, materialize: bool) -> None:
+    if item.desc is None:
+        w.line(depth, f"{_event_tag(item)}/>")
+    else:
+        w.line(depth, f"{_event_tag(item)}>")
+        w.line(depth + 1, _leaf("desc", {}, item.desc))
+        w.line(depth, f"</{item.tag}>")
 
 
-def _render_content(item, materialize: bool) -> str:
-    if isinstance(item, TextSegment):
-        return _esc_text(item.text)
-    if isinstance(item, AnchorRef):
-        return _render_anchor(item, materialize)
-    if isinstance(item, Vocal):
-        return f"<vocal{_attrs({'who': _ref(item.who)})}><desc>{_esc_text(item.desc)}</desc></vocal>"
-    if isinstance(item, TimedEvent):
-        tag, attrs = _event_tag(item)
-        if item.desc is None:
-            return f"<{tag}{attrs}/>"
-        return f"<{tag}{attrs}><desc>{_esc_text(item.desc)}</desc></{tag}>"
-    if isinstance(item, Seg):
-        attrs = {"subtype": item.subtype, "type": item.type, "xml:id": item.id}
-        inner = "".join(_render_content(part, materialize) for part in item.content)
-        return f"<seg{_attrs(attrs)}>{inner}</seg>"
-    if isinstance(item, W):
-        attrs = {"ana": _ref(item.ana), "xml:id": item.id}
-        extras = "".join(_render_opaque(extra) for extra in item.extras)
-        return f"<w{_attrs(attrs)}>{_esc_text(item.text)}{extras}</w>"
-    if isinstance(item, Pc):
-        extras = "".join(_render_opaque(extra) for extra in item.extras)
-        return f"<pc{_attrs({'xml:id': item.id})}>{_esc_text(item.text)}{extras}</pc>"
-    if isinstance(item, OpaqueElement):
-        return _render_opaque(item)
-    raise TeiSerializeError(f"cannot serialise content item {item!r}")
+def _render_event(out: list, item: TimedEvent, materialize: bool) -> None:
+    if item.desc is None:
+        out.append(f"{_event_tag(item)}/>")
+    else:
+        out.append(f"{_event_tag(item)}><desc>{_esc_text(item.desc)}</desc></{item.tag}>")
 
 
-def _write_span_group(w: _Writer, depth: int, group: SpanGroup) -> None:
+def _render_text(out: list, item: TextSegment, materialize: bool) -> None:
+    out.append(_esc_text(item.text))
+
+
+def _render_anchor(out: list, anchor: AnchorRef, materialize: bool) -> None:
+    point = anchor.point
+    if point is None:
+        out.append("<anchor/>")
+    elif anchor.declares is not None and not materialize:
+        out.append(f'<anchor xml:id="{_esc_attr(point)}"/>')
+    else:
+        out.append(f'<anchor synch="#{_esc_attr(point)}"/>')
+
+
+def _render_vocal(out: list, item: Vocal, materialize: bool) -> None:
+    who = "" if item.who is None else f' who="#{_esc_attr(item.who)}"'
+    out.append(f"<vocal{who}><desc>{_esc_text(item.desc)}</desc></vocal>")
+
+
+def _render_seg(out: list, seg: Seg, materialize: bool) -> None:
+    # The content loop is here and not in a helper, so that each nesting
+    # level costs one frame, as it does in the reader.
+    subtype = "" if seg.subtype is None else f' subtype="{_esc_attr(seg.subtype)}"'
+    kind = "" if seg.type is None else f' type="{_esc_attr(seg.type)}"'
+    ident = "" if seg.id is None else f' xml:id="{_esc_attr(seg.id)}"'
+    out.append(f"<seg{subtype}{kind}{ident}>")
+    table = _RENDERERS
+    for part in seg.content:
+        (table.get(type(part)) or _renderers(part)).render(out, part, materialize)
+    out.append("</seg>")
+
+
+def _render_w(out: list, item: W, materialize: bool) -> None:
+    ana = "" if item.ana is None else f' ana="#{_esc_attr(item.ana)}"'
+    ident = "" if item.id is None else f' xml:id="{_esc_attr(item.id)}"'
+    if item.extras:
+        out.append(f"<w{ana}{ident}>{_esc_text(item.text)}")
+        out.extend(map(_render_opaque, item.extras))
+        out.append("</w>")
+    else:
+        out.append(f"<w{ana}{ident}>{_esc_text(item.text)}</w>")
+
+
+def _render_pc(out: list, item: Pc, materialize: bool) -> None:
+    ident = "" if item.id is None else f' xml:id="{_esc_attr(item.id)}"'
+    out.append(f"<pc{ident}>{_esc_text(item.text)}")
+    out.extend(map(_render_opaque, item.extras))
+    out.append("</pc>")
+
+
+def _render_opaque_item(out: list, item: OpaqueElement, materialize: bool) -> None:
+    out.append(_render_opaque(item))
+
+
+def _write_span_group(w: _Writer, depth: int, group: SpanGroup, materialize: bool = False) -> None:
     w.line(depth, f"<spanGrp{_attrs({'type': group.type})}>")
     for span in group.spans:
         _write_span(w, depth + 1, span)
@@ -474,6 +533,23 @@ def _write_span(w: _Writer, depth: int, span: Span) -> None:
     else:
         w.line(depth, f"<span{_attrs(attrs)}/>")
 
+
+_NOT_WRITABLE = _Renderers(_not_content, _not_body)
+
+# Every class the body and utterance content can hold, with how it is
+# written; a class that cannot stand in one of the two places raises there.
+_RENDERERS: dict[type, _Renderers] = {
+    TextSegment: _Renderers(_render_text, _write_line),
+    AnchorRef: _Renderers(_render_anchor, _write_line),
+    OpaqueElement: _Renderers(_render_opaque_item, _write_line),
+    Utterance: _Renderers(_not_content, _write_utterance),
+    SpanGroup: _Renderers(_not_content, _write_span_group),
+    Vocal: _Renderers(_render_vocal, _not_body),
+    Seg: _Renderers(_render_seg, _not_body),
+    W: _Renderers(_render_w, _not_body),
+    Pc: _Renderers(_render_pc, _not_body),
+    **{cls: _Renderers(_render_event, _write_event) for cls in EVENT_CLASSES.values()},
+}
 
 # ---------------------------------------------------------------- back matter
 

@@ -203,18 +203,23 @@ def check_refs(doc: Document, lib: TagsetLibrary | None = None) -> list[Finding]
     Analysis references resolve as in :func:`analysis_targets`, through
     ``lib`` when given.
     """
-    return _check_refs(doc, lib, _walk_content(doc))
+    return _check_refs(doc, analysis_targets(doc, lib), _walk_content(doc))
 
 
-def _check_refs(doc: Document, lib: TagsetLibrary | None, content: _Content) -> list[Finding]:
+def _check_refs(doc: Document, ana_targets: dict, content: _Content) -> list[Finding]:
     issues: list[Finding] = []
     point_ids = {pid for tl in doc.timelines for pid in tl.ids}
     participants = (
         {p.id for p in doc.metadata.participants} if doc.metadata is not None else set()
     )
     token_ids = content.token_pos
-    known = _known_ids(doc, token_ids)
-    ana_targets = analysis_targets(doc, lib)
+    known: set[str] | None = None  # built when a reference may name any identifier
+
+    def is_known(target: str) -> bool:
+        nonlocal known
+        if known is None:
+            known = _known_ids(doc, token_ids)
+        return target in known
 
     def dangle(attr: str, ref: str, location: str) -> None:
         issues.append(
@@ -267,7 +272,7 @@ def _check_refs(doc: Document, lib: TagsetLibrary | None, content: _Content) -> 
     if doc.metadata is not None:
         for app in doc.metadata.applications:
             for target in app.targets:
-                if target not in known:
+                if not is_known(target):
                     dangle("target", target, app.ident or "appInfo")
 
     source_ids = {s.id for s in doc.sources}
@@ -289,11 +294,14 @@ def _check_refs(doc: Document, lib: TagsetLibrary | None, content: _Content) -> 
                         dangle("point", ref, ann.id)
         elif isinstance(ann.range, ComponentRefs):
             # A word form's targets are its tokens; other targets may be any identifier.
-            word_form = isinstance(ann, WordForm)
-            attr, ids = ("tokens", token_ids) if word_form else ("target", known)
-            for target in ann.range.targets:
-                if target not in ids:
-                    dangle(attr, target, ann.id)
+            if isinstance(ann, WordForm):
+                for target in ann.range.targets:
+                    if target not in token_ids:
+                        dangle("tokens", target, ann.id)
+            else:
+                for target in ann.range.targets:
+                    if not is_known(target):
+                        dangle("target", target, ann.id)
     for layer in doc.layers:
         if not any(level.id == layer.level for level in doc.levels):
             dangle("level", layer.level, layer.id)
@@ -389,25 +397,30 @@ def check_tagset(
     language: str | None = None,
 ) -> list[Finding]:
     """Resolution of analysis references, and domain conformance if a registry is given."""
-    return _check_tagset(doc, lib, registry, language, _walk_content(doc))
+    lib, issues = _library(doc, lib)
+    targets = analysis_targets(doc, lib)
+    return issues + _check_tagset(doc, targets, registry, language, _walk_content(doc))
+
+
+def _library(doc: Document, lib: TagsetLibrary | None) -> tuple[TagsetLibrary, list[Finding]]:
+    """``lib``, or else the document's own library, empty when it is
+    inconsistent, with the finding that says so."""
+    if lib is not None:
+        return lib, []
+    try:
+        return build_document_library(doc), []
+    except TagsetError as exc:
+        return TagsetLibrary({}, {}), [_finding(TAGSET_ERROR, "back", str(exc))]
 
 
 def _check_tagset(
     doc: Document,
-    lib: TagsetLibrary | None,
+    targets: dict,
     registry: Registry | None,
     language: str | None,
     content: _Content,
 ) -> list[Finding]:
     issues: list[Finding] = []
-    if lib is None:
-        try:
-            lib = build_document_library(doc)
-        except TagsetError as exc:
-            issues.append(_finding(TAGSET_ERROR, "back", str(exc)))
-            lib = TagsetLibrary({}, {})
-    targets = analysis_targets(doc, lib)
-
     # Each distinct reference is checked once; its problems recur at every
     # location that bears it.
     domain_problems: dict[str, list[tuple[str, str]]] = {}
@@ -470,12 +483,13 @@ def validate_all(doc: Document, options: ValidateOptions | None = None) -> Valid
     """
     opts = options or ValidateOptions()
     content = _walk_content(doc)
-    issues: list[Finding] = []
+    lib, issues = _library(doc, opts.library)
+    targets = analysis_targets(doc, lib)
     issues.extend(check_ids(doc))
-    issues.extend(_check_refs(doc, opts.library, content))
+    issues.extend(_check_refs(doc, targets, content))
     issues.extend(_check_temporal(doc, content))
     issues.extend(_check_span_order(doc, content))
-    issues.extend(_check_tagset(doc, opts.library, opts.registry, opts.language, content))
+    issues.extend(_check_tagset(doc, targets, opts.registry, opts.language, content))
     for level in doc.levels:
         for violation in check_level_coherence(doc, level.id):
             issues.append(_finding(LEVEL_INCOHERENT, violation.location, violation.message))

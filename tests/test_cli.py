@@ -3,11 +3,22 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
+from dataclasses import replace
 
 import pytest
 
+import spokenkit.cli
 from spokenkit.cli import main
-from tests.conftest import FIXTURES, fixture_bytes, fixture_path
+from spokenkit.tei import (
+    Seg,
+    TeiParseError,
+    TextSegment,
+    Utterance,
+    parse_document,
+    serialize_document,
+)
+from tests.conftest import FIXTURES, fixture_bytes, fixture_path, parse_fixture
 
 
 def run(capsys, *argv):
@@ -90,15 +101,48 @@ def test_validate_too_deep_document_fails_alone(capsys, tmp_path):
     assert "anchored_dialogue.xml ==\n0 error(s), 0 warning(s)\n" in out
 
 
-def test_convert_too_deep_document_to_tei_is_a_usage_error(capsys, tmp_path):
-    # Deep enough for the writer's recursion limit, not for the reader's.
-    deep = tmp_path / "deep.xml"
-    data = fixture_bytes("seg.xml").replace(b"<body>", b"<body><u>" + b"<seg>" * 450, 1)
-    deep.write_bytes(data.replace(b"</body>", b"</seg>" * 450 + b"</u></body>", 1))
-    code, out, err = run(capsys, "convert", str(deep), "--from", "tei", "--to", "tei")
+def deep_seg_markup(depth: int) -> bytes:
+    """``seg.xml`` with its body content inside an utterance of ``depth`` nested segs."""
+    data = fixture_bytes("seg.xml").replace(b"<body>", b"<body><u>" + b"<seg>" * depth, 1)
+    return data.replace(b"</body>", b"</seg>" * depth + b"</u></body>", 1)
+
+
+def test_convert_too_deep_document_to_tei_is_a_usage_error(capsys, monkeypatch):
+    # The writer reaches as deep as the reader, so no file that the reader
+    # accepts is too deep to write. The document is built here instead, as
+    # deep as the recursion limit, and handed to the command as if read.
+    content: tuple = (TextSegment("x"),)
+    for _ in range(sys.getrecursionlimit()):
+        content = (Seg(content=content),)
+    deep = replace(parse_fixture("seg.xml"), body=(Utterance("u1", content=content),))
+    monkeypatch.setattr(spokenkit.cli, "parse_document", lambda data: (deep, []))
+    code, out, err = run(capsys, "convert", fixture_path("seg.xml"), "--from", "tei", "--to", "tei")
     assert code == 2
     assert out == ""
     assert err == "spokenkit: markup is nested too deeply to serialise\n"
+
+
+def test_convert_deep_document_to_tei_reads_back_byte_stably(capsys, tmp_path):
+    deep, first, second = tmp_path / "deep.xml", tmp_path / "first.xml", tmp_path / "second.xml"
+    deep.write_bytes(deep_seg_markup(450))
+    for source, target in ((deep, first), (first, second)):
+        argv = ("convert", str(source), "--from", "tei", "--to", "tei", "-o", str(target))
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+    # Bytes, not documents: comparing documents this deep recurses too far.
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_the_deepest_document_the_reader_reads_is_written():
+    depth = sys.getrecursionlimit()
+    while True:
+        try:
+            doc, _ = parse_document(deep_seg_markup(depth))
+            break
+        except TeiParseError:
+            depth -= 1
+    first = serialize_document(doc)
+    assert serialize_document(parse_document(first)[0]) == first
 
 
 def test_validate_severity_override_via_config(capsys, tmp_path):

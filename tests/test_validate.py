@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import pytest
 
+import spokenkit.tei.parser
+import spokenkit.validate
 from spokenkit.core import (
     Annotation,
     ComponentRefs,
@@ -15,7 +17,13 @@ from spokenkit.core import (
 )
 from spokenkit.datacat import load_registry
 from spokenkit.featstruct import FeatureStructure, Symbol, TagsetError
-from spokenkit.tei import extract_spans, parse_document, resolve_ana
+from spokenkit.tei import (
+    attach_word_forms,
+    build_document_library,
+    extract_spans,
+    parse_document,
+    resolve_ana,
+)
 from spokenkit.tei.parser import analysis_targets
 from spokenkit.validate import (
     ANCHOR_ORDER,
@@ -158,6 +166,44 @@ def test_component_targets_are_tokens_for_word_forms_and_any_id_otherwise(pomme_
         ("WordForm1", f"@tokens reference {utterance!r} resolves to nothing"),
         ("WordForm2", "@tokens reference 'ghost' resolves to nothing"),
     ]
+
+
+def test_app_info_targets_resolve_to_any_identifier():
+    from tests.test_tei_roundtrip import RICH_HEADER
+
+    data = RICH_HEADER.replace(b'<ptr target="#u1"/>', b'<ptr target="#u1"/><ptr target="#ghost"/>')
+    doc, _ = parse_document(data)
+    assert [(i.location, i.message) for i in check_refs(doc)] == [
+        ("aligner", "@target reference 'ghost' resolves to nothing"),
+    ]
+
+
+def test_known_ids_are_built_only_for_references_that_may_name_any_identifier(monkeypatch):
+    # The tagged fixtures have no appInfo target and no component range
+    # other than word forms, so nothing reads the set of every identifier.
+    def unread(doc, token_ids):
+        raise AssertionError("the set of every identifier was built")
+
+    monkeypatch.setattr(spokenkit.validate, "_known_ids", unread)
+    for name in ("tagged_neuter.xml", "tagged_sentence.xml", "tags.xml"):
+        doc, _ = parse_document(fixture_bytes(name))
+        for checked in (doc, attach_word_forms(doc)[0]):
+            validate_all(checked)
+            validate_all(checked, ValidateOptions(library=build_document_library(doc)))
+
+
+def test_validate_all_builds_the_document_library_once(monkeypatch):
+    built = []
+
+    def counting(doc):
+        built.append(doc)
+        return build_document_library(doc)
+
+    monkeypatch.setattr(spokenkit.validate, "build_document_library", counting)
+    monkeypatch.setattr(spokenkit.tei.parser, "build_document_library", counting)
+    doc, _ = parse_document(fixture_bytes("tagged_neuter.xml"))
+    validate_all(doc)
+    assert len(built) == 1
 
 # ---------------------------------------------------------------- temporal
 
