@@ -11,7 +11,7 @@ serialisation live in the format modules.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import KW_ONLY, dataclass, field, replace
 from decimal import Decimal
 from itertools import repeat
 from operator import le
@@ -201,6 +201,18 @@ class Timeline:
             return self._by_id[point_id]
         except KeyError:
             raise UnknownIdError("timeline point", point_id) from None
+
+    def append_flagged(self, point_ids: Sequence[str], *, synthetic: bool) -> "Timeline":
+        """This timeline with ``point_ids`` appended without offsets, flagged
+        as synthetic, or else as anchor-declared."""
+        added = frozenset(point_ids)
+        return replace(
+            self,
+            ids=self.ids + tuple(point_ids),
+            offsets=self.offsets + (None,) * len(point_ids),
+            synthetic=self.synthetic | added if synthetic else self.synthetic,
+            anchor_declared=self.anchor_declared if synthetic else self.anchor_declared | added,
+        )
 
     @classmethod
     def of(cls, timeline_id: str, point_ids: Iterable[str], unit: str = UNIT_SYMBOLIC) -> "Timeline":

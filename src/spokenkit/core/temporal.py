@@ -238,14 +238,5 @@ def sequence_implicit(doc: Document) -> Document:
             ann = replace(ann, range=EventInterval(start, end, timeline.id))
         new_annotations.append(ann)
 
-    new_timeline = replace(
-        timeline,
-        ids=timeline.ids + tuple(added),
-        offsets=timeline.offsets + (None,) * len(added),
-        synthetic=timeline.synthetic | frozenset(added),
-    )
-    if doc.timelines:
-        timelines = (new_timeline,) + doc.timelines[1:]
-    else:
-        timelines = (new_timeline,)
+    timelines = (timeline.append_flagged(added, synthetic=True), *doc.timelines[1:])
     return replace(doc, annotations=tuple(new_annotations), timelines=timelines)

@@ -13,13 +13,12 @@ from dataclasses import dataclass, replace
 
 from spokenkit.core.model import (
     WARNING,
-    Annotation,
     Document,
     Finding,
     Qualifier,
     decode_utf8,
 )
-from spokenkit.tei.model import EVENT_CLASSES, TextSegment, Utterance, Vocal
+from spokenkit.tei.model import EVENT_CLASSES, TextSegment, Utterance, Vocal, annotated_items
 
 
 @dataclass(frozen=True)
@@ -119,49 +118,32 @@ def promote_document(
     """Apply convention promotion to every utterance of a document.
 
     Only the utterances that a rule changed are rebuilt, and only their
-    annotations get their text re-derived.
+    annotations, paired as ``annotated_items`` pairs them, get their text
+    re-derived.
     """
     findings: list[Finding] = []
     body: list | None = None
-    # The new text of each changed utterance, by its id and its ordinal
-    # among the utterances with that id.
-    texts: dict[str, dict[int, str]] = {}
-    ordinals: dict[str, int] = {}
+    changed: list[int] = []
     for n, item in enumerate(doc.body):
         if not isinstance(item, Utterance):
             continue
-        ordinal = ordinals.get(item.id, 0)
-        ordinals[item.id] = ordinal + 1
         new_item, item_findings = promote_conventions(item, rules)
         findings.extend(item_findings)
         if new_item is not item:
             if body is None:
                 body = list(doc.body)
             body[n] = new_item
-            texts.setdefault(item.id, {})[ordinal] = new_item.plain_text()
+            changed.append(n)
     if body is None:
         return doc, findings
-    annotations = _refresh_utterance_values(doc.annotations, texts)
-    return replace(doc, body=tuple(body), annotations=annotations), findings
-
-
-def _refresh_utterance_values(
-    annotations: tuple[Annotation, ...], texts: dict[str, dict[int, str]]
-) -> tuple[Annotation, ...]:
-    """Give the annotations of changed utterances their new text.
-
-    The n-th utterance annotation with an id stands for the n-th utterance
-    with that id.
-    """
-    refreshed = list(annotations)
-    ordinals: dict[str, int] = {}
-    for n, ann in enumerate(annotations):
-        by_ordinal = texts.get(ann.id)
-        if by_ordinal is None or not ann.qualifiers or ann.qualifiers[0].feature != "utterance":
+    owners = annotated_items(doc.body, doc.annotations)
+    annotations = list(doc.annotations)
+    for n in changed:
+        owner = owners.get(n)
+        if owner is None:
             continue
-        ordinal = ordinals.get(ann.id, 0)
-        ordinals[ann.id] = ordinal + 1
-        text = by_ordinal.get(ordinal)
-        if text is not None:
-            refreshed[n] = replace(ann, qualifiers=(Qualifier("utterance", text),))
-    return tuple(refreshed)
+        ann = annotations[owner]
+        if ann.qualifiers and ann.qualifiers[0].feature == "utterance":
+            text = body[n].plain_text()
+            annotations[owner] = replace(ann, qualifiers=(Qualifier("utterance", text),))
+    return replace(doc, body=tuple(body), annotations=tuple(annotations)), findings

@@ -150,15 +150,30 @@ def _collect(items, kind, found: list) -> None:
 
 def content_text(items: tuple[ContentItem, ...]) -> str:
     """Concatenated transcription text of content items, markup dropped."""
-    parts: list[str] = []
-    for item in items:
-        if isinstance(item, TextSegment):
-            parts.append(item.text)
-        elif isinstance(item, (W, Pc)):
-            parts.append(item.text)
-        elif isinstance(item, Seg):
-            parts.append(content_text(item.content))
-    return "".join(parts)
+    return "".join([item.text for item in content_items(items, (TextSegment, W, Pc))])
+
+
+def annotated_items(body, annotations) -> dict[int, int]:
+    """The position in ``annotations`` of the annotation of each body
+    utterance and free-standing event that has one, by the item's position.
+
+    The n-th annotation with an id belongs to the n-th such item with that id.
+    """
+    queues: dict[str, list[int]] = {}  # the positions of each id, last first
+    for n, ann in zip(range(len(annotations) - 1, -1, -1), reversed(annotations)):
+        queue = queues.get(ann.id)
+        if queue is None:
+            queues[ann.id] = [n]
+        else:
+            queue.append(n)
+    pairs: dict[int, int] = {}
+    paired = (Utterance, TimedEvent)
+    for n, item in enumerate(body):
+        if isinstance(item, paired):
+            queue = queues.get(item.id)
+            if queue:
+                pairs[n] = queue.pop()
+    return pairs
 
 
 @dataclass(frozen=True)

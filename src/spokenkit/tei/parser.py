@@ -18,6 +18,7 @@ from decimal import Decimal, InvalidOperation
 from spokenkit.core.model import (
     MECH_EVENT,
     PRIMARY,
+    TIMELINE_UNITS,
     UNIT_SYMBOLIC,
     WARNING,
     Annotation,
@@ -71,6 +72,7 @@ from spokenkit.tei.model import (
     Utterance,
     Vocal,
     W,
+    annotated_items,
     content_items,
 )
 
@@ -476,7 +478,7 @@ def _parse_person(person_el: ET.Element, ctx: _ParseContext) -> Person:
 
 def _parse_timeline(tl_el: ET.Element, ctx: _ParseContext) -> Timeline:
     unit = tl_el.get("unit", UNIT_SYMBOLIC)
-    if unit not in ("ms", "s", UNIT_SYMBOLIC):
+    if unit not in TIMELINE_UNITS:
         message = f"timeline unit {unit!r} is not recognised; treating as symbolic"
         ctx.warn("UNKNOWN_UNIT", "timeline", message)
         unit = UNIT_SYMBOLIC
@@ -537,13 +539,7 @@ def _absorb_anchor_points(timelines: list[Timeline], ctx: _ParseContext) -> list
         base, rest = timelines[0], timelines[1:]
     else:
         base, rest = Timeline(IMPLICIT_TIMELINE, UNIT_SYMBOLIC, implicit=True), []
-    absorbed = replace(
-        base,
-        ids=base.ids + tuple(extra),
-        offsets=base.offsets + (None,) * len(extra),
-        anchor_declared=base.anchor_declared | frozenset(extra),
-    )
-    return [absorbed, *rest]
+    return [base.append_flagged(extra, synthetic=False), *rest]
 
 
 def _parse_body(
@@ -854,8 +850,8 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
     An utterance spans [first anchor, last anchor); free-standing events use
     their start/end references. Dangling point references are findings, and
     the affected event keeps no interval. Findings are located at the event
-    id, or at ``body`` when the id is empty. Body items that share an id give
-    their intervals, in body order, to the annotations with that id.
+    id, or at ``body`` when the id is empty. Each interval goes to its item's
+    annotation, as ``annotated_items`` pairs them.
     """
     findings: list[Finding] = []
     point_home: dict[str, str] = {}
@@ -863,10 +859,8 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
         for pid in tl.ids:
             point_home.setdefault(pid, tl.id)
 
-    # The interval, or None, of each body item, listed per id in body order.
-    intervals: dict[str | None, list[EventInterval | None]] = {}
-    resolved = False
-    for item in doc.body:
+    resolved: list[tuple[int, EventInterval]] = []  # (body position, interval)
+    for n, item in enumerate(doc.body):
         interval = None
         if isinstance(item, Utterance):
             location = item.id or "body"
@@ -906,23 +900,17 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
                     findings.append(Finding("TIMELINE_MISMATCH", WARNING, location, message))
             elif start is not None:
                 interval = EventInterval(start, start, point_home[start])
-        else:
-            continue
         if interval is not None:
-            resolved = True
-        intervals.setdefault(item.id, []).append(interval)
+            resolved.append((n, interval))
 
     if not resolved:
         return doc, findings
-    # The n-th annotation with an id belongs to the n-th body item with it.
-    queues = {key: iter(queue) for key, queue in intervals.items()}
-    no_intervals = iter(())
-    annotations = []
-    for ann in doc.annotations:
-        interval = next(queues.get(ann.id, no_intervals), None)
-        if interval is not None and ann.range is None:
-            ann = replace(ann, range=interval)
-        annotations.append(ann)
+    owners = annotated_items(doc.body, doc.annotations)
+    annotations = list(doc.annotations)
+    for n, interval in resolved:
+        owner = owners.get(n)
+        if owner is not None and annotations[owner].range is None:
+            annotations[owner] = replace(annotations[owner], range=interval)
     return replace(doc, annotations=tuple(annotations)), findings
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 from decimal import Decimal
-from typing import Any, NamedTuple
+from typing import Any
 
 from spokenkit.core.model import Document, EventInterval, Timeline
 from spokenkit.featstruct import (
@@ -158,7 +158,7 @@ def serialize_document(doc: Document, materialize_timeline: bool = False) -> byt
         w.line(2, "<body>")
         if doc.body:
             for item in doc.body:
-                _renderers(item).write(w, 3, item, materialize_timeline)
+                _writer_of(_BODY, item, "body")(w, 3, item, materialize_timeline)
         else:
             _write_generated_body(w, 3, doc)
         w.line(2, "</body>")
@@ -387,36 +387,20 @@ def _write_generated_body(w: _Writer, depth: int, doc: Document) -> None:
             lines.append(f"{indent}</{tag}>")
 
 
-class _Renderers(NamedTuple):
-    """How one model class is written: ``render`` appends its markup to an
-    utterance's list of fragments, ``write`` adds it to the body as lines."""
-
-    render: Callable[[list, Any, bool], None]
-    write: Callable[[_Writer, int, Any, bool], None]
-
-
-def _renderers(item) -> _Renderers:
-    """The table entry of ``item``'s class or, for a subclass, of its nearest
-    base class in the table."""
+def _writer_of(table: dict, item, place: str) -> Callable:
+    """The entry of ``item``'s class in ``table`` (``_INLINE`` or ``_BODY``)
+    or, for a subclass, of its nearest base class there."""
     for cls in type(item).__mro__:
-        entry = _RENDERERS.get(cls)
+        entry = table.get(cls)
         if entry is not None:
             return entry
-    return _NOT_WRITABLE
-
-
-def _not_content(out: list, item, materialize: bool) -> None:
-    raise TeiSerializeError(f"cannot serialise content item {item!r}")
-
-
-def _not_body(w: _Writer, depth: int, item, materialize: bool) -> None:
-    raise TeiSerializeError(f"cannot serialise body item {item!r}")
+    raise TeiSerializeError(f"cannot serialise {place} item {item!r}")
 
 
 def _write_line(w: _Writer, depth: int, item, materialize: bool) -> None:
     """Write an item that may also stand in content on a body line of its own."""
     out = ["  " * depth]
-    _renderers(item).render(out, item, materialize)
+    _writer_of(_INLINE, item, "content")(out, item, materialize)
     w.lines.append("".join(out))
 
 
@@ -424,9 +408,9 @@ def _write_utterance(w: _Writer, depth: int, utt: Utterance, materialize: bool) 
     who = "" if utt.who is None else f' who="#{_esc_attr(utt.who)}"'
     ident = "" if utt.id_generated or utt.id is None else f' xml:id="{_esc_attr(utt.id)}"'
     out = ["  " * depth, f"<u{who}{ident}>"]
-    table = _RENDERERS
+    table = _INLINE
     for part in utt.content:
-        (table.get(type(part)) or _renderers(part)).render(out, part, materialize)
+        (table.get(type(part)) or _writer_of(table, part, "content"))(out, part, materialize)
     out.append("</u>")
     w.lines.append("".join(out))
 
@@ -486,9 +470,9 @@ def _render_seg(out: list, seg: Seg, materialize: bool) -> None:
     kind = "" if seg.type is None else f' type="{_esc_attr(seg.type)}"'
     ident = "" if seg.id is None else f' xml:id="{_esc_attr(seg.id)}"'
     out.append(f"<seg{subtype}{kind}{ident}>")
-    table = _RENDERERS
+    table = _INLINE
     for part in seg.content:
-        (table.get(type(part)) or _renderers(part)).render(out, part, materialize)
+        (table.get(type(part)) or _writer_of(table, part, "content"))(out, part, materialize)
     out.append("</seg>")
 
 
@@ -534,21 +518,27 @@ def _write_span(w: _Writer, depth: int, span: Span) -> None:
         w.line(depth, f"<span{_attrs(attrs)}/>")
 
 
-_NOT_WRITABLE = _Renderers(_not_content, _not_body)
+# How each class that utterance content can hold appends its markup to the
+# utterance's list of fragments.
+_INLINE: dict[type, Callable[[list, Any, bool], None]] = {
+    TextSegment: _render_text,
+    AnchorRef: _render_anchor,
+    OpaqueElement: _render_opaque_item,
+    Vocal: _render_vocal,
+    Seg: _render_seg,
+    W: _render_w,
+    Pc: _render_pc,
+    **{cls: _render_event for cls in EVENT_CLASSES.values()},
+}
 
-# Every class the body and utterance content can hold, with how it is
-# written; a class that cannot stand in one of the two places raises there.
-_RENDERERS: dict[type, _Renderers] = {
-    TextSegment: _Renderers(_render_text, _write_line),
-    AnchorRef: _Renderers(_render_anchor, _write_line),
-    OpaqueElement: _Renderers(_render_opaque_item, _write_line),
-    Utterance: _Renderers(_not_content, _write_utterance),
-    SpanGroup: _Renderers(_not_content, _write_span_group),
-    Vocal: _Renderers(_render_vocal, _not_body),
-    Seg: _Renderers(_render_seg, _not_body),
-    W: _Renderers(_render_w, _not_body),
-    Pc: _Renderers(_render_pc, _not_body),
-    **{cls: _Renderers(_render_event, _write_event) for cls in EVENT_CLASSES.values()},
+# How each class that the body can hold adds its lines to the body.
+_BODY: dict[type, Callable[[_Writer, int, Any, bool], None]] = {
+    TextSegment: _write_line,
+    AnchorRef: _write_line,
+    OpaqueElement: _write_line,
+    Utterance: _write_utterance,
+    SpanGroup: _write_span_group,
+    **{cls: _write_event for cls in EVENT_CLASSES.values()},
 }
 
 # ---------------------------------------------------------------- back matter

@@ -393,9 +393,11 @@ def from_core(doc: Document) -> tuple[TierDocument, list[ResidueItem]]:
     """Project an event-ranged document onto tiers.
 
     Inverse of :func:`to_core` on its image. Content the format cannot carry
-    (component or scale ranges, multi-qualifier annotations, events without a
-    range) is listed in the residue report rather than silently dropped; run
-    implicit sequencing first if unanchored events should survive.
+    (component or scale ranges, events off the first timeline, multi-qualifier
+    annotations, events without a range) is listed in the residue report
+    rather than silently dropped; run implicit sequencing first if unanchored
+    events should survive. Participants that share an id give one speaker,
+    named after the first of them.
     """
     residue: list[ResidueItem] = []
     timeline = doc.primary_timeline
@@ -405,18 +407,19 @@ def from_core(doc: Document) -> tuple[TierDocument, list[ResidueItem]]:
             (pid, offset if isinstance(offset, Decimal) or offset is None else Decimal(str(offset)))
             for pid, offset in zip(timeline.ids, timeline.offsets)
         )
+    timeline_ids = {tl.id for tl in doc.timelines}
+    layers = {layer.id: layer for layer in reversed(doc.layers)}  # the first layer of an id
 
-    speakers: list[TierSpeaker] = []
-    seen_speakers: set[str] = set()
+    speakers: dict[str, TierSpeaker] = {}
     if doc.metadata is not None:
         for person in doc.metadata.participants:
-            speakers.append(TierSpeaker(person.id, person.name or person.id))
-            seen_speakers.add(person.id)
+            speakers.setdefault(person.id, TierSpeaker(person.id, person.name or person.id))
 
-    tiers: dict[tuple, dict] = {}
+    # Each tier's id, speaker, category and events, by its key.
+    tiers: dict[tuple, tuple[str, str | None, str, list[TierEvent]]] = {}
     used_ids: set[str] = set()
 
-    def tier_slot(key: tuple, tier_id: str, speaker: str | None, category: str) -> dict:
+    def tier_events(key: tuple, tier_id: str, speaker: str | None, category: str) -> list:
         if key not in tiers:
             candidate = tier_id
             n = 1
@@ -424,59 +427,68 @@ def from_core(doc: Document) -> tuple[TierDocument, list[ResidueItem]]:
                 n += 1
                 candidate = f"{tier_id}_{n}"
             used_ids.add(candidate)
-            tiers[key] = {"id": candidate, "speaker": speaker, "category": category, "events": []}
-        return tiers[key]
+            tiers[key] = (candidate, speaker, category, [])
+        return tiers[key][3]
 
     # Layers that declare a tier category are tiers already; materialise them
     # even when empty so that empty tiers survive the round trip.
     for layer in doc.layers:
         if layer.category is not None:
-            tier_slot(("layer", layer.id), layer.id, layer.speaker, layer.category)
+            tier_events(("layer", layer.id), layer.id, layer.speaker, layer.category)
 
     for ann in doc.annotations:
-        if isinstance(ann, WordForm):
-            residue.append(ResidueItem(ann.id, "word-form annotations have no tier form"))
+        reason = _no_tier_form(ann, timeline, timeline_ids, layers)
+        if reason is not None:
+            residue.append(ResidueItem(ann.id, reason))
             continue
-        if ann.range is None:
-            residue.append(ResidueItem(ann.id, "no event interval (sequence implicit events first)"))
-            continue
-        if not isinstance(ann.range, EventInterval):
-            residue.append(ResidueItem(ann.id, "only event-interval ranges are expressible"))
-            continue
-        try:
-            home = doc.timeline(ann.range.timeline)
-            start_index = home.index_of(ann.range.start)
-            end_index = home.index_of(ann.range.end)
-        except UnknownIdError:
-            residue.append(ResidueItem(ann.id, "event interval does not resolve"))
-            continue
-        if start_index >= end_index:
-            residue.append(ResidueItem(ann.id, "events must run strictly forward in time"))
-            continue
-        if len(ann.qualifiers) != 1:
-            residue.append(ResidueItem(ann.id, "multiple qualifiers per event are not expressible"))
-            continue
-        try:
-            layer = doc.layer(ann.layer)
-        except UnknownIdError:
-            residue.append(ResidueItem(ann.id, f"annotation layer {ann.layer!r} is undeclared"))
-            continue
+        layer = layers[ann.layer]
         qualifier = ann.qualifiers[0]
         if layer.category is not None:
-            slot = tier_slot(("layer", layer.id), layer.id, layer.speaker, layer.category)
+            events = tier_events(("layer", layer.id), layer.id, layer.speaker, layer.category)
         else:
             feature = qualifier.feature_key()
             category = _VERBAL_FEATURES.get(feature, feature)
             speaker = ann.who
             base_id = f"{speaker}_{category}" if speaker is not None else category
-            slot = tier_slot(("group", layer.id, speaker, category), base_id, speaker, category)
-        slot["events"].append(TierEvent(ann.range.start, ann.range.end, qualifier.value_key()))
-        if ann.who is not None and ann.who not in seen_speakers:
-            speakers.append(TierSpeaker(ann.who, ann.who))
-            seen_speakers.add(ann.who)
+            events = tier_events(("group", layer.id, speaker, category), base_id, speaker, category)
+        events.append(TierEvent(ann.range.start, ann.range.end, qualifier.value_key()))
+        if ann.who is not None and ann.who not in speakers:
+            speakers[ann.who] = TierSpeaker(ann.who, ann.who)
 
     built = tuple(
-        Tier(slot["id"], slot["speaker"], slot["category"], tuple(slot["events"]))
-        for slot in tiers.values()
+        Tier(tier_id, speaker, category, tuple(events))
+        for tier_id, speaker, category, events in tiers.values()
     )
-    return TierDocument(tuple(speakers), points, built), residue
+    return TierDocument(tuple(speakers.values()), points, built), residue
+
+
+def _no_tier_form(
+    ann: Annotation, timeline: Timeline | None, timeline_ids: set[str], layers: dict[str, Layer]
+) -> str | None:
+    """Why ``ann`` has no tier form, or None when it has one.
+
+    ``timeline`` is the document's first timeline, the only one a tier file
+    holds, and ``timeline_ids`` the ids of all its timelines.
+    """
+    if isinstance(ann, WordForm):
+        return "word-form annotations have no tier form"
+    rng = ann.range
+    if rng is None:
+        return "no event interval (sequence implicit events first)"
+    if not isinstance(rng, EventInterval):
+        return "only event-interval ranges are expressible"
+    if timeline is None or rng.timeline != timeline.id:
+        if rng.timeline in timeline_ids:
+            return "only events on the first timeline are expressible"
+        return "event interval does not resolve"
+    try:
+        forward = timeline.index_of(rng.start) < timeline.index_of(rng.end)
+    except UnknownIdError:
+        return "event interval does not resolve"
+    if not forward:
+        return "events must run strictly forward in time"
+    if len(ann.qualifiers) != 1:
+        return "multiple qualifiers per event are not expressible"
+    if ann.layer not in layers:
+        return f"annotation layer {ann.layer!r} is undeclared"
+    return None

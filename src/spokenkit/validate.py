@@ -25,8 +25,8 @@ from spokenkit.core.model import (
     WordForm,
     check_level_coherence,
 )
-from spokenkit.datacat import COMPLEX, OK, Registry
-from spokenkit.featstruct import FeatureStructure, TagsetError, TagsetLibrary, flatten
+from spokenkit.datacat import COMPLEX, LANGUAGE_RESTRICTED, OK, Registry
+from spokenkit.featstruct import FeatureStructure, TagsetError, TagsetLibrary, flatten, strip_ref
 from spokenkit.tei.model import (
     AnchorRef,
     FeatureLib,
@@ -151,7 +151,7 @@ def check_ids(doc: Document) -> list[Finding]:
 
 def _known_ids(doc: Document, token_ids: Iterable[str]) -> set[str]:
     raws = [raw for raw, _ in doc.declared_ids]
-    known = {raw.lstrip("#") for raw in raws}
+    known = set(map(strip_ref, raws))
     known.update(raws)
     for tl in doc.timelines:
         known.add(tl.id)
@@ -468,7 +468,7 @@ def _domain_check(fs, registry: Registry, language: str | None) -> list[tuple[st
             detail = (
                 f"value {atom!r} of {feature_name!r} is outside the "
                 f"{language!r} restriction"
-                if verdict == "languageRestricted"
+                if verdict == LANGUAGE_RESTRICTED
                 else f"value {atom!r} is outside the domain of {feature_name!r}"
             )
             problems.append((DOMAIN_VIOLATION, detail))

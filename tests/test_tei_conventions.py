@@ -12,7 +12,9 @@ from spokenkit.tei import (
     parse_document,
     promote_conventions,
     promote_document,
+    resolve_anchors,
 )
+from spokenkit.core import EventInterval
 from spokenkit.tei.model import content_text
 from tests.conftest import fixture_bytes
 
@@ -119,3 +121,28 @@ def test_utterances_that_share_an_id_keep_their_own_promoted_text():
         ("d", "one"),
         ("d", "two "),
     ]
+
+
+def test_an_utterance_and_an_event_that_share_an_id_keep_their_own_text_and_interval():
+    data = fixture_bytes("anchored_dialogue.xml")
+    body = data[data.index(b"<body>") : data.index(b"</body>") + len(b"</body>")]
+    data = data.replace(
+        body,
+        b'<body><u who="#SPK1" xml:id="x"><anchor synch="#T1"/>oui ((cough))<anchor synch="#T2"/></u>'
+        b'<kinesic end="#T4" start="#T3" xml:id="x"><desc>nod</desc></kinesic>'
+        b'<u who="#SPK2" xml:id="x"><anchor synch="#T4"/>non<anchor synch="#T5"/></u></body>',
+    )
+    doc, _ = parse_document(data)
+    tl = doc.timelines[0].id
+    promoted_first, _ = resolve_anchors(promote_document(doc)[0])
+    resolved_first, _ = promote_document(resolve_anchors(doc)[0])
+    for result in (promoted_first, resolved_first):
+        assert [
+            (a.id, a.qualifiers[0].feature, a.qualifiers[0].value, a.range)
+            for a in result.annotations
+        ] == [
+            ("x", "utterance", "oui ", EventInterval("T1", "T2", tl)),
+            ("x", "kinesic", "nod", EventInterval("T3", "T4", tl)),
+            ("x", "utterance", "non", EventInterval("T4", "T5", tl)),
+        ]
+    assert promoted_first == resolved_first

@@ -116,6 +116,21 @@ def test_a_nan_offset_is_refused_with_the_point_named(nan, offsets):
         TimePoint(pid, offset=nan)
 
 
+@pytest.mark.parametrize(
+    "synthetic, flags",
+    [(True, ({"b", "c", "d"}, {"a"})), (False, ({"b"}, {"a", "c", "d"}))],
+)
+def test_appended_points_are_flagged_and_have_no_offsets(synthetic, flags):
+    tl = Timeline("tl", "s", ("a", "b"), (Decimal(1), None), frozenset({"b"}), frozenset({"a"}))
+    appended = tl.append_flagged(["c", "d"], synthetic=synthetic)
+    assert appended.ids == ("a", "b", "c", "d")
+    assert appended.offsets == (Decimal(1), None, None, None)
+    assert (appended.synthetic, appended.anchor_declared) == flags
+    assert [appended.index_of(pid) for pid in "abcd"] == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="duplicate point id 'b'"):
+        tl.append_flagged(["c", "b"], synthetic=synthetic)
+
+
 def _tei_stages(data: bytes) -> None:
     doc, _ = parse_document(data)
     resolved, _ = resolve_anchors(doc)

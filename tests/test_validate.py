@@ -178,6 +178,19 @@ def test_app_info_targets_resolve_to_any_identifier():
     ]
 
 
+def test_app_info_targets_match_an_identifier_with_one_hash_dropped():
+    # "##x" declares "#x", as every reference reads it, and no "x".
+    from tests.test_tei_roundtrip import RICH_HEADER
+
+    data = RICH_HEADER.replace(
+        b'<ptr target="#u1"/>', b'<ptr target="#u1"/><ptr target="#x"/><ptr target="##x"/>'
+    ).replace(b"Bonjour.", b'<w xml:id="##x">Bonjour</w>.')
+    doc, _ = parse_document(data)
+    assert [(i.location, i.message) for i in check_refs(doc)] == [
+        ("aligner", "@target reference 'x' resolves to nothing"),
+    ]
+
+
 def test_known_ids_are_built_only_for_references_that_may_name_any_identifier(monkeypatch):
     # The tagged fixtures have no appInfo target and no component range
     # other than word forms, so nothing reads the set of every identifier.
