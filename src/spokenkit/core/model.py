@@ -11,7 +11,7 @@ serialisation live in the format modules.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import KW_ONLY, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from itertools import repeat
 from operator import le
@@ -96,45 +96,14 @@ class SourceRef:
             raise ValueError(f"primary source {self.id!r} cannot have parent sources")
 
 
-def _offset_problem(offset: Number) -> str | None:
-    """Why ``offset`` cannot be a point's offset, or None when it can."""
-    # A signalling Decimal NaN refuses every comparison, so ask it first.
-    if (isinstance(offset, Decimal) and offset.is_nan()) or offset != offset:
-        return "offset must be a number, not NaN"
-    if offset < 0:
-        return "offset must be non-negative"
-    return None
-
-
-@dataclass(frozen=True)
-class TimePoint:
-    """One point of a timeline, as a view built on request.
-
-    A timeline stores its points as columns; ``Timeline.points`` and
-    ``Timeline.point`` build these views. Order is ordinal: the point's
-    position in its timeline, read with ``Timeline.index_of``. A numeric
-    ``offset`` in the timeline unit is advisory and checked for consistency
-    by the validator, never used for ordering.
-    """
-
-    id: str
-    _: KW_ONLY
-    offset: Number | None = None
-    synthetic: bool = False
-    anchor_declared: bool = False
-
-    def __post_init__(self) -> None:
-        problem = None if self.offset is None else _offset_problem(self.offset)
-        if problem is not None:
-            raise ValueError(f"point {self.id!r}: {problem}")
-
-
 @dataclass(frozen=True)
 class Timeline:
     """Totally ordered reference points, optionally carrying numeric offsets.
 
     The points are columns: the n-th point has id ``ids[n]`` and offset
-    ``offsets[n]``, and its position ``n`` is its order. ``synthetic`` holds
+    ``offsets[n]``, and its position ``n`` is its order, read with
+    ``index_of``. An offset, in the timeline unit, is advisory: the validator
+    checks it for consistency and nothing orders by it. ``synthetic`` holds
     the ids of points made by implicit sequencing, ``anchor_declared`` the
     ids of points that only an anchor declared.
     """
@@ -173,9 +142,13 @@ class Timeline:
             suspect = True
         if suspect:
             for pid, offset in zip(ids, offsets):
-                problem = None if offset is None else _offset_problem(offset)
-                if problem is not None:
-                    raise ValueError(f"point {pid!r}: {problem}")
+                if offset is None:
+                    continue
+                # A signalling Decimal NaN refuses every comparison, so ask it first.
+                if (isinstance(offset, Decimal) and offset.is_nan()) or offset != offset:
+                    raise ValueError(f"point {pid!r}: offset must be a number, not NaN")
+                if offset < 0:
+                    raise ValueError(f"point {pid!r}: offset must be non-negative")
         flags = (("synthetic", self.synthetic), ("anchor-declared", self.anchor_declared))
         for kind, flagged in flags:
             if not by_id.keys() >= flagged:
@@ -188,13 +161,10 @@ class Timeline:
         return point_id in self._by_id
 
     @property
-    def points(self) -> "TimePoints":
-        """The points in order, as ``TimePoint`` views built when read."""
-        return TimePoints(self)
-
-    def point(self, point_id: str) -> TimePoint:
-        """The point ``point_id`` as a ``TimePoint`` view."""
-        return self.points[self.index_of(point_id)]
+    def points(self) -> tuple[str, ...]:
+        """``ids`` under another name: the benchmark's trace counts
+        ``points_added`` with ``len(tl.points)``. It goes when that reader does."""
+        return self.ids
 
     def index_of(self, point_id: str) -> int:
         try:
@@ -218,31 +188,6 @@ class Timeline:
     def of(cls, timeline_id: str, point_ids: Iterable[str], unit: str = UNIT_SYMBOLIC) -> "Timeline":
         ids = tuple(point_ids)
         return cls(timeline_id, unit, ids, (None,) * len(ids))
-
-
-class TimePoints(Sequence):
-    """A timeline's points as a sequence: its length is the timeline's, and
-    each ``TimePoint`` is built when it is read."""
-
-    __slots__ = ("_timeline",)
-
-    def __init__(self, timeline: Timeline) -> None:
-        self._timeline = timeline
-
-    def __len__(self) -> int:
-        return len(self._timeline.ids)
-
-    def __getitem__(self, n):
-        if isinstance(n, slice):
-            return tuple(self)[n]
-        tl = self._timeline
-        pid = tl.ids[n]
-        return TimePoint(
-            pid,
-            offset=tl.offsets[n],
-            synthetic=pid in tl.synthetic,
-            anchor_declared=pid in tl.anchor_declared,
-        )
 
 
 @dataclass(frozen=True)
@@ -424,12 +369,6 @@ class Document:
             if t.id == timeline_id:
                 return t
         raise UnknownIdError("timeline", timeline_id)
-
-    def layer(self, layer_id: str) -> Layer:
-        for l in self.layers:
-            if l.id == layer_id:
-                return l
-        raise UnknownIdError("layer", layer_id)
 
     def level(self, level_id: str) -> Level:
         for l in self.levels:

@@ -39,7 +39,13 @@ class ConventionRuleError(ValueError):
 
 
 def load_convention_rules(data: str | bytes) -> tuple[ConventionRule, ...]:
-    """Read rules from ``pattern<TAB>element<TAB>descGroup`` lines."""
+    """Read rules from ``pattern<TAB>element<TAB>descGroup`` lines.
+
+    ``descGroup`` is a group number (0 for the whole match) or a group name
+    of the pattern; any other group is refused. A match gives its group as
+    the element's description, or "" when the group took no part in it, and
+    an empty match promotes nothing.
+    """
     data = decode_utf8(data, lambda n, message: ConventionRuleError(f"line {n}: {message}"))
     rules: list[ConventionRule] = []
     for line_no, line in enumerate(data.splitlines(), start=1):
@@ -55,7 +61,10 @@ def load_convention_rules(data: str | bytes) -> tuple[ConventionRule, ...]:
             compiled = re.compile(pattern)
         except re.error as exc:
             raise ConventionRuleError(f"line {line_no}: bad pattern: {exc}") from exc
-        rules.append(ConventionRule(compiled, element, int(group) if group.isdigit() else group))
+        desc_group = int(group) if group.isdecimal() else group
+        if desc_group not in compiled.groupindex and desc_group not in range(compiled.groups + 1):
+            raise ConventionRuleError(f"line {line_no}: pattern has no group {group!r}")
+        rules.append(ConventionRule(compiled, element, desc_group))
     return tuple(rules)
 
 
@@ -103,10 +112,13 @@ def _apply_rules(text: str, rules: tuple[ConventionRule, ...]) -> list:
                 continue
             cursor = 0
             for match in rule.pattern.finditer(piece):
-                next_pieces.append(piece[cursor : match.start()])
-                desc = match.group(rule.desc_group)
+                start, end = match.span()
+                if start == end:  # would insert an empty element, again on every run
+                    continue
+                next_pieces.append(piece[cursor:start])
+                desc = match.group(rule.desc_group) or ""  # None: the group took no part
                 next_pieces.append(_ELEMENT_CLASSES[rule.element](desc=desc))
-                cursor = match.end()
+                cursor = end
             next_pieces.append(piece[cursor:])
         pieces = next_pieces
     return pieces

@@ -11,7 +11,10 @@ so that projection into the generic annotation model and back is lossless.
     @tier<TAB>id<TAB>speaker-or--<TAB>category
     event<TAB>tier-id<TAB>start-point<TAB>end-point<TAB>text
 
-Comment lines start with '#'. Valid files round-trip bit-exactly.
+Comment lines start with '#'. An offset is read as a ``Decimal`` and written
+as ``str`` of it, so a valid file round-trips bit-exactly when each offset is
+spelled that way; another spelling the reader takes, such as ``+1`` or
+``1e1``, comes back respelled (``1``, ``1E+1``) after one pass.
 """
 
 from __future__ import annotations
@@ -97,15 +100,6 @@ class TierDocument:
     points: tuple[tuple[str, Decimal | None], ...] = ()
     tiers: tuple[Tier, ...] = ()
     records: tuple[tuple, ...] = field(default=(), compare=False)
-
-    def tier(self, tier_id: str) -> Tier:
-        for t in self.tiers:
-            if t.id == tier_id:
-                return t
-        raise KeyError(tier_id)
-
-    def point_index(self) -> dict[str, int]:
-        return {pid: n for n, (pid, _) in enumerate(self.points)}
 
 
 def parse_tier(data: bytes | str) -> TierDocument:

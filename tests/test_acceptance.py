@@ -63,7 +63,7 @@ def test_criterion_01_dialogue_round_trip():
 
     assert reparsed == doc
     assert len(doc.metadata.participants) == 2
-    assert len(doc.primary_timeline.points) == 8
+    assert len(doc.primary_timeline.ids) == 8
     utterances = [i for i in doc.body if isinstance(i, Utterance)]
     assert len(utterances) == 3
     incidents = [a for a in doc.annotations if a.qualifiers[0].feature == "incident"]

@@ -250,6 +250,44 @@ def test_convert_applies_convention_rules(capsys, tmp_path):
     assert "((cough))" not in out
 
 
+@pytest.mark.parametrize("line", ["(x)\tvocal\t5", "(?P<d>x)\tvocal\tzz"])
+def test_convention_rule_naming_a_missing_group_exits_two(capsys, tmp_path, line):
+    source = tmp_path / "raw.xml"
+    source.write_bytes(fixture_bytes("anchored_dialogue.xml").replace(b"Okay. ", b"Okay. x "))
+    rules = tmp_path / "rules.tsv"
+    rules.write_text(line + "\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "convert", str(source), "--from", "tei", "--to", "tei", "--conventions", str(rules)
+    )
+    group = line.rsplit("\t", 1)[1]
+    assert (code, out) == (2, "")
+    message = f"line 1: pattern has no group '{group}'"
+    assert err == f"spokenkit: bad convention rules {rules}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "line, vocal",
+    [
+        ("(y)?x\tvocal\t1", "<vocal><desc></desc></vocal>"),
+        ("x?\tvocal\t0", "<vocal><desc>x</desc></vocal>"),
+    ],
+)
+def test_convert_with_a_rule_that_matches_empty_or_skips_its_group_is_idempotent(
+    capsys, tmp_path, line, vocal
+):
+    source = tmp_path / "raw.xml"
+    source.write_bytes(fixture_bytes("anchored_dialogue.xml").replace(b"Okay. ", b"Okay. x "))
+    rules = tmp_path / "rules.tsv"
+    rules.write_text(line + "\n", encoding="utf-8")
+    convert = ("convert", "--from", "tei", "--to", "tei", "--conventions", str(rules))
+    code, once, err = run(capsys, *convert, str(source))
+    assert (code, err) == (0, "")
+    assert once.count("<vocal") == 1 and vocal in once
+    again = tmp_path / "once.xml"
+    again.write_text(once, encoding="utf-8")
+    assert run(capsys, *convert, str(again)) == (0, once, "")
+
+
 def test_convert_parse_failure_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.xml"
     bad.write_bytes(b"<TEI><oops>")

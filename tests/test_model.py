@@ -14,7 +14,6 @@ from spokenkit.core import (
     Qualifier,
     ScaleInterval,
     SourceRef,
-    TimePoint,
     Timeline,
     UnknownIdError,
     check_level_coherence,
@@ -57,7 +56,7 @@ def test_timeline_point_lookup():
     assert tl.index_of("c") == 2
     assert "b" in tl
     with pytest.raises(UnknownIdError):
-        tl.point("zz")
+        tl.index_of("zz")
 
 
 def test_timeline_unknown_point_id():
@@ -65,8 +64,6 @@ def test_timeline_unknown_point_id():
     with pytest.raises(UnknownIdError) as exc:
         tl.index_of("zz")
     assert exc.value.ref == "zz"
-    with pytest.raises(UnknownIdError):
-        tl.point("zz")
     assert "zz" not in tl
 
 
@@ -75,10 +72,10 @@ def test_timeline_lookup_follows_replaced_points():
     changed = replace(tl, ids=("c", "d"), offsets=(None, None))
     assert changed.index_of("c") == 0
     assert changed.index_of("d") == 1
-    assert changed.point("d") == TimePoint("d")
+    assert changed.offsets[changed.index_of("d")] is None
     assert "a" not in changed
     with pytest.raises(UnknownIdError):
-        changed.point("b")
+        changed.index_of("b")
     assert tl.index_of("c") == 2
 
 
@@ -102,15 +99,8 @@ def test_timeline_rejects_duplicate_point_id():
 
 
 def test_negative_offset_rejected():
-    with pytest.raises(ValueError):
-        TimePoint("p", offset=-1)
-
-
-def test_time_point_takes_no_positional_index():
-    # A point's order is its position in the timeline; a stale positional
-    # index must not quietly become an offset.
-    with pytest.raises(TypeError):
-        TimePoint("p", 0)
+    with pytest.raises(ValueError, match="point 'p': offset must be non-negative"):
+        Timeline("tl", "s", ("p",), (-1,))
 
 
 def test_annotation_requires_qualifier():

@@ -85,6 +85,50 @@ def test_rule_file_rejects_bad_pattern():
         load_convention_rules("((\tvocal\t1\n")
 
 
+@pytest.mark.parametrize(
+    "line, group",
+    [
+        ("(x)\tvocal\t5", "5"),
+        ("(?P<d>x)\tvocal\tzz", "zz"),
+        ("x\tvocal\t1", "1"),
+        ("(x)\tvocal\t\u00b2", "\u00b2"),
+    ],
+)
+def test_rule_file_rejects_a_group_the_pattern_lacks(line, group):
+    with pytest.raises(ConventionRuleError, match=f"^line 2: pattern has no group '{group}'$"):
+        load_convention_rules(f"# rules\n{line}\n")
+
+
+def test_rule_file_takes_group_numbers_and_names_the_pattern_has():
+    rules = load_convention_rules("a(b)\tvocal\t0\n(?P<d>c)\tkinesic\td\n")
+    promoted, _ = promote_conventions(utterance("-ab-c-"), rules)
+    assert promoted.content == (
+        TextSegment("-"),
+        Vocal(desc="ab"),
+        TextSegment("-"),
+        Kinesic(desc="c"),
+        TextSegment("-"),
+    )
+
+
+def test_a_group_that_takes_no_part_gives_an_empty_description():
+    rules = load_convention_rules("(y)?x\tvocal\t1\n")
+    promoted, findings = promote_conventions(utterance("axb"), rules)
+    assert findings == []
+    assert promoted.content == (TextSegment("a"), Vocal(desc=""), TextSegment("b"))
+
+
+def test_empty_matches_promote_nothing_and_promotion_stays_idempotent():
+    rules = load_convention_rules("x?\tvocal\t0\n")
+    promoted, findings = promote_conventions(utterance("axb"), rules)
+    assert findings == []
+    assert promoted.content == (TextSegment("a"), Vocal(desc="x"), TextSegment("b"))
+    again, _ = promote_conventions(promoted, rules)
+    assert again is promoted
+    untouched = utterance("ab")
+    assert promote_conventions(untouched, rules)[0] is untouched
+
+
 def test_bundled_rules_match_builtin():
     rules = load_convention_rules(fixture_bytes("gat.rules"))
     with_file, _ = promote_conventions(utterance("x ((y)) z"), rules)

@@ -29,7 +29,7 @@ def test_dialogue_structure(dialogue_doc):
     ]
     timeline = dialogue_doc.primary_timeline
     assert timeline.unit == "ms"
-    assert [p.id for p in timeline.points] == DIALOGUE_POINT_IDS
+    assert list(timeline.ids) == DIALOGUE_POINT_IDS
     utterances = [item for item in dialogue_doc.body if isinstance(item, Utterance)]
     assert len(utterances) == 3
     incidents = [a for a in dialogue_doc.annotations if a.qualifiers[0].feature == "incident"]
@@ -163,7 +163,7 @@ def test_free_standing_event_with_an_empty_id_gets_its_interval():
 def test_duplicate_anchor_declaration_keeps_first(inline_doc):
     timeline = inline_doc.primary_timeline
     assert timeline.implicit
-    assert [p.id for p in timeline.points] == ["tp1u", "tp2u"]
+    assert timeline.ids == ("tp1u", "tp2u")
     assert [raw for raw, _ in inline_doc.declared_ids].count("tp2u") == 2
 
 
@@ -323,7 +323,7 @@ def test_negative_or_nan_timeline_offset_is_reported_and_dropped(offset, message
     )
     doc, warnings = parse_document(data)
     assert warnings == [Finding("BAD_OFFSET", "warning", "T2", message)]
-    assert [p.offset for p in doc.primary_timeline.points] == [None] * len(DIALOGUE_POINT_IDS)
+    assert doc.primary_timeline.offsets == (None,) * len(DIALOGUE_POINT_IDS)
 
 
 def test_element_before_body_is_kept_opaquely():

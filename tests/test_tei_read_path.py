@@ -188,8 +188,8 @@ def reference_resolution(doc) -> tuple[list[EventInterval | None], list[Finding]
     """
     home: dict[str, str] = {}
     for tl in doc.timelines:
-        for p in tl.points:
-            home.setdefault(p.id, tl.id)
+        for pid in tl.ids:
+            home.setdefault(pid, tl.id)
     intervals: list[EventInterval | None] = []
     findings: list[Finding] = []
 

@@ -145,7 +145,7 @@ def test_materialized_timeline_round_trips_cleanly():
     assert b"<timeline" in out and b"~auto1" in out
     reparsed, warnings = parse_document(out)
     timeline = reparsed.primary_timeline
-    assert [p.id for p in timeline.points] == ["tp1u", "tp2u", "~auto1", "~auto2"]
+    assert timeline.ids == ("tp1u", "tp2u", "~auto1", "~auto2")
     assert not timeline.implicit
     # declaring anchors were rewritten into references, so no duplicate ids
     from spokenkit.validate import check_ids

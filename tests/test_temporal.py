@@ -233,7 +233,7 @@ def test_sequence_implicit_places_events_after_anchored_material():
     assert u2.range is not None
     tl = sequenced.primary_timeline
     assert u2.range.start.startswith("~auto")
-    assert tl.point(u2.range.start).synthetic
+    assert u2.range.start in tl.synthetic
     assert relation(sequenced.annotation("u1").range, u2.range, tl) is R.BEFORE
 
 
@@ -298,7 +298,7 @@ def all_pairs_overlaps(doc):
     for ann in doc.annotations:
         rng = ann.range
         tl = next((t for t in doc.timelines if t.id == getattr(rng, "timeline", None)), None)
-        ids = [p.id for p in tl.points] if tl is not None else []
+        ids = list(tl.ids) if tl is not None else []
         if not isinstance(rng, EventInterval) or rng.start not in ids or rng.end not in ids:
             skipped += 1
             continue
@@ -309,7 +309,7 @@ def all_pairs_overlaps(doc):
         for s2, e2, id2, tl2 in resolved[i + 1 :]:
             start, end = max(s1, s2), min(e1, e2)
             if tl1.id == tl2.id and start < end:
-                pairs.append((id1, id2, tl1.points[start].id, tl1.points[end].id, tl1.id))
+                pairs.append((id1, id2, tl1.ids[start], tl1.ids[end], tl1.id))
     return pairs, skipped
 
 
@@ -326,10 +326,10 @@ def random_range(rand: random.Random, n: int):
     kind = rand.random()
     if kind < 0.75:
         tl = rand.choice((TIMELINE_A, TIMELINE_B))
-        start, end = rand.randrange(len(tl.points)), rand.randrange(len(tl.points))
+        start, end = rand.randrange(len(tl.ids)), rand.randrange(len(tl.ids))
         if rand.random() < 0.7:
             start, end = sorted((start, end))
-        return EventInterval(tl.points[start].id, tl.points[end].id, tl.id)
+        return EventInterval(tl.ids[start], tl.ids[end], tl.id)
     if kind < 0.82:
         return rand.choice(UNRESOLVABLE)
     if kind < 0.89:

@@ -35,7 +35,7 @@ def test_parse_score_fixture():
     assert len(td.speakers) == 2
     assert len(td.tiers) == 3
     assert [t.category for t in td.tiers] == ["verbal", "verbal", "gesture"]
-    verbal = td.tier("SPK2_verbal")
+    verbal = next(t for t in td.tiers if t.id == "SPK2_verbal")
     assert verbal.events[0].text == "Alors ça dépend ((cough)) un petit peu."
 
 
@@ -182,7 +182,7 @@ def test_to_core_overlaps_match_pairwise_oracle():
     td = parse_tier(fixture_bytes("score_dialogue.tier"))
     doc = to_core(td)
     report = overlaps_report(doc)
-    index = td.point_index()
+    index = {pid: n for n, (pid, _) in enumerate(td.points)}
     expected = set()
     events = [
         (f"{tier.id}_e{n}", index[e.start], index[e.end])
@@ -248,7 +248,7 @@ def test_from_core_on_dialogue_document():
         ("SPK1_verbal", "SPK1", "verbal", 1),
         ("SPK0_incident", "SPK0", "incident", 1),
     ]
-    incident = td.tier("SPK0_incident")
+    incident = next(t for t in td.tiers if t.id == "SPK0_incident")
     assert incident.events[0].text == "right hand raised"
 
 
@@ -332,7 +332,7 @@ def test_temporal_relations_invariant_under_conversion():
         td = random_tier_document(rng)
         doc = to_core(td)
         timeline = doc.primary_timeline
-        index = td.point_index()
+        index = {pid: n for n, (pid, _) in enumerate(td.points)}
         reference = Timeline.of("ref", [p for p, _ in td.points])
         events = [
             (f"{tier.id}_e{n}", e)
@@ -447,7 +447,7 @@ def test_points_declared_after_the_events_that_use_them():
     events = "@tier\tt1\t-\tv\nevent\tt1\tp0\tp1\ta\nevent\tt1\tp1\tp2\tb\n"
     late = events + "@point\tp0\t-\n@point\tp1\t0.5\n@point\tp2\t-\n"
     td = parse_tier(late)
-    assert [e.text for e in td.tier("t1").events] == ["a", "b"]
+    assert [e.text for t in td.tiers if t.id == "t1" for e in t.events] == ["a", "b"]
     assert serialize_tier(td) == late
     unset = "@point\tp0\t-\n@point\tp1\t-\n@point\tp2\t-\n"
     reversed_late = events.replace("p1\tp2", "p2\tp1") + unset
@@ -462,6 +462,25 @@ def test_offset_inversion_across_unset_points():
 def test_equal_offsets_are_in_order():
     td = parse_tier("@point\tp0\t5\n@point\tp1\t-\n@point\tp2\t5.0\n")
     assert [offset for _, offset in td.points] == [Decimal(5), None, Decimal("5.0")]
+
+
+@pytest.mark.parametrize(
+    "raw, written",
+    [
+        ("+1", "1"),
+        ("1e1", "1E+1"),
+        ("1_0", "10"),
+        (" 1", "1"),
+        ("inf", "Infinity"),
+        ("0E-5", "0.00000"),
+        ("0.0000001", "1E-7"),
+    ],
+)
+def test_an_offset_spelled_otherwise_is_written_canonically_once(raw, written):
+    text = "@point\tp0\t-\n@point\tp1\t{}\n"
+    once = serialize_tier(parse_tier(text.format(raw)))
+    assert once == text.format(written)
+    assert serialize_tier(parse_tier(once)) == once
 
 
 def test_event_defects_come_before_offset_inversions():

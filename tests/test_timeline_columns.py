@@ -1,10 +1,9 @@
 """The timeline as columns.
 
 A ``Timeline`` stores its points as an id column, an offset column and two
-flag sets. Construction refuses what building a ``TimePoint`` per point and
-the timeline's unit and duplicate-id checks refuse, plus what the two column
-checks refuse. ``TimePoint`` is only a view built by ``Timeline.points`` and
-``Timeline.point``; no pipeline stage builds one.
+flag sets; a point is its position in the columns. Construction refuses what
+the per-point offset rule, the timeline's unit and duplicate-id checks and
+the two column checks refuse.
 """
 
 from __future__ import annotations
@@ -16,12 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spokenkit.core import TimePoint, Timeline, overlaps_report, sequence_implicit
+from spokenkit.core import Timeline
 from spokenkit.core.model import TIMELINE_UNITS
-from spokenkit.tei import parse_document, resolve_anchors, serialize_document
-from spokenkit.tier import from_core, parse_tier, to_core
-from spokenkit.validate import validate_all
-from tests.conftest import FIXTURES
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -48,44 +43,54 @@ def columns(draw):
     return unit, tuple(ids), tuple(offsets), synthetic, anchor_declared
 
 
-def point_checks_refuse(unit, ids, offsets, synthetic, anchor_declared) -> bool:
-    """Whether a ``TimePoint`` per point, the unit and duplicate-id checks or
-    the two column checks refuse these columns."""
-    if len(offsets) != len(ids) or not synthetic | anchor_declared <= set(ids):
-        return True
-    try:
-        for pid, offset in zip(ids, offsets):
-            TimePoint(pid, offset=offset)
-    except ValueError:
-        return True
-    return unit not in TIMELINE_UNITS or len(set(ids)) != len(ids)
+def offset_refusal(pid, offset) -> str | None:
+    """The message that refuses ``offset`` as the offset of point ``pid``, or
+    None when the point may carry it: the per-point rule, written out."""
+    if offset is None:
+        return None
+    # A signalling Decimal NaN refuses every comparison, so ask it first.
+    if (isinstance(offset, Decimal) and offset.is_nan()) or offset != offset:
+        return f"point {pid!r}: offset must be a number, not NaN"
+    if offset < 0:
+        return f"point {pid!r}: offset must be non-negative"
+    return None
+
+
+def rows(tl: Timeline) -> list[tuple]:
+    """Each point of ``tl`` in order, read from the columns by position."""
+    return [
+        (tl.ids[n], tl.offsets[n], tl.ids[n] in tl.synthetic, tl.ids[n] in tl.anchor_declared)
+        for n in range(len(tl.ids))
+    ]
 
 
 @PROPERTY_SETTINGS
 @given(columns())
 def test_columns_are_checked_as_points_were_and_index_their_positions(cols):
     unit, ids, offsets, synthetic, anchor_declared = cols
-    if point_checks_refuse(*cols):
-        with pytest.raises(ValueError):
+    other_checks_refuse = (
+        len(offsets) != len(ids)
+        or not synthetic | anchor_declared <= set(ids)
+        or unit not in TIMELINE_UNITS
+        or len(set(ids)) != len(ids)
+    )
+    offset_refusals = [r for r in map(offset_refusal, ids, offsets) if r is not None]
+    if other_checks_refuse or offset_refusals:
+        with pytest.raises(ValueError) as refused:
             Timeline("tl", unit, ids, offsets, synthetic, anchor_declared)
+        if not other_checks_refuse:
+            assert str(refused.value) == offset_refusals[0]
         return
     tl = Timeline("tl", unit, ids, offsets, synthetic, anchor_declared)
     assert [tl.index_of(pid) for pid in ids] == list(range(len(ids)))
-    expected = tuple(
-        TimePoint(
-            pid,
-            offset=offset,
-            synthetic=pid in synthetic,
-            anchor_declared=pid in anchor_declared,
-        )
+    expected = [
+        (pid, offset, pid in synthetic, pid in anchor_declared)
         for pid, offset in zip(ids, offsets)
-    )
-    assert len(tl.points) == len(ids)
-    assert tuple(tl.points) == expected
-    assert tuple(tl.point(pid) for pid in ids) == expected
+    ]
+    assert rows(tl) == expected
     backwards = replace(tl, ids=ids[::-1], offsets=offsets[::-1])
     assert [backwards.index_of(pid) for pid in ids[::-1]] == list(range(len(ids)))
-    assert tuple(backwards.points) == expected[::-1]
+    assert rows(backwards) == expected[::-1]
 
 
 @pytest.mark.parametrize(
@@ -113,7 +118,7 @@ def test_a_nan_offset_is_refused_with_the_point_named(nan, offsets):
     with pytest.raises(ValueError, match=message):
         Timeline("tl", "s", ids, offsets)
     with pytest.raises(ValueError, match=message):
-        TimePoint(pid, offset=nan)
+        Timeline("tl", "s", (pid,), (nan,))
 
 
 @pytest.mark.parametrize(
@@ -129,38 +134,3 @@ def test_appended_points_are_flagged_and_have_no_offsets(synthetic, flags):
     assert [appended.index_of(pid) for pid in "abcd"] == [0, 1, 2, 3]
     with pytest.raises(ValueError, match="duplicate point id 'b'"):
         tl.append_flagged(["c", "b"], synthetic=synthetic)
-
-
-def _tei_stages(data: bytes) -> None:
-    doc, _ = parse_document(data)
-    resolved, _ = resolve_anchors(doc)
-    serialize_document(resolved)
-    _shared_stages(sequence_implicit(resolved))
-
-
-def _tier_stages(data: bytes) -> None:
-    doc = to_core(parse_tier(data))
-    serialize_document(doc)
-    _shared_stages(sequence_implicit(doc))
-
-
-def _shared_stages(doc) -> None:
-    validate_all(doc)
-    overlaps_report(doc)
-    serialize_document(doc, materialize_timeline=True)
-    td, _ = from_core(doc)
-    to_core(td)
-
-
-def test_no_stage_builds_a_time_point(monkeypatch):
-    def refuse(point):
-        raise AssertionError(f"a TimePoint was built for {point.id!r}")
-
-    monkeypatch.setattr(TimePoint, "__post_init__", refuse)
-    tl = Timeline.of("tl", ["a"])
-    assert len(tl.points) == 1
-    with pytest.raises(AssertionError, match="'a'"):
-        tl.point("a")
-    for path in sorted(FIXTURES.glob("*.xml")):
-        _tei_stages(path.read_bytes())
-    _tier_stages((FIXTURES / "score_dialogue.tier").read_bytes())
