@@ -86,9 +86,14 @@ def _load_library(path: str) -> TagsetLibrary:
 
 
 def _out(stream, data: bytes | str) -> None:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    stream.write(data)
+    """Write UTF-8 whatever the stream's encoding: bytes go to its buffer,
+    after what was written as text; a stream without one takes text."""
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:
+        stream.write(data.decode("utf-8") if isinstance(data, bytes) else data)
+        return
+    stream.flush()
+    buffer.write(data if isinstance(data, bytes) else data.encode("utf-8"))
 
 
 def _warn(findings: list[Finding]) -> None:

@@ -11,10 +11,14 @@ so that projection into the generic annotation model and back is lossless.
     @tier<TAB>id<TAB>speaker-or--<TAB>category
     event<TAB>tier-id<TAB>start-point<TAB>end-point<TAB>text
 
-Comment lines start with '#'. An offset is read as a ``Decimal`` and written
-as ``str`` of it, so a valid file round-trips bit-exactly when each offset is
-spelled that way; another spelling the reader takes, such as ``+1`` or
-``1e1``, comes back respelled (``1``, ``1E+1``) after one pass.
+Comment lines start with '#'. A parsed document holds each tier's events as
+``(start, end, text)`` tuples, in file order. An offset is read as a
+``Decimal`` and written as ``str`` of it. A valid file round-trips
+bit-exactly when its lines end in LF, the last one included, and each offset
+is spelled as ``str`` spells it. Other input the reader takes comes back
+rewritten after one pass: CRLF or any other ``str.splitlines`` line end as
+LF, a last line without a line end with one, and an offset such as ``+1`` or
+``1e1`` respelled (``1``, ``1E+1``). A second pass is bit-exact.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from itertools import islice, repeat
-from operator import attrgetter, itemgetter, le, lt
+from operator import itemgetter, le, lt
 from typing import Mapping
 
 from spokenkit.core.model import (
@@ -80,18 +84,14 @@ class TierSpeaker:
 
 
 @dataclass(frozen=True)
-class TierEvent:
-    start: str
-    end: str
-    text: str
-
-
-@dataclass(frozen=True)
 class Tier:
+    """A tier and its events: one ``(start point, end point, text)`` tuple per
+    event, in file order."""
+
     id: str
     speaker: str | None
     category: str
-    events: tuple[TierEvent, ...] = ()
+    events: tuple[tuple[str, str, str], ...] = ()
 
 
 @dataclass
@@ -111,7 +111,7 @@ def parse_tier(data: bytes | str) -> TierDocument:
     index: dict[str, int] = {}  # point id -> position in declaration order
     offsets: list[Decimal] = []
     tier_decls: list[tuple[str, str | None, str]] = []
-    events: dict[str, list[TierEvent]] = {}
+    events: dict[str, list[tuple[str, str, str]]] = {}
     seen_speakers: set[str] = set()
     records: list[tuple] = []  # one per line, so a record's position gives its line
     record = records.append
@@ -129,7 +129,7 @@ def parse_tier(data: bytes | str) -> TierDocument:
             if tier_events is None:
                 raise TierParseError(line_no, f"event for undeclared tier {tid!r}")
             record(("event", tid, len(tier_events)))
-            tier_events.append(TierEvent(start, end, text))
+            tier_events.append((start, end, text))
         elif kind == "@point":
             if len(fields) != 3:
                 raise TierParseError(line_no, "@point takes id and offset (or '-')")
@@ -186,12 +186,12 @@ def parse_tier(data: bytes | str) -> TierDocument:
     return TierDocument(tuple(speakers), tuple(points), tiers, tuple(records))
 
 
-def _events_fit(tier_events: list[TierEvent], index: dict[str, int]) -> bool:
+def _events_fit(tier_events: list[tuple[str, str, str]], index: dict[str, int]) -> bool:
     """Whether every event names known points, starts before it ends and
     overlaps no other event of its tier; checked without a Python loop."""
     try:
-        starts = list(map(index.__getitem__, map(attrgetter("start"), tier_events)))
-        ends = list(map(index.__getitem__, map(attrgetter("end"), tier_events)))
+        starts = list(map(index.__getitem__, map(itemgetter(0), tier_events)))
+        ends = list(map(index.__getitem__, map(itemgetter(1), tier_events)))
     except KeyError:
         return False
     if not all(map(lt, starts, ends)):
@@ -204,26 +204,26 @@ def _events_fit(tier_events: list[TierEvent], index: dict[str, int]) -> bool:
 
 
 def _raise_event_defect(
-    tid: str, tier_events: list[TierEvent], index: dict[str, int], records: list[tuple]
+    tid: str, tier_events: list[tuple[str, str, str]], index: dict[str, int], records: list[tuple]
 ) -> None:
     """Raise for the first event of the tier that fails a check of
     :func:`_events_fit`: event checks in file order, then overlaps in start
     order."""
     lines = [n for n, record in enumerate(records, 1) if record[0] == "event" and record[1] == tid]
-    for event, line_no in zip(tier_events, lines):
-        for pid in (event.start, event.end):
+    for (start, end, _), line_no in zip(tier_events, lines):
+        for pid in (start, end):
             if pid not in index:
                 raise TierParseError(line_no, f"unknown point {pid!r}")
-        if index[event.start] >= index[event.end]:
+        if index[start] >= index[end]:
             raise TierParseError(
-                line_no, f"event start {event.start!r} is not strictly before end {event.end!r}"
+                line_no, f"event start {start!r} is not strictly before end {end!r}"
             )
-    ordered = sorted(zip(tier_events, lines), key=lambda pair: index[pair[0].start])
-    for (prev, _), (nxt, line_no) in zip(ordered, ordered[1:]):
-        if index[prev.end] > index[nxt.start]:
+    ordered = sorted(zip(tier_events, lines), key=lambda pair: index[pair[0][0]])
+    for ((_, prev_end, _), _), ((next_start, _, _), line_no) in zip(ordered, ordered[1:]):
+        if index[prev_end] > index[next_start]:
             raise TierParseError(
                 line_no,
-                f"event overlaps previous event of tier {tid!r} (previous ends at {prev.end!r})",
+                f"event overlaps previous event of tier {tid!r} (previous ends at {prev_end!r})",
             )
 
 
@@ -247,7 +247,8 @@ _TEMPLATE_TABS = {"event": 4, "point": 2, "tier": 3, "speaker": 2, "blank": 0, "
 
 
 def serialize_tier(td: TierDocument) -> str:
-    """Serialise a tier document; parsed files reproduce their input bytes.
+    """Serialise a tier document; a parsed file comes back in its record
+    order, with every line ended by one LF (see the module docstring).
 
     A field that holds a tab, or a line break the reader would split on (any
     ``str.splitlines`` separator), raises ``TierSerializeError``, and so does
@@ -272,8 +273,8 @@ def serialize_tier(td: TierDocument) -> str:
     for record in records:
         kind = record[0]
         if kind == "event":
-            event = events_of[record[1]][record[2]]
-            write(f"event\t{record[1]}\t{event.start}\t{event.end}\t{event.text}\n")
+            start, end, text = events_of[record[1]][record[2]]
+            write(f"event\t{record[1]}\t{start}\t{end}\t{text}\n")
         elif kind == "point":
             offset = point_map[record[1]]
             write(f"@point\t{record[1]}\t{offset if offset is not None else '-'}\n")
@@ -345,15 +346,15 @@ def to_core(td: TierDocument, category_map: Mapping[str, str] | None = None) -> 
         )
         # Events with the same text share one qualifier tuple.
         qualifiers: dict[str, tuple[Qualifier]] = {}
-        for n, event in enumerate(tier.events, start=1):
-            shared = qualifiers.get(event.text)
+        for n, (start, end, text) in enumerate(tier.events, start=1):
+            shared = qualifiers.get(text)
             if shared is None:
-                shared = qualifiers[event.text] = (Qualifier(feature, event.text),)
+                shared = qualifiers[text] = (Qualifier(feature, text),)
             annotations.append(
                 Annotation(
                     id=f"{tier.id}_e{n}",
                     source=TIER_SOURCE,
-                    range=EventInterval(event.start, event.end, TIER_TIMELINE),
+                    range=EventInterval(start, end, TIER_TIMELINE),
                     qualifiers=shared,
                     layer=tier.id,
                     who=tier.speaker,
@@ -410,7 +411,7 @@ def from_core(doc: Document) -> tuple[TierDocument, list[ResidueItem]]:
             speakers.setdefault(person.id, TierSpeaker(person.id, person.name or person.id))
 
     # Each tier's id, speaker, category and events, by its key.
-    tiers: dict[tuple, tuple[str, str | None, str, list[TierEvent]]] = {}
+    tiers: dict[tuple, tuple[str, str | None, str, list[tuple[str, str, str]]]] = {}
     used_ids: set[str] = set()
 
     def tier_events(key: tuple, tier_id: str, speaker: str | None, category: str) -> list:
@@ -445,7 +446,7 @@ def from_core(doc: Document) -> tuple[TierDocument, list[ResidueItem]]:
             speaker = ann.who
             base_id = f"{speaker}_{category}" if speaker is not None else category
             events = tier_events(("group", layer.id, speaker, category), base_id, speaker, category)
-        events.append(TierEvent(ann.range.start, ann.range.end, qualifier.value_key()))
+        events.append((ann.range.start, ann.range.end, qualifier.value_key()))
         if ann.who is not None and ann.who not in speakers:
             speakers[ann.who] = TierSpeaker(ann.who, ann.who)
 

@@ -261,14 +261,14 @@ def test_criterion_10_tier_round_trip():
         timeline = doc.primary_timeline
         reference = Timeline.of("ref", [p for p, _ in td.points])
         events = [
-            (f"{tier.id}_e{n}", e)
+            (f"{tier.id}_e{n}", start, end)
             for tier in td.tiers
-            for n, e in enumerate(tier.events, start=1)
+            for n, (start, end, _) in enumerate(tier.events, start=1)
         ]
-        for (id_a, ev_a), (id_b, ev_b) in itertools.combinations(events, 2):
+        for (id_a, start_a, end_a), (id_b, start_b, end_b) in itertools.combinations(events, 2):
             direct = relation(
-                EventInterval(ev_a.start, ev_a.end, "ref"),
-                EventInterval(ev_b.start, ev_b.end, "ref"),
+                EventInterval(start_a, end_a, "ref"),
+                EventInterval(start_b, end_b, "ref"),
                 reference,
             )
             assert (

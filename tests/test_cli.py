@@ -3,8 +3,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +205,39 @@ def test_convert_tier_to_tei_and_back_reproduces_file(capsys, tmp_path):
     assert code == 0
     assert "residue" not in err
     assert out.encode("utf-8") == fixture_bytes("score_dialogue.tier")
+
+
+def _convert_with_stdout_encoding(encoding: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``spokenkit convert`` in a child whose stdout has ``encoding``."""
+    src = Path(spokenkit.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONIOENCODING": encoding, "PYTHONPATH": str(src)}
+    command = [sys.executable, "-m", "spokenkit.cli", "convert", *argv]
+    return subprocess.run(command, capture_output=True, env=env, timeout=60, check=False)
+
+
+def _tier_with_a_non_ascii_speaker(tmp_path) -> Path:
+    source = tmp_path / "chloe.tier"
+    source.write_bytes(fixture_bytes("score_dialogue.tier").replace(b"Speaker 1", "Chloé".encode()))
+    return source
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_convert_tier_to_tier_stdout_is_the_input_whatever_its_encoding(tmp_path, encoding):
+    source = _tier_with_a_non_ascii_speaker(tmp_path)
+    result = _convert_with_stdout_encoding(encoding, str(source), "--from", "tier", "--to", "tier")
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == source.read_bytes()
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_convert_to_tei_stdout_has_the_bytes_of_the_output_file(tmp_path, encoding):
+    source = _tier_with_a_non_ascii_speaker(tmp_path)
+    written = tmp_path / "chloe.xml"
+    argv = (str(source), "--from", "tier", "--to", "tei")
+    assert _convert_with_stdout_encoding(encoding, *argv, "-o", str(written)).returncode == 0
+    result = _convert_with_stdout_encoding(encoding, *argv)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == written.read_bytes()
 
 
 def test_convert_tier_event_with_control_character_to_tei_exits_two(capsys, tmp_path):

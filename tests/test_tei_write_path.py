@@ -26,7 +26,7 @@ from spokenkit.tei import (
     serialize_document,
 )
 from spokenkit.tei.model import EVENT_CLASSES
-from spokenkit.tier import Tier, TierDocument, TierEvent, TierSpeaker, to_core
+from spokenkit.tier import Tier, TierDocument, TierSpeaker, to_core
 from tests.conftest import FIXTURES
 
 # Tier categories: utterances, the event elements, and unmapped kinds that
@@ -83,7 +83,7 @@ def random_tier_document(rng: random.Random) -> TierDocument:
     for t in range(rng.randint(0, 6)):
         cuts = sorted(rng.sample(range(n_points), rng.randint(0, n_points)))
         events = tuple(
-            TierEvent(f"p{start}", f"p{end}", rng.choice(TEXTS))
+            (f"p{start}", f"p{end}", rng.choice(TEXTS))
             for start, end in zip(cuts[::2], cuts[1::2])
         )
         speaker = rng.choice([s.id for s in speakers] + [None])

@@ -18,7 +18,6 @@ from spokenkit.tei import parse_document, resolve_anchors
 from spokenkit.tier import (
     Tier,
     TierDocument,
-    TierEvent,
     TierParseError,
     TierSerializeError,
     TierSpeaker,
@@ -36,7 +35,7 @@ def test_parse_score_fixture():
     assert len(td.tiers) == 3
     assert [t.category for t in td.tiers] == ["verbal", "verbal", "gesture"]
     verbal = next(t for t in td.tiers if t.id == "SPK2_verbal")
-    assert verbal.events[0].text == "Alors ça dépend ((cough)) un petit peu."
+    assert verbal.events[0][2] == "Alors ça dépend ((cough)) un petit peu."
 
 
 def test_parse_empty_tier_section():
@@ -114,7 +113,7 @@ def _one_event_document(text="hi", name="Speaker", point="p1", category="verbal"
     return TierDocument(
         speakers=(TierSpeaker("s1", name),),
         points=(("p0", None), (point, None)),
-        tiers=(Tier("t1", "s1", category, (TierEvent("p0", point, text),)),),
+        tiers=(Tier("t1", "s1", category, (("p0", point, text),)),),
     )
 
 
@@ -133,7 +132,7 @@ def _speaker_dash_document(name="Speaker", category="verbal"):
         speakers=(TierSpeaker("s1", name),),
         points=(("p0", None), ("p1", None)),
         tiers=(
-            Tier("t1", "s1", category, (TierEvent("p0", "p1", "hi"),)),
+            Tier("t1", "s1", category, (("p0", "p1", "hi"),)),
             Tier("t2", "-", "verbal"),
         ),
     )
@@ -185,9 +184,9 @@ def test_to_core_overlaps_match_pairwise_oracle():
     index = {pid: n for n, (pid, _) in enumerate(td.points)}
     expected = set()
     events = [
-        (f"{tier.id}_e{n}", index[e.start], index[e.end])
+        (f"{tier.id}_e{n}", index[start], index[end])
         for tier in td.tiers
-        for n, e in enumerate(tier.events, start=1)
+        for n, (start, end, _) in enumerate(tier.events, start=1)
     ]
     for (a, s1, e1), (b, s2, e2) in itertools.combinations(events, 2):
         if max(s1, s2) < min(e1, e2):
@@ -249,7 +248,7 @@ def test_from_core_on_dialogue_document():
         ("SPK0_incident", "SPK0", "incident", 1),
     ]
     incident = next(t for t in td.tiers if t.id == "SPK0_incident")
-    assert incident.events[0].text == "right hand raised"
+    assert incident.events[0][2] == "right hand raised"
 
 
 def test_from_core_reports_residue_for_word_forms(pomme_doc):
@@ -302,7 +301,7 @@ def random_tier_document(rng: random.Random) -> TierDocument:
         for start, end in zip(cuts[::2], cuts[1::2]):
             if start == end:
                 continue
-            events.append(TierEvent(f"p{start}", f"p{end}", f"text {t}.{len(events)}"))
+            events.append((f"p{start}", f"p{end}", f"text {t}.{len(events)}"))
         tiers.append(
             Tier(
                 f"tier{t}",
@@ -335,14 +334,14 @@ def test_temporal_relations_invariant_under_conversion():
         index = {pid: n for n, (pid, _) in enumerate(td.points)}
         reference = Timeline.of("ref", [p for p, _ in td.points])
         events = [
-            (f"{tier.id}_e{n}", e)
+            (f"{tier.id}_e{n}", start, end)
             for tier in td.tiers
-            for n, e in enumerate(tier.events, start=1)
+            for n, (start, end, _) in enumerate(tier.events, start=1)
         ]
-        for (id_a, ev_a), (id_b, ev_b) in itertools.combinations(events, 2):
+        for (id_a, start_a, end_a), (id_b, start_b, end_b) in itertools.combinations(events, 2):
             direct = relation(
-                EventInterval(ev_a.start, ev_a.end, "ref"),
-                EventInterval(ev_b.start, ev_b.end, "ref"),
+                EventInterval(start_a, end_a, "ref"),
+                EventInterval(start_b, end_b, "ref"),
                 reference,
             )
             converted = relation(
@@ -447,7 +446,7 @@ def test_points_declared_after_the_events_that_use_them():
     events = "@tier\tt1\t-\tv\nevent\tt1\tp0\tp1\ta\nevent\tt1\tp1\tp2\tb\n"
     late = events + "@point\tp0\t-\n@point\tp1\t0.5\n@point\tp2\t-\n"
     td = parse_tier(late)
-    assert [e.text for t in td.tiers if t.id == "t1" for e in t.events] == ["a", "b"]
+    assert [text for t in td.tiers if t.id == "t1" for _, _, text in t.events] == ["a", "b"]
     assert serialize_tier(td) == late
     unset = "@point\tp0\t-\n@point\tp1\t-\n@point\tp2\t-\n"
     reversed_late = events.replace("p1\tp2", "p2\tp1") + unset

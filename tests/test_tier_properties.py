@@ -1,6 +1,7 @@
 """Generated tier texts: valid ones round-trip bit-exactly once each offset is
-spelled as the writer spells it, and a text with one planted defect is refused
-at the line of that defect."""
+spelled as the writer spells it and each line ends in LF, they read into one
+``(start, end, text)`` tuple per event line, and a text with one planted
+defect is refused at the line of that defect."""
 
 from __future__ import annotations
 
@@ -10,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spokenkit.tier import TierParseError, parse_tier, serialize_tier
+from spokenkit.core import EventInterval, Qualifier
+from spokenkit.tier import (
+    TIER_TIMELINE,
+    TierParseError,
+    from_core,
+    parse_tier,
+    serialize_tier,
+    to_core,
+)
 
 # The separators ``str.splitlines`` splits on, and the field separator.
 SEPARATORS = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -79,26 +88,61 @@ def tier_layouts(draw):
     return lines
 
 
-def render(lines) -> str:
+def render(lines, line_end: str = "\n", final_line_end: bool = True) -> str:
     out = []
     for kind, fields in lines:
         if kind in ("comment", "blank", "raw"):
             out.append("".join(fields))
         else:
             out.append("\t".join([kind if kind == "event" else "@" + kind, *fields]))
-    return "".join(line + "\n" for line in out)
+    text = "".join(line + line_end for line in out)
+    return text if final_line_end else text[: -len(line_end)]
+
+
+@st.composite
+def tier_texts(draw):
+    """A valid layout and its text, which sometimes has CRLF line ends and
+    sometimes no line end after a last line that is not blank."""
+    lines = draw(tier_layouts())
+    line_end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    final_line_end = lines[-1][0] == "blank" or draw(st.integers(0, 3)) > 0
+    return lines, render(lines, line_end, final_line_end)
 
 
 @PROPERTY_SETTINGS
-@given(tier_layouts())
-def test_valid_generated_texts_round_trip_bit_exactly(lines):
-    text = render(lines)
+@given(tier_texts())
+def test_valid_generated_texts_round_trip_bit_exactly(case):
+    lines, text = case
     once = serialize_tier(parse_tier(text))
+    # One pass spells each offset as the writer does and ends every line,
+    # the last one included, in LF.
     for kind, fields in lines:
         if kind == "point" and fields[1] != "-":
             fields[1] = str(Decimal(fields[1]))
     assert once == render(lines)
     assert serialize_tier(parse_tier(once)) == once
+
+
+@PROPERTY_SETTINGS
+@given(tier_layouts())
+def test_events_are_the_fields_of_their_lines_in_file_order(lines):
+    text = render(lines)
+    td = parse_tier(text)
+    event_lines = [line for line in text.splitlines() if line.startswith("event\t")]
+    event_fields = [line.split("\t")[1:] for line in event_lines]
+    for tier in td.tiers:
+        assert tier.events == tuple(tuple(f[1:]) for f in event_fields if f[0] == tier.id)
+    doc = to_core(td)
+    annotations = {ann.id: ann for ann in doc.annotations}
+    assert len(annotations) == sum(len(tier.events) for tier in td.tiers)
+    for tier in td.tiers:
+        for n, (start, end, text) in enumerate(tier.events, start=1):
+            ann = annotations[f"{tier.id}_e{n}"]
+            assert ann.range == EventInterval(start, end, TIER_TIMELINE)
+            assert ann.qualifiers == (Qualifier(tier.category, text),)
+    converted, residue = from_core(doc)
+    assert residue == []
+    assert converted.tiers == td.tiers
 
 
 def _lines_of(lines, kind):
