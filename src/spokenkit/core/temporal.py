@@ -235,7 +235,7 @@ def sequence_implicit(doc: Document) -> Document:
             end = f"{SYNTHETIC_PREFIX}{counter + 1}"
             counter += 2
             added += (start, end)
-            ann = replace(ann, range=EventInterval(start, end, timeline.id))
+            ann = ann.with_range(EventInterval(start, end, timeline.id))
         new_annotations.append(ann)
 
     timelines = (timeline.append_flagged(added, synthetic=True), *doc.timelines[1:])

@@ -910,7 +910,7 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
     for n, interval in resolved:
         owner = owners.get(n)
         if owner is not None and annotations[owner].range is None:
-            annotations[owner] = replace(annotations[owner], range=interval)
+            annotations[owner] = annotations[owner].with_range(interval)
     return replace(doc, annotations=tuple(annotations)), findings
 
 

@@ -11,19 +11,24 @@ so that projection into the generic annotation model and back is lossless.
     @tier<TAB>id<TAB>speaker-or--<TAB>category
     event<TAB>tier-id<TAB>start-point<TAB>end-point<TAB>text
 
-Comment lines start with '#'. A parsed document holds each tier's events as
-``(start, end, text)`` tuples, in file order. An offset is read as a
-``Decimal`` and written as ``str`` of it. A valid file round-trips
-bit-exactly when its lines end in LF, the last one included, and each offset
-is spelled as ``str`` spells it. Other input the reader takes comes back
-rewritten after one pass: CRLF or any other ``str.splitlines`` line end as
-LF, a last line without a line end with one, and an offset such as ``+1`` or
-``1e1`` respelled (``1``, ``1E+1``). A second pass is bit-exact.
+Comment lines start with '#'. A parsed document holds its points as two
+columns, ``point_ids`` and ``offsets``, as a ``Timeline`` does, and each
+tier's events as ``(start, end, text)`` tuples, in file order. Its
+``records`` are the file's line layout, which the writer follows; a document
+edited so that its records no longer match is written in canonical order.
+
+An offset is read as a ``Decimal`` and written as ``str`` of it. A valid
+file round-trips bit-exactly when its lines end in LF, the last one
+included, and each offset is spelled as ``str`` spells it. Other input the
+reader takes comes back rewritten after one pass: CRLF or any other
+``str.splitlines`` line end as LF, a last line without a line end with one,
+and an offset such as ``+1`` or ``1e1`` respelled (``1``, ``1E+1``). A
+second pass is bit-exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from itertools import islice, repeat
 from operator import itemgetter, le, lt
@@ -96,10 +101,32 @@ class Tier:
 
 @dataclass
 class TierDocument:
+    """Speakers, points and tiers, in declaration order.
+
+    The points are two columns, as in a ``Timeline``: the n-th point has id
+    ``point_ids[n]`` and offset ``offsets[n]`` (None for ``-``). ``records``
+    is a parsed file's line layout, one record per line: ``("speaker", id)``,
+    ``("tier", id)``, ``("comment", line)``, ``("blank",)``, the one
+    ``_POINT`` record for every point line, which take the points in order,
+    and one ``("event", tier id)`` record per tier for each of its event
+    lines, which take the tier's events in order. A document whose records
+    no longer lay out exactly its speakers, points, tiers and events, such as
+    a constructed or an edited one, is written in canonical order.
+    """
+
     speakers: tuple[TierSpeaker, ...] = ()
-    points: tuple[tuple[str, Decimal | None], ...] = ()
+    point_ids: tuple[str, ...] = ()
+    offsets: tuple[Decimal | None, ...] = ()
     tiers: tuple[Tier, ...] = ()
     records: tuple[tuple, ...] = field(default=(), compare=False)
+
+    def __post_init__(self) -> None:
+        if len(self.offsets) != len(self.point_ids):
+            raise ValueError(f"{len(self.point_ids)} point ids but {len(self.offsets)} offsets")
+
+
+# The record of every point line.
+_POINT = ("point",)
 
 
 def parse_tier(data: bytes | str) -> TierDocument:
@@ -107,11 +134,13 @@ def parse_tier(data: bytes | str) -> TierDocument:
     data = decode_utf8(data, TierParseError)
 
     speakers: list[TierSpeaker] = []
-    points: list[tuple[str, Decimal | None]] = []
+    point_ids: list[str] = []
+    point_offsets: list[Decimal | None] = []
     index: dict[str, int] = {}  # point id -> position in declaration order
-    offsets: list[Decimal] = []
+    offsets: list[Decimal] = []  # the offsets given, without the '-' points
     tier_decls: list[tuple[str, str | None, str]] = []
-    events: dict[str, list[tuple[str, str, str]]] = {}
+    # Tier id -> the one record of all its event lines, and its events.
+    events: dict[str, tuple[tuple[str, str], list[tuple[str, str, str]]]] = {}
     seen_speakers: set[str] = set()
     records: list[tuple] = []  # one per line, so a record's position gives its line
     record = records.append
@@ -125,11 +154,11 @@ def parse_tier(data: bytes | str) -> TierDocument:
                     line_no, "event takes tier-id, start-point, end-point and text"
                 )
             _, tid, start, end, text = fields
-            tier_events = events.get(tid)
-            if tier_events is None:
+            tier = events.get(tid)
+            if tier is None:
                 raise TierParseError(line_no, f"event for undeclared tier {tid!r}")
-            record(("event", tid, len(tier_events)))
-            tier_events.append((start, end, text))
+            record(tier[0])
+            tier[1].append((start, end, text))
         elif kind == "@point":
             if len(fields) != 3:
                 raise TierParseError(line_no, "@point takes id and offset (or '-')")
@@ -146,9 +175,10 @@ def parse_tier(data: bytes | str) -> TierDocument:
                 if negative:
                     raise TierParseError(line_no, f"negative offset {raw_offset!r}")
                 offsets.append(offset)
-            index[pid] = len(points)
-            points.append((pid, offset))
-            record(("point", pid))
+            index[pid] = len(point_ids)
+            point_ids.append(pid)
+            point_offsets.append(offset)
+            record(_POINT)
         elif not line:
             record(("blank",))
         elif line[0] == "#":
@@ -169,21 +199,23 @@ def parse_tier(data: bytes | str) -> TierDocument:
             if tid in events:
                 raise TierParseError(line_no, f"duplicate tier {tid!r}")
             tier_decls.append((tid, None if speaker == "-" else speaker, category))
-            events[tid] = []
+            events[tid] = (("event", tid), [])
             record(("tier", tid))
         else:
             raise TierParseError(line_no, f"unrecognised record {kind!r}")
 
-    for tid, tier_events in events.items():
+    for tid, (_, tier_events) in events.items():
         if not _events_fit(tier_events, index):
             _raise_event_defect(tid, tier_events, index, records)
     if not all(map(le, offsets, islice(offsets, 1, None))):
-        _raise_offset_inversion(points, records)
+        _raise_offset_inversion(point_ids, point_offsets, records)
 
     tiers = tuple(
-        Tier(tid, speaker, category, tuple(events[tid])) for tid, speaker, category in tier_decls
+        Tier(tid, speaker, category, tuple(events[tid][1])) for tid, speaker, category in tier_decls
     )
-    return TierDocument(tuple(speakers), tuple(points), tiers, tuple(records))
+    return TierDocument(
+        tuple(speakers), tuple(point_ids), tuple(point_offsets), tiers, tuple(records)
+    )
 
 
 def _events_fit(tier_events: list[tuple[str, str, str]], index: dict[str, int]) -> bool:
@@ -209,7 +241,7 @@ def _raise_event_defect(
     """Raise for the first event of the tier that fails a check of
     :func:`_events_fit`: event checks in file order, then overlaps in start
     order."""
-    lines = [n for n, record in enumerate(records, 1) if record[0] == "event" and record[1] == tid]
+    lines = [n for n, record in enumerate(records, 1) if record == ("event", tid)]
     for (start, end, _), line_no in zip(tier_events, lines):
         for pid in (start, end):
             if pid not in index:
@@ -228,17 +260,16 @@ def _raise_event_defect(
 
 
 def _raise_offset_inversion(
-    points: list[tuple[str, Decimal | None]], records: list[tuple]
+    point_ids: list[str], offsets: list[Decimal | None], records: list[tuple]
 ) -> None:
     """Raise at the declaration of the first point whose offset is below the
     offset of the point with an offset declared before it."""
-    with_offsets = [(pid, offset) for pid, offset in points if offset is not None]
-    for (_, earlier), (pid, later) in zip(with_offsets, with_offsets[1:]):
+    # The k-th point record is the line of the k-th point.
+    lines = [n for n, record in enumerate(records, 1) if record is _POINT]
+    given = [point for point in zip(point_ids, offsets, lines) if point[1] is not None]
+    for (_, earlier, _), (pid, later, line_no) in zip(given, given[1:]):
         if earlier > later:
-            raise TierParseError(
-                records.index(("point", pid)) + 1,
-                f"offset of {pid!r} contradicts declaration order",
-            )
+            raise TierParseError(line_no, f"offset of {pid!r} contradicts declaration order")
 
 
 # The tabs the line of each kind of record holds when no field holds one; a
@@ -250,46 +281,74 @@ def serialize_tier(td: TierDocument) -> str:
     """Serialise a tier document; a parsed file comes back in its record
     order, with every line ended by one LF (see the module docstring).
 
-    A field that holds a tab, or a line break the reader would split on (any
-    ``str.splitlines`` separator), raises ``TierSerializeError``, and so does
-    a tier whose speaker id is ``-``, which the reader takes for no speaker.
-    The checks run in that order, each naming the first line it fails on.
+    A tier id that two tiers share raises ``TierSerializeError``. So does a
+    field that holds a tab, or a line break the reader would split on (any
+    ``str.splitlines`` separator), and then a tier whose speaker id is ``-``,
+    which the reader takes for no speaker. The checks run in that order, each
+    naming the first line it fails on.
     """
     speaker_map = {s.id: s for s in td.speakers}
-    point_map = dict(td.points)
     tier_map = {t.id: t for t in td.tiers}
-    events_of = {t.id: t.events for t in td.tiers}
+    if len(tier_map) != len(td.tiers):
+        seen: set[str] = set()
+        for n, tier in enumerate(td.tiers):
+            if tier.id in seen:
+                line_no = len(td.speakers) + len(td.point_ids) + n + 1
+                raise TierSerializeError(line_no, f"tier id {tier.id!r} is declared twice")
+            seen.add(tier.id)
+    records = td.records
+    if not records:
+        # Canonical order: speakers, points, tiers, then each tier's events.
+        records = (
+            [("speaker", s.id) for s in td.speakers]
+            + [_POINT] * len(td.point_ids)
+            + [("tier", t.id) for t in td.tiers]
+        )
+        for tier in td.tiers:
+            records += [("event", tier.id)] * len(tier.events)
+    points = zip(td.point_ids, td.offsets)
+    events_of = {t.id: iter(t.events) for t in td.tiers}
+    speaker_ids: list[str] = []
+    tier_ids: list[str] = []
     lines: list[str] = []
     write = lines.append
     comment_tabs = 0
-    # A constructed document has no records; it is written in canonical
-    # order: speakers, points, tiers, then each tier's events.
-    records = td.records or (
-        [("speaker", s.id) for s in td.speakers]
-        + [("point", pid) for pid, _ in td.points]
-        + [("tier", t.id) for t in td.tiers]
-        + [("event", t.id, n) for t in td.tiers for n in range(len(t.events))]
-    )
-    for record in records:
-        kind = record[0]
-        if kind == "event":
-            start, end, text = events_of[record[1]][record[2]]
-            write(f"event\t{record[1]}\t{start}\t{end}\t{text}\n")
-        elif kind == "point":
-            offset = point_map[record[1]]
-            write(f"@point\t{record[1]}\t{offset if offset is not None else '-'}\n")
-        elif kind == "tier":
-            tier = tier_map[record[1]]
-            speaker_id = tier.speaker if tier.speaker is not None else "-"
-            write(f"@tier\t{tier.id}\t{speaker_id}\t{tier.category}\n")
-        elif kind == "speaker":
-            speaker = speaker_map[record[1]]
-            write(f"@speaker\t{speaker.id}\t{speaker.name}\n")
-        elif kind == "comment":
-            write(record[1] + "\n")
-            comment_tabs += record[1].count("\t")
-        elif kind == "blank":
-            write("\n")
+    try:
+        for record in records:
+            kind = record[0]
+            if kind == "event":
+                start, end, text = next(events_of[record[1]])
+                write(f"event\t{record[1]}\t{start}\t{end}\t{text}\n")
+            elif kind == "point":
+                pid, offset = next(points)
+                write(f"@point\t{pid}\t{offset if offset is not None else '-'}\n")
+            elif kind == "tier":
+                tier = tier_map[record[1]]
+                tier_ids.append(tier.id)
+                speaker_id = tier.speaker if tier.speaker is not None else "-"
+                write(f"@tier\t{tier.id}\t{speaker_id}\t{tier.category}\n")
+            elif kind == "speaker":
+                speaker = speaker_map[record[1]]
+                speaker_ids.append(speaker.id)
+                write(f"@speaker\t{speaker.id}\t{speaker.name}\n")
+            elif kind == "comment":
+                write(record[1] + "\n")
+                comment_tabs += record[1].count("\t")
+            elif kind == "blank":
+                write("\n")
+    except (StopIteration, KeyError):
+        laid_out = False
+    else:
+        laid_out = (
+            next(points, None) is None
+            and all(next(events, None) is None for events in events_of.values())
+            and tier_ids == [t.id for t in td.tiers]
+            and speaker_ids == [s.id for s in td.speakers]
+        )
+    if not laid_out:
+        # An edited document's records no longer lay out its speakers, points,
+        # tiers and events; canonical records always do, tier ids being unique.
+        return serialize_tier(replace(td, records=()))
     text = "".join(lines)
     kinds = list(map(itemgetter(0), records))
     if text.count("\t") != comment_tabs + sum(map(_TEMPLATE_TABS.get, kinds, repeat(0))):
@@ -324,9 +383,8 @@ def to_core(td: TierDocument, category_map: Mapping[str, str] | None = None) -> 
     tier category (optionally redirected to a data-category pid) and whose
     value is the event text. Speakers become participants.
     """
-    ids, offsets = zip(*td.points) if td.points else ((), ())
-    unit = UNIT_S if any(offset is not None for offset in offsets) else UNIT_SYMBOLIC
-    timeline = Timeline(TIER_TIMELINE, unit, ids, offsets)
+    unit = UNIT_S if any(offset is not None for offset in td.offsets) else UNIT_SYMBOLIC
+    timeline = Timeline(TIER_TIMELINE, unit, td.point_ids, td.offsets)
     levels: dict[str, Level] = {}
     layers: list[Layer] = []
     annotations: list[Annotation] = []
@@ -396,11 +454,13 @@ def from_core(doc: Document) -> tuple[TierDocument, list[ResidueItem]]:
     """
     residue: list[ResidueItem] = []
     timeline = doc.primary_timeline
-    points: tuple[tuple[str, Decimal | None], ...] = ()
+    point_ids: tuple[str, ...] = ()
+    offsets: tuple[Decimal | None, ...] = ()
     if timeline is not None:
-        points = tuple(
-            (pid, offset if isinstance(offset, Decimal) or offset is None else Decimal(str(offset)))
-            for pid, offset in zip(timeline.ids, timeline.offsets)
+        point_ids = timeline.ids
+        offsets = tuple(
+            offset if isinstance(offset, Decimal) or offset is None else Decimal(str(offset))
+            for offset in timeline.offsets
         )
     timeline_ids = {tl.id for tl in doc.timelines}
     layers = {layer.id: layer for layer in reversed(doc.layers)}  # the first layer of an id
@@ -454,7 +514,7 @@ def from_core(doc: Document) -> tuple[TierDocument, list[ResidueItem]]:
         Tier(tier_id, speaker, category, tuple(events))
         for tier_id, speaker, category, events in tiers.values()
     )
-    return TierDocument(tuple(speakers.values()), points, built), residue
+    return TierDocument(tuple(speakers.values()), point_ids, offsets, built), residue
 
 
 def _no_tier_form(

@@ -255,11 +255,11 @@ def test_criterion_10_tier_round_trip():
         doc = to_core(td)
         converted, residue = from_core(doc)
         assert residue == []
-        assert converted == TierDocument(td.speakers, td.points, td.tiers)
+        assert converted == TierDocument(td.speakers, td.point_ids, td.offsets, td.tiers)
         assert parse_tier(serialize_tier(td)) == td
 
         timeline = doc.primary_timeline
-        reference = Timeline.of("ref", [p for p, _ in td.points])
+        reference = Timeline.of("ref", td.point_ids)
         events = [
             (f"{tier.id}_e{n}", start, end)
             for tier in td.tiers

@@ -16,6 +16,7 @@ from spokenkit.core import (
     SourceRef,
     Timeline,
     UnknownIdError,
+    WordForm,
     check_level_coherence,
     mechanism,
 )
@@ -212,3 +213,25 @@ def test_word_form_requires_tokens():
     with pytest.raises(ValueError):
         word_form(ComponentRefs(()))
     assert word_form(ComponentRefs(("t1", "t2"))).tokens == ("t1", "t2")
+
+
+def test_with_range_keeps_the_class_and_every_other_field():
+    ann = Annotation(
+        id="u1", source="s", range=None, qualifiers=(Qualifier("utterance", "x"),), layer="l"
+    )
+    interval = EventInterval("a", "b", "tl")
+    assert ann.with_range(interval) == replace(ann, range=interval)
+    word = WordForm(
+        id="w1",
+        source="s",
+        range=ComponentRefs(("t1",)),
+        qualifiers=(Qualifier("pos", "N"),),
+        layer="l",
+        lex_ref="lex1",
+        orth="pomme",
+    )
+    moved = word.with_range(ComponentRefs(("t2", "t3")))
+    assert type(moved) is WordForm
+    assert moved == replace(word, range=ComponentRefs(("t2", "t3")))
+    with pytest.raises(ValueError, match="requires a component range"):
+        word.with_range(interval)

@@ -88,7 +88,8 @@ def random_tier_document(rng: random.Random) -> TierDocument:
         )
         speaker = rng.choice([s.id for s in speakers] + [None])
         tiers.append(Tier(f"tier{t}", speaker, rng.choice(CATEGORIES), events))
-    return TierDocument(speakers, points, tuple(tiers))
+    point_ids = tuple(pid for pid, _ in points)
+    return TierDocument(speakers, point_ids, tuple(offset for _, offset in points), tuple(tiers))
 
 
 def test_generated_body_matches_reference_items_on_random_tier_documents():

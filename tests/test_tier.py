@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -41,7 +42,8 @@ def test_parse_score_fixture():
 def test_parse_empty_tier_section():
     td = parse_tier("@speaker\ts1\tSpeaker\n@point\tp0\t-\n@point\tp1\t-\n")
     assert td.tiers == ()
-    assert len(td.points) == 2
+    assert td.point_ids == ("p0", "p1")
+    assert td.offsets == (None, None)
 
 
 def test_event_with_equal_endpoints_rejected():
@@ -112,7 +114,8 @@ LINE_BREAKS = ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u20
 def _one_event_document(text="hi", name="Speaker", point="p1", category="verbal"):
     return TierDocument(
         speakers=(TierSpeaker("s1", name),),
-        points=(("p0", None), (point, None)),
+        point_ids=("p0", point),
+        offsets=(None, None),
         tiers=(Tier("t1", "s1", category, (("p0", point, text),)),),
     )
 
@@ -130,7 +133,8 @@ def test_serialize_refuses_a_field_holding_a_separator(field, separator):
 def _speaker_dash_document(name="Speaker", category="verbal"):
     return TierDocument(
         speakers=(TierSpeaker("s1", name),),
-        points=(("p0", None), ("p1", None)),
+        point_ids=("p0", "p1"),
+        offsets=(None, None),
         tiers=(
             Tier("t1", "s1", category, (("p0", "p1", "hi"),)),
             Tier("t2", "-", "verbal"),
@@ -163,6 +167,66 @@ def test_serialize_writes_characters_that_split_no_line():
     assert parse_tier(serialize_tier(td)) == td
 
 
+def _with_events(td, tier_id, edit):
+    tiers = tuple(replace(t, events=edit(t.events)) if t.id == tier_id else t for t in td.tiers)
+    return replace(td, tiers=tiers)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda td: _with_events(td, "SPK1_verbal", lambda e: e[1:]), id="drop-event"),
+        pytest.param(
+            lambda td: _with_events(td, "SPK1_gesture", lambda e: e + (("p3", "p4", "nod"),)),
+            id="add-event",
+        ),
+        pytest.param(
+            lambda td: replace(td, point_ids=td.point_ids + ("p5",), offsets=td.offsets + (None,)),
+            id="add-point",
+        ),
+        pytest.param(
+            lambda td: replace(td, speakers=td.speakers + (TierSpeaker("SPK3", "Speaker 3"),)),
+            id="add-speaker",
+        ),
+        pytest.param(lambda td: replace(td, tiers=td.tiers[:2]), id="drop-tier"),
+        pytest.param(lambda td: replace(td, tiers=td.tiers[::-1]), id="reorder-tiers"),
+    ],
+)
+def test_an_edited_parsed_document_is_written_with_its_edits(edit):
+    edited = edit(parse_tier(fixture_bytes("score_dialogue.tier")))
+    assert parse_tier(serialize_tier(edited)) == edited
+
+
+def test_an_edit_that_keeps_the_layout_keeps_comments_and_line_order():
+    raw = (
+        "# a score\n"
+        "@point\tp0\t-\n"
+        "@tier\tt1\t-\tverbal\n"
+        "event\tt1\tp0\tp1\thello\n"
+        "\n"
+        "@point\tp1\t2\n"
+    )
+    td = parse_tier(raw)
+    edited = _with_events(td, "t1", lambda events: (("p0", "p1", "bye"),))
+    edited = replace(edited, offsets=(Decimal(1), Decimal(2)))
+    assert serialize_tier(edited) == raw.replace("hello", "bye").replace("p0\t-", "p0\t1")
+
+
+def test_point_columns_of_different_lengths_are_refused():
+    with pytest.raises(ValueError, match="2 point ids but 1 offsets"):
+        TierDocument(point_ids=("p0", "p1"), offsets=(None,))
+
+
+def test_serialize_refuses_a_tier_id_declared_twice():
+    td = replace(
+        _one_event_document(),
+        tiers=(Tier("t1", "s1", "verbal", (("p0", "p1", "hi"),)), Tier("t1", None, "gesture")),
+    )
+    with pytest.raises(TierSerializeError) as exc:
+        serialize_tier(td)
+    assert str(exc.value) == "cannot write tier line 5: tier id 't1' is declared twice"
+
+
 def test_crlf_file_still_parses():
     raw = fixture_bytes("score_dialogue.tier").decode("utf-8")
     assert parse_tier(raw.replace("\n", "\r\n")) == parse_tier(raw)
@@ -181,7 +245,7 @@ def test_to_core_overlaps_match_pairwise_oracle():
     td = parse_tier(fixture_bytes("score_dialogue.tier"))
     doc = to_core(td)
     report = overlaps_report(doc)
-    index = {pid: n for n, (pid, _) in enumerate(td.points)}
+    index = {pid: n for n, pid in enumerate(td.point_ids)}
     expected = set()
     events = [
         (f"{tier.id}_e{n}", index[start], index[end])
@@ -234,7 +298,7 @@ def test_from_core_inverts_to_core():
     td = parse_tier(fixture_bytes("score_dialogue.tier"))
     converted, residue = from_core(to_core(td))
     assert residue == []
-    assert converted == TierDocument(td.speakers, td.points, td.tiers)
+    assert converted == TierDocument(td.speakers, td.point_ids, td.offsets, td.tiers)
 
 
 def test_from_core_on_dialogue_document():
@@ -252,8 +316,6 @@ def test_from_core_on_dialogue_document():
 
 
 def test_from_core_reports_residue_for_word_forms(pomme_doc):
-    from dataclasses import replace
-
     from spokenkit.tei import extract_spans
 
     word_forms, _ = extract_spans(pomme_doc)
@@ -267,7 +329,8 @@ def test_from_core_reports_residue_for_word_forms(pomme_doc):
 def test_empty_tier_survives_round_trip():
     td = TierDocument(
         speakers=(TierSpeaker("s1", "S"),),
-        points=(("p0", None), ("p1", None)),
+        point_ids=("p0", "p1"),
+        offsets=(None, None),
         tiers=(Tier("quiet", "s1", "verbal", ()),),
     )
     converted, residue = from_core(to_core(td))
@@ -310,7 +373,8 @@ def random_tier_document(rng: random.Random) -> TierDocument:
                 tuple(events),
             )
         )
-    return TierDocument(speakers, tuple(points), tuple(tiers))
+    point_ids = tuple(pid for pid, _ in points)
+    return TierDocument(speakers, point_ids, tuple(offset for _, offset in points), tuple(tiers))
 
 
 def test_round_trip_property_on_random_documents():
@@ -319,7 +383,7 @@ def test_round_trip_property_on_random_documents():
         td = random_tier_document(rng)
         converted, residue = from_core(to_core(td))
         assert residue == []
-        assert converted == TierDocument(td.speakers, td.points, td.tiers)
+        assert converted == TierDocument(td.speakers, td.point_ids, td.offsets, td.tiers)
         assert parse_tier(serialize_tier(td)) == td
 
 
@@ -331,8 +395,8 @@ def test_temporal_relations_invariant_under_conversion():
         td = random_tier_document(rng)
         doc = to_core(td)
         timeline = doc.primary_timeline
-        index = {pid: n for n, (pid, _) in enumerate(td.points)}
-        reference = Timeline.of("ref", [p for p, _ in td.points])
+        index = {pid: n for n, pid in enumerate(td.point_ids)}
+        reference = Timeline.of("ref", td.point_ids)
         events = [
             (f"{tier.id}_e{n}", start, end)
             for tier in td.tiers
@@ -460,7 +524,7 @@ def test_offset_inversion_across_unset_points():
 
 def test_equal_offsets_are_in_order():
     td = parse_tier("@point\tp0\t5\n@point\tp1\t-\n@point\tp2\t5.0\n")
-    assert [offset for _, offset in td.points] == [Decimal(5), None, Decimal("5.0")]
+    assert td.offsets == (Decimal(5), None, Decimal("5.0"))
 
 
 @pytest.mark.parametrize(

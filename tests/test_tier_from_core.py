@@ -59,7 +59,7 @@ def test_events_on_a_second_timeline_are_residue():
         )
     )
     assert residue == [ResidueItem("k1", "only events on the first timeline are expressible")]
-    assert [pid for pid, _ in td.points] == ["a0", "a1"]
+    assert td.point_ids == ("a0", "a1")
     assert [(t.id, len(t.events)) for t in td.tiers] == [("S1_verbal", 1)]
     assert parse_tier(serialize_tier(td)) == td
 

@@ -1,7 +1,7 @@
 """Generated tier texts: valid ones round-trip bit-exactly once each offset is
 spelled as the writer spells it and each line ends in LF, they read into one
-``(start, end, text)`` tuple per event line, and a text with one planted
-defect is refused at the line of that defect."""
+``(start, end, text)`` tuple per event line and two point columns, and a text
+with one planted defect is refused at the line of that defect."""
 
 from __future__ import annotations
 
@@ -143,6 +143,23 @@ def test_events_are_the_fields_of_their_lines_in_file_order(lines):
     converted, residue = from_core(doc)
     assert residue == []
     assert converted.tiers == td.tiers
+
+
+@PROPERTY_SETTINGS
+@given(tier_layouts())
+def test_points_are_two_columns_and_lines_of_a_kind_share_one_record(lines):
+    td = parse_tier(render(lines))
+    points = [fields for kind, fields in lines if kind == "point"]
+    assert td.point_ids == tuple(pid for pid, _ in points)
+    assert td.offsets == tuple(None if raw == "-" else Decimal(raw) for _, raw in points)
+    # One record per line; the reader builds none per point or event line.
+    assert len(td.records) == len(lines)
+    shared = {}  # "point", or ("event", tier id) -> the first such line's record
+    for (kind, fields), record in zip(lines, td.records):
+        if kind == "point":
+            assert shared.setdefault("point", record) is record
+        elif kind == "event":
+            assert shared.setdefault(("event", fields[0]), record) is record
 
 
 def _lines_of(lines, kind):
