@@ -129,7 +129,6 @@ def cmd_validate(args) -> int:
     for path in args.paths:
         try:
             doc, _ = parse_document(_read(path))
-            doc, _ = resolve_anchors(doc)
             report = validate_all(doc, options)
         except (CliError, TeiParseError) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
@@ -139,9 +138,8 @@ def cmd_validate(args) -> int:
             print(f"{path}: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
             failed = True
             continue
-        if multi:
-            _out(sys.stdout, f"== {path} ==\n")
-        _out(sys.stdout, report.to_tsv() if args.format == "tsv" else report.to_text())
+        text = report.to_tsv() if args.format == "tsv" else report.to_text()
+        _out(sys.stdout, f"== {path} ==\n{text}" if multi else text)
         has_errors = has_errors or report.has_errors
     if failed:
         return EXIT_USAGE
@@ -198,8 +196,8 @@ def cmd_overlaps(args) -> int:
     _warn(findings)
     doc = sequence_implicit(doc)
     report = overlaps_report(doc)
-    for pair in report.pairs:
-        _out(sys.stdout, f"{pair.a}\t{pair.b}\t{pair.shared.start}\t{pair.shared.end}\n")
+    text = "".join([f"{a}\t{b}\t{start}\t{end}\n" for a, b, start, end, _ in report.rows])
+    _out(sys.stdout, text)
     if report.skipped:
         print(f"{report.skipped} annotation(s) without a resolvable interval", file=sys.stderr)
     return EXIT_OK
@@ -208,8 +206,7 @@ def cmd_overlaps(args) -> int:
 def cmd_tag(args) -> int:
     library = _load_library(args.lib)
     if args.action == "list":
-        for tag_id in library.tag_ids():
-            _out(sys.stdout, tag_id + "\n")
+        _out(sys.stdout, "".join(tag_id + "\n" for tag_id in library.tag_ids()))
         return EXIT_OK
     if not args.tag:
         raise CliError("tag expand requires a tag id")
@@ -219,11 +216,12 @@ def cmd_tag(args) -> int:
         raise CliError(f"unknown tag {args.tag!r}")
     # Top-level features in declaration order; a nested value as name/sub=value
     # lines, and a value without an atomic leaf as one empty name= line.
+    lines = []
     for feature_ref in definition.feats:
         feature = library.feature_lib[feature_ref]
         leaves = flatten(FeatureStructure({feature.name: feature.value}))
-        for path, value in leaves or [(feature.name, "")]:
-            _out(sys.stdout, f"{path}={value}\n")
+        lines += [f"{path}={value}\n" for path, value in leaves or [(feature.name, "")]]
+    _out(sys.stdout, "".join(lines))
     return EXIT_OK
 
 

@@ -152,8 +152,19 @@ class OverlapPair:
 
 @dataclass(frozen=True)
 class OverlapReport:
-    pairs: tuple[OverlapPair, ...]
+    """Each pair as a plain ``(a, b, start, end, timeline)`` row: the two
+    annotation ids, then the shared interval's points and timeline id."""
+
+    rows: tuple[tuple[str, str, str, str, str], ...]
     skipped: int  # annotations without a resolvable event interval
+
+    @property
+    def pairs(self) -> tuple[OverlapPair, ...]:
+        """The rows as ``OverlapPair`` objects, built on each read."""
+        return tuple(
+            OverlapPair(a, b, EventInterval(start, end, timeline))
+            for a, b, start, end, timeline in self.rows
+        )
 
 
 def overlaps_report(doc: Document) -> OverlapReport:
@@ -195,7 +206,7 @@ def overlaps_report(doc: Document) -> OverlapReport:
         positions.append(len(group))
         group.append(item)
 
-    pairs: list[OverlapPair] = []
+    rows: list[tuple[str, str, str, str, str]] = []
     for (s1, e1, id1, tl), pos in zip(resolved, positions):
         group = by_timeline[tl.id]
         for n in range(pos + 1, len(group)):
@@ -204,9 +215,8 @@ def overlaps_report(doc: Document) -> OverlapReport:
                 break
             end = min(e1, e2)
             if s2 < end:
-                shared = EventInterval(tl.ids[s2], tl.ids[end], tl.id)
-                pairs.append(OverlapPair(id1, id2, shared))
-    return OverlapReport(tuple(pairs), skipped)
+                rows.append((id1, id2, tl.ids[s2], tl.ids[end], tl.id))
+    return OverlapReport(tuple(rows), skipped)
 
 
 def sequence_implicit(doc: Document) -> Document:

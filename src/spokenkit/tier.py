@@ -281,21 +281,21 @@ def serialize_tier(td: TierDocument) -> str:
     """Serialise a tier document; a parsed file comes back in its record
     order, with every line ended by one LF (see the module docstring).
 
-    A tier id that two tiers share raises ``TierSerializeError``. So does a
-    field that holds a tab, or a line break the reader would split on (any
-    ``str.splitlines`` separator), and then a tier whose speaker id is ``-``,
-    which the reader takes for no speaker. The checks run in that order, each
-    naming the first line it fails on.
+    A speaker, point or tier id declared twice raises ``TierSerializeError``.
+    So does a field that holds a tab, or a line break the reader would split
+    on (any ``str.splitlines`` separator), and then a tier whose speaker id
+    is ``-``, which the reader takes for no speaker. The checks run in that
+    order, each naming the first line it fails on; an id declared twice is
+    named at its second declaration in canonical order.
     """
     speaker_map = {s.id: s for s in td.speakers}
     tier_map = {t.id: t for t in td.tiers}
-    if len(tier_map) != len(td.tiers):
-        seen: set[str] = set()
-        for n, tier in enumerate(td.tiers):
-            if tier.id in seen:
-                line_no = len(td.speakers) + len(td.point_ids) + n + 1
-                raise TierSerializeError(line_no, f"tier id {tier.id!r} is declared twice")
-            seen.add(tier.id)
+    if (
+        len(speaker_map) != len(td.speakers)
+        or len(set(td.point_ids)) != len(td.point_ids)
+        or len(tier_map) != len(td.tiers)
+    ):
+        _raise_declared_twice(td)
     records = td.records
     if not records:
         # Canonical order: speakers, points, tiers, then each tier's events.
@@ -369,6 +369,21 @@ def serialize_tier(td: TierDocument) -> str:
         )
         raise TierSerializeError(line_no, "speaker id '-' would read back as no speaker")
     return text
+
+
+def _raise_declared_twice(td: TierDocument) -> None:
+    """Refuse the first id declared again, at its line in canonical order."""
+    declarations = (
+        [("speaker", s.id) for s in td.speakers]
+        + [("point", pid) for pid in td.point_ids]
+        + [("tier", t.id) for t in td.tiers]
+    )
+    seen: set[tuple[str, str]] = set()
+    for line_no, declaration in enumerate(declarations, 1):
+        if declaration in seen:
+            kind, declared_id = declaration
+            raise TierSerializeError(line_no, f"{kind} id {declared_id!r} is declared twice")
+        seen.add(declaration)
 
 
 def _line_break_in(text: str) -> bool:

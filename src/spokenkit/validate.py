@@ -21,7 +21,7 @@ from spokenkit.core.model import (
     Document,
     EventInterval,
     Finding,
-    UnknownIdError,
+    Timeline,
     WordForm,
     check_level_coherence,
 )
@@ -277,20 +277,22 @@ def _check_refs(doc: Document, ana_targets: dict, content: _Content) -> list[Fin
 
     source_ids = {s.id for s in doc.sources}
     layer_ids = {l.id for l in doc.layers}
+    # A point of an interval may lie on any timeline with the interval's id.
+    timelines: dict[str, list[Timeline]] = {}
+    for tl in doc.timelines:
+        timelines.setdefault(tl.id, []).append(tl)
     for ann in doc.annotations:
         if ann.source not in source_ids:
             dangle("source", ann.source, ann.id)
         if ann.layer not in layer_ids:
             dangle("layer", ann.layer, ann.id)
         if isinstance(ann.range, EventInterval):
-            try:
-                tl = doc.timeline(ann.range.timeline)
-            except UnknownIdError:
+            named = timelines.get(ann.range.timeline)
+            if named is None:
                 dangle("timeline", ann.range.timeline, ann.id)
-                tl = None
-            if tl is not None:
+            else:
                 for ref in (ann.range.start, ann.range.end):
-                    if ref not in tl:
+                    if not any(ref in tl for tl in named):
                         dangle("point", ref, ann.id)
         elif isinstance(ann.range, ComponentRefs):
             # A word form's targets are its tokens; other targets may be any identifier.

@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import spokenkit.cli
+import spokenkit.core.temporal
 from spokenkit.cli import main
+from spokenkit.core import EventInterval
 from spokenkit.tei import (
     Seg,
     TeiParseError,
@@ -364,6 +366,72 @@ def test_overlaps_dialogue_rows(capsys):
         ["u1", "u2", "T3", "T4"],
         ["incident1", "u2", "T3", "T5"],
     ]
+
+
+class _CountingRaw(io.RawIOBase):
+    """A raw stream that keeps each write it is given."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes: list[bytes] = []
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self.writes.append(bytes(data))
+        return len(data)
+
+
+@pytest.mark.parametrize(
+    "argv, writes",
+    [
+        (["overlaps", fixture_path("anchored_dialogue.xml")], 1),
+        (["tag", "list", "--lib", fixture_path("tags.xml")], 1),
+        (["tag", "expand", "--lib", fixture_path("tags.xml"), "Ncms__"], 1),
+        (["validate", fixture_path("anchored_dialogue.xml")], 1),
+        (["validate", fixture_path("anchored_dialogue.xml"), fixture_path("seg.xml")], 2),
+        (["convert", fixture_path("score_dialogue.tier"), "--from", "tier", "--to", "tei"], 1),
+    ],
+    ids=["overlaps", "tag list", "tag expand", "validate", "validate two files", "convert"],
+)
+def test_each_command_writes_its_stdout_once_per_file(monkeypatch, argv, writes):
+    raw = _CountingRaw()
+    stdout = io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    main(argv)
+    stdout.flush()
+    assert len(raw.writes) == writes
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        main(argv)
+    assert b"".join(raw.writes) == out.getvalue().encode("utf-8")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called on a path that prints without it")
+
+
+def test_overlaps_builds_no_object_per_pair(capsys, monkeypatch):
+    intervals = []
+    init = EventInterval.__init__
+
+    def counted(self, *args, **kwargs):
+        intervals.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EventInterval, "__init__", counted)
+    monkeypatch.setattr(spokenkit.core.temporal, "OverlapPair", _refuse)
+    code, out, _ = run(capsys, "overlaps", fixture_path("anchored_dialogue.xml"))
+    assert (code, len(out.splitlines())) == (0, 3)
+    # One interval per anchored annotation, from resolve_anchors; none per pair.
+    assert len(intervals) == 4
+
+
+def test_validate_resolves_no_anchors(capsys, monkeypatch):
+    monkeypatch.setattr(spokenkit.cli, "resolve_anchors", _refuse)
+    code, out, _ = run(capsys, "validate", fixture_path("anchored_dialogue.xml"))
+    assert (code, out) == (0, "0 error(s), 0 warning(s)\n")
 
 
 def test_overlaps_single_utterance(capsys, tmp_path):

@@ -5,7 +5,8 @@ and ``resolve_anchors`` keeps only the first and last resolved anchor. The
 references below compute the same results from the parsed content with
 ``content_text`` and ``content_items``, on random documents. Tokens are not
 annotations: the annotations are exactly one per utterance and free-standing
-event, in body order.
+event, in body order. ``validate_all`` finds the same in a parsed document as
+in its resolved copy, so ``spokenkit validate`` resolves no anchors.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from spokenkit.tei import (
     resolve_anchors,
 )
 from spokenkit.tei.model import content_items, content_text
+from spokenkit.validate import validate_all
 
 TEI_NS = "http://www.tei-c.org/ns/1.0"
 WORDS = ("oui", "non", "très", "bien", "a&b", "x<y", " ", "")
@@ -283,3 +285,21 @@ def test_one_pass_read_matches_content_walkers_on_random_documents():
         "unknown point", "timeline mismatch", "empty utterance id", "second timeline",
         "no namespace",
     }
+
+
+def test_validate_finds_the_same_without_anchor_resolution_on_random_documents():
+    """Each document also runs with its second timeline renamed to the first's
+    id, so that resolved intervals lie on the second of two timelines ``tl1``."""
+    rand = random.Random(20111019)
+    on_shared_id = 0
+    for _ in range(300):
+        markup = _Gen(rand).document()
+        for text in (markup, markup.replace('xml:id="tl2"', 'xml:id="tl1"')):
+            doc, _ = parse_document(text)
+            resolved, _ = resolve_anchors(doc)
+            assert validate_all(doc) == validate_all(resolved)
+        on_shared_id += len(doc.timelines) == 2 and any(
+            a.range is not None and a.range.start in SECOND_TIMELINE_IDS
+            for a in resolved.annotations
+        )
+    assert on_shared_id >= 10

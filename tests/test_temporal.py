@@ -392,5 +392,8 @@ def test_overlaps_report_matches_all_pairs_reference_on_random_documents():
         report = overlaps_report(doc)
         got = [(p.a, p.b, p.shared.start, p.shared.end, p.shared.timeline) for p in report.pairs]
         assert (got, report.skipped) == all_pairs_overlaps(doc)
+        # The pairs are built from plain tuple rows, which hold the same values.
+        assert report.rows == tuple(got)
+        assert all(type(row) is tuple for row in report.rows)
         seen |= shapes_of(doc, report)
     assert seen == {"interleaved", "zero-length", "tie", "unknown", "scale", "component", "pairs"}

@@ -227,6 +227,21 @@ def test_serialize_refuses_a_tier_id_declared_twice():
     assert str(exc.value) == "cannot write tier line 5: tier id 't1' is declared twice"
 
 
+@pytest.mark.parametrize(
+    "speakers, message",
+    [
+        ((TierSpeaker("s1", "A"), TierSpeaker("s1", "B")), "line 2: speaker id 's1'"),
+        ((TierSpeaker("s1", "A"),), "line 4: point id 'p0'"),
+    ],
+    ids=["speaker", "point"],
+)
+def test_serialize_refuses_a_speaker_or_point_id_declared_twice(speakers, message):
+    td = TierDocument(speakers, point_ids=("p0", "p1", "p0"), offsets=(None,) * 3)
+    with pytest.raises(TierSerializeError) as exc:
+        serialize_tier(td)
+    assert str(exc.value) == f"cannot write tier {message} is declared twice"
+
+
 def test_crlf_file_still_parses():
     raw = fixture_bytes("score_dialogue.tier").decode("utf-8")
     assert parse_tier(raw.replace("\n", "\r\n")) == parse_tier(raw)

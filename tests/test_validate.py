@@ -11,6 +11,7 @@ from spokenkit.core import (
     Annotation,
     ComponentRefs,
     Document,
+    EventInterval,
     Qualifier,
     Timeline,
     UnknownIdError,
@@ -23,6 +24,7 @@ from spokenkit.tei import (
     extract_spans,
     parse_document,
     resolve_ana,
+    resolve_anchors,
 )
 from spokenkit.tei.parser import analysis_targets
 from spokenkit.validate import (
@@ -366,6 +368,18 @@ def test_distinct_findings_at_one_location_are_all_reported():
         (DANGLING_REF, "u1", "@synch reference 'T9' resolves to nothing"),
         (DANGLING_REF, "u1", "@who reference 'GHOST' resolves to nothing"),
     ]
+
+
+def test_a_point_on_the_second_of_two_timelines_sharing_an_id_resolves():
+    doc = text_doc(
+        b'<timeline xml:id="tl"><when xml:id="a"/><when xml:id="b"/></timeline>'
+        b'<timeline xml:id="tl"><when xml:id="c"/><when xml:id="d"/></timeline>'
+        b'<body><u xml:id="u1"><anchor synch="#c"/>Hi <anchor synch="#d"/></u></body>'
+    )
+    resolved, _ = resolve_anchors(doc)
+    assert resolved.annotations[0].range == EventInterval("c", "d", "tl")
+    for checked in (doc, resolved):
+        assert [(i.code, i.location) for i in validate_all(checked).issues] == [(DUP_ID, "tl")]
 
 
 def test_empty_identifier_is_a_bad_id_and_findings_inside_it_are_located_at_body():
