@@ -9,6 +9,7 @@ flags and a plain-text config file; no environment variables are consulted.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -269,9 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser main() reuses, built on its first call. Parsing only reads it, so
+# no state carries between calls; build_parser() still returns a new parser,
+# and a caller that changes one cannot change main().
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (

@@ -171,46 +171,49 @@ def overlaps_report(doc: Document) -> OverlapReport:
     """All unordered pairs of event-ranged annotations that share time.
 
     Pairs merely meeting (shared boundary point only) are excluded.
-    Annotations without a resolvable event interval are skipped and counted.
-    Output order is deterministic: annotations sorted by (start index,
-    end index, id), pairs in that iteration order.
+    Timelines may share an id: an interval lies on the first timeline, in
+    document order, with its id that declares both its points. Annotations
+    without such an interval are skipped and counted. Output order is
+    deterministic: annotations sorted by (start index, end index, id), pairs
+    in that iteration order.
 
     Each annotation is paired only with later annotations on its own
     timeline, and the scan stops at the first one starting at or after its
     end, so the cost is O(n log n + k) for n annotations and k pairs, plus
     the zero-length intervals starting inside an annotation.
     """
-    resolved: list[tuple[int, int, str, Timeline]] = []
+    # Each timeline with its group of annotations: one group per timeline
+    # object, not per id, filled in sorted order below.
+    named: dict[str, list[tuple[Timeline, list]]] = {}
+    for tl in doc.timelines:
+        named.setdefault(tl.id, []).append((tl, []))
+    resolved: list[tuple[int, int, str, Timeline, list]] = []
     skipped = 0
     for ann in doc.annotations:
         rng = ann.range
-        if not isinstance(rng, EventInterval):
+        candidates = named.get(rng.timeline, ()) if isinstance(rng, EventInterval) else ()
+        for tl, group in candidates:
+            try:
+                s, e = tl.index_of(rng.start), tl.index_of(rng.end)
+            except UnknownIdError:
+                continue
+            resolved.append((s, e, ann.id, tl, group))
+            break
+        else:
             skipped += 1
-            continue
-        try:
-            timeline = doc.timeline(rng.timeline)
-            s = timeline.index_of(rng.start)
-            e = timeline.index_of(rng.end)
-        except UnknownIdError:
-            skipped += 1
-            continue
-        resolved.append((s, e, ann.id, timeline))
 
     resolved.sort(key=lambda item: (item[0], item[1], item[2]))
-    # Each timeline's annotations in sorted order, and each annotation's
-    # position in its timeline's list.
-    by_timeline: dict[str, list[tuple[int, int, str, Timeline]]] = {}
+    # Each annotation's position in its timeline's group.
     positions: list[int] = []
     for item in resolved:
-        group = by_timeline.setdefault(item[3].id, [])
+        group = item[4]
         positions.append(len(group))
         group.append(item)
 
     rows: list[tuple[str, str, str, str, str]] = []
-    for (s1, e1, id1, tl), pos in zip(resolved, positions):
-        group = by_timeline[tl.id]
+    for (s1, e1, id1, tl, group), pos in zip(resolved, positions):
         for n in range(pos + 1, len(group)):
-            s2, e2, id2, _ = group[n]
+            s2, e2, id2, _, _ = group[n]
             if s2 >= e1:
                 break
             end = min(e1, e2)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -633,6 +634,58 @@ def test_validate_unexpected_exception_fails_only_its_file(capsys, monkeypatch):
     assert out == f"== {second} ==\n0 error(s), 0 warning(s)\n"
 
 
+# ---------------------------------------------------------------- parser
+
+def test_main_builds_no_parser_after_its_first_call(capsys, monkeypatch):
+    dialogue = fixture_path("anchored_dialogue.xml")
+    main(["validate", dialogue])
+    capsys.readouterr()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["validate", dialogue]) == 0
+    assert main(["overlaps", dialogue]) == 0
+    assert main(["convert", dialogue, "--from", "tei", "--to", "tier"]) == 0
+    assert main(["tag", "list", "--lib", fixture_path("tags.xml")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["convert", dialogue, "--to", "tier"])
+    assert exc.value.code == 2
+    assert built == []
+    # build_parser() still builds a new parser on each call, and the counter sees it.
+    assert spokenkit.cli.build_parser() is not spokenkit.cli.build_parser()
+    assert built
+
+
+_COUNT_PARSERS_ON_IMPORT = """
+import argparse, sys
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted
+import spokenkit.cli
+assert built == [], f"{len(built)} parser(s) built at import"
+spokenkit.cli.main(["tag", "list", "--lib", sys.argv[1]])
+assert built, "no parser built by the first call"
+"""
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = Path(spokenkit.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    command = [sys.executable, "-c", _COUNT_PARSERS_ON_IMPORT, fixture_path("tags.xml")]
+    done = subprocess.run(command, capture_output=True, env=env, timeout=60, check=False)
+    assert done.returncode == 0, done.stderr.decode()
+
+
 # ---------------------------------------------------------------- golden output
 
 GOLDEN = FIXTURES / "cli_golden.json"
@@ -648,34 +701,41 @@ TIER_GOLDEN_COMMANDS = (
 )
 
 
-def cli_outputs() -> list[dict]:
-    """Exit code, stdout and stderr of each golden command on each fixture.
+def golden_runs() -> list[tuple[Path, tuple[str, ...]]]:
+    """Each fixture with each golden command it is run with, in golden-file order."""
+    runs = [(f, c) for f in sorted(FIXTURES.glob("*.xml")) for c in GOLDEN_COMMANDS]
+    runs += [(f, c) for f in sorted(FIXTURES.glob("*.tier")) for c in TIER_GOLDEN_COMMANDS]
+    return runs
+
+
+def cli_case(fixture: Path, command: tuple[str, ...]) -> dict:
+    """Exit code, stdout and stderr of one golden command on one fixture.
 
     Fixture paths are written relative to the repository root, and output is
     kept as lines with their ends so the comparison stays byte-exact.
+    """
+    prefix = str(FIXTURES) + "/"
+    argv = [command[0], str(fixture), *command[1:]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {
+        "argv": [a.replace(prefix, "tests/fixtures/") for a in argv],
+        "exit": code,
+        "stdout": out.getvalue().replace(prefix, "tests/fixtures/").splitlines(True),
+        "stderr": err.getvalue().replace(prefix, "tests/fixtures/").splitlines(True),
+    }
+
+
+def cli_outputs() -> list[dict]:
+    """Every golden case, in golden-file order.
+
     Regenerate the golden file, after checking that a change in output is
     intended, with::
 
         PYTHONPATH=src python -c 'import tests.test_cli as t; t.write_golden()'
     """
-    prefix = str(FIXTURES) + "/"
-    runs = [(f, c) for f in sorted(FIXTURES.glob("*.xml")) for c in GOLDEN_COMMANDS]
-    runs += [(f, c) for f in sorted(FIXTURES.glob("*.tier")) for c in TIER_GOLDEN_COMMANDS]
-    cases = []
-    for fixture, command in runs:
-        argv = [command[0], str(fixture), *command[1:]]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        cases.append(
-            {
-                "argv": [a.replace(prefix, "tests/fixtures/") for a in argv],
-                "exit": code,
-                "stdout": out.getvalue().replace(prefix, "tests/fixtures/").splitlines(True),
-                "stderr": err.getvalue().replace(prefix, "tests/fixtures/").splitlines(True),
-            }
-        )
-    return cases
+    return [cli_case(fixture, command) for fixture, command in golden_runs()]
 
 
 def write_golden() -> None:
@@ -690,3 +750,17 @@ def test_cli_output_on_every_fixture_matches_golden_file():
     assert [case["argv"] for case in actual] == [case["argv"] for case in golden]
     for got, want in zip(actual, golden):
         assert got == want, " ".join(want["argv"])
+
+
+def test_cli_output_does_not_depend_on_the_order_of_calls():
+    golden = {
+        tuple(case["argv"]): case
+        for case in json.loads(GOLDEN.read_text(encoding="utf-8"))
+    }
+    usage_error = ["convert", fixture_path("anchored_dialogue.xml"), "--to", "tier"]
+    for fixture, command in reversed(golden_runs()):
+        got = cli_case(fixture, command)
+        assert got == golden[tuple(got["argv"])], " ".join(got["argv"])
+        with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+            main(usage_error)
+        assert exc.value.code == 2

@@ -290,42 +290,55 @@ def test_overlaps_report_never_pairs_across_timelines():
 def all_pairs_overlaps(doc):
     """Reference: compare every pair of resolved annotations.
 
-    Points are found by position in the timeline's point list, so the
-    reference does not rely on the timeline's id index either.
+    An interval lies on the first timeline with its id whose point list holds
+    both its points, found by position, so the reference does not rely on the
+    timeline's id index either. Only annotations on one timeline object pair.
     """
     resolved = []
     skipped = 0
     for ann in doc.annotations:
         rng = ann.range
-        tl = next((t for t in doc.timelines if t.id == getattr(rng, "timeline", None)), None)
-        ids = list(tl.ids) if tl is not None else []
-        if not isinstance(rng, EventInterval) or rng.start not in ids or rng.end not in ids:
+        tl = next(
+            (
+                t
+                for t in doc.timelines
+                if isinstance(rng, EventInterval)
+                and t.id == rng.timeline
+                and rng.start in t.ids
+                and rng.end in t.ids
+            ),
+            None,
+        )
+        if tl is None:
             skipped += 1
             continue
+        ids = list(tl.ids)
         resolved.append((ids.index(rng.start), ids.index(rng.end), ann.id, tl))
     resolved.sort(key=lambda item: item[:3])
     pairs = []
     for i, (s1, e1, id1, tl1) in enumerate(resolved):
         for s2, e2, id2, tl2 in resolved[i + 1 :]:
             start, end = max(s1, s2), min(e1, e2)
-            if tl1.id == tl2.id and start < end:
+            if tl1 is tl2 and start < end:
                 pairs.append((id1, id2, tl1.ids[start], tl1.ids[end], tl1.id))
     return pairs, skipped
 
 
 TIMELINE_A = Timeline.of("tlA", [f"a{i}" for i in range(6)])
 TIMELINE_B = Timeline.of("tlB", [f"b{i}" for i in range(5)])
+TIMELINE_B_SHARED = Timeline.of("tlA", TIMELINE_B.ids)
 UNRESOLVABLE = (
     EventInterval("a0", "zz", "tlA"),
     EventInterval("b9", "b1", "tlB"),
     EventInterval("a0", "a1", "tlX"),
+    EventInterval("a1", "b2", "tlA"),  # one point on each timeline
 )
 
 
-def random_range(rand: random.Random, n: int):
+def random_range(rand: random.Random, n: int, timelines):
     kind = rand.random()
     if kind < 0.75:
-        tl = rand.choice((TIMELINE_A, TIMELINE_B))
+        tl = rand.choice(timelines)
         start, end = rand.randrange(len(tl.ids)), rand.randrange(len(tl.ids))
         if rand.random() < 0.7:
             start, end = sorted((start, end))
@@ -339,13 +352,13 @@ def random_range(rand: random.Random, n: int):
     return None
 
 
-def random_overlap_doc(rand: random.Random) -> Document:
+def random_overlap_doc(rand: random.Random, timelines) -> Document:
     """Events on two timelines over few points, so ties and empty spans are common."""
     annotations = tuple(
         Annotation(
             id=f"e{rand.randrange(30):02d}",
             source="src",
-            range=random_range(rand, n),
+            range=random_range(rand, n, timelines),
             qualifiers=(Qualifier("utterance", ""),),
             layer="events",
         )
@@ -353,23 +366,24 @@ def random_overlap_doc(rand: random.Random) -> Document:
     )
     return Document(
         sources=(SourceRef("src"),),
-        timelines=(TIMELINE_A, TIMELINE_B),
+        timelines=timelines,
         annotations=annotations,
     )
 
 
 def shapes_of(doc, report):
     """Which of the shapes the random documents must cover this document has."""
+    second = doc.timelines[1]
     ranked = sorted(
-        (tl.index_of(a.range.start), tl.index_of(a.range.end), tl.id)
+        (tl.index_of(a.range.start), tl.index_of(a.range.end), n)
         for a in doc.annotations
-        for tl in (TIMELINE_A, TIMELINE_B)
+        for n, tl in enumerate(doc.timelines)
         if isinstance(a.range, EventInterval)
         and a.range.timeline == tl.id
         and a.range.start in tl
         and a.range.end in tl
     )
-    timeline_order = [tl for _, _, tl in ranked]
+    timeline_order = [n for _, _, n in ranked]
     switches = sum(a != b for a, b in zip(timeline_order, timeline_order[1:]))
     non_event = sum(not isinstance(a.range, EventInterval) for a in doc.annotations)
     shapes = {
@@ -379,21 +393,43 @@ def shapes_of(doc, report):
         "unknown": report.skipped > non_event,
         "scale": any(isinstance(a.range, ScaleInterval) for a in doc.annotations),
         "component": any(isinstance(a.range, ComponentRefs) for a in doc.annotations),
-        "pairs": bool(report.pairs),
+        "pairs on each timeline": {row[2] in second for row in report.rows} == {False, True},
     }
     return {name for name, present in shapes.items() if present}
 
 
 def test_overlaps_report_matches_all_pairs_reference_on_random_documents():
-    rand = random.Random(20111017)
-    seen = set()
-    for _ in range(400):
-        doc = random_overlap_doc(rand)
-        report = overlaps_report(doc)
-        got = [(p.a, p.b, p.shared.start, p.shared.end, p.shared.timeline) for p in report.pairs]
-        assert (got, report.skipped) == all_pairs_overlaps(doc)
-        # The pairs are built from plain tuple rows, which hold the same values.
-        assert report.rows == tuple(got)
-        assert all(type(row) is tuple for row in report.rows)
-        seen |= shapes_of(doc, report)
-    assert seen == {"interleaved", "zero-length", "tie", "unknown", "scale", "component", "pairs"}
+    # The second variant puts the second timeline under the first one's id.
+    for timelines in ((TIMELINE_A, TIMELINE_B), (TIMELINE_A, TIMELINE_B_SHARED)):
+        rand = random.Random(20111017)
+        seen = set()
+        for _ in range(400):
+            doc = random_overlap_doc(rand, timelines)
+            report = overlaps_report(doc)
+            got = [
+                (p.a, p.b, p.shared.start, p.shared.end, p.shared.timeline) for p in report.pairs
+            ]
+            assert (got, report.skipped) == all_pairs_overlaps(doc)
+            # The pairs are built from plain tuple rows, which hold the same values.
+            assert report.rows == tuple(got)
+            assert all(type(row) is tuple for row in report.rows)
+            seen |= shapes_of(doc, report)
+        assert seen == {
+            "interleaved", "zero-length", "tie", "unknown", "scale", "component",
+            "pairs on each timeline",
+        }
+
+
+def test_overlaps_report_finds_intervals_on_the_second_of_two_timelines_sharing_an_id():
+    doc, _ = parse_document(
+        b'<TEI xmlns="http://www.tei-c.org/ns/1.0"><teiHeader><fileDesc>'
+        b"<titleStmt><title>t</title></titleStmt><publicationStmt><p>p</p></publicationStmt>"
+        b"<sourceDesc><p>s</p></sourceDesc></fileDesc></teiHeader><text>"
+        b'<timeline xml:id="tl"><when xml:id="a"/><when xml:id="b"/></timeline>'
+        b'<timeline xml:id="tl"><when xml:id="c"/><when xml:id="d"/><when xml:id="e"/></timeline>'
+        b'<body><u xml:id="u1"><anchor synch="#c"/>Hi <anchor synch="#e"/></u>'
+        b'<u xml:id="u2"><anchor synch="#c"/>Ho <anchor synch="#d"/></u></body></text></TEI>'
+    )
+    doc, _ = resolve_anchors(doc)
+    report = overlaps_report(doc)
+    assert (report.rows, report.skipped) == ((("u2", "u1", "c", "d", "tl"),), 0)
