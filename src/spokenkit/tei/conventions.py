@@ -18,7 +18,7 @@ from spokenkit.core.model import (
     Qualifier,
     decode_utf8,
 )
-from spokenkit.tei.model import EVENT_CLASSES, TextSegment, Utterance, Vocal, annotated_items
+from spokenkit.tei.model import EVENT_CLASSES, Utterance, Vocal, annotated_items
 
 
 @dataclass(frozen=True)
@@ -71,26 +71,26 @@ def load_convention_rules(data: str | bytes) -> tuple[ConventionRule, ...]:
 def promote_conventions(
     utt: Utterance, rules: tuple[ConventionRule, ...] | None = None
 ) -> tuple[Utterance, list[Finding]]:
-    """Rewrite convention markers in an utterance's text segments.
+    """Rewrite convention markers in an utterance's text items.
 
     Matches are applied left to right; everything around them is preserved
-    byte-exactly, so the operation is idempotent. A segment with a stray
+    byte-exactly, so the operation is idempotent. A text item with a stray
     ``((`` is left untouched and reported as a finding. An utterance that no
     rule changed is returned as it is.
     """
     if rules is None:
         rules = BUILTIN_RULES
     findings: list[Finding] = []
-    new_content: list | None = None  # built from the first changed segment on
+    new_content: list | None = None  # built from the first changed text item on
     for n, item in enumerate(utt.content):
         promoted = None
-        if isinstance(item, TextSegment):
-            pieces = _apply_rules(item.text, rules)
+        if isinstance(item, str):
+            pieces = _apply_rules(item, rules)
             if any(isinstance(p, str) and "((" in p for p in pieces):
                 message = f"unbalanced '((' in utterance {utt.id!r}; text left as is"
                 findings.append(Finding("UNBALANCED_MARKER", WARNING, utt.id, message))
             elif len(pieces) > 1:  # a rule matched
-                promoted = [TextSegment(p) if isinstance(p, str) else p for p in pieces if p != ""]
+                promoted = [p for p in pieces if p != ""]
         if promoted is not None:
             if new_content is None:
                 new_content = list(utt.content[:n])

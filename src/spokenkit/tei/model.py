@@ -2,7 +2,7 @@
 
 Everything the parser understands becomes one of these dataclasses; anything
 else is preserved as an :class:`OpaqueElement` so documents round-trip.
-Text inside utterances is kept verbatim, including whitespace.
+Text inside utterances is kept verbatim, whitespace included, as plain ``str``.
 """
 
 from __future__ import annotations
@@ -22,11 +22,6 @@ class OpaqueElement:
     text: str | None = None
     children: tuple["OpaqueElement", ...] = ()
     tails: tuple[str | None, ...] = ()  # tail text after each child, within this element
-
-
-@dataclass(frozen=True)
-class TextSegment:
-    text: str
 
 
 @dataclass(frozen=True)
@@ -109,7 +104,7 @@ class Seg:
     id: str | None = None
 
 
-ContentItem = Union[TextSegment, AnchorRef, Vocal, TimedEvent, Seg, W, Pc, OpaqueElement]
+ContentItem = Union[str, AnchorRef, Vocal, TimedEvent, Seg, W, Pc, OpaqueElement]
 
 
 @dataclass(frozen=True)
@@ -150,7 +145,8 @@ def _collect(items, kind, found: list) -> None:
 
 def content_text(items: tuple[ContentItem, ...]) -> str:
     """Concatenated transcription text of content items, markup dropped."""
-    return "".join([item.text for item in content_items(items, (TextSegment, W, Pc))])
+    parts = content_items(items, (str, W, Pc))
+    return "".join([part if isinstance(part, str) else part.text for part in parts])
 
 
 def annotated_items(body, annotations) -> dict[int, int]:
@@ -231,7 +227,7 @@ class InlineStructure:
 
 
 BackItem = Union[FeatureLib, TagLib, LexicalEntry, InlineStructure, SpanGroup, OpaqueElement]
-BodyItem = Union[Utterance, TimedEvent, AnchorRef, SpanGroup, TextSegment, OpaqueElement]
+BodyItem = Union[Utterance, TimedEvent, AnchorRef, SpanGroup, str, OpaqueElement]
 
 
 @dataclass(frozen=True)

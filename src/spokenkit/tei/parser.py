@@ -67,7 +67,6 @@ from spokenkit.tei.model import (
     Span,
     SpanGroup,
     TagLib,
-    TextSegment,
     TimedEvent,
     Utterance,
     Vocal,
@@ -196,6 +195,8 @@ def parse_document(data: bytes | str) -> tuple[Document, list[Finding]]:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
         raise TeiParseError(f"ill-formed markup: {exc}") from exc
+    except (LookupError, ValueError) as exc:  # an unknown or unusable encoding declaration
+        raise TeiParseError(f"cannot decode markup: {exc}") from exc
 
     ctx = _ParseContext()
     if root.tag.startswith("{"):
@@ -546,9 +547,9 @@ def _parse_body(
     body_el: ET.Element, ctx: _ParseContext, timelines: list[Timeline], items: list
 ) -> None:
     """Append the body items to ``items``, and annotate each utterance and
-    free-standing event among them."""
-    if body_el.text and body_el.text.strip():
-        items.append(TextSegment(body_el.text))
+    free-standing event among them. Text between them is kept stripped of layout."""
+    if body_el.text and (text := body_el.text.strip()):
+        items.append(text)
     for child in body_el:
         local = _LOCAL_NAMES.get(child.tag)
         if local == "u":
@@ -568,8 +569,8 @@ def _parse_body(
             timelines.append(_parse_timeline(child, ctx))
         else:
             items.append(_opaque(child))
-        if child.tail and child.tail.strip():
-            items.append(TextSegment(child.tail))
+        if child.tail and (text := child.tail.strip()):
+            items.append(text)
 
 
 def _parse_anchor(el: ET.Element, ctx: _ParseContext) -> AnchorRef:
@@ -621,7 +622,7 @@ def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str]) -> list:
     add_text = parts.append
     text = el.text
     if text:
-        append(TextSegment(text))
+        append(text)
         add_text(text)
     for child in el:
         local = _LOCAL_NAMES.get(child.tag)
@@ -677,7 +678,7 @@ def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str]) -> list:
             append(_opaque(child))
         tail = child.tail
         if tail:
-            append(TextSegment(tail))
+            append(tail)
             add_text(tail)
     return items
 

@@ -45,7 +45,6 @@ from spokenkit.tei.model import (
     Span,
     SpanGroup,
     TagLib,
-    TextSegment,
     TimedEvent,
     Utterance,
     Vocal,
@@ -444,8 +443,8 @@ def _render_event(out: list, item: TimedEvent, materialize: bool) -> None:
         out.append(f"{_event_tag(item)}><desc>{_esc_text(item.desc)}</desc></{item.tag}>")
 
 
-def _render_text(out: list, item: TextSegment, materialize: bool) -> None:
-    out.append(_esc_text(item.text))
+def _render_text(out: list, item: str, materialize: bool) -> None:
+    out.append(_esc_text(item))
 
 
 def _render_anchor(out: list, anchor: AnchorRef, materialize: bool) -> None:
@@ -521,7 +520,7 @@ def _write_span(w: _Writer, depth: int, span: Span) -> None:
 # How each class that utterance content can hold appends its markup to the
 # utterance's list of fragments.
 _INLINE: dict[type, Callable[[list, Any, bool], None]] = {
-    TextSegment: _render_text,
+    str: _render_text,
     AnchorRef: _render_anchor,
     OpaqueElement: _render_opaque_item,
     Vocal: _render_vocal,
@@ -533,7 +532,7 @@ _INLINE: dict[type, Callable[[list, Any, bool], None]] = {
 
 # How each class that the body can hold adds its lines to the body.
 _BODY: dict[type, Callable[[_Writer, int, Any, bool], None]] = {
-    TextSegment: _write_line,
+    str: _write_line,
     AnchorRef: _write_line,
     OpaqueElement: _write_line,
     Utterance: _write_utterance,

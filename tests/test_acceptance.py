@@ -31,7 +31,6 @@ from spokenkit.featstruct import (
     unify,
 )
 from spokenkit.tei import (
-    TextSegment,
     Utterance,
     Vocal,
     build_document_library,
@@ -151,17 +150,17 @@ def test_criterion_05_span_extraction():
 
 def test_criterion_06_convention_promotion():
     original = "Alors ça dépend ((cough)) un petit peu."
-    utterance = Utterance(id="u1", content=(TextSegment(original),))
+    utterance = Utterance(id="u1", content=(original,))
     promoted, findings = promote_conventions(utterance)
     assert findings == []
     assert promoted.content == (
-        TextSegment("Alors ça dépend "),
+        "Alors ça dépend ",
         Vocal(desc="cough"),
-        TextSegment(" un petit peu."),
+        " un petit peu.",
     )
     before, after = original.split("((cough))")
-    assert promoted.content[0].text == before
-    assert promoted.content[2].text == after
+    assert promoted.content[0] == before
+    assert promoted.content[2] == after
     again, _ = promote_conventions(promoted)
     assert again == promoted
     ok(6, "((cough)) promotes to a vocal element with surrounding text byte-exact, idempotently")

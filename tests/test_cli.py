@@ -19,7 +19,6 @@ from spokenkit.core import EventInterval
 from spokenkit.tei import (
     Seg,
     TeiParseError,
-    TextSegment,
     Utterance,
     parse_document,
     serialize_document,
@@ -117,7 +116,7 @@ def test_convert_too_deep_document_to_tei_is_a_usage_error(capsys, monkeypatch):
     # The writer reaches as deep as the reader, so no file that the reader
     # accepts is too deep to write. The document is built here instead, as
     # deep as the recursion limit, and handed to the command as if read.
-    content: tuple = (TextSegment("x"),)
+    content: tuple = ("x",)
     for _ in range(sys.getrecursionlimit()):
         content = (Seg(content=content),)
     deep = replace(parse_fixture("seg.xml"), body=(Utterance("u1", content=content),))

@@ -25,7 +25,6 @@ from spokenkit.tei import (
     OpaqueElement,
     Seg,
     TeiSerializeError,
-    TextSegment,
     Utterance,
     Vocal,
     W,
@@ -71,13 +70,13 @@ def reference_promote_document(doc, rules):
         if isinstance(item, Utterance):
             content = []
             for part in item.content:
-                pieces = _apply_rules(part.text, rules) if isinstance(part, TextSegment) else []
+                pieces = _apply_rules(part, rules) if isinstance(part, str) else []
                 if any(isinstance(p, str) and "((" in p for p in pieces):
                     message = f"unbalanced '((' in utterance {item.id!r}; text left as is"
                     findings.append(Finding("UNBALANCED_MARKER", WARNING, item.id, message))
                     content.append(part)
                 elif pieces:
-                    content.extend(TextSegment(p) if isinstance(p, str) else p for p in pieces if p)
+                    content.extend(p for p in pieces if p)
                 else:
                     content.append(part)
             item = replace(item, content=tuple(content))
@@ -129,7 +128,7 @@ def test_generated_documents_reach_every_promotion_case():
                 "stray marker": bool(findings),
                 "unchanged document": promoted is doc,
                 "marker in nested seg": any(
-                    "((" in t.text for s in nested for t in s.content if isinstance(t, TextSegment)
+                    "((" in t for s in nested for t in s.content if isinstance(t, str)
                 ),
             }.items()
             if present

@@ -6,7 +6,6 @@ import pytest
 
 from spokenkit.core import Finding
 from spokenkit.tei import (
-    TextSegment,
     Utterance,
     extract_spans,
     parse_document,
@@ -36,7 +35,7 @@ def span_findings() -> list[Finding]:
 
 
 def convention_findings() -> list[Finding]:
-    utterance = Utterance(id="u1", content=(TextSegment("et puis (( sans fin"),))
+    utterance = Utterance(id="u1", content=("et puis (( sans fin",))
     return promote_conventions(utterance)[1]
 
 

@@ -4,6 +4,7 @@ Each XML fixture is mutated in a fixed set of ways: every attribute value is
 set to ``""`` and to ``"-1"``, one at a time, and ``absolute="-1"`` is added
 to each ``<when>``, one at a time. Every CLI command that reads markup runs
 on every mutation; each must end with an exit code the README documents.
+An encoding declaration the XML reader cannot use is a usage error too.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import contextlib
 import io
 import re
 
+import pytest
+
 from spokenkit.cli import main
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, fixture_bytes
 
 COMMANDS = (
     ("validate",),
@@ -56,3 +59,25 @@ def test_mutated_fixtures_never_raise(tmp_path):
                     failures.append(f"{fixture.name}: {description}: {command}: exit {code}")
     assert runs > 1000
     assert failures == []
+
+
+# What ``ET.fromstring`` raises for each declaration: LookupError for the first
+# two, ValueError for utf-32 and UnicodeError, a ValueError, for idna.
+UNUSABLE_ENCODINGS = ("nope", "rot13", "utf-32", "idna")
+
+
+@pytest.mark.parametrize("encoding", UNUSABLE_ENCODINGS)
+@pytest.mark.parametrize("command", COMMANDS[:3], ids=lambda command: " ".join(command))
+def test_unusable_encoding_declaration_is_a_usage_error(tmp_path, capsys, encoding, command):
+    data = fixture_bytes("anchored_dialogue.xml").replace(
+        b'encoding="UTF-8"', f'encoding="{encoding}"'.encode(), 1
+    )
+    path = tmp_path / f"{encoding}.xml"
+    path.write_bytes(data)
+    code = main([command[0], str(path), *command[1:]])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    prefix = f"{path}: " if command[0] == "validate" else "spokenkit: "
+    assert err.startswith(prefix + "cannot decode markup: ")
+    assert err.count("\n") == 1 and err.endswith("\n")

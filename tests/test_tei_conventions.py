@@ -5,7 +5,6 @@ import pytest
 from spokenkit.tei import (
     ConventionRuleError,
     Kinesic,
-    TextSegment,
     Utterance,
     Vocal,
     load_convention_rules,
@@ -20,16 +19,16 @@ from tests.conftest import fixture_bytes
 
 
 def utterance(text: str) -> Utterance:
-    return Utterance(id="u1", content=(TextSegment(text),))
+    return Utterance(id="u1", content=(text,))
 
 
 def test_promote_cough_between_preserved_text():
     promoted, findings = promote_conventions(utterance("Alors ça dépend ((cough)) un petit peu."))
     assert findings == []
     assert promoted.content == (
-        TextSegment("Alors ça dépend "),
+        "Alors ça dépend ",
         Vocal(desc="cough"),
-        TextSegment(" un petit peu."),
+        " un petit peu.",
     )
 
 
@@ -48,7 +47,7 @@ def test_text_without_conventions_unchanged():
 
 def test_two_conventions_left_to_right():
     promoted, _ = promote_conventions(utterance("((a)) ((b))"))
-    assert promoted.content == (Vocal(desc="a"), TextSegment(" "), Vocal(desc="b"))
+    assert promoted.content == (Vocal(desc="a"), " ", Vocal(desc="b"))
 
 
 def test_unbalanced_marker_is_a_finding():
@@ -69,9 +68,9 @@ def test_rule_file_loading_and_custom_element():
     rules = load_convention_rules("\\[g:(.+?)\\]\tkinesic\t1\n")
     promoted, _ = promote_conventions(utterance("voilà [g:points left] bon"), rules)
     assert promoted.content == (
-        TextSegment("voilà "),
+        "voilà ",
         Kinesic(desc="points left"),
-        TextSegment(" bon"),
+        " bon",
     )
 
 
@@ -103,11 +102,11 @@ def test_rule_file_takes_group_numbers_and_names_the_pattern_has():
     rules = load_convention_rules("a(b)\tvocal\t0\n(?P<d>c)\tkinesic\td\n")
     promoted, _ = promote_conventions(utterance("-ab-c-"), rules)
     assert promoted.content == (
-        TextSegment("-"),
+        "-",
         Vocal(desc="ab"),
-        TextSegment("-"),
+        "-",
         Kinesic(desc="c"),
-        TextSegment("-"),
+        "-",
     )
 
 
@@ -115,14 +114,14 @@ def test_a_group_that_takes_no_part_gives_an_empty_description():
     rules = load_convention_rules("(y)?x\tvocal\t1\n")
     promoted, findings = promote_conventions(utterance("axb"), rules)
     assert findings == []
-    assert promoted.content == (TextSegment("a"), Vocal(desc=""), TextSegment("b"))
+    assert promoted.content == ("a", Vocal(desc=""), "b")
 
 
 def test_empty_matches_promote_nothing_and_promotion_stays_idempotent():
     rules = load_convention_rules("x?\tvocal\t0\n")
     promoted, findings = promote_conventions(utterance("axb"), rules)
     assert findings == []
-    assert promoted.content == (TextSegment("a"), Vocal(desc="x"), TextSegment("b"))
+    assert promoted.content == ("a", Vocal(desc="x"), "b")
     again, _ = promote_conventions(promoted, rules)
     assert again is promoted
     untouched = utterance("ab")

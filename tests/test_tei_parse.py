@@ -7,7 +7,6 @@ from spokenkit.tei import (
     Kinesic,
     OpaqueElement,
     TeiParseError,
-    TextSegment,
     Utterance,
     Vocal,
     W,
@@ -176,7 +175,7 @@ def test_vocal_and_text_preserved_verbatim(inline_doc):
     second = [item for item in inline_doc.body if isinstance(item, Utterance)][1]
     vocals = [c for c in second.content if isinstance(c, Vocal)]
     assert vocals == [Vocal(desc="cough")]
-    texts = [c.text for c in second.content if isinstance(c, TextSegment)]
+    texts = [c for c in second.content if isinstance(c, str)]
     assert texts == ["Alors ça dépend ", " ", "un petit peu."]
 
 

@@ -8,7 +8,6 @@ from spokenkit.core import sequence_implicit
 from spokenkit.tei import (
     OpaqueElement,
     TeiSerializeError,
-    TextSegment,
     Utterance,
     parse_document,
     resolve_anchors,
@@ -84,7 +83,7 @@ def test_tab_newline_and_carriage_return_in_attribute_round_trip():
 def test_characters_xml_cannot_carry_are_refused(char, where):
     doc, _ = parse_document(fixture_bytes("anchored_dialogue.xml"))
     if where == "text":
-        doc = replace(doc, body=(Utterance(id="u", content=(TextSegment(f"a{char}b"),)),))
+        doc = replace(doc, body=(Utterance(id="u", content=(f"a{char}b",)),))
     else:
         doc = replace(doc, body=(OpaqueElement("note", (("n", f"a{char}b"),)),))
     with pytest.raises(TeiSerializeError) as exc:
@@ -135,6 +134,27 @@ def test_synthetic_points_refuse_serialization():
     with pytest.raises(TeiSerializeError) as exc:
         serialize_document(sequenced)
     assert "materialize" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    ("body", "texts"),
+    [
+        (b"<u>a</u>x<u>b</u>", ["x"]),
+        (b"x<u>a</u>", ["x"]),
+        (b"<u>a</u>x", ["x"]),
+        (b"\n  x y \n<u>a</u>\t&lt;z&gt;\r\n", ["x y", "<z>"]),
+    ],
+)
+def test_body_level_text_is_read_without_its_layout(body, texts):
+    # The body has element-only content, so the white space around text
+    # there is layout: the writer adds its own, and the reader drops it.
+    data = fixture_bytes("anchored_dialogue.xml")
+    start, end = data.index(b"<body>") + len(b"<body>"), data.index(b"</body>")
+    doc, _ = parse_document(data[:start] + body + data[end:])
+    assert [item for item in doc.body if isinstance(item, str)] == texts
+    once = serialize_document(doc)
+    assert parse_document(once)[0] == doc
+    assert serialize_document(parse_document(once)[0]) == once
 
 
 def test_materialized_timeline_round_trips_cleanly():
@@ -200,7 +220,6 @@ def _random_document(rng):
         Kinesic,
         Metadata,
         Person,
-        TextSegment,
         Utterance,
         Vocal,
     )
@@ -217,11 +236,13 @@ def _random_document(rng):
     words = ["très", "bien", "alors", "ça &", "<dépend>", "peu."]
     body = []
     for n in range(rng.randint(1, 6)):
+        if rng.random() < 0.25:  # body-level text, which the reader takes without layout
+            body.append(" ".join(rng.sample(words, rng.randint(1, 2))))
         content = []
         for _ in range(rng.randint(1, 5)):
             kind = rng.randrange(4)
             if kind == 0:
-                content.append(TextSegment(" ".join(rng.sample(words, rng.randint(1, 3))) + " "))
+                content.append(" ".join(rng.sample(words, rng.randint(1, 3))) + " ")
             elif kind == 1:
                 content.append(AnchorRef(synch=f"T{rng.randrange(n_points)}"))
             elif kind == 2:

@@ -11,7 +11,7 @@ from spokenkit.tei import (
     resolve_ana,
     seg_stats,
 )
-from spokenkit.tei.model import AnchorRef, Pc, Seg, TextSegment, Utterance, W, content_items
+from spokenkit.tei.model import AnchorRef, Pc, Seg, Utterance, W, content_items
 from tests.conftest import fixture_bytes
 
 
@@ -118,7 +118,7 @@ _W2 = W("c", id="w2")
 _ANCHOR = AnchorRef(synch="T1")
 _INNER = Seg(type="inner", content=(_ANCHOR, _W2))
 _OUTER = Seg(type="outer", content=(_W1, _INNER))
-_UTT = Utterance("u1", content=(TextSegment("a "), _OUTER, Pc(".")))
+_UTT = Utterance("u1", content=("a ", _OUTER, Pc(".")))
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,6 @@ from spokenkit.core import EventInterval
 from spokenkit.tei import (
     AnchorRef,
     Kinesic,
-    TextSegment,
     Utterance,
     parse_document,
     serialize_document,
@@ -52,7 +51,7 @@ def reference_body(doc):
                 Utterance(
                     id=ann.id,
                     who=ann.who,
-                    content=(AnchorRef(synch=start), TextSegment(text), AnchorRef(synch=end)),
+                    content=(AnchorRef(synch=start), text, AnchorRef(synch=end)),
                     id_generated=False,
                 )
             )
