@@ -1,7 +1,7 @@
 """Command-line interface: validate, convert, overlaps and tagset tooling.
 
 Exit codes: 0 = success (warnings allowed), 1 = validation errors present,
-2 = usage or I/O failure. All commands are deterministic: identical inputs
+2 = usage or I/O failure, or input that raises a ``SpokenkitError``. All commands are deterministic: identical inputs
 and flags produce identical output bytes. Configuration is explicit via
 flags and a plain-text config file; no environment variables are consulted.
 """
@@ -15,20 +15,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from spokenkit import tier as tier_format
-from spokenkit.core.model import Finding, decode_utf8
+from spokenkit.core.model import Finding, SpokenkitError, decode_utf8
 from spokenkit.core.temporal import overlaps_report, sequence_implicit
-from spokenkit.datacat import RegistryFormatError, load_registry
-from spokenkit.featstruct import (
-    FeatureStructure,
-    TagsetError,
-    TagsetLibrary,
-    UnknownTagError,
-    flatten,
-)
+from spokenkit.datacat import load_registry
+from spokenkit.featstruct import FeatureStructure, TagsetLibrary, flatten
 from spokenkit.tei import (
-    ConventionRuleError,
-    TeiParseError,
-    TeiSerializeError,
     build_document_library,
     load_convention_rules,
     parse_document,
@@ -49,7 +40,7 @@ class Config:
     category_map: dict[str, str] = field(default_factory=dict)
 
 
-class CliError(Exception):
+class CliError(SpokenkitError):
     pass
 
 
@@ -81,8 +72,18 @@ def _read(path: str) -> bytes:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _load_library(path: str) -> TagsetLibrary:
-    doc, _ = parse_document(_read(path))
+def _load(kind: str, path: str, load):
+    """``load`` applied to the bytes of ``path``; an error in them is reported
+    as ``bad <kind> <path>: ...``, one in reading them as it is."""
+    data = _read(path)
+    try:
+        return load(data)
+    except SpokenkitError as exc:
+        raise CliError(f"bad {kind} {path}: {exc}") from exc
+
+
+def _library(data: bytes) -> TagsetLibrary:
+    doc, _ = parse_document(data)
     return build_document_library(doc)
 
 
@@ -106,21 +107,9 @@ def _warn(findings: list[Finding]) -> None:
 
 def cmd_validate(args) -> int:
     config = load_config(_read(args.config)) if args.config else Config()
-    registry = None
-    if args.registry:
-        try:
-            registry = load_registry(_read(args.registry))
-        except RegistryFormatError as exc:
-            raise CliError(f"bad registry {args.registry}: {exc}") from exc
-    library = None
-    if args.tagset:
-        try:
-            library = _load_library(args.tagset)
-        except (TeiParseError, TagsetError) as exc:
-            raise CliError(f"bad tagset {args.tagset}: {exc}") from exc
     options = ValidateOptions(
-        library=library,
-        registry=registry,
+        registry=_load("registry", args.registry, load_registry) if args.registry else None,
+        library=_load("tagset", args.tagset, _library) if args.tagset else None,
         language=args.lang,
         severity_overrides=config.severity_overrides,
     )
@@ -131,7 +120,7 @@ def cmd_validate(args) -> int:
         try:
             doc, _ = parse_document(_read(path))
             report = validate_all(doc, options)
-        except (CliError, TeiParseError) as exc:
+        except SpokenkitError as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             failed = True
             continue
@@ -151,10 +140,7 @@ def cmd_convert(args) -> int:
     config = load_config(_read(args.config)) if args.config else Config()
     rules = None
     if args.conventions:
-        try:
-            rules = load_convention_rules(_read(args.conventions))
-        except ConventionRuleError as exc:
-            raise CliError(f"bad convention rules {args.conventions}: {exc}") from exc
+        rules = _load("convention rules", args.conventions, load_convention_rules)
     data = _read(args.path)
 
     if args.from_format == "tei":
@@ -205,7 +191,7 @@ def cmd_overlaps(args) -> int:
 
 
 def cmd_tag(args) -> int:
-    library = _load_library(args.lib)
+    library = _library(_read(args.lib))
     if args.action == "list":
         _out(sys.stdout, "".join(tag_id + "\n" for tag_id in library.tag_ids()))
         return EXIT_OK
@@ -280,16 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        CliError,
-        TeiParseError,
-        TeiSerializeError,
-        TagsetError,
-        UnknownTagError,
-        tier_format.TierParseError,
-        tier_format.TierSerializeError,
-        RegistryFormatError,
-    ) as exc:
+    except SpokenkitError as exc:
         print(f"spokenkit: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

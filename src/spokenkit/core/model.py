@@ -41,7 +41,11 @@ ERROR = "error"
 WARNING = "warning"
 
 
-class UnknownIdError(LookupError):
+class SpokenkitError(Exception):
+    """The base of every error spokenkit raises about its input."""
+
+
+class UnknownIdError(SpokenkitError, LookupError):
     """A cross-reference names an id that does not exist."""
 
     def __init__(self, kind: str, ref: str):

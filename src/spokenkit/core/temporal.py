@@ -16,6 +16,7 @@ from spokenkit.core.model import (
     Annotation,
     Document,
     EventInterval,
+    SpokenkitError,
     Timeline,
     UnknownIdError,
 )
@@ -25,7 +26,7 @@ EQUAL = "equal"
 AFTER = "after"
 
 
-class IncomparableIntervalsError(ValueError):
+class IncomparableIntervalsError(SpokenkitError, ValueError):
     """Raised when two intervals do not live on the same timeline."""
 
 

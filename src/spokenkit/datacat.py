@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from spokenkit.core.model import CategoryRef, Qualifier, decode_utf8
+from spokenkit.core.model import CategoryRef, Qualifier, SpokenkitError, decode_utf8
 
 COMPLEX = "complex"
 SIMPLE = "simple"
@@ -28,11 +28,11 @@ Q2_BROADER_VALUE = "q2BroaderValue"
 DISJOINT = "disjoint"
 
 
-class RegistryError(ValueError):
+class RegistryError(SpokenkitError, ValueError):
     """A registration violates the registry's invariants."""
 
 
-class UnknownCategoryError(LookupError):
+class UnknownCategoryError(SpokenkitError, LookupError):
     def __init__(self, pid: str):
         super().__init__(f"unknown data category {pid!r}")
         self.pid = pid
@@ -211,7 +211,7 @@ class Registry:
         return Comparability(DISJOINT)
 
 
-class RegistryFormatError(ValueError):
+class RegistryFormatError(SpokenkitError, ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterable, Mapping, Union
 
+from spokenkit.core.model import SpokenkitError
+
 
 @dataclass(frozen=True)
 class Binary:
@@ -177,11 +179,11 @@ def flatten(fs: FeatureStructure) -> list[tuple[str, object]]:
     return out
 
 
-class TagsetError(ValueError):
+class TagsetError(SpokenkitError, ValueError):
     """A tagset library declaration is inconsistent."""
 
 
-class UnknownTagError(LookupError):
+class UnknownTagError(SpokenkitError, LookupError):
     def __init__(self, ref: str):
         super().__init__(f"unknown tag {ref!r}")
         self.ref = ref

@@ -16,6 +16,7 @@ from spokenkit.core.model import (
     Document,
     Finding,
     Qualifier,
+    SpokenkitError,
     decode_utf8,
 )
 from spokenkit.tei.model import EVENT_CLASSES, Utterance, Vocal, annotated_items
@@ -34,7 +35,7 @@ BUILTIN_RULES = (ConventionRule(re.compile(r"\(\((.+?)\)\)"), "vocal"),)
 _ELEMENT_CLASSES = {"vocal": Vocal, **EVENT_CLASSES}
 
 
-class ConventionRuleError(ValueError):
+class ConventionRuleError(SpokenkitError, ValueError):
     pass
 
 

@@ -29,6 +29,7 @@ from spokenkit.core.model import (
     Level,
     Qualifier,
     SourceRef,
+    SpokenkitError,
     Timeline,
     UnknownIdError,
 )
@@ -88,7 +89,7 @@ IMPLICIT_TIMELINE = "~implicit"
 BASE_EVENT_FEATURES = frozenset({"utterance", "vocal", *EVENT_CLASSES})
 
 
-class TeiParseError(ValueError):
+class TeiParseError(SpokenkitError, ValueError):
     """The input cannot be loaded at all (ill-formed, or no file description)."""
 
 

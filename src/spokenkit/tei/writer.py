@@ -16,7 +16,7 @@ from collections.abc import Callable
 from decimal import Decimal
 from typing import Any
 
-from spokenkit.core.model import Document, EventInterval, Timeline
+from spokenkit.core.model import Document, EventInterval, SpokenkitError, Timeline
 from spokenkit.featstruct import (
     Binary,
     Feature,
@@ -54,7 +54,7 @@ from spokenkit.tei.model import (
 TEI_NS = "http://www.tei-c.org/ns/1.0"
 
 
-class TeiSerializeError(ValueError):
+class TeiSerializeError(SpokenkitError, ValueError):
     """The document cannot be serialised as requested."""
 
 

@@ -47,6 +47,7 @@ from spokenkit.core.model import (
     Level,
     Qualifier,
     SourceRef,
+    SpokenkitError,
     Timeline,
     UnknownIdError,
     WordForm,
@@ -61,13 +62,13 @@ TIER_SOURCE = "source1"
 _VERBAL_FEATURES = {"utterance": "verbal"}
 
 
-class TierParseError(ValueError):
+class TierParseError(SpokenkitError, ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
 
 
-class TierSerializeError(ValueError):
+class TierSerializeError(SpokenkitError, ValueError):
     """The document has a field the format cannot carry; ``line_no`` is the
     output line it would have been written on."""
 

@@ -15,7 +15,7 @@ import pytest
 import spokenkit.cli
 import spokenkit.core.temporal
 from spokenkit.cli import main
-from spokenkit.core import EventInterval
+from spokenkit.core import EventInterval, UnknownIdError
 from spokenkit.tei import (
     Seg,
     TeiParseError,
@@ -631,6 +631,71 @@ def test_validate_unexpected_exception_fails_only_its_file(capsys, monkeypatch):
     assert code == 2
     assert err == f"{first}: unexpected RuntimeError: boom\n"
     assert out == f"== {second} ==\n0 error(s), 0 warning(s)\n"
+
+
+# ---------------------------------------------------------------- typed errors
+
+def _raise_unknown_id(*args):
+    raise UnknownIdError("timeline point", "x")
+
+
+@pytest.mark.parametrize("name", ["overlaps_report", "sequence_implicit"])
+def test_typed_error_from_a_library_call_is_one_usage_line(capsys, monkeypatch, name):
+    # Any SpokenkitError leaving a command is reported by main, not only those it names.
+    monkeypatch.setattr(spokenkit.cli, name, _raise_unknown_id)
+    code, out, err = run(capsys, "overlaps", fixture_path("anchored_dialogue.xml"))
+    assert (code, out) == (2, "")
+    assert err == "spokenkit: unknown timeline point 'x'\n"
+
+
+def test_validate_reports_a_typed_error_as_its_message(capsys, monkeypatch):
+    monkeypatch.setattr(spokenkit.cli, "validate_all", _raise_unknown_id)
+    path = fixture_path("anchored_dialogue.xml")
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out) == (2, "")
+    assert err == f"{path}: unknown timeline point 'x'\n"
+
+
+def test_bad_tagset_names_the_file(capsys, tmp_path):
+    tagset = tmp_path / "tags.xml"
+    tagset.write_bytes(fixture_bytes("tags.xml").replace(b'xml:id="mas"', b'xml:id="fem"'))
+    code, out, err = run(
+        capsys, "validate", "--tagset", str(tagset), fixture_path("tagged_neuter.xml")
+    )
+    assert (code, out) == (2, "")
+    assert err == f"spokenkit: bad tagset {tagset}: duplicate identifier 'fem'\n"
+
+
+def test_registry_with_a_broader_cycle_names_the_file(capsys, tmp_path):
+    registry = tmp_path / "cycle.tsv"
+    registry.write_text("a\tsimple\ta\tb\t-\nb\tsimple\tb\ta\t-\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "validate", "--registry", str(registry), fixture_path("tagged_neuter.xml")
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"spokenkit: bad registry {registry}: "
+        "line 2: category 'b' would close a broader cycle at 'b'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--tagset", "{missing}", fixture_path("tagged_neuter.xml")),
+        ("validate", "--registry", "{missing}", fixture_path("tagged_neuter.xml")),
+        (
+            "convert", fixture_path("anchored_dialogue.xml"), "--from", "tei", "--to", "tei",
+            "--conventions", "{missing}",
+        ),
+    ],
+    ids=["tagset", "registry", "conventions"],
+)
+def test_missing_side_file_is_a_read_error_without_bad_prefix(capsys, tmp_path, argv):
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, *(a.replace("{missing}", str(missing)) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == f"spokenkit: cannot read {missing}: No such file or directory\n"
 
 
 # ---------------------------------------------------------------- parser
