@@ -374,12 +374,6 @@ class Document:
     # before any normalization, in document order.
     declared_ids: tuple[tuple[str, str], ...] = field(default=(), compare=False)
 
-    def timeline(self, timeline_id: str) -> Timeline:
-        for t in self.timelines:
-            if t.id == timeline_id:
-                return t
-        raise UnknownIdError("timeline", timeline_id)
-
     def level(self, level_id: str) -> Level:
         for l in self.levels:
             if l.id == level_id:

@@ -43,13 +43,11 @@ class Str:
 class FeatureStructure:
     """An optionally typed set of feature-value pairs; one value per name.
 
-    Equality is structural over type and features; the optional id never
-    takes part in comparisons.
+    Equality is structural over type and features.
     """
 
     features: Mapping[str, "FSValue"] = field(default_factory=dict)
     type: str | None = None
-    id: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         for name in self.features:

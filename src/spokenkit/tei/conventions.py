@@ -19,7 +19,7 @@ from spokenkit.core.model import (
     SpokenkitError,
     decode_utf8,
 )
-from spokenkit.tei.model import EVENT_CLASSES, Utterance, Vocal, annotated_items
+from spokenkit.tei.model import EVENT_CLASSES, Utterance, annotated_items
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,6 @@ class ConventionRule:
 
 
 BUILTIN_RULES = (ConventionRule(re.compile(r"\(\((.+?)\)\)"), "vocal"),)
-
-# The class of each element a rule can produce.
-_ELEMENT_CLASSES = {"vocal": Vocal, **EVENT_CLASSES}
 
 
 class ConventionRuleError(SpokenkitError, ValueError):
@@ -56,7 +53,7 @@ def load_convention_rules(data: str | bytes) -> tuple[ConventionRule, ...]:
         if len(fields) != 3:
             raise ConventionRuleError(f"line {line_no}: expected 3 tab-separated fields")
         pattern, element, group = fields
-        if element not in _ELEMENT_CLASSES:
+        if element not in EVENT_CLASSES:
             raise ConventionRuleError(f"line {line_no}: unknown element {element!r}")
         try:
             compiled = re.compile(pattern)
@@ -118,7 +115,7 @@ def _apply_rules(text: str, rules: tuple[ConventionRule, ...]) -> list:
                     continue
                 next_pieces.append(piece[cursor:start])
                 desc = match.group(rule.desc_group) or ""  # None: the group took no part
-                next_pieces.append(_ELEMENT_CLASSES[rule.element](desc=desc))
+                next_pieces.append(EVENT_CLASSES[rule.element](desc=desc))
                 cursor = end
             next_pieces.append(piece[cursor:])
         pieces = next_pieces

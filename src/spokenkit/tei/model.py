@@ -37,12 +37,6 @@ class AnchorRef:
 
 
 @dataclass(frozen=True)
-class Vocal:
-    desc: str
-    who: str | None = None
-
-
-@dataclass(frozen=True)
 class TimedEvent:
     """A timed non-verbal event, inline or free-standing; ``tag`` names its element."""
 
@@ -55,6 +49,13 @@ class TimedEvent:
     end: str | None = None
     id: str | None = None
     id_generated: bool = field(default=True, compare=False)
+
+
+@dataclass(frozen=True)
+class Vocal(TimedEvent):
+    """A non-lexical sound such as a laugh or a cough."""
+
+    tag = "vocal"
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class Incident(TimedEvent):
 
 
 # The only mapping from event element names to their classes.
-EVENT_CLASSES: dict[str, type[TimedEvent]] = {cls.tag: cls for cls in (Kinesic, Incident)}
+EVENT_CLASSES: dict[str, type[TimedEvent]] = {cls.tag: cls for cls in (Vocal, Kinesic, Incident)}
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ class Seg:
     id: str | None = None
 
 
-ContentItem = Union[str, AnchorRef, Vocal, TimedEvent, Seg, W, Pc, OpaqueElement]
+ContentItem = Union[str, AnchorRef, TimedEvent, Seg, W, Pc, OpaqueElement]
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,6 @@ from spokenkit.tei.model import (
     TagLib,
     TimedEvent,
     Utterance,
-    Vocal,
     W,
     annotated_items,
     content_items,
@@ -86,7 +85,7 @@ DEFAULT_SOURCE = "source1"
 IMPLICIT_TIMELINE = "~implicit"
 
 # Event features every parse-built transcription level admits.
-BASE_EVENT_FEATURES = frozenset({"utterance", "vocal", *EVENT_CLASSES})
+BASE_EVENT_FEATURES = frozenset({"utterance", *EVENT_CLASSES})
 
 
 class TeiParseError(SpokenkitError, ValueError):
@@ -668,10 +667,6 @@ def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str]) -> list:
                     content=tuple(_parse_mixed(child, ctx, parts)),
                     id=strip_ref(seg_id) if seg_id else None,
                 )
-            )
-        elif local == "vocal":
-            append(
-                Vocal(desc=_text_of(_child(child, "desc")) or "", who=_norm_ref(child.get("who")))
             )
         elif local in EVENT_CLASSES:
             append(_parse_event(child, EVENT_CLASSES[local], ctx))

@@ -47,7 +47,6 @@ from spokenkit.tei.model import (
     TagLib,
     TimedEvent,
     Utterance,
-    Vocal,
     W,
 )
 
@@ -322,10 +321,9 @@ def _write_person(w: _Writer, depth: int, person: Person) -> None:
 # ---------------------------------------------------------------- timeline and body
 
 def _write_timeline(w: _Writer, depth: int, timeline: Timeline, materialize: bool) -> None:
-    hidden = frozenset() if materialize else timeline.anchor_declared | timeline.synthetic
-    # The flagged ids are ids of the timeline, so this tells whether any point is left.
-    if not materialize and (timeline.implicit or len(hidden) == len(timeline.ids)):
+    if timeline.implicit and not materialize:
         return
+    hidden = frozenset() if materialize else timeline.anchor_declared | timeline.synthetic
     attrs: dict[str, str | None] = {"unit": timeline.unit}
     if timeline.id_declared:
         attrs["xml:id"] = timeline.id
@@ -457,11 +455,6 @@ def _render_anchor(out: list, anchor: AnchorRef, materialize: bool) -> None:
         out.append(f'<anchor synch="#{_esc_attr(point)}"/>')
 
 
-def _render_vocal(out: list, item: Vocal, materialize: bool) -> None:
-    who = "" if item.who is None else f' who="#{_esc_attr(item.who)}"'
-    out.append(f"<vocal{who}><desc>{_esc_text(item.desc)}</desc></vocal>")
-
-
 def _render_seg(out: list, seg: Seg, materialize: bool) -> None:
     # The content loop is here and not in a helper, so that each nesting
     # level costs one frame, as it does in the reader.
@@ -523,7 +516,6 @@ _INLINE: dict[type, Callable[[list, Any, bool], None]] = {
     str: _render_text,
     AnchorRef: _render_anchor,
     OpaqueElement: _render_opaque_item,
-    Vocal: _render_vocal,
     Seg: _render_seg,
     W: _render_w,
     Pc: _render_pc,

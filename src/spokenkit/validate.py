@@ -241,10 +241,12 @@ def _check_refs(doc: Document, ana_targets: dict, content: _Content) -> list[Fin
                 if inner.ana is not None and inner.ana not in ana_targets:
                     dangle("ana", inner.ana, inner.id or location)
             else:
-                check_who(inner.who, inner.id or location)
+                # An inline event's generated id is never written; its body item is.
+                where = location if inner.id_generated else inner.id or location
+                check_who(inner.who, where)
                 for attr, ref in (("start", inner.start), ("end", inner.end)):
                     if ref is not None and ref not in point_ids:
-                        dangle(attr, ref, inner.id or location)
+                        dangle(attr, ref, where)
 
     for group, n in document_spans(doc):
         for span in group.spans:

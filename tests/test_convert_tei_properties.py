@@ -23,10 +23,10 @@ from spokenkit.tei import (
     AnchorRef,
     Kinesic,
     OpaqueElement,
+    Pc,
     Seg,
     TeiSerializeError,
     Utterance,
-    Vocal,
     W,
     load_convention_rules,
     parse_document,
@@ -198,7 +198,7 @@ def test_a_subclass_is_written_as_its_base_class():
     "body, message",
     [
         ((W("oui"),), "cannot serialise body item W("),
-        ((Vocal("laugh"),), "cannot serialise body item Vocal("),
+        ((Pc("."),), "cannot serialise body item Pc("),
         ((Seg(),), "cannot serialise body item Seg("),
         ((object(),), "cannot serialise body item <object"),
         ((Utterance("u", content=(Utterance("v"),)),), "cannot serialise content item Utterance("),

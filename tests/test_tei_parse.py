@@ -43,6 +43,22 @@ def test_inline_kinesic_is_content_not_annotation(dialogue_doc):
     assert all(a.qualifiers[0].feature != "kinesic" for a in dialogue_doc.annotations)
 
 
+def test_free_standing_vocal_is_an_annotated_event():
+    data = fixture_bytes("anchored_dialogue.xml").replace(
+        b"<body>",
+        b'<body><vocal xml:id="v1" start="#T3" end="#T5"><desc>laughs</desc></vocal>'
+        b'<vocal type="laugh"/>',
+    )
+    doc, _ = parse_document(data)
+    doc, findings = resolve_anchors(doc)
+    assert findings == []
+    assert [type(item) for item in doc.body[:2]] == [Vocal, Vocal]
+    first, second = doc.annotation("v1"), doc.annotation("vocal1")
+    assert (first.qualifiers[0].feature, first.qualifiers[0].value) == ("vocal", "laughs")
+    assert first.range == EventInterval("T3", "T5", "timeline1")
+    assert second.qualifiers[0].feature == "laugh" and second.range is None
+
+
 def test_recording_metadata():
     doc, _ = parse_document(fixture_bytes("recording.xml"))
     (recording,) = doc.metadata.recordings
@@ -174,7 +190,7 @@ def test_inline_anchor_utterances_share_interval(inline_doc):
 def test_vocal_and_text_preserved_verbatim(inline_doc):
     second = [item for item in inline_doc.body if isinstance(item, Utterance)][1]
     vocals = [c for c in second.content if isinstance(c, Vocal)]
-    assert vocals == [Vocal(desc="cough")]
+    assert vocals == [Vocal(desc="cough", id="vocal1")]
     texts = [c for c in second.content if isinstance(c, str)]
     assert texts == ["Alors ça dépend ", " ", "un petit peu."]
 

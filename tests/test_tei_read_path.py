@@ -21,6 +21,7 @@ from spokenkit.tei import (
     Kinesic,
     Pc,
     Seg,
+    TimedEvent,
     Utterance,
     Vocal,
     W,
@@ -111,7 +112,7 @@ class _Gen:
                 seg_id = f' xml:id="{self.next_id("s")}"' if self.rand.random() < 0.5 else ""
                 parts.append(f'<seg type="phrase"{seg_id}>{self.content(depth + 1)}</seg>')
             elif kind < 0.75:
-                parts.append(f"<vocal><desc>{self.text()}</desc></vocal>")
+                parts.append(self.event("vocal", free=False))
             elif kind < 0.8:
                 parts.append(self.event("kinesic", free=False))
             elif kind < 0.85:
@@ -143,7 +144,9 @@ class _Gen:
             kind = self.rand.random()
             if kind < 0.6:
                 body.append(self.utterance())
-            elif kind < 0.75:
+            elif kind < 0.7:
+                body.append(self.event("vocal", free=True))
+            elif kind < 0.8:
                 body.append(self.event("kinesic", free=True))
             elif kind < 0.9:
                 body.append(self.event("incident", free=True))
@@ -164,7 +167,7 @@ def reference_annotations(doc) -> list[Annotation]:
     for item in doc.body:
         if isinstance(item, Utterance):
             qualifier = Qualifier("utterance", content_text(item.content))
-        elif isinstance(item, (Kinesic, Incident)):
+        elif isinstance(item, TimedEvent):
             feature = item.type if item.type and item.type != "nv" else item.tag
             qualifier = Qualifier(feature, item.desc or "")
         else:
@@ -217,7 +220,7 @@ def reference_resolution(doc) -> tuple[list[EventInterval | None], list[Finding]
                     findings.append(
                         Finding("TIMELINE_MISMATCH", WARNING, item.id or "body", message)
                     )
-        elif isinstance(item, (Kinesic, Incident)):
+        elif isinstance(item, TimedEvent):
             start, end = known(item, item.start), known(item, item.end)
             if start is not None and end is not None:
                 if home[start] == home[end]:
@@ -240,7 +243,7 @@ def cases_of(doc, warnings, findings) -> set[str]:
     words = content_items(doc.body, W)
     anchors = content_items(doc.body, AnchorRef)
     utterances = [item for item in doc.body if isinstance(item, Utterance)]
-    inline = [item for u in utterances for item in content_items(u.content, (Vocal, Kinesic, Incident))]
+    inline = [item for u in utterances for item in content_items(u.content, TimedEvent)]
     cases = {
         "nested seg": any(content_items(seg.content, Seg) for seg in content_items(doc.body, Seg)),
         "identified w": any(w.id for w in words),
@@ -250,6 +253,7 @@ def cases_of(doc, warnings, findings) -> set[str]:
         "inline vocal": any(isinstance(item, Vocal) for item in inline),
         "inline kinesic": any(isinstance(item, Kinesic) for item in inline),
         "inline incident": any(isinstance(item, Incident) for item in inline),
+        "free vocal": any(isinstance(item, Vocal) for item in doc.body),
         "declaring anchor": any(a.declares for a in anchors),
         "referencing anchor": any(a.synch for a in anchors),
         "unknown point": any(f.code == "DANGLING_REF" for f in findings),
@@ -281,7 +285,7 @@ def test_one_pass_read_matches_content_walkers_on_random_documents():
         seen |= cases_of(doc, warnings, findings)
     assert seen == {
         "nested seg", "identified w", "id-less w", "w with child", "pc", "inline vocal",
-        "inline kinesic", "inline incident", "declaring anchor", "referencing anchor",
+        "inline kinesic", "inline incident", "free vocal", "declaring anchor", "referencing anchor",
         "unknown point", "timeline mismatch", "empty utterance id", "second timeline",
         "no namespace",
     }

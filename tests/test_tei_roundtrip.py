@@ -210,6 +210,47 @@ def test_attribute_order_does_not_matter():
     assert reordered == baseline
 
 
+def _minimal_tei(text: str) -> bytes:
+    return (
+        '<TEI xmlns="http://www.tei-c.org/ns/1.0"><teiHeader><fileDesc>'
+        "<titleStmt><title>t</title></titleStmt><publicationStmt><p>p</p></publicationStmt>"
+        '<sourceDesc><p>s</p></sourceDesc></fileDesc><profileDesc><particDesc>'
+        '<person xml:id="S1"/></particDesc></profileDesc></teiHeader>'
+        f"<text>{text}</text></TEI>"
+    ).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "text, kept",
+    [
+        (
+            '<timeline unit="s"><when xml:id="T1"/></timeline><body><u>a <vocal xml:id="v1" '
+            'who="#S1" type="laugh" start="#T1"><desc>laughs</desc></vocal> b</u></body>',
+            b'<u>a <vocal start="#T1" type="laugh" who="#S1" xml:id="v1"><desc>laughs</desc>'
+            b"</vocal> b</u>",
+        ),
+        ("<body><u>a <vocal/> b</u></body>", b"<u>a <vocal/> b</u>"),
+        (
+            '<body><vocal who="#S1" xml:id="v2"><desc>laughs</desc></vocal></body>',
+            b'<vocal who="#S1" xml:id="v2">\n        <desc>laughs</desc>\n      </vocal>',
+        ),
+        (
+            '<timeline xml:id="tl1" unit="s"/><body><u><anchor xml:id="a1"/>a'
+            '<anchor xml:id="a2"/></u></body>',
+            b'<timeline unit="s" xml:id="tl1">',
+        ),
+        ('<timeline unit="s"/><body><u>a</u></body>', b'<timeline unit="s">'),
+    ],
+)
+def test_what_the_reader_accepted_is_a_fixed_point(text, kept):
+    doc, _ = parse_document(_minimal_tei(text))
+    once = serialize_document(doc)
+    assert kept in once
+    reparsed, _ = parse_document(once)
+    assert reparsed == doc
+    assert serialize_document(reparsed) == once
+
+
 def _random_document(rng):
     import random as _random
 
@@ -221,7 +262,6 @@ def _random_document(rng):
         Metadata,
         Person,
         Utterance,
-        Vocal,
     )
 
     n_points = rng.randint(2, 8)
@@ -246,12 +286,14 @@ def _random_document(rng):
             elif kind == 1:
                 content.append(AnchorRef(synch=f"T{rng.randrange(n_points)}"))
             elif kind == 2:
-                content.append(Vocal(desc=rng.choice(["cough", "laugh"])))
+                content.append(_random_vocal(rng, people, n_points, f"v{n}_{len(content)}"))
             else:
                 content.append(Kinesic(type="cough"))
         body.append(
             Utterance(id=f"u{n + 1}", who=rng.choice(people).id, content=tuple(content))
         )
+        if rng.random() < 0.2:  # a free-standing vocal
+            body.append(_random_vocal(rng, people, n_points, f"bv{n}"))
         if rng.random() < 0.3:
             lo, hi = sorted(rng.sample(range(n_points), 2))
             body.append(
@@ -271,6 +313,27 @@ def _random_document(rng):
         sources=(SourceRef("source1"),),
         timelines=(timeline,),
         body=tuple(body),
+    )
+
+
+def _random_vocal(rng, people, n_points, ident):
+    """A vocal with each of its attributes set or not, and with or without a description."""
+    from spokenkit.tei import Vocal
+
+    def point():
+        return f"T{rng.randrange(n_points)}" if rng.random() < 0.5 else None
+
+    if rng.random() < 0.2:
+        return Vocal()
+    explicit = rng.random() < 0.5
+    return Vocal(
+        desc=rng.choice(["cough", "laugh", "", None]),
+        type=rng.choice([None, "laugh", "nv"]),
+        who=rng.choice([None, *(p.id for p in people)]),
+        start=point(),
+        end=point(),
+        id=ident if explicit else None,
+        id_generated=not explicit,
     )
 
 

@@ -30,7 +30,7 @@ from tests.conftest import FIXTURES
 
 # Tier categories: utterances, the event elements, and unmapped kinds that
 # become typed kinesics.
-CATEGORIES = ("verbal", "utterance", "incident", "kinesic", "gesture", "noise", "gaze")
+CATEGORIES = ("verbal", "utterance", "vocal", "incident", "kinesic", "gesture", "noise", "gaze")
 PIDS = {"verbal": "http://example.org/dc/utterance", "gesture": "http://example.org/dc/gest"}
 TEXTS = ("", "oui", 'a & b < c > d "e"', "très bien", "((cough))", "'quoted'", " ")
 
@@ -105,6 +105,14 @@ def test_generated_body_matches_reference_items_on_random_tier_documents():
     assert generated > 500
 
 
+def test_a_vocal_tier_is_written_as_vocal_elements():
+    tiers = (Tier("t1", "s0", "vocal", (("p0", "p1", "laughs"),)),)
+    doc = to_core(TierDocument((TierSpeaker("s0", "S"),), ("p0", "p1"), (None, None), tiers))
+    out = serialize_document(doc)
+    assert b'<vocal end="#p1" start="#p0" who="#s0" xml:id=' in out
+    assert b"<kinesic" not in out
+
+
 # One document that reaches every writer branch that writes attributes.
 ALL_ATTRIBUTES = b"""<TEI xmlns="http://www.tei-c.org/ns/1.0"><teiHeader>
 <fileDesc><titleStmt><title>t</title></titleStmt><publicationStmt><p>p</p></publicationStmt>
@@ -120,7 +128,8 @@ ALL_ATTRIBUTES = b"""<TEI xmlns="http://www.tei-c.org/ns/1.0"><teiHeader>
 <revisionDesc><change when="2011" who="#A">c</change></revisionDesc></teiHeader>
 <text><timeline unit="ms" xml:id="TL"><when absolute="0" xml:id="T0"/><when xml:id="T1"/></timeline>
 <body>
-<u who="#A" xml:id="u1"><anchor synch="#T0"/><anchor xml:id="T2"/><vocal who="#B"><desc>laugh</desc></vocal>
+<u who="#A" xml:id="u1"><anchor synch="#T0"/><anchor xml:id="T2"/>
+<vocal end="#T1" start="#T0" type="laugh" who="#B" xml:id="v1"><desc>laugh</desc></vocal>
 <kinesic end="#T1" start="#T0" type="nod" who="#A" xml:id="k1"><desc>nods</desc></kinesic>
 <incident type="door"/><seg subtype="x" type="y" xml:id="s1"><w ana="#f1" xml:id="w1">oui</w>
 <pc xml:id="p1">.</pc></seg><anchor synch="#T1"/></u>

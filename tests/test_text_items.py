@@ -35,7 +35,7 @@ from tests.test_tei_read_path import _Gen
 from tests.test_tei_roundtrip import _random_document
 
 CONTENT_TYPES = {str, AnchorRef, Vocal, Kinesic, Incident, Seg, W, Pc, OpaqueElement}
-BODY_TYPES = {str, Utterance, Kinesic, Incident, AnchorRef, SpanGroup, OpaqueElement}
+BODY_TYPES = {str, Utterance, Vocal, Kinesic, Incident, AnchorRef, SpanGroup, OpaqueElement}
 
 # The plain_text() of each body utterance, in body order, which is also the
 # text of its paired annotation.

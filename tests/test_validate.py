@@ -396,6 +396,33 @@ def test_empty_identifier_is_a_bad_id_and_findings_inside_it_are_located_at_body
     ]
 
 
+def test_inline_vocal_references_are_checked_at_its_utterance():
+    doc = text_doc(
+        b'<body><u xml:id="u1">a <vocal who="#nobody" start="#T9"><desc>laughs</desc></vocal>'
+        b" b</u></body>"
+    )
+    assert [(i.code, i.location, i.message) for i in validate_all(doc).issues] == [
+        (DANGLING_REF, "u1", "@start reference 'T9' resolves to nothing"),
+        (DANGLING_REF, "u1", "@who reference 'nobody' resolves to nothing"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "body, location",
+    [
+        # An inline event's generated id is never written, so its body item locates it.
+        (b'<u xml:id="u1">a <kinesic who="#nobody"/> b</u>', "u1"),
+        (b'<u xml:id="u1">a <vocal xml:id="v1" who="#nobody"/> b</u>', "v1"),
+        # A free-standing event is located at its annotation id, generated or not.
+        (b'<kinesic who="#nobody"/>', "kinesic1"),
+        (b'<vocal xml:id="v1" who="#nobody"/>', "v1"),
+    ],
+)
+def test_event_findings_are_located_at_an_identifier_of_the_document(body, location):
+    doc = text_doc(b"<body>" + body + b"</body>")
+    assert [(i.code, i.location) for i in validate_all(doc).issues] == [(DANGLING_REF, location)]
+
+
 def test_severity_overrides_apply():
     doc, _ = parse_document(fixture_bytes("inline_anchors.xml"))
     report = validate_all(
