@@ -183,22 +183,26 @@ def overlaps_report(doc: Document) -> OverlapReport:
     end, so the cost is O(n log n + k) for n annotations and k pairs, plus
     the zero-length intervals starting inside an annotation.
     """
-    # Each timeline with its group of annotations: one group per timeline
-    # object, not per id, filled in sorted order below.
-    named: dict[str, list[tuple[Timeline, list]]] = {}
-    for tl in doc.timelines:
-        named.setdefault(tl.id, []).append((tl, []))
-    resolved: list[tuple[int, int, str, Timeline, list]] = []
+    # One group of annotations per timeline object, not per id, filled in
+    # sorted order below. An annotation names its group by position, so
+    # that no group holds an entry that holds the group.
+    timelines = doc.timelines
+    groups: list[list] = [[] for _ in timelines]
+    named: dict[str, list[int]] = {}
+    for k, tl in enumerate(timelines):
+        named.setdefault(tl.id, []).append(k)
+    resolved: list[tuple[int, int, str, int]] = []
     skipped = 0
     for ann in doc.annotations:
         rng = ann.range
         candidates = named.get(rng.timeline, ()) if isinstance(rng, EventInterval) else ()
-        for tl, group in candidates:
+        for k in candidates:
+            tl = timelines[k]
             try:
                 s, e = tl.index_of(rng.start), tl.index_of(rng.end)
             except UnknownIdError:
                 continue
-            resolved.append((s, e, ann.id, tl, group))
+            resolved.append((s, e, ann.id, k))
             break
         else:
             skipped += 1
@@ -207,14 +211,15 @@ def overlaps_report(doc: Document) -> OverlapReport:
     # Each annotation's position in its timeline's group.
     positions: list[int] = []
     for item in resolved:
-        group = item[4]
+        group = groups[item[3]]
         positions.append(len(group))
         group.append(item)
 
     rows: list[tuple[str, str, str, str, str]] = []
-    for (s1, e1, id1, tl, group), pos in zip(resolved, positions):
+    for (s1, e1, id1, k), pos in zip(resolved, positions):
+        group, tl = groups[k], timelines[k]
         for n in range(pos + 1, len(group)):
-            s2, e2, id2, _, _ = group[n]
+            s2, e2, id2, _ = group[n]
             if s2 >= e1:
                 break
             end = min(e1, e2)

@@ -163,18 +163,18 @@ def flatten(fs: FeatureStructure) -> list[tuple[str, object]]:
     the order is deterministic regardless of construction order.
     """
     out: list[tuple[str, object]] = []
-
-    def walk(node: FeatureStructure, prefix: str) -> None:
-        for name in sorted(node.features):
-            value = node.features[name]
-            path = f"{prefix}/{name}" if prefix else name
-            if isinstance(value, FeatureStructure):
-                walk(value, path)
-            else:
-                out.append((path, atom_value(value)))
-
-    walk(fs, "")
+    _flatten_into(fs, "", out)
     return out
+
+
+def _flatten_into(node: FeatureStructure, prefix: str, out: list[tuple[str, object]]) -> None:
+    for name in sorted(node.features):
+        value = node.features[name]
+        path = f"{prefix}/{name}" if prefix else name
+        if isinstance(value, FeatureStructure):
+            _flatten_into(value, path, out)
+        else:
+            out.append((path, atom_value(value)))
 
 
 class TagsetError(SpokenkitError, ValueError):

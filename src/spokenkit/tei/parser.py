@@ -151,7 +151,8 @@ class _ParseContext:
     warnings: list[Finding] = field(default_factory=list)
     anchor_order: list[str] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
-    declared: set[str] = field(default_factory=set)
+    declared_ids: list[tuple[str, str]] = field(default_factory=list)
+    taken: set[str] | None = None  # built from ``declared_ids`` when an id is first generated
     annotations: list[Annotation] = field(default_factory=list)
 
     def warn(self, code: str, location: str, message: str) -> None:
@@ -175,11 +176,15 @@ class _ParseContext:
         )
 
     def fresh_id(self, prefix: str) -> str:
+        """An id no element declares, as written or with its '#' dropped."""
+        if self.taken is None:
+            raws = [raw for raw, _ in self.declared_ids]
+            self.taken = {*raws, *(raw[1:] for raw in raws if raw[:1] == "#")}
         n = self.counters.get(prefix, 0)
         while True:
             n += 1
             candidate = f"{prefix}{n}"
-            if candidate not in self.declared:
+            if candidate not in self.taken:
                 self.counters[prefix] = n
                 return candidate
 
@@ -214,8 +219,7 @@ def parse_document(data: bytes | str) -> tuple[Document, list[Finding]]:
         for el in root.iter()
         if (raw := el.get(XML_ID)) is not None
     ]
-    ctx.declared.update([raw for raw, _ in declared_ids])
-    ctx.declared.update([raw[1:] for raw, _ in declared_ids if raw[:1] == "#"])
+    ctx.declared_ids = declared_ids
 
     header_el = _child(root, "teiHeader")
     if header_el is None:

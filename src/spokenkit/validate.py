@@ -8,11 +8,11 @@ severity, and a location that names a real element or input line.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import NamedTuple
 
 from spokenkit.core.model import (
     ERROR,
@@ -30,11 +30,11 @@ from spokenkit.featstruct import FeatureStructure, TagsetError, TagsetLibrary, f
 from spokenkit.tei.model import (
     AnchorRef,
     FeatureLib,
+    Seg,
     TagLib,
     TimedEvent,
     Utterance,
     W,
-    content_items,
 )
 from spokenkit.tei.parser import analysis_targets, build_document_library
 from spokenkit.tei.spans import document_spans
@@ -124,6 +124,10 @@ def _declared_ids(doc: Document) -> Sequence[tuple[str, str]]:
     return ids
 
 
+# ``\s`` matches exactly the characters ``str.isspace`` accepts.
+_SPACE = re.compile(r"\s")
+
+
 def check_ids(doc: Document) -> list[Finding]:
     """Duplicate identifiers and identifiers that cannot be identifiers."""
     declared = _declared_ids(doc)
@@ -136,11 +140,17 @@ def check_ids(doc: Document) -> list[Finding]:
             for raw, kind in declared
             if not raw
         ]
+    # One search over all identifiers tells whether any holds '#' or white
+    # space; NUL, which joins them, is neither.
+    joined = "\0".join(counts)
+    malformed = "#" in joined or _SPACE.search(joined) is not None
     for raw, count in counts.items():
         if count > 1:
             issues.append(
                 _finding(DUP_ID, raw, f"identifier {raw!r} is declared {count} times")
             )
+        if not malformed:
+            continue
         if "#" in raw:
             issues.append(_finding(BAD_ID, raw, f"identifier {raw!r} contains '#'"))
         elif raw.split() != [raw]:
@@ -171,55 +181,75 @@ def _known_ids(doc: Document, token_ids: Iterable[str]) -> set[str]:
     return known
 
 
-_REF_BEARING = (AnchorRef, TimedEvent, W)
-
-
-class _Content(NamedTuple):
-    """The body's content, walked once for every check that reads it.
-
-    ``items`` holds, for each body item in order, the item, where findings
-    on it and its id-less content are reported, and its ref-bearing items
-    (anchors, timed events and tokens, the body item itself when it is one)
-    in document order. ``token_pos`` gives each identified token's position
-    among the identified tokens; a repeated id keeps its last position.
-    """
-
-    items: list[tuple[object, str, list]]
-    token_pos: dict[str, int]
-
-
-def _walk_content(doc: Document) -> _Content:
-    items = [
-        (item, getattr(item, "id", None) or "body", content_items((item,), _REF_BEARING))
-        for item in doc.body
-    ]
-    tokens = [w for _, _, inner in items for w in inner if isinstance(w, W) and w.id]
-    return _Content(items, {w.id: n for n, w in enumerate(tokens)})
-
-
 def check_refs(doc: Document, lib: TagsetLibrary | None = None) -> list[Finding]:
     """Closure of every cross-reference the document can carry.
 
     Analysis references resolve as in :func:`analysis_targets`, through
     ``lib`` when given.
     """
-    return _check_refs(doc, analysis_targets(doc, lib), _walk_content(doc))
+    return [i for i in _check_document(doc, lib, None, None) if i.code == DANGLING_REF]
 
 
-def _check_refs(doc: Document, ana_targets: dict, content: _Content) -> list[Finding]:
-    issues: list[Finding] = []
-    point_ids = {pid for tl in doc.timelines for pid in tl.ids}
+def check_temporal(doc: Document) -> list[Finding]:
+    """Anchor order within utterances and offset consistency on timelines."""
+    issues = _check_document(doc, None, None, None)
+    return [i for i in issues if i.code in (ANCHOR_ORDER, OFFSET_ORDER)]
+
+
+def check_span_order(doc: Document) -> list[Finding]:
+    """Spans whose from/to run against document order."""
+    return [i for i in _check_document(doc, None, None, None) if i.code == SPAN_ORDER]
+
+
+def check_tagset(
+    doc: Document,
+    lib: TagsetLibrary | None = None,
+    registry: Registry | None = None,
+    language: str | None = None,
+) -> list[Finding]:
+    """Resolution of analysis references, and domain conformance if a registry is given."""
+    codes = (TAGSET_ERROR, UNKNOWN_TAG, DOMAIN_VIOLATION, UNKNOWN_CATEGORY)
+    return [i for i in _check_document(doc, lib, registry, language) if i.code in codes]
+
+
+def _library(doc: Document, lib: TagsetLibrary | None) -> tuple[TagsetLibrary, list[Finding]]:
+    """``lib``, or else the document's own library, empty when it is
+    inconsistent, with the finding that says so."""
+    if lib is not None:
+        return lib, []
+    try:
+        return build_document_library(doc), []
+    except TagsetError as exc:
+        return TagsetLibrary({}, {}), [_finding(TAGSET_ERROR, "back", str(exc))]
+
+
+def _check_document(
+    doc: Document, lib: TagsetLibrary | None, registry: Registry | None, language: str | None
+) -> list[Finding]:
+    """The findings of every check but identifiers and level coherence.
+
+    One walk over the body visits each content item once: it checks the
+    item's references, tracks the order of an utterance's anchors, records
+    each identified token's position (a repeated id keeps its last) and
+    checks analysis references. Spans, back matter, ``appInfo``,
+    annotations, layers and offsets are checked after it. Findings of one
+    code come in document order.
+    """
+    lib, issues = _library(doc, lib)
+    targets = analysis_targets(doc, lib)
+    # Each point's position on the first timeline, in document order, that declares it.
+    point_index: dict[str, int] = {}
+    for tl in doc.timelines:
+        for n, pid in enumerate(tl.ids):
+            point_index.setdefault(pid, n)
     participants = (
         {p.id for p in doc.metadata.participants} if doc.metadata is not None else set()
     )
-    token_ids = content.token_pos
-    known: set[str] | None = None  # built when a reference may name any identifier
-
-    def is_known(target: str) -> bool:
-        nonlocal known
-        if known is None:
-            known = _known_ids(doc, token_ids)
-        return target in known
+    token_pos: dict[str, int] = {}
+    tokens = 0  # identified tokens so far, repeated ids included
+    # Each distinct analysis reference is checked against the registry once;
+    # its problems recur at every location that bears it.
+    domain_problems: dict[str, list[tuple[str, str]]] = {}
 
     def dangle(attr: str, ref: str, location: str) -> None:
         issues.append(
@@ -230,32 +260,89 @@ def _check_refs(doc: Document, ana_targets: dict, content: _Content) -> list[Fin
         if who is not None and who not in participants:
             dangle("who", who, location)
 
-    for item, location, inner_items in content.items:
+    def check_ana(ref: str, location: str) -> None:
+        target = targets.get(ref)
+        if target is None:
+            dangle("ana", ref, location)
+            issues.append(
+                _finding(UNKNOWN_TAG, location, f"analysis reference {ref!r} has no target")
+            )
+        elif registry is not None and isinstance(target, FeatureStructure):
+            problems = domain_problems.get(ref)
+            if problems is None:
+                problems = domain_problems[ref] = _domain_check(target, registry, language)
+            for code, message in problems:
+                issues.append(_finding(code, location, message))
+
+    for item in doc.body:
+        # Where findings on the item and its id-less content are reported.
+        location = getattr(item, "id", None) or "body"
         if isinstance(item, Utterance):
+            utterance = item
             check_who(item.who, location)
-        for inner in inner_items:
-            if isinstance(inner, AnchorRef):
-                if inner.synch is not None and inner.synch not in point_ids:
-                    dangle("synch", inner.synch, location)
-            elif isinstance(inner, W):
-                if inner.ana is not None and inner.ana not in ana_targets:
-                    dangle("ana", inner.ana, inner.id or location)
+            pending = [iter(item.content)]
+        else:
+            utterance = None
+            pending = [iter((item,))]
+        last = -1  # the timeline position of the utterance's last anchor
+        disordered = False
+        # Nested content is walked in document order, one iterator per open container.
+        while pending:
+            for inner in pending[-1]:
+                if isinstance(inner, str):
+                    continue
+                if isinstance(inner, W):
+                    if inner.id:
+                        token_pos[inner.id] = tokens
+                        tokens += 1
+                    if inner.ana is not None:
+                        check_ana(inner.ana, inner.id or location)
+                elif isinstance(inner, (Seg, Utterance)):
+                    pending.append(iter(inner.content))
+                    break
+                elif isinstance(inner, AnchorRef):
+                    if inner.synch is not None and inner.synch not in point_index:
+                        dangle("synch", inner.synch, location)
+                    n = point_index.get(inner.point)
+                    if n is not None:
+                        if n < last:
+                            disordered = True
+                        last = n
+                elif isinstance(inner, TimedEvent):
+                    # An inline event's generated id is never written; its body item is.
+                    where = location if inner.id_generated else inner.id or location
+                    check_who(inner.who, where)
+                    for attr, ref in (("start", inner.start), ("end", inner.end)):
+                        if ref is not None and ref not in point_index:
+                            dangle(attr, ref, where)
             else:
-                # An inline event's generated id is never written; its body item is.
-                where = location if inner.id_generated else inner.id or location
-                check_who(inner.who, where)
-                for attr, ref in (("start", inner.start), ("end", inner.end)):
-                    if ref is not None and ref not in point_ids:
-                        dangle(attr, ref, where)
+                pending.pop()
+        if disordered and utterance is not None:
+            issues.append(
+                _finding(
+                    ANCHOR_ORDER,
+                    location,
+                    f"anchors of utterance {utterance.id!r} decrease in timeline order",
+                )
+            )
 
     for group, n in document_spans(doc):
         for span in group.spans:
             location = span.id or f"spanGrp[{n}]"
             for attr, ref in (("from", span.from_), ("to", span.to)):
-                if ref not in token_ids:
+                if ref not in token_pos:
                     dangle(attr, ref, location)
-            if span.ana is not None and span.ana not in ana_targets:
-                dangle("ana", span.ana, location)
+            lo, hi = token_pos.get(span.from_), token_pos.get(span.to)
+            if lo is not None and hi is not None and lo > hi:
+                issues.append(
+                    _finding(
+                        SPAN_ORDER,
+                        location,
+                        f"span runs from {span.from_!r} to {span.to!r} against document order",
+                    )
+                )
+            if span.ana is not None:
+                check_ana(span.ana, location)
 
     feature_ids = {
         f.id
@@ -270,6 +357,14 @@ def _check_refs(doc: Document, ana_targets: dict, content: _Content) -> list[Fin
                 for ref in tag.feats:
                     if ref not in feature_ids:
                         dangle("feats", ref, tag.id)
+
+    known: set[str] | None = None  # built when a reference may name any identifier
+
+    def is_known(target: str) -> bool:
+        nonlocal known
+        if known is None:
+            known = _known_ids(doc, token_pos)
+        return target in known
 
     if doc.metadata is not None:
         for app in doc.metadata.applications:
@@ -300,7 +395,7 @@ def _check_refs(doc: Document, ana_targets: dict, content: _Content) -> list[Fin
             # A word form's targets are its tokens; other targets may be any identifier.
             if isinstance(ann, WordForm):
                 for target in ann.range.targets:
-                    if target not in token_ids:
+                    if target not in token_pos:
                         dangle("tokens", target, ann.id)
             else:
                 for target in ann.range.targets:
@@ -309,37 +404,6 @@ def _check_refs(doc: Document, ana_targets: dict, content: _Content) -> list[Fin
     for layer in doc.layers:
         if not any(level.id == layer.level for level in doc.levels):
             dangle("level", layer.level, layer.id)
-    return issues
-
-
-def check_temporal(doc: Document) -> list[Finding]:
-    """Anchor order within utterances and offset consistency on timelines."""
-    return _check_temporal(doc, _walk_content(doc))
-
-
-def _check_temporal(doc: Document, content: _Content) -> list[Finding]:
-    issues: list[Finding] = []
-    point_index: dict[str, int] = {}
-    for tl in doc.timelines:
-        for n, pid in enumerate(tl.ids):
-            point_index.setdefault(pid, n)
-
-    for item, location, inner_items in content.items:
-        if not isinstance(item, Utterance):
-            continue
-        indices = [
-            point_index[a.point]
-            for a in inner_items
-            if isinstance(a, AnchorRef) and a.point in point_index
-        ]
-        if any(b < a for a, b in zip(indices, indices[1:])):
-            issues.append(
-                _finding(
-                    ANCHOR_ORDER,
-                    location,
-                    f"anchors of utterance {item.id!r} decrease in timeline order",
-                )
-            )
 
     for tl in doc.timelines:
         with_offsets = [(pid, o) for pid, o in zip(tl.ids, tl.offsets) if o is not None]
@@ -353,92 +417,6 @@ def _check_temporal(doc: Document, content: _Content) -> list[Finding]:
                         f"offset of earlier point {earlier!r} ({earlier_offset})",
                     )
                 )
-    return issues
-
-
-def check_span_order(doc: Document) -> list[Finding]:
-    """Spans whose from/to run against document order."""
-    return _check_span_order(doc, _walk_content(doc))
-
-
-def _check_span_order(doc: Document, content: _Content) -> list[Finding]:
-    issues: list[Finding] = []
-    token_pos = content.token_pos
-    for group, n in document_spans(doc):
-        for span in group.spans:
-            if span.from_ in token_pos and span.to in token_pos:
-                if token_pos[span.from_] > token_pos[span.to]:
-                    issues.append(
-                        _finding(
-                            SPAN_ORDER,
-                            span.id or f"spanGrp[{n}]",
-                            f"span runs from {span.from_!r} to {span.to!r} "
-                            "against document order",
-                        )
-                    )
-    return issues
-
-
-def _ana_bearing(doc: Document, content: _Content) -> list[tuple[str, str]]:
-    """(location, ana ref) pairs for every analysis reference in use."""
-    refs = [
-        (w.id or location, w.ana)
-        for _, location, inner_items in content.items
-        for w in inner_items
-        if isinstance(w, W) and w.ana is not None
-    ]
-    for group, n in document_spans(doc):
-        for span in group.spans:
-            if span.ana is not None:
-                refs.append((span.id or f"spanGrp[{n}]", span.ana))
-    return refs
-
-
-def check_tagset(
-    doc: Document,
-    lib: TagsetLibrary | None = None,
-    registry: Registry | None = None,
-    language: str | None = None,
-) -> list[Finding]:
-    """Resolution of analysis references, and domain conformance if a registry is given."""
-    lib, issues = _library(doc, lib)
-    targets = analysis_targets(doc, lib)
-    return issues + _check_tagset(doc, targets, registry, language, _walk_content(doc))
-
-
-def _library(doc: Document, lib: TagsetLibrary | None) -> tuple[TagsetLibrary, list[Finding]]:
-    """``lib``, or else the document's own library, empty when it is
-    inconsistent, with the finding that says so."""
-    if lib is not None:
-        return lib, []
-    try:
-        return build_document_library(doc), []
-    except TagsetError as exc:
-        return TagsetLibrary({}, {}), [_finding(TAGSET_ERROR, "back", str(exc))]
-
-
-def _check_tagset(
-    doc: Document,
-    targets: dict,
-    registry: Registry | None,
-    language: str | None,
-    content: _Content,
-) -> list[Finding]:
-    issues: list[Finding] = []
-    # Each distinct reference is checked once; its problems recur at every
-    # location that bears it.
-    domain_problems: dict[str, list[tuple[str, str]]] = {}
-    for location, ref in _ana_bearing(doc, content):
-        target = targets.get(ref)
-        if target is None:
-            issues.append(
-                _finding(UNKNOWN_TAG, location, f"analysis reference {ref!r} has no target")
-            )
-        elif registry is not None and isinstance(target, FeatureStructure):
-            problems = domain_problems.get(ref)
-            if problems is None:
-                problems = domain_problems[ref] = _domain_check(target, registry, language)
-            issues.extend(_finding(code, location, message) for code, message in problems)
     return issues
 
 
@@ -486,14 +464,8 @@ def validate_all(doc: Document, options: ValidateOptions | None = None) -> Valid
     duplicates are reported once.
     """
     opts = options or ValidateOptions()
-    content = _walk_content(doc)
-    lib, issues = _library(doc, opts.library)
-    targets = analysis_targets(doc, lib)
-    issues.extend(check_ids(doc))
-    issues.extend(_check_refs(doc, targets, content))
-    issues.extend(_check_temporal(doc, content))
-    issues.extend(_check_span_order(doc, content))
-    issues.extend(_check_tagset(doc, targets, opts.registry, opts.language, content))
+    issues = check_ids(doc)
+    issues.extend(_check_document(doc, opts.library, opts.registry, opts.language))
     for level in doc.levels:
         for violation in check_level_coherence(doc, level.id):
             issues.append(_finding(LEVEL_INCOHERENT, violation.location, violation.message))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,22 @@ def fixture_path(name: str) -> str:
 def parse_fixture(name: str):
     doc, _ = parse_document(fixture_bytes(name))
     return doc
+
+
+def cyclic_garbage(call) -> int:
+    """How many objects ``call()`` leaves for the cyclic collector, its result dropped.
+
+    The collector is paused meanwhile, so that it cannot collect them first.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.fixture

@@ -23,6 +23,7 @@ from spokenkit.featstruct import (
     subsumes,
     unify,
 )
+from tests.conftest import cyclic_garbage
 
 
 def fs(**features):
@@ -201,6 +202,11 @@ def test_flatten_empty():
 def test_flatten_nested_paths():
     nested = FeatureStructure({"agr": FeatureStructure({"num": Symbol("sg")})})
     assert flatten(nested) == [("agr/num", "sg")]
+
+
+def test_flatten_leaves_no_reference_cycle():
+    nested = FeatureStructure({"agr": FeatureStructure({"num": Symbol("sg")}), "pos": Symbol("n")})
+    assert cyclic_garbage(lambda: flatten(nested)) == 0
 
 
 # ---------------------------------------------------------------- properties

@@ -207,6 +207,17 @@ def test_generated_utterance_ids_are_deterministic():
     assert [a.id for a in first.annotations] == [a.id for a in second.annotations]
 
 
+def test_generated_ids_skip_every_declared_id_as_written_and_without_its_hash():
+    doc, _ = parse_document(
+        b'<TEI xmlns="http://www.tei-c.org/ns/1.0"><teiHeader><fileDesc>'
+        b"<titleStmt><title>t</title></titleStmt><publicationStmt><p>p</p></publicationStmt>"
+        b"<sourceDesc><p>s</p></sourceDesc></fileDesc></teiHeader><text><body>"
+        b'<u>a</u><u xml:id="u1">b</u><u xml:id="#u2">c</u><u>d</u>'
+        b'<kinesic xml:id="kinesic1"/><kinesic/></body></text></TEI>'
+    )
+    assert [a.id for a in doc.annotations] == ["u3", "u1", "u2", "u4", "kinesic1", "kinesic2"]
+
+
 def test_resolve_anchors_preserves_order_and_text(dialogue_doc):
     resolved, _ = resolve_anchors(dialogue_doc)
     assert resolved.body == dialogue_doc.body

@@ -26,7 +26,7 @@ from spokenkit.core import (
 )
 from spokenkit.core.temporal import SHARING_RELATIONS
 from spokenkit.tei import parse_document, resolve_anchors
-from tests.conftest import fixture_bytes
+from tests.conftest import cyclic_garbage, fixture_bytes
 
 DIALOGUE_POINTS = ["T1", "T2", "T3", "T4", "T4bar", "T5", "T6", "T7"]
 
@@ -163,6 +163,11 @@ def test_overlaps_report_on_dialogue_fixture():
     # (u2, u3) meet at T6 and must not be reported
     assert {frozenset(p) for p in pairs} == brute_force_pairs(doc)
     assert report.skipped == 0
+
+
+def test_overlaps_report_leaves_no_reference_cycle():
+    doc, _ = resolve_anchors(parse_document(fixture_bytes("anchored_dialogue.xml"))[0])
+    assert cyclic_garbage(lambda: overlaps_report(doc)) == 0
 
 
 def test_overlaps_report_single_utterance():

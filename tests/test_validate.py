@@ -94,6 +94,23 @@ def test_every_whitespace_code_point_anywhere_in_an_identifier_is_flagged():
     assert sorted(found) == sorted((BAD_ID, raw) for raw in flagged)
 
 
+def test_one_malformed_identifier_among_clean_ones_is_flagged():
+    """``check_ids`` tests all identifiers in one search before it looks at
+    any one; a single bad identifier among clean ones must still show."""
+    spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+    clean = (("u1", "u"), ("w1", "w"), ("T1", "when"))
+    cases = [((f"a{c}b", "w"), (BAD_ID, f"a{c}b")) for c in spaces]
+    cases += [
+        (("a#b", "w"), (BAD_ID, "a#b")),
+        (("", "seg"), (BAD_ID, "seg")),
+        (("w1", "w"), (DUP_ID, "w1")),
+    ]
+    for declared, finding in cases:
+        doc = Document(declared_ids=clean + (declared,))
+        assert [(i.code, i.location) for i in check_ids(doc)] == [finding]
+        assert [(i.code, i.location) for i in validate_all(doc).issues] == [finding]
+
+
 # ---------------------------------------------------------------- references
 
 def test_dialogue_references_all_resolve(dialogue_doc):

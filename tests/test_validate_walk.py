@@ -1,28 +1,26 @@
-"""``validate_all`` walks the body's content once and shares the walk.
+"""``validate_all`` walks the body's content once.
 
-The public checks each walk the content themselves. ``validate_all`` walks
-it once and hands the walk to the same check bodies, so its report must be
-exactly the sorted, deduplicated union of what the public checks and level
-coherence report one by one.
+One pass over the body feeds every check but identifiers and level
+coherence; each public check is that pass filtered to its own codes. So
+``validate_all``'s report must be exactly the sorted, deduplicated union of
+what the public checks and level coherence report one by one. Each
+public check's list, order included, is pinned on two documents.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import spokenkit.tei.spans
-import spokenkit.validate
 from spokenkit.core import Finding, check_level_coherence
 from spokenkit.core.model import ERROR, WARNING
 from spokenkit.datacat import load_registry
 from spokenkit.tei import build_document_library, parse_document, resolve_anchors
-from spokenkit.tei.model import content_items
+from spokenkit.tei.model import Seg, Utterance
 from spokenkit.validate import (
     DEFAULT_SEVERITY,
     LEVEL_INCOHERENT,
@@ -158,18 +156,84 @@ def test_generated_documents_reach_every_content_finding():
     }
 
 
+class _CountedContent(tuple):
+    """Container content that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def _counting_content(items, counted: list) -> list:
+    """``items`` with the content of every utterance and seg, nested ones
+    included, replaced by a :class:`_CountedContent` that is added to ``counted``."""
+    out = []
+    for item in items:
+        if isinstance(item, (Utterance, Seg)):
+            content = _CountedContent(_counting_content(item.content, counted))
+            counted.append(content)
+            item = replace(item, content=content)
+        out.append(item)
+    return out
+
+
 @pytest.mark.parametrize("opts", OPTIONS)
-def test_validate_all_walks_each_body_item_once(monkeypatch, opts):
-    walked: list = []
+def test_validate_all_walks_each_body_item_once(opts):
+    generated = [
+        _documents(_TaggedGen(random.Random(seed)).document().encode("utf-8"))[0]
+        for seed in range(20)
+    ]
+    for doc in _fixture_documents() + generated:
+        counted: list[_CountedContent] = []
+        body = tuple(_counting_content(doc.body, counted))
+        validate_all(replace(doc, body=body), opts)
+        assert [content.iterations for content in counted] == [1] * len(counted)
 
-    def counting(items, kind):
-        items = tuple(items)
-        walked.extend(items)
-        return content_items(items, kind)
 
-    monkeypatch.setattr(spokenkit.validate, "content_items", counting)
-    monkeypatch.setattr(spokenkit.tei.spans, "content_items", counting)
-    for doc in _fixture_documents():
-        walked.clear()
-        validate_all(doc, opts)
-        assert Counter(map(id, walked)) == Counter(map(id, doc.body))
+def _rows(issues) -> list[tuple[str, str, str, str]]:
+    return [(i.code, i.severity, i.location, i.message) for i in issues]
+
+
+def test_each_public_check_returns_its_list_in_order_on_a_fixture():
+    doc = parse_fixture("inline_anchors.xml")
+    assert _rows(check_ids(doc)) == [
+        ("DUP_ID", "error", "tp2u", "identifier 'tp2u' is declared 2 times"),
+    ]
+    assert check_refs(doc) == []
+    assert check_temporal(doc) == []
+    assert check_span_order(doc) == []
+    assert check_tagset(doc) == []
+    assert check_tagset(doc, registry=OPTIONS[1].registry, language="fr") == []
+
+
+def test_each_public_check_returns_its_list_in_order_on_a_generated_document():
+    doc, _ = parse_document(_TaggedGen(random.Random(1441)).document().encode("utf-8"))
+    assert _rows(check_ids(doc)) == [
+        ("BAD_ID", "warning", "u", "identifier on 'u' is empty"),
+        ("DUP_ID", "error", "sp1", "identifier 'sp1' is declared 2 times"),
+    ]
+    assert _rows(check_refs(doc)) == [
+        ("DANGLING_REF", "error", "body", "@who reference 'S1' resolves to nothing"),
+        ("DANGLING_REF", "error", "u7", "@who reference 'S1' resolves to nothing"),
+        ("DANGLING_REF", "error", "spanGrp[3]", "@ana reference 'nowhere' resolves to nothing"),
+        ("DANGLING_REF", "error", "sp1", "@to reference 'w7' resolves to nothing"),
+        ("DANGLING_REF", "error", "spanGrp[3]", "@to reference 'w10' resolves to nothing"),
+    ]
+    assert _rows(check_temporal(doc)) == [
+        ("ANCHOR_ORDER", "warning", "u7", "anchors of utterance 'u7' decrease in timeline order"),
+    ]
+    assert _rows(check_span_order(doc)) == [
+        ("SPAN_ORDER", "error", "spanGrp[3]", "span runs from 'w6' to 'w2' against document order"),
+    ]
+    assert _rows(check_tagset(doc)) == [
+        ("UNKNOWN_TAG", "error", "spanGrp[3]", "analysis reference 'nowhere' has no target"),
+    ]
+    assert _rows(check_tagset(doc, registry=OPTIONS[1].registry, language="fr")) == [
+        ("UNKNOWN_CATEGORY", "warning", "w11",
+         "feature 'wordClass' matches no registered data category"),
+        ("UNKNOWN_TAG", "error", "spanGrp[3]", "analysis reference 'nowhere' has no target"),
+        ("DOMAIN_VIOLATION", "error", "sp1",
+         "value 'neuter' of 'grammaticalGender' is outside the 'fr' restriction"),
+    ]
