@@ -27,7 +27,7 @@ from spokenkit.tei import (
     resolve_anchors,
     serialize_document,
 )
-from spokenkit.validate import ValidateOptions, validate_all
+from spokenkit.validate import DEFAULT_SEVERITY, ValidateOptions, validate_all
 
 EXIT_OK = 0
 EXIT_ISSUES = 1
@@ -55,6 +55,8 @@ def load_config(data: str | bytes) -> Config:
         kind = fields[0]
         if kind == "severity" and len(fields) == 3:
             code, severity = fields[1], fields[2]
+            if code not in DEFAULT_SEVERITY:
+                raise CliError(f"config line {line_no}: validate reports no code {code!r}")
             if severity not in ("error", "warning"):
                 raise CliError(f"config line {line_no}: severity must be error or warning")
             config.severity_overrides[code] = severity

@@ -36,6 +36,7 @@ MECH_COMPONENT = "component"
 RANGING_MECHANISMS = (MECH_SCALE, MECH_EVENT, MECH_COMPONENT)
 
 SYNTHETIC_PREFIX = "~auto"
+IMPLICIT_TIMELINE = "~implicit"
 
 ERROR = "error"
 WARNING = "warning"
@@ -192,6 +193,14 @@ class Timeline:
     def of(cls, timeline_id: str, point_ids: Iterable[str], unit: str = UNIT_SYMBOLIC) -> "Timeline":
         ids = tuple(point_ids)
         return cls(timeline_id, unit, ids, (None,) * len(ids))
+
+
+def first_timeline(timelines: Sequence[Timeline]) -> Timeline:
+    """The first of ``timelines``, or else the implicit timeline of a document
+    that declares none: empty, symbolic, and never written as an element."""
+    if timelines:
+        return timelines[0]
+    return Timeline(IMPLICIT_TIMELINE, UNIT_SYMBOLIC, implicit=True)
 
 
 @dataclass(frozen=True)

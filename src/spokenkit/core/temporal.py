@@ -12,13 +12,13 @@ from enum import Enum
 
 from spokenkit.core.model import (
     SYNTHETIC_PREFIX,
-    UNIT_SYMBOLIC,
     Annotation,
     Document,
     EventInterval,
     SpokenkitError,
     Timeline,
     UnknownIdError,
+    first_timeline,
 )
 
 BEFORE = "before"
@@ -240,11 +240,7 @@ def sequence_implicit(doc: Document) -> Document:
     if all(ann.range is not None for ann in doc.annotations):
         return doc
 
-    if doc.timelines:
-        timeline = doc.timelines[0]
-    else:
-        timeline = Timeline("~auto_timeline", UNIT_SYMBOLIC, implicit=True)
-
+    timeline = first_timeline(doc.timelines)
     counter = 1 + sum(1 for pid in timeline.ids if pid.startswith(SYNTHETIC_PREFIX))
     added: list[str] = []
     new_annotations: list[Annotation] = []

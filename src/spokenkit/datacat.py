@@ -52,7 +52,6 @@ class DataCategory:
     broader: str | None = None
     conceptual_domain: tuple[str, ...] | None = None
     language_restrictions: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    documentation: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in (COMPLEX, SIMPLE):
@@ -101,7 +100,6 @@ class Registry:
     def __init__(self) -> None:
         self.categories: dict[str, DataCategory] = {}
         self.name_index: dict[str, str] = {}
-        self.name_collisions: list[tuple[str, str]] = []
         self._records: list[tuple] = []
 
     def __contains__(self, pid: str) -> bool:
@@ -133,10 +131,7 @@ class Registry:
             parent = self.categories.get(cur)
             cur = parent.broader if parent is not None else None
         self.categories[cat.pid] = cat
-        if cat.name in self.name_index:
-            self.name_collisions.append((cat.name, cat.pid))
-        else:
-            self.name_index[cat.name] = cat.pid
+        self.name_index.setdefault(cat.name, cat.pid)
         self._records.append((_REC_CATEGORY, cat.pid))
         return self
 

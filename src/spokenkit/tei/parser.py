@@ -3,9 +3,10 @@
 Parsing maps markup onto the generic annotation model: utterances and
 free-standing events become annotations, timelines and anchors become
 reference points, feature libraries become tagset declarations. Unknown
-elements are preserved opaquely so that serialisation round-trips. Parsing
-is deliberately forgiving: defective but well-formed input loads, and the
-defects surface through the validator.
+elements in the header and the text are preserved opaquely so that
+serialisation round-trips; a child of the root the model has no place for
+is reported. Parsing is deliberately forgiving: defective but well-formed
+input loads, and the defects surface through the validator.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from spokenkit.core.model import (
     SpokenkitError,
     Timeline,
     UnknownIdError,
+    first_timeline,
 )
 from spokenkit.featstruct import (
     Binary,
@@ -82,7 +84,6 @@ XML_ID = "{%s}id" % XML_NS
 EVENTS_LAYER = "events"
 TRANSCRIPTION_LEVEL = "transcription"
 DEFAULT_SOURCE = "source1"
-IMPLICIT_TIMELINE = "~implicit"
 
 # Event features every parse-built transcription level admits.
 BASE_EVENT_FEATURES = frozenset({"utterance", *EVENT_CLASSES})
@@ -175,8 +176,13 @@ class _ParseContext:
             )
         )
 
-    def fresh_id(self, prefix: str) -> str:
-        """An id no element declares, as written or with its '#' dropped."""
+    def element_id(self, el: ET.Element, prefix: str) -> tuple[str, bool]:
+        """``el``'s ``xml:id`` without its '#', and False; or else, with True,
+        a generated id ``prefix``N that no element declares, as written or
+        without its '#'."""
+        explicit = el.get(XML_ID)
+        if explicit is not None:
+            return strip_ref(explicit), False
         if self.taken is None:
             raws = [raw for raw, _ in self.declared_ids]
             self.taken = {*raws, *(raw[1:] for raw in raws if raw[:1] == "#")}
@@ -186,7 +192,7 @@ class _ParseContext:
             candidate = f"{prefix}{n}"
             if candidate not in self.taken:
                 self.counters[prefix] = n
-                return candidate
+                return candidate, True
 
 
 def parse_document(data: bytes | str) -> tuple[Document, list[Finding]]:
@@ -221,13 +227,23 @@ def parse_document(data: bytes | str) -> tuple[Document, list[Finding]]:
     ]
     ctx.declared_ids = declared_ids
 
-    header_el = _child(root, "teiHeader")
+    # The model holds one header and one text; any other child of the root is reported.
+    header_el = text_el = None
+    for child in root:
+        local = local_names.get(child.tag)
+        if local == "teiHeader" and header_el is None:
+            header_el = child
+        elif local == "text" and text_el is None:
+            text_el = child
+        else:
+            name = _local(child.tag)
+            message = f"TEI child {name!r} has no place in the model; dropped"
+            ctx.warn("DROPPED_ROOT_CHILD", name, message)
     if header_el is None:
         raise TeiParseError("document has no teiHeader")
     timelines: list[Timeline] = []
     body_items: list = []
     back_items: list = []
-    text_el = _child(root, "text")
     try:
         metadata = _parse_header(header_el, ctx)
         for child in () if text_el is None else text_el:
@@ -237,7 +253,7 @@ def parse_document(data: bytes | str) -> tuple[Document, list[Finding]]:
             elif local == "body":
                 _parse_body(child, ctx, timelines, body_items)
             elif local == "back":
-                back_items = _parse_back(child, ctx)
+                back_items += _parse_back(child, ctx)
             else:
                 body_items.append(_opaque(child))
     except RecursionError:
@@ -289,42 +305,63 @@ def _children(el: ET.Element, name: str) -> list[ET.Element]:
 
 # ---------------------------------------------------------------- header
 
-def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
-    file_desc = _child(header_el, "fileDesc")
-    if file_desc is None:
-        raise TeiParseError("teiHeader has no fileDesc")
+# The header children the model types, by the slot of their parent, which is
+# also the parent's name. The reader types the first child of each kind; every
+# later one, and every child of another kind, goes to ``Metadata.extras``
+# under that slot. Of ``appInfo``, ``particDesc`` and ``revisionDesc``, every
+# ``application``, ``person`` and ``change`` is typed.
+_TYPED_CHILDREN = {
+    "teiHeader": ("fileDesc", "encodingDesc", "profileDesc", "revisionDesc"),
+    "fileDesc": ("titleStmt", "publicationStmt", "sourceDesc"),
+    "titleStmt": ("title",),
+    "publicationStmt": ("p",),
+    "sourceDesc": ("p", "recordingStmt"),
+    "encodingDesc": ("appInfo",),
+    "profileDesc": ("particDesc", "settingDesc", "langUsage"),
+}
 
-    title = publication = source = ""
-    recordings: list[Recording] = []
+
+def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
     extras: list[tuple[str, OpaqueElement]] = []
 
-    for child in file_desc:
-        local = _LOCAL_NAMES.get(child.tag)
-        if local == "titleStmt":
-            for sub in child:
-                if _LOCAL_NAMES.get(sub.tag) == "title":
-                    title = _text_of(sub) or ""
-                else:
-                    extras.append(("titleStmt", _opaque(sub)))
-        elif local == "publicationStmt":
-            for sub in child:
-                if _LOCAL_NAMES.get(sub.tag) == "p" and not publication:
-                    publication = _text_of(sub) or ""
-                else:
-                    extras.append(("publicationStmt", _opaque(sub)))
-        elif local == "sourceDesc":
-            for sub in child:
-                sublocal = _LOCAL_NAMES.get(sub.tag)
-                if sublocal == "p" and not source:
-                    source = _text_of(sub) or ""
-                elif sublocal == "recordingStmt":
-                    recordings.extend(
-                        _parse_recording(rec) for rec in _children(sub, "recording")
-                    )
-                else:
-                    extras.append(("sourceDesc", _opaque(sub)))
-        else:
-            extras.append(("fileDesc", _opaque(child)))
+    def typed(el: ET.Element | None, slot: str) -> dict[str, ET.Element]:
+        """The first child of ``el`` of each kind typed in ``slot``, by kind;
+        the others go to ``extras``. A repeated header section is reported."""
+        kinds = _TYPED_CHILDREN[slot]
+        found: dict[str, ET.Element] = {}
+        for child in () if el is None else el:
+            local = _LOCAL_NAMES.get(child.tag)
+            if local in kinds:
+                if local not in found:
+                    found[local] = child
+                    continue
+                if slot == "teiHeader":
+                    message = f"teiHeader has more than one {local}; keeping the first"
+                    ctx.warn("DUP_HEADER_SECTION", local, message)
+            extras.append((slot, _opaque(child)))
+        return found
+
+    def listed(el: ET.Element | None, kind: str, slot: str) -> list[ET.Element]:
+        """Every child of ``el`` named ``kind``; the others go to ``extras``."""
+        items: list[ET.Element] = []
+        for child in () if el is None else el:
+            if _LOCAL_NAMES.get(child.tag) == kind:
+                items.append(child)
+            else:
+                extras.append((slot, _opaque(child)))
+        return items
+
+    sections = typed(header_el, "teiHeader")
+    file_desc = sections.get("fileDesc")
+    if file_desc is None:
+        raise TeiParseError("teiHeader has no fileDesc")
+    statements = typed(file_desc, "fileDesc")
+    title = _text_of(typed(statements.get("titleStmt"), "titleStmt").get("title"))
+    publication = _text_of(typed(statements.get("publicationStmt"), "publicationStmt").get("p"))
+    source_desc = typed(statements.get("sourceDesc"), "sourceDesc")
+    source = _text_of(source_desc.get("p"))
+    recording_stmt = source_desc.get("recordingStmt")
+    recordings = () if recording_stmt is None else _children(recording_stmt, "recording")
 
     if not title:
         ctx.warn("NO_TITLE", "fileDesc", "fileDesc has no title")
@@ -333,73 +370,29 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
     if not source:
         ctx.warn("NO_SOURCE_DESC", "fileDesc", "fileDesc has no source description text")
 
-    applications: list[AppInfo] = []
-    encoding = _child(header_el, "encodingDesc")
-    if encoding is not None:
-        for child in encoding:
-            if _LOCAL_NAMES.get(child.tag) == "appInfo":
-                for app in child:
-                    if _LOCAL_NAMES.get(app.tag) == "application":
-                        applications.append(_parse_application(app))
-                    else:
-                        extras.append(("appInfo", _opaque(app)))
-            else:
-                extras.append(("encodingDesc", _opaque(child)))
-
-    participants: list[Person] = []
-    setting: str | None = None
-    language_usage: OpaqueElement | None = None
-    profile = _child(header_el, "profileDesc")
-    if profile is not None:
-        for child in profile:
-            local = _LOCAL_NAMES.get(child.tag)
-            if local == "particDesc":
-                for sub in child:
-                    if _LOCAL_NAMES.get(sub.tag) == "person":
-                        participants.append(_parse_person(sub, ctx))
-                    else:
-                        extras.append(("particDesc", _opaque(sub)))
-            elif local == "settingDesc":
-                setting = _text_of(child)
-            elif local == "langUsage":
-                language_usage = _opaque(child)
-            else:
-                extras.append(("profileDesc", _opaque(child)))
-
-    revisions: list[Change] = []
-    sections: set[str] = set()
-    for child in header_el:
-        local = _LOCAL_NAMES.get(child.tag)
-        if local in ("fileDesc", "encodingDesc", "profileDesc"):
-            # The first of each was read above.
-            if local in sections:
-                message = f"teiHeader has more than one {local}; keeping the first"
-                ctx.warn("DUP_HEADER_SECTION", local, message)
-            sections.add(local)
-            continue
-        if local == "revisionDesc":
-            for change in child:
-                if _LOCAL_NAMES.get(change.tag) == "change":
-                    revisions.append(
-                        Change(change.get("when"), _norm_ref(change.get("who")), _text_of(change))
-                    )
-                else:
-                    extras.append(("revisionDesc", _opaque(change)))
-        else:
-            extras.append(("teiHeader", _opaque(child)))
+    app_info = typed(sections.get("encodingDesc"), "encodingDesc").get("appInfo")
+    applications = listed(app_info, "application", "appInfo")
+    profile = typed(sections.get("profileDesc"), "profileDesc")
+    persons = listed(profile.get("particDesc"), "person", "particDesc")
+    setting = profile.get("settingDesc")
+    language_usage = profile.get("langUsage")
+    changes = listed(sections.get("revisionDesc"), "change", "revisionDesc")
     # The writer groups unknown elements by slot; keep them in its order.
     extras.sort(key=lambda extra: HEADER_SLOTS.index(extra[0]))
 
     return Metadata(
-        title=title,
-        publication=publication,
-        source=source,
-        recordings=tuple(recordings),
-        applications=tuple(applications),
-        participants=tuple(participants),
-        setting=setting,
-        language_usage=language_usage,
-        revisions=tuple(revisions),
+        title=title or "",
+        publication=publication or "",
+        source=source or "",
+        recordings=tuple(map(_parse_recording, recordings)),
+        applications=tuple(map(_parse_application, applications)),
+        participants=tuple(_parse_person(person, ctx) for person in persons),
+        setting=_text_of(setting),
+        language_usage=None if language_usage is None else _opaque(language_usage),
+        revisions=tuple(
+            Change(change.get("when"), _norm_ref(change.get("who")), _text_of(change))
+            for change in changes
+        ),
         extras=tuple(extras),
     )
 
@@ -463,11 +456,9 @@ def _parse_person(person_el: ET.Element, ctx: _ParseContext) -> Person:
                 )
         else:
             extras.append(_opaque(child))
-    person_id = person_el.get(XML_ID)
-    if person_id is None:
-        person_id = ctx.fresh_id("person")
+    person_id, _ = ctx.element_id(person_el, "person")
     return Person(
-        id=strip_ref(person_id),
+        id=person_id,
         name=name,
         name_is_abbr=name_is_abbr,
         sex=person_el.get("sex"),
@@ -519,11 +510,8 @@ def _parse_timeline(tl_el: ET.Element, ctx: _ParseContext) -> Timeline:
                 ctx.warn("BAD_OFFSET", pid, message)
         ids.append(pid)
         offsets.append(offset)
-    tl_id = tl_el.get(XML_ID)
-    declared = tl_id is not None
-    if tl_id is None:
-        tl_id = ctx.fresh_id("timeline")
-    return Timeline(strip_ref(tl_id), unit, tuple(ids), tuple(offsets), id_declared=declared)
+    tl_id, generated = ctx.element_id(tl_el, "timeline")
+    return Timeline(tl_id, unit, tuple(ids), tuple(offsets), id_declared=not generated)
 
 
 def _absorb_anchor_points(timelines: list[Timeline], ctx: _ParseContext) -> list[Timeline]:
@@ -540,11 +528,8 @@ def _absorb_anchor_points(timelines: list[Timeline], ctx: _ParseContext) -> list
             extra.append(pid)
     if not extra:
         return timelines
-    if timelines:
-        base, rest = timelines[0], timelines[1:]
-    else:
-        base, rest = Timeline(IMPLICIT_TIMELINE, UNIT_SYMBOLIC, implicit=True), []
-    return [base.append_flagged(extra, synthetic=False), *rest]
+    base = first_timeline(timelines)
+    return [base.append_flagged(extra, synthetic=False), *timelines[1:]]
 
 
 def _parse_body(
@@ -591,8 +576,7 @@ def _parse_anchor(el: ET.Element, ctx: _ParseContext) -> AnchorRef:
 
 def _parse_event(el: ET.Element, cls: type[TimedEvent], ctx: _ParseContext) -> TimedEvent:
     desc = _text_of(_child(el, "desc"))
-    explicit = el.get(XML_ID)
-    event_id = strip_ref(explicit) if explicit is not None else ctx.fresh_id(cls.tag)
+    event_id, generated = ctx.element_id(el, cls.tag)
     return cls(
         desc=desc,
         type=el.get("type"),
@@ -600,18 +584,17 @@ def _parse_event(el: ET.Element, cls: type[TimedEvent], ctx: _ParseContext) -> T
         start=_norm_ref(el.get("start")),
         end=_norm_ref(el.get("end")),
         id=event_id,
-        id_generated=explicit is None,
+        id_generated=generated,
     )
 
 
 def _parse_utterance(u_el: ET.Element, ctx: _ParseContext, parts: list[str]) -> Utterance:
-    explicit = u_el.get(XML_ID)
-    utt_id = strip_ref(explicit) if explicit is not None else ctx.fresh_id("u")
+    utt_id, generated = ctx.element_id(u_el, "u")
     return Utterance(
         id=utt_id,
         who=_norm_ref(u_el.get("who")),
         content=tuple(_parse_mixed(u_el, ctx, parts)),
-        id_generated=explicit is None,
+        id_generated=generated,
     )
 
 
@@ -934,6 +917,15 @@ def build_document_library(doc: Document) -> TagsetLibrary:
     return build_library(features, tags)
 
 
+def own_library(doc: Document) -> tuple[TagsetLibrary, TagsetError | None]:
+    """The document's own tagset library, with None; or else, when it is
+    inconsistent, an empty library with the error that says so."""
+    try:
+        return build_document_library(doc), None
+    except TagsetError as exc:
+        return TagsetLibrary({}, {}), exc
+
+
 def analysis_targets(
     doc: Document, lib: TagsetLibrary | None = None
 ) -> dict[str, FeatureStructure | InflectedForm]:
@@ -946,10 +938,7 @@ def analysis_targets(
     inconsistent, no tag resolves.
     """
     if lib is None:
-        try:
-            lib = build_document_library(doc)
-        except TagsetError:
-            lib = TagsetLibrary({}, {})
+        lib, _ = own_library(doc)
     targets: dict[str, FeatureStructure | InflectedForm] = {
         form.id: form for entry in doc.lexical_entries for form in entry.forms if form.id
     }

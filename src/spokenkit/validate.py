@@ -26,7 +26,7 @@ from spokenkit.core.model import (
     check_level_coherence,
 )
 from spokenkit.datacat import COMPLEX, LANGUAGE_RESTRICTED, OK, Registry
-from spokenkit.featstruct import FeatureStructure, TagsetError, TagsetLibrary, flatten, strip_ref
+from spokenkit.featstruct import FeatureStructure, TagsetLibrary, flatten, strip_ref
 from spokenkit.tei.model import (
     AnchorRef,
     FeatureLib,
@@ -36,7 +36,7 @@ from spokenkit.tei.model import (
     Utterance,
     W,
 )
-from spokenkit.tei.parser import analysis_targets, build_document_library
+from spokenkit.tei.parser import analysis_targets, own_library
 from spokenkit.tei.spans import document_spans
 
 DUP_ID = "DUP_ID"
@@ -217,10 +217,8 @@ def _library(doc: Document, lib: TagsetLibrary | None) -> tuple[TagsetLibrary, l
     inconsistent, with the finding that says so."""
     if lib is not None:
         return lib, []
-    try:
-        return build_document_library(doc), []
-    except TagsetError as exc:
-        return TagsetLibrary({}, {}), [_finding(TAGSET_ERROR, "back", str(exc))]
+    lib, error = own_library(doc)
+    return lib, [] if error is None else [_finding(TAGSET_ERROR, "back", str(error))]
 
 
 def _check_document(

@@ -164,6 +164,16 @@ def test_validate_severity_override_via_config(capsys, tmp_path):
     assert "warning DUP_ID" in out
 
 
+def test_config_severity_for_a_code_validate_never_reports_is_refused(capsys, tmp_path):
+    config = tmp_path / "config.tsv"
+    config.write_text("# overrides\nseverity\tDUP_ID\twarning\nseverity\tDUP_IDD\twarning\n")
+    code, out, err = run(
+        capsys, "validate", "--config", str(config), fixture_path("anchored_dialogue.xml")
+    )
+    assert (code, out) == (2, "")
+    assert "config line 3: validate reports no code 'DUP_IDD'" in err
+
+
 def test_validate_with_external_tagset_resolves_its_tags(capsys, tmp_path):
     # Ncfs__ is declared by the external tagset only.
     doc = tmp_path / "doc.xml"

@@ -212,12 +212,12 @@ def test_build_registry_from_iterable():
     assert reg.is_subcategory(PID + "properNoun", PID + "noun")
 
 
-def test_name_collisions_are_recorded():
+def test_a_name_registered_twice_finds_the_first_category():
     reg = Registry()
     reg.register(DataCategory(pid="p:1", kind="simple", name="dup"))
     reg.register(DataCategory(pid="p:2", kind="simple", name="dup"))
-    assert reg.name_collisions == [("dup", "p:2")]
     assert reg.by_name("dup").pid == "p:1"
+    assert len(reg) == 2
 
 
 def test_is_subcategory_is_transitive():

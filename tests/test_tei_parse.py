@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from spokenkit.core import EventInterval, Finding
@@ -79,10 +81,14 @@ def test_person_metadata():
     assert (lang.tag, lang.level, lang.label) == ("de", "first", "German")
 
 
-@pytest.mark.parametrize("section", ["fileDesc", "encodingDesc", "profileDesc"])
+@pytest.mark.parametrize("section", ["fileDesc", "encodingDesc", "profileDesc", "revisionDesc"])
 def test_repeated_header_section_is_reported_and_the_first_kept(section):
+    """The first section is typed; the second is the last ``teiHeader`` extra,
+    written back after the typed sections."""
     one = fixture_bytes("anchored_dialogue.xml").replace(
-        b"</teiHeader>", b"<encodingDesc><p>first</p></encodingDesc></teiHeader>"
+        b"</teiHeader>",
+        b"<encodingDesc><p>first</p></encodingDesc>"
+        b"<revisionDesc><change>first</change></revisionDesc></teiHeader>",
     )
     second = b"<%s><p>second</p></%s></teiHeader>" % (section.encode(), section.encode())
     baseline, baseline_warnings = parse_document(one)
@@ -91,7 +97,13 @@ def test_repeated_header_section_is_reported_and_the_first_kept(section):
     assert warnings == baseline_warnings + [
         Finding("DUP_HEADER_SECTION", "warning", section, message)
     ]
-    assert doc == baseline
+    *extras, last = doc.metadata.extras
+    kept = OpaqueElement(section, children=(OpaqueElement("p", text="second"),), tails=(None,))
+    assert last == ("teiHeader", kept)
+    assert replace(doc, metadata=replace(doc.metadata, extras=tuple(extras))) == baseline
+    written = serialize_document(doc)
+    assert b"\n    %s\n  </teiHeader>" % second.removesuffix(b"</teiHeader>") in written
+    assert serialize_document(parse_document(written)[0]) == written
 
 
 def test_missing_file_desc_is_a_hard_error():

@@ -231,7 +231,6 @@ def test_validate_all_builds_the_document_library_once(monkeypatch):
         built.append(doc)
         return build_document_library(doc)
 
-    monkeypatch.setattr(spokenkit.validate, "build_document_library", counting)
     monkeypatch.setattr(spokenkit.tei.parser, "build_document_library", counting)
     doc, _ = parse_document(fixture_bytes("tagged_neuter.xml"))
     validate_all(doc)
