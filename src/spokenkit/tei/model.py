@@ -288,6 +288,7 @@ class Change:
 HEADER_SLOTS = (
     "titleStmt",
     "publicationStmt",
+    "recordingStmt",
     "sourceDesc",
     "fileDesc",
     "appInfo",

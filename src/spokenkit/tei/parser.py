@@ -308,48 +308,52 @@ def _children(el: ET.Element, name: str) -> list[ET.Element]:
 # The header children the model types, by the slot of their parent, which is
 # also the parent's name. The reader types the first child of each kind; every
 # later one, and every child of another kind, goes to ``Metadata.extras``
-# under that slot. Of ``appInfo``, ``particDesc`` and ``revisionDesc``, every
-# ``application``, ``person`` and ``change`` is typed.
+# under that slot.
 _TYPED_CHILDREN = {
-    "teiHeader": ("fileDesc", "encodingDesc", "profileDesc", "revisionDesc"),
+    "teiHeader": ("fileDesc", "encodingDesc", "profileDesc"),
     "fileDesc": ("titleStmt", "publicationStmt", "sourceDesc"),
     "titleStmt": ("title",),
     "publicationStmt": ("p",),
-    "sourceDesc": ("p", "recordingStmt"),
-    "encodingDesc": ("appInfo",),
-    "profileDesc": ("particDesc", "settingDesc", "langUsage"),
+    "sourceDesc": ("p",),
+    "encodingDesc": (),
+    "profileDesc": ("settingDesc", "langUsage"),
+}
+
+# The header lists, by their container and the container's parent slot. The
+# items of every instance of a container are typed, in document order, so a
+# repeated container is merged into one.
+_LISTS = {
+    ("sourceDesc", "recordingStmt"): "recording",
+    ("encodingDesc", "appInfo"): "application",
+    ("profileDesc", "particDesc"): "person",
+    ("teiHeader", "revisionDesc"): "change",
 }
 
 
 def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
     extras: list[tuple[str, OpaqueElement]] = []
+    items: dict[str, list[ET.Element]] = {kind: [] for kind in _LISTS.values()}
 
     def typed(el: ET.Element | None, slot: str) -> dict[str, ET.Element]:
-        """The first child of ``el`` of each kind typed in ``slot``, by kind;
-        the others go to ``extras``. A repeated header section is reported."""
+        """The first child of ``el`` of each kind typed in ``slot``, by kind.
+        The items of a list container go to ``items``, every other child to
+        ``extras``."""
         kinds = _TYPED_CHILDREN[slot]
         found: dict[str, ET.Element] = {}
         for child in () if el is None else el:
             local = _LOCAL_NAMES.get(child.tag)
-            if local in kinds:
-                if local not in found:
-                    found[local] = child
-                    continue
-                if slot == "teiHeader":
-                    message = f"teiHeader has more than one {local}; keeping the first"
-                    ctx.warn("DUP_HEADER_SECTION", local, message)
-            extras.append((slot, _opaque(child)))
-        return found
-
-    def listed(el: ET.Element | None, kind: str, slot: str) -> list[ET.Element]:
-        """Every child of ``el`` named ``kind``; the others go to ``extras``."""
-        items: list[ET.Element] = []
-        for child in () if el is None else el:
-            if _LOCAL_NAMES.get(child.tag) == kind:
-                items.append(child)
+            kind = _LISTS.get((slot, local))
+            if kind is not None:
+                for item in child:
+                    if _LOCAL_NAMES.get(item.tag) == kind:
+                        items[kind].append(item)
+                    else:
+                        extras.append((local, _opaque(item)))
+            elif local in kinds and local not in found:
+                found[local] = child
             else:
                 extras.append((slot, _opaque(child)))
-        return items
+        return found
 
     sections = typed(header_el, "teiHeader")
     file_desc = sections.get("fileDesc")
@@ -358,10 +362,7 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
     statements = typed(file_desc, "fileDesc")
     title = _text_of(typed(statements.get("titleStmt"), "titleStmt").get("title"))
     publication = _text_of(typed(statements.get("publicationStmt"), "publicationStmt").get("p"))
-    source_desc = typed(statements.get("sourceDesc"), "sourceDesc")
-    source = _text_of(source_desc.get("p"))
-    recording_stmt = source_desc.get("recordingStmt")
-    recordings = () if recording_stmt is None else _children(recording_stmt, "recording")
+    source = _text_of(typed(statements.get("sourceDesc"), "sourceDesc").get("p"))
 
     if not title:
         ctx.warn("NO_TITLE", "fileDesc", "fileDesc has no title")
@@ -370,13 +371,13 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
     if not source:
         ctx.warn("NO_SOURCE_DESC", "fileDesc", "fileDesc has no source description text")
 
-    app_info = typed(sections.get("encodingDesc"), "encodingDesc").get("appInfo")
-    applications = listed(app_info, "application", "appInfo")
+    typed(sections.get("encodingDesc"), "encodingDesc")
     profile = typed(sections.get("profileDesc"), "profileDesc")
-    persons = listed(profile.get("particDesc"), "person", "particDesc")
-    setting = profile.get("settingDesc")
     language_usage = profile.get("langUsage")
-    changes = listed(sections.get("revisionDesc"), "change", "revisionDesc")
+    for slot, extra in extras:
+        if slot == "teiHeader" and extra.tag in sections:
+            message = f"teiHeader has more than one {extra.tag}; keeping the first"
+            ctx.warn("DUP_HEADER_SECTION", extra.tag, message)
     # The writer groups unknown elements by slot; keep them in its order.
     extras.sort(key=lambda extra: HEADER_SLOTS.index(extra[0]))
 
@@ -384,14 +385,14 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
         title=title or "",
         publication=publication or "",
         source=source or "",
-        recordings=tuple(map(_parse_recording, recordings)),
-        applications=tuple(map(_parse_application, applications)),
-        participants=tuple(_parse_person(person, ctx) for person in persons),
-        setting=_text_of(setting),
+        recordings=tuple(map(_parse_recording, items["recording"])),
+        applications=tuple(map(_parse_application, items["application"])),
+        participants=tuple(_parse_person(person, ctx) for person in items["person"]),
+        setting=_text_of(profile.get("settingDesc")),
         language_usage=None if language_usage is None else _opaque(language_usage),
         revisions=tuple(
             Change(change.get("when"), _norm_ref(change.get("who")), _text_of(change))
-            for change in changes
+            for change in items["change"]
         ),
         extras=tuple(extras),
     )

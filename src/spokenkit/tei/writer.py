@@ -192,10 +192,11 @@ def _write_header(w: _Writer, depth: int, md: Metadata) -> None:
     w.line(depth + 2, "</publicationStmt>")
     w.line(depth + 2, "<sourceDesc>")
     w.line(depth + 3, _leaf("p", {}, md.source))
-    if md.recordings:
+    if md.recordings or extras["recordingStmt"]:
         w.line(depth + 3, "<recordingStmt>")
         for rec in md.recordings:
             _write_recording(w, depth + 4, rec)
+        _write_extras(w, depth + 4, extras["recordingStmt"])
         w.line(depth + 3, "</recordingStmt>")
     _write_extras(w, depth + 3, extras["sourceDesc"])
     w.line(depth + 2, "</sourceDesc>")

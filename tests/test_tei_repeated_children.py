@@ -1,8 +1,11 @@
 """Repeated and unknown children of the root and the header.
 
 The reader types the first header child of each kind and keeps every later
-one in ``Metadata.extras`` under its parent's slot, so a TEI round trip keeps
-every element and a second pass gives the same bytes. A child of the root
+one in ``Metadata.extras`` under its parent's slot; the items of a repeated
+list container (``recordingStmt``, ``appInfo``, ``particDesc``,
+``revisionDesc``) are merged into one list. So a TEI round trip keeps every
+element but a repeated list container's tags, and a second pass gives the
+same bytes. A child of the root
 that the model has no place for is reported as ``DROPPED_ROOT_CHILD``.
 The last tests pin the ids the reader generates and the implicit timeline's id.
 """
@@ -15,7 +18,8 @@ from collections import Counter
 import pytest
 
 from spokenkit.core import EventInterval, Finding, sequence_implicit
-from spokenkit.tei import parse_document, resolve_anchors, serialize_document
+from spokenkit.tei import OpaqueElement, parse_document, resolve_anchors, serialize_document
+from spokenkit.validate import validate_all
 
 TEI = "{http://www.tei-c.org/ns/1.0}"
 TITLE = "<titleStmt><title>t</title></titleStmt>"
@@ -103,6 +107,58 @@ def test_a_root_child_without_a_place_is_reported(root, name):
     message = f"TEI child {name!r} has no place in the model; dropped"
     assert warnings == [Finding("DROPPED_ROOT_CHILD", "warning", name, message)]
     assert written == written_twice(tei())[0]
+
+
+def test_a_person_in_a_second_particdesc_is_a_speaker():
+    profile = (
+        '<profileDesc><particDesc><person xml:id="A"/></particDesc>'
+        '<particDesc><person xml:id="B"/></particDesc></profileDesc>'
+    )
+    data = tei(header=profile).replace("<u>a</u>", '<u who="#A">a</u><u who="#B">b</u>')
+    written, warnings = written_twice(data)
+    assert warnings == []
+    doc, _ = parse_document(written)
+    assert [person.id for person in doc.metadata.participants] == ["A", "B"]
+    assert validate_all(doc).issues == ()
+
+
+@pytest.mark.parametrize(
+    "header, field, codes",
+    [
+        (
+            "<encodingDesc><appInfo/><appInfo>"
+            '<application ident="a" version="1"><ptr target="#nowhere"/></application>'
+            "</appInfo></encodingDesc>",
+            "applications",
+            ["DANGLING_REF"],
+        ),
+        (
+            '<profileDesc><particDesc/><particDesc><person xml:id="A"/></particDesc></profileDesc>',
+            "participants",
+            [],
+        ),
+        ("<revisionDesc/><revisionDesc><change>c</change></revisionDesc>", "revisions", []),
+    ],
+)
+def test_the_items_of_a_list_after_an_empty_one_are_typed_and_checked(header, field, codes):
+    written, warnings = written_twice(tei(header=header))
+    assert warnings == []
+    doc, _ = parse_document(written)
+    assert len(getattr(doc.metadata, field)) == 1
+    assert [issue.code for issue in validate_all(doc).issues] == codes
+
+
+def test_recordings_of_every_recording_stmt_are_typed_and_other_children_kept():
+    source = (
+        "<sourceDesc><p>s</p><recordingStmt/>"
+        '<recordingStmt><p>note</p><recording type="audio"/></recordingStmt>'
+        '<recordingStmt><recording type="video"/></recordingStmt></sourceDesc>'
+    )
+    written, warnings = written_twice(tei(TITLE + PUBLICATION + source))
+    assert warnings == []
+    doc, _ = parse_document(written)
+    assert [recording.type for recording in doc.metadata.recordings] == ["audio", "video"]
+    assert doc.metadata.extras == (("recordingStmt", OpaqueElement("p", text="note")),)
 
 
 # ---------------------------------------------------------------- generated ids
