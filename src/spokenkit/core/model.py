@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from itertools import repeat
 from operator import le
-from typing import TYPE_CHECKING, Callable, Iterable, Union
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Union
 
 if TYPE_CHECKING:
     from spokenkit.tei.model import Metadata
@@ -216,13 +216,31 @@ class ScaleInterval:
             raise ValueError(f"scale interval start {self.start} exceeds end {self.end}")
 
 
-@dataclass(frozen=True)
-class EventInterval:
+def value_eq(self, other):
+    """``__eq__`` of the named-tuple value classes, with the equality of a
+    frozen dataclass: a value equals only a value of its own class with
+    equal fields, never a plain tuple or a value of a subclass."""
+    if other.__class__ is self.__class__:
+        return tuple.__eq__(self, other)
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def value_ne(self, other):
+    """``__ne__`` to match :func:`value_eq`."""
+    equal = value_eq(self, other)
+    return equal if equal is NotImplemented else not equal
+
+
+class EventInterval(NamedTuple):
     """Reference to a half-open span [start, end) between two timeline points."""
 
     start: str
     end: str
     timeline: str
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
 
 @dataclass(frozen=True)

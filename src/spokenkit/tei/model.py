@@ -1,15 +1,20 @@
 """Typed content model for the spoken-transcription markup subset.
 
-Everything the parser understands becomes one of these dataclasses; anything
-else is preserved as an :class:`OpaqueElement` so documents round-trip.
+Everything the parser understands becomes one of these immutable classes;
+anything else is preserved as an :class:`OpaqueElement` so documents
+round-trip. The values the reader builds once per token, seg or anchor
+(:class:`W`, :class:`Pc`, :class:`Seg`, :class:`AnchorRef`) are named tuples,
+one allocation each, with the equality of a frozen dataclass; the rest are
+frozen dataclasses.
 Text inside utterances is kept verbatim, whitespace included, as plain ``str``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Union
+from typing import ClassVar, NamedTuple, Union
 
+from spokenkit.core.model import value_eq, value_ne
 from spokenkit.featstruct import Feature, FeatureStructure, TagDecl
 
 
@@ -24,12 +29,15 @@ class OpaqueElement:
     tails: tuple[str | None, ...] = ()  # tail text after each child, within this element
 
 
-@dataclass(frozen=True)
-class AnchorRef:
+class AnchorRef(NamedTuple):
     """A synchronization anchor: either declares a point or references one."""
 
     synch: str | None = None  # referenced point id, '#'-normalized
     declares: str | None = None  # xml:id introducing a point at this position
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
     @property
     def point(self) -> str | None:
@@ -76,8 +84,7 @@ class Incident(TimedEvent):
 EVENT_CLASSES: dict[str, type[TimedEvent]] = {cls.tag: cls for cls in (Vocal, Kinesic, Incident)}
 
 
-@dataclass(frozen=True)
-class W:
+class W(NamedTuple):
     """A token of the transcription."""
 
     text: str
@@ -85,24 +92,34 @@ class W:
     ana: str | None = None
     extras: tuple[OpaqueElement, ...] = ()
 
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class Pc:
+
+class Pc(NamedTuple):
     """A punctuation token."""
 
     text: str
     id: str | None = None
     extras: tuple[OpaqueElement, ...] = ()
 
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class Seg:
+
+class Seg(NamedTuple):
     """A typed grouping of text fragments; may nest."""
 
     type: str | None = None
     subtype: str | None = None
     content: tuple["ContentItem", ...] = ()
     id: str | None = None
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
 
 ContentItem = Union[str, AnchorRef, TimedEvent, Seg, W, Pc, OpaqueElement]

@@ -203,7 +203,10 @@ def _write_header(w: _Writer, depth: int, md: Metadata) -> None:
     _write_extras(w, depth + 2, extras["fileDesc"])
     w.line(depth + 1, "</fileDesc>")
 
-    if md.applications or extras["appInfo"] or extras["encodingDesc"]:
+    # A section is written, even empty, when a later one of its kind is kept,
+    # so that the kept one is read back as kept, not typed.
+    kept = {element.tag for element in extras["teiHeader"]}
+    if md.applications or extras["appInfo"] or extras["encodingDesc"] or "encodingDesc" in kept:
         w.line(depth + 1, "<encodingDesc>")
         if md.applications or extras["appInfo"]:
             w.line(depth + 2, "<appInfo>")
@@ -215,7 +218,13 @@ def _write_header(w: _Writer, depth: int, md: Metadata) -> None:
         w.line(depth + 1, "</encodingDesc>")
 
     partic = md.participants or extras["particDesc"]
-    if partic or md.setting is not None or md.language_usage or extras["profileDesc"]:
+    if (
+        partic
+        or md.setting is not None
+        or md.language_usage
+        or extras["profileDesc"]
+        or "profileDesc" in kept
+    ):
         w.line(depth + 1, "<profileDesc>")
         if partic:
             w.line(depth + 2, "<particDesc>")

@@ -424,13 +424,13 @@ def _refuse(*args, **kwargs):
 
 def test_overlaps_builds_no_object_per_pair(capsys, monkeypatch):
     intervals = []
-    init = EventInterval.__init__
+    new = EventInterval.__new__
 
-    def counted(self, *args, **kwargs):
+    def counted(cls, *args, **kwargs):
         intervals.append(args)
-        init(self, *args, **kwargs)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(EventInterval, "__init__", counted)
+    monkeypatch.setattr(EventInterval, "__new__", counted)
     monkeypatch.setattr(spokenkit.core.temporal, "OverlapPair", _refuse)
     code, out, _ = run(capsys, "overlaps", fixture_path("anchored_dialogue.xml"))
     assert (code, len(out.splitlines())) == (0, 3)

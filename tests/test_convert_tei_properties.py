@@ -155,9 +155,8 @@ def test_written_documents_read_back_and_write_the_same_bytes(seed):
     assert serialize_document(again, materialize_timeline=True) == written
 
 
-@dataclass(frozen=True)
 class _MarkedW(W):
-    pass
+    __slots__ = ()
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,11 @@ def stable_repr(obj) -> str:
         return f"{type(obj).__qualname__}({fields})"
     if isinstance(obj, (set, frozenset)):
         return f"{type(obj).__name__}({sorted(stable_repr(x) for x in obj)})"
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        # A named tuple reads as a dataclass does, so a digest does not depend
+        # on which of the two a model class is.
+        fields = ", ".join(f"{name}={stable_repr(getattr(obj, name))}" for name in obj._fields)
+        return f"{type(obj).__qualname__}({fields})"
     if isinstance(obj, tuple):
         inner = ", ".join(stable_repr(x) for x in obj)
         return f"({inner},)" if len(obj) == 1 else f"({inner})"

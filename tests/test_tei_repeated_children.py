@@ -148,6 +148,34 @@ def test_the_items_of_a_list_after_an_empty_one_are_typed_and_checked(header, fi
     assert [issue.code for issue in validate_all(doc).issues] == codes
 
 
+EMPTY_THEN_FULL_ENCODING = (
+    '<encodingDesc/><encodingDesc><appInfo><application ident="a" version="1"/></appInfo>'
+    "</encodingDesc>"
+)
+EMPTY_THEN_FULL_PROFILE = (
+    '<profileDesc/><profileDesc><particDesc><person xml:id="S1"/></particDesc></profileDesc>'
+)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        EMPTY_THEN_FULL_ENCODING,
+        EMPTY_THEN_FULL_PROFILE,
+        EMPTY_THEN_FULL_ENCODING + EMPTY_THEN_FULL_PROFILE,
+    ],
+    ids=["encodingDesc", "profileDesc", "both"],
+)
+def test_an_empty_first_section_is_written_before_the_kept_one(header):
+    data = tei(header=header).replace("<u>a</u>", '<u who="#S1">a</u>')
+    assert_every_header_element_kept(data)
+    doc, _ = parse_document(data)
+    again, _ = parse_document(serialize_document(doc))
+    assert again.metadata == doc.metadata
+    # The person of the kept section is no speaker, before and after.
+    assert validate_all(again).issues == validate_all(doc).issues
+
+
 def test_recordings_of_every_recording_stmt_are_typed_and_other_children_kept():
     source = (
         "<sourceDesc><p>s</p><recordingStmt/>"

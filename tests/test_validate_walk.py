@@ -174,7 +174,10 @@ def _counting_content(items, counted: list) -> list:
         if isinstance(item, (Utterance, Seg)):
             content = _CountedContent(_counting_content(item.content, counted))
             counted.append(content)
-            item = replace(item, content=content)
+            if isinstance(item, Seg):
+                item = item._replace(content=content)
+            else:
+                item = replace(item, content=content)
         out.append(item)
     return out
 
