@@ -2,9 +2,15 @@
 
 Everything the parser understands becomes one of these immutable classes;
 anything else is preserved as an :class:`OpaqueElement` so documents
-round-trip. The values the reader builds once per token, seg or anchor
-(:class:`W`, :class:`Pc`, :class:`Seg`, :class:`AnchorRef`) are named tuples,
-one allocation each, with the equality of a frozen dataclass; the rest are
+round-trip. The header types only what some code besides the writer reads:
+the title, publication and source texts, the applications and the
+participants. Every other header element, a recording, a participant's
+birth or languages, a setting, a language usage or a revision, is kept
+verbatim where it stands.
+
+The values the reader builds once per token, seg or anchor (:class:`W`,
+:class:`Pc`, :class:`Seg`, :class:`AnchorRef`) are named tuples, one
+allocation each, with the equality of a frozen dataclass; the rest are
 frozen dataclasses.
 Text inside utterances is kept verbatim, whitespace included, as plain ``str``.
 """
@@ -102,6 +108,7 @@ class Pc(NamedTuple):
 
     text: str
     id: str | None = None
+    ana: str | None = None
     extras: tuple[OpaqueElement, ...] = ()
 
     __eq__ = value_eq
@@ -249,34 +256,11 @@ BodyItem = Union[Utterance, TimedEvent, AnchorRef, SpanGroup, str, OpaqueElement
 
 
 @dataclass(frozen=True)
-class Recording:
-    type: str | None = None
-    equipment: str | None = None
-    date: str | None = None
-    broadcast: "Recording | None" = None
-    extras: tuple[OpaqueElement, ...] = ()
-
-
-@dataclass(frozen=True)
 class AppInfo:
     ident: str
     version: str
     label: str | None = None
     targets: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class Birth:
-    when: str | None = None
-    date_text: str | None = None
-    place: str | None = None
-
-
-@dataclass(frozen=True)
-class LangKnown:
-    tag: str | None = None
-    level: str | None = None
-    label: str | None = None
 
 
 @dataclass(frozen=True)
@@ -286,17 +270,7 @@ class Person:
     name_is_abbr: bool = False
     sex: str | None = None
     age: str | None = None
-    birth: Birth | None = None
-    languages: tuple[LangKnown, ...] = ()
-    lang_tags: str | None = None
-    extras: tuple[OpaqueElement, ...] = ()
-
-
-@dataclass(frozen=True)
-class Change:
-    when: str | None = None
-    who: str | None = None
-    text: str | None = None
+    extras: tuple[OpaqueElement, ...] = ()  # every child but the first persName, as parsed
 
 
 # The header elements an unknown element may sit in, in the order the writer
@@ -305,31 +279,29 @@ class Change:
 HEADER_SLOTS = (
     "titleStmt",
     "publicationStmt",
-    "recordingStmt",
     "sourceDesc",
     "fileDesc",
     "appInfo",
     "encodingDesc",
     "particDesc",
     "profileDesc",
-    "revisionDesc",
     "teiHeader",
 )
 
 
 @dataclass(frozen=True)
 class Metadata:
-    """Header metadata; the file description fields are mandatory."""
+    """Header metadata; the file description fields are mandatory.
+
+    Only what spokenkit reads is typed; every other header element is kept
+    verbatim in ``extras``.
+    """
 
     title: str
     publication: str
     source: str
-    recordings: tuple[Recording, ...] = ()
     applications: tuple[AppInfo, ...] = ()
     participants: tuple[Person, ...] = ()
-    setting: str | None = None
-    language_usage: OpaqueElement | None = None
-    revisions: tuple[Change, ...] = ()
-    # Unknown header elements as (slot, element) pairs; the slot, one of
-    # HEADER_SLOTS, names their parent element.
+    # Header elements the model does not type as (slot, element) pairs; the
+    # slot, one of HEADER_SLOTS, names their parent element.
     extras: tuple[tuple[str, OpaqueElement], ...] = ()

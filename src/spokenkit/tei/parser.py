@@ -54,18 +54,14 @@ from spokenkit.tei.model import (
     HEADER_SLOTS,
     AnchorRef,
     AppInfo,
-    Birth,
-    Change,
     FeatureLib,
     InflectedForm,
     InlineStructure,
-    LangKnown,
     LexicalEntry,
     Metadata,
     OpaqueElement,
     Pc,
     Person,
-    Recording,
     Seg,
     Span,
     SpanGroup,
@@ -98,13 +94,11 @@ class TeiParseError(SpokenkitError, ValueError):
 # the reader's loops make inline; ``_local`` also names tags outside it.
 _VOCABULARY = (
     "TEI", "teiHeader", "fileDesc", "titleStmt", "title", "publicationStmt", "p",
-    "sourceDesc", "recordingStmt", "recording", "equipment", "date", "broadcast",
-    "encodingDesc", "appInfo", "application", "label", "ptr", "profileDesc",
-    "particDesc", "person", "persName", "abbr", "birth", "name", "langKnowledge",
-    "langKnown", "settingDesc", "langUsage", "revisionDesc", "change", "text",
-    "timeline", "when", "body", "back", "u", "anchor", "vocal", "desc", "kinesic",
-    "incident", "seg", "w", "pc", "spanGrp", "span", "fLib", "fvLib", "fs", "f",
-    "binary", "symbol", "numeric", "string", "entry", "form", "orth", "gramGrp",
+    "sourceDesc", "encodingDesc", "appInfo", "application", "label", "ptr",
+    "profileDesc", "particDesc", "person", "persName", "abbr", "text", "timeline",
+    "when", "body", "back", "u", "anchor", "vocal", "desc", "kinesic", "incident",
+    "seg", "w", "pc", "spanGrp", "span", "fLib", "fvLib", "fs", "f", "binary",
+    "symbol", "numeric", "string", "entry", "form", "orth", "gramGrp",
 )
 _TEI_PREFIX = f"{{{TEI_NS}}}"
 _LOCAL_NAMES = {name: name for name in _VOCABULARY}
@@ -306,9 +300,10 @@ def _children(el: ET.Element, name: str) -> list[ET.Element]:
 # ---------------------------------------------------------------- header
 
 # The header children the model types, by the slot of their parent, which is
-# also the parent's name. The reader types the first child of each kind; every
-# later one, and every child of another kind, goes to ``Metadata.extras``
-# under that slot.
+# also the parent's name: only those some code besides the writer reads. The
+# reader types the first child of each kind; every later one, and every child
+# of another kind, such as a recordingStmt, settingDesc, langUsage or
+# revisionDesc, goes to ``Metadata.extras`` under that slot, verbatim.
 _TYPED_CHILDREN = {
     "teiHeader": ("fileDesc", "encodingDesc", "profileDesc"),
     "fileDesc": ("titleStmt", "publicationStmt", "sourceDesc"),
@@ -316,17 +311,15 @@ _TYPED_CHILDREN = {
     "publicationStmt": ("p",),
     "sourceDesc": ("p",),
     "encodingDesc": (),
-    "profileDesc": ("settingDesc", "langUsage"),
+    "profileDesc": (),
 }
 
 # The header lists, by their container and the container's parent slot. The
 # items of every instance of a container are typed, in document order, so a
 # repeated container is merged into one.
 _LISTS = {
-    ("sourceDesc", "recordingStmt"): "recording",
     ("encodingDesc", "appInfo"): "application",
     ("profileDesc", "particDesc"): "person",
-    ("teiHeader", "revisionDesc"): "change",
 }
 
 
@@ -372,8 +365,7 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
         ctx.warn("NO_SOURCE_DESC", "fileDesc", "fileDesc has no source description text")
 
     typed(sections.get("encodingDesc"), "encodingDesc")
-    profile = typed(sections.get("profileDesc"), "profileDesc")
-    language_usage = profile.get("langUsage")
+    typed(sections.get("profileDesc"), "profileDesc")
     for slot, extra in extras:
         if slot == "teiHeader" and extra.tag in sections:
             message = f"teiHeader has more than one {extra.tag}; keeping the first"
@@ -385,37 +377,10 @@ def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
         title=title or "",
         publication=publication or "",
         source=source or "",
-        recordings=tuple(map(_parse_recording, items["recording"])),
         applications=tuple(map(_parse_application, items["application"])),
         participants=tuple(_parse_person(person, ctx) for person in items["person"]),
-        setting=_text_of(profile.get("settingDesc")),
-        language_usage=None if language_usage is None else _opaque(language_usage),
-        revisions=tuple(
-            Change(change.get("when"), _norm_ref(change.get("who")), _text_of(change))
-            for change in items["change"]
-        ),
         extras=tuple(extras),
     )
-
-
-def _parse_recording(rec_el: ET.Element) -> Recording:
-    equipment = date = None
-    broadcast = None
-    extras: list[OpaqueElement] = []
-    for child in rec_el:
-        local = _LOCAL_NAMES.get(child.tag)
-        if local == "equipment":
-            p = _child(child, "p")
-            equipment = _text_of(p) if p is not None else _text_of(child)
-        elif local == "date":
-            date = _text_of(child)
-        elif local == "broadcast":
-            inner = _child(child, "recording")
-            if inner is not None:
-                broadcast = _parse_recording(inner)
-        else:
-            extras.append(_opaque(child))
-    return Recording(rec_el.get("type"), equipment, date, broadcast, tuple(extras))
 
 
 def _parse_application(app_el: ET.Element) -> AppInfo:
@@ -429,32 +394,12 @@ def _parse_application(app_el: ET.Element) -> AppInfo:
 def _parse_person(person_el: ET.Element, ctx: _ParseContext) -> Person:
     name = None
     name_is_abbr = False
-    birth = None
-    languages: list[LangKnown] = []
-    lang_tags = None
     extras: list[OpaqueElement] = []
     for child in person_el:
-        local = _LOCAL_NAMES.get(child.tag)
-        if local == "persName":
+        if name is None and _LOCAL_NAMES.get(child.tag) == "persName":
             abbr = _child(child, "abbr")
-            if abbr is not None:
-                name = _text_of(abbr)
-                name_is_abbr = True
-            else:
-                name = _text_of(child)
-        elif local == "birth":
-            date_text = _text_of(_child(child, "date"))
-            place = None
-            for sub in _children(child, "name"):
-                if sub.get("type") == "place":
-                    place = _text_of(sub)
-            birth = Birth(child.get("when"), date_text, place)
-        elif local == "langKnowledge":
-            lang_tags = child.get("tags")
-            for known in _children(child, "langKnown"):
-                languages.append(
-                    LangKnown(known.get("tag"), known.get("level"), _text_of(known))
-                )
+            name_is_abbr = abbr is not None
+            name = _text_of(abbr if name_is_abbr else child)
         else:
             extras.append(_opaque(child))
     person_id, _ = ctx.element_id(person_el, "person")
@@ -464,9 +409,6 @@ def _parse_person(person_el: ET.Element, ctx: _ParseContext) -> Person:
         name_is_abbr=name_is_abbr,
         sex=person_el.get("sex"),
         age=person_el.get("age"),
-        birth=birth,
-        languages=tuple(languages),
-        lang_tags=lang_tags,
         extras=tuple(extras),
     )
 
@@ -636,13 +578,10 @@ def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str]) -> list:
                 token_id = None
             elif token_id[0] == "#":
                 token_id = token_id[1:]
-            if local == "w":
-                ana = child.get("ana")
-                if ana is not None and ana[:1] == "#":
-                    ana = ana[1:]
-                append(W(token_text, token_id, ana, extras))
-            else:
-                append(Pc(token_text, token_id, extras))
+            ana = child.get("ana")
+            if ana is not None and ana[:1] == "#":
+                ana = ana[1:]
+            append((W if local == "w" else Pc)(token_text, token_id, ana, extras))
             add_text(token_text)
         elif local == "anchor":
             append(_parse_anchor(child, ctx))

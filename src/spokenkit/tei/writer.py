@@ -40,7 +40,6 @@ from spokenkit.tei.model import (
     OpaqueElement,
     Pc,
     Person,
-    Recording,
     Seg,
     Span,
     SpanGroup,
@@ -192,12 +191,6 @@ def _write_header(w: _Writer, depth: int, md: Metadata) -> None:
     w.line(depth + 2, "</publicationStmt>")
     w.line(depth + 2, "<sourceDesc>")
     w.line(depth + 3, _leaf("p", {}, md.source))
-    if md.recordings or extras["recordingStmt"]:
-        w.line(depth + 3, "<recordingStmt>")
-        for rec in md.recordings:
-            _write_recording(w, depth + 4, rec)
-        _write_extras(w, depth + 4, extras["recordingStmt"])
-        w.line(depth + 3, "</recordingStmt>")
     _write_extras(w, depth + 3, extras["sourceDesc"])
     w.line(depth + 2, "</sourceDesc>")
     _write_extras(w, depth + 2, extras["fileDesc"])
@@ -218,13 +211,7 @@ def _write_header(w: _Writer, depth: int, md: Metadata) -> None:
         w.line(depth + 1, "</encodingDesc>")
 
     partic = md.participants or extras["particDesc"]
-    if (
-        partic
-        or md.setting is not None
-        or md.language_usage
-        or extras["profileDesc"]
-        or "profileDesc" in kept
-    ):
+    if partic or extras["profileDesc"] or "profileDesc" in kept:
         w.line(depth + 1, "<profileDesc>")
         if partic:
             w.line(depth + 2, "<particDesc>")
@@ -232,24 +219,9 @@ def _write_header(w: _Writer, depth: int, md: Metadata) -> None:
                 _write_person(w, depth + 3, person)
             _write_extras(w, depth + 3, extras["particDesc"])
             w.line(depth + 2, "</particDesc>")
-        if md.setting is not None:
-            w.line(depth + 2, "<settingDesc>")
-            w.line(depth + 3, _leaf("p", {}, md.setting))
-            w.line(depth + 2, "</settingDesc>")
-        if md.language_usage is not None:
-            w.line(depth + 2, _render_opaque(md.language_usage))
         _write_extras(w, depth + 2, extras["profileDesc"])
         w.line(depth + 1, "</profileDesc>")
 
-    if md.revisions or extras["revisionDesc"]:
-        w.line(depth + 1, "<revisionDesc>")
-        for change in md.revisions:
-            w.line(
-                depth + 2,
-                _leaf("change", {"when": change.when, "who": _ref(change.who)}, change.text or ""),
-            )
-        _write_extras(w, depth + 2, extras["revisionDesc"])
-        w.line(depth + 1, "</revisionDesc>")
     _write_extras(w, depth + 1, extras["teiHeader"])
     w.line(depth, "</teiHeader>")
 
@@ -264,23 +236,6 @@ def _leaf(tag: str, attrs: dict[str, str | None], text: str) -> str:
     if text:
         return f"<{tag}{rendered}>{_esc_text(text)}</{tag}>"
     return f"<{tag}{rendered}/>"
-
-
-def _write_recording(w: _Writer, depth: int, rec: Recording) -> None:
-    w.line(depth, f"<recording{_attrs({'type': rec.type})}>")
-    if rec.equipment is not None:
-        w.line(depth + 1, "<equipment>")
-        w.line(depth + 2, _leaf("p", {}, rec.equipment))
-        w.line(depth + 1, "</equipment>")
-    if rec.date is not None:
-        w.line(depth + 1, _leaf("date", {}, rec.date))
-    if rec.broadcast is not None:
-        w.line(depth + 1, "<broadcast>")
-        _write_recording(w, depth + 2, rec.broadcast)
-        w.line(depth + 1, "</broadcast>")
-    for extra in rec.extras:
-        w.line(depth + 1, _render_opaque(extra))
-    w.line(depth, "</recording>")
 
 
 def _write_application(w: _Writer, depth: int, app: AppInfo) -> None:
@@ -304,27 +259,7 @@ def _write_person(w: _Writer, depth: int, person: Person) -> None:
             w.line(depth + 1, f"<persName><abbr>{_esc_text(person.name)}</abbr></persName>")
         else:
             w.line(depth + 1, _leaf("persName", {}, person.name))
-    if person.birth is not None:
-        birth = person.birth
-        if birth.date_text is None and birth.place is None:
-            w.line(depth + 1, f"<birth{_attrs({'when': birth.when})}/>")
-        else:
-            w.line(depth + 1, f"<birth{_attrs({'when': birth.when})}>")
-            if birth.date_text is not None:
-                w.line(depth + 2, _leaf("date", {}, birth.date_text))
-            if birth.place is not None:
-                w.line(depth + 2, _leaf("name", {"type": "place"}, birth.place))
-            w.line(depth + 1, "</birth>")
-    if person.languages or person.lang_tags is not None:
-        w.line(depth + 1, f"<langKnowledge{_attrs({'tags': person.lang_tags})}>")
-        for lang in person.languages:
-            w.line(
-                depth + 2,
-                _leaf("langKnown", {"level": lang.level, "tag": lang.tag}, lang.label or ""),
-            )
-        w.line(depth + 1, "</langKnowledge>")
-    for extra in person.extras:
-        w.line(depth + 1, _render_opaque(extra))
+    _write_extras(w, depth + 1, person.extras)
     w.line(depth, "</person>")
 
 
@@ -490,8 +425,9 @@ def _render_w(out: list, item: W, materialize: bool) -> None:
 
 
 def _render_pc(out: list, item: Pc, materialize: bool) -> None:
+    ana = "" if item.ana is None else f' ana="#{_esc_attr(item.ana)}"'
     ident = "" if item.id is None else f' xml:id="{_esc_attr(item.id)}"'
-    out.append(f"<pc{ident}>{_esc_text(item.text)}")
+    out.append(f"<pc{ana}{ident}>{_esc_text(item.text)}")
     out.extend(map(_render_opaque, item.extras))
     out.append("</pc>")
 

@@ -30,6 +30,7 @@ from spokenkit.featstruct import FeatureStructure, TagsetLibrary, flatten, strip
 from spokenkit.tei.model import (
     AnchorRef,
     FeatureLib,
+    Pc,
     Seg,
     TagLib,
     TimedEvent,
@@ -293,6 +294,9 @@ def _check_document(
                     if inner.id:
                         token_pos[inner.id] = tokens
                         tokens += 1
+                    if inner.ana is not None:
+                        check_ana(inner.ana, inner.id or location)
+                elif isinstance(inner, Pc):
                     if inner.ana is not None:
                         check_ana(inner.ana, inner.id or location)
                 elif isinstance(inner, (Seg, Utterance)):

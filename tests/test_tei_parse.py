@@ -61,24 +61,33 @@ def test_free_standing_vocal_is_an_annotated_event():
     assert second.qualifiers[0].feature == "laugh" and second.range is None
 
 
+def _between(data: bytes, start: bytes, end: bytes) -> bytes:
+    """The bytes of ``data`` from the first ``start`` to the first ``end`` after it, inclusive."""
+    first = data.index(start)
+    return data[first : data.index(end, first) + len(end)]
+
+
 def test_recording_metadata():
-    doc, _ = parse_document(fixture_bytes("recording.xml"))
-    (recording,) = doc.metadata.recordings
-    assert recording.type == "audio"
-    assert recording.equipment == "Two microphones, standard 44.1 KHz sampling frequency"
-    assert recording.date == "12 Jan 2010"
-    assert recording.broadcast is None
+    """The recordingStmt is kept verbatim as a sourceDesc extra and written back as read."""
+    data = fixture_bytes("recording.xml")
+    doc, _ = parse_document(data)
+    ((slot, statement),) = doc.metadata.extras
+    assert (slot, statement.tag) == ("sourceDesc", "recordingStmt")
+    (recording,) = statement.children
+    assert recording.attrib == (("type", "audio"),)
+    assert [child.tag for child in recording.children] == ["equipment", "date"]
+    assert _between(data, b"<recordingStmt>", b"</recordingStmt>") in serialize_document(doc)
 
 
 def test_person_metadata():
-    doc, _ = parse_document(fixture_bytes("person.xml"))
+    """A participant's birth and languages are kept verbatim as its extras."""
+    data = fixture_bytes("person.xml")
+    doc, _ = parse_document(data)
     (person,) = doc.metadata.participants
     assert person.sex == "2"
     assert person.age == "infant"
-    assert person.birth.when == "2010"
-    assert person.birth.place == "Berlin, Germany"
-    (lang,) = person.languages
-    assert (lang.tag, lang.level, lang.label) == ("de", "first", "German")
+    assert [extra.tag for extra in person.extras] == ["birth", "langKnowledge"]
+    assert _between(data, b"<birth", b"</langKnowledge>") in serialize_document(doc)
 
 
 @pytest.mark.parametrize("section", ["fileDesc", "encodingDesc", "profileDesc"])

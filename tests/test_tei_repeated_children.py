@@ -2,10 +2,9 @@
 
 The reader types the first header child of each kind and keeps every later
 one in ``Metadata.extras`` under its parent's slot; the items of a repeated
-list container (``recordingStmt``, ``appInfo``, ``particDesc``,
-``revisionDesc``) are merged into one list. So a TEI round trip keeps every
-element but a repeated list container's tags, and a second pass gives the
-same bytes. A child of the root
+list container (``appInfo``, ``particDesc``) are merged into one list. So a
+TEI round trip keeps every element but a repeated list container's tags, and
+a second pass gives the same bytes. A child of the root
 that the model has no place for is reported as ``DROPPED_ROOT_CHILD``.
 The last tests pin the ids the reader generates and the implicit timeline's id.
 """
@@ -18,7 +17,7 @@ from collections import Counter
 import pytest
 
 from spokenkit.core import EventInterval, Finding, sequence_implicit
-from spokenkit.tei import OpaqueElement, parse_document, resolve_anchors, serialize_document
+from spokenkit.tei import parse_document, resolve_anchors, serialize_document
 from spokenkit.validate import validate_all
 
 TEI = "{http://www.tei-c.org/ns/1.0}"
@@ -91,7 +90,8 @@ def test_a_second_setting_and_language_usage_are_kept():
     data = tei(header=profile)
     assert_every_header_element_kept(data)
     doc, _ = parse_document(data)
-    assert doc.metadata.setting == "Paris"
+    kept = [(slot, extra.tag) for slot, extra in doc.metadata.extras]
+    assert kept == [("profileDesc", "settingDesc"), ("profileDesc", "langUsage")] * 2
 
 
 @pytest.mark.parametrize(
@@ -137,7 +137,6 @@ def test_a_person_in_a_second_particdesc_is_a_speaker():
             "participants",
             [],
         ),
-        ("<revisionDesc/><revisionDesc><change>c</change></revisionDesc>", "revisions", []),
     ],
 )
 def test_the_items_of_a_list_after_an_empty_one_are_typed_and_checked(header, field, codes):
@@ -176,17 +175,20 @@ def test_an_empty_first_section_is_written_before_the_kept_one(header):
     assert validate_all(again).issues == validate_all(doc).issues
 
 
-def test_recordings_of_every_recording_stmt_are_typed_and_other_children_kept():
+def test_every_recording_stmt_is_kept_verbatim():
     source = (
         "<sourceDesc><p>s</p><recordingStmt/>"
         '<recordingStmt><p>note</p><recording type="audio"/></recordingStmt>'
         '<recordingStmt><recording type="video"/></recordingStmt></sourceDesc>'
     )
-    written, warnings = written_twice(tei(TITLE + PUBLICATION + source))
+    data = tei(TITLE + PUBLICATION + source)
+    written, warnings = written_twice(data)
     assert warnings == []
+    assert header_elements(written) == header_elements(data)
     doc, _ = parse_document(written)
-    assert [recording.type for recording in doc.metadata.recordings] == ["audio", "video"]
-    assert doc.metadata.extras == (("recordingStmt", OpaqueElement("p", text="note")),)
+    assert [(slot, extra.tag) for slot, extra in doc.metadata.extras] == [
+        ("sourceDesc", "recordingStmt")
+    ] * 3
 
 
 # ---------------------------------------------------------------- generated ids

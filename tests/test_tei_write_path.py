@@ -132,7 +132,7 @@ ALL_ATTRIBUTES = b"""<TEI xmlns="http://www.tei-c.org/ns/1.0"><teiHeader>
 <vocal end="#T1" start="#T0" type="laugh" who="#B" xml:id="v1"><desc>laugh</desc></vocal>
 <kinesic end="#T1" start="#T0" type="nod" who="#A" xml:id="k1"><desc>nods</desc></kinesic>
 <incident type="door"/><seg subtype="x" type="y" xml:id="s1"><w ana="#f1" xml:id="w1">oui</w>
-<pc xml:id="p1">.</pc></seg><anchor synch="#T1"/></u>
+<pc ana="#f1" xml:id="p1">.</pc></seg><anchor synch="#T1"/></u>
 <incident end="#T1" start="#T0" type="noise" who="#B" xml:id="i1"><desc>bang</desc></incident>
 <kinesic start="#T0" xml:id="k2"/>
 <spanGrp type="words"><span ana="#f1" from="#w1" to="#w1" xml:id="sp1">oui</span>

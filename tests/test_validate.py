@@ -25,6 +25,7 @@ from spokenkit.tei import (
     parse_document,
     resolve_ana,
     resolve_anchors,
+    serialize_document,
 )
 from spokenkit.tei.parser import analysis_targets
 from spokenkit.validate import (
@@ -131,6 +132,15 @@ def test_dangling_ana_reference():
     issues = [i for i in check_refs(doc) if i.code == DANGLING_REF]
     assert len(issues) == 1
     assert "NoSuchTag" in issues[0].message
+
+
+def test_dangling_pc_ana_reference_is_checked_and_written_back():
+    data = fixture_bytes("tagged_sentence.xml").replace(b"<pc>", b'<pc ana="#nope">')
+    doc, _ = parse_document(data)
+    issues = validate_all(doc).issues
+    assert codes(issues) == [DANGLING_REF, UNKNOWN_TAG]
+    assert all("'nope'" in issue.message for issue in issues)
+    assert b'<pc ana="#nope">.</pc>' in serialize_document(doc)
 
 
 def test_dangling_who_reference():

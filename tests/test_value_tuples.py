@@ -26,7 +26,12 @@ CASES = [
         {"text": "x", "id": "w1", "ana": "t"},
         "W(text='x', id='w1', ana='t', extras=())",
     ),
-    (Pc, (".", "p1"), {"text": ".", "id": "p1"}, "Pc(text='.', id='p1', extras=())"),
+    (
+        Pc,
+        (".", "p1", "t"),
+        {"text": ".", "id": "p1", "ana": "t"},
+        "Pc(text='.', id='p1', ana='t', extras=())",
+    ),
     (
         Seg,
         ("t", None, ("a",), "s1"),
