@@ -2,11 +2,10 @@
 
 Everything the parser understands becomes one of these immutable classes;
 anything else is preserved as an :class:`OpaqueElement` so documents
-round-trip. The header types only what some code besides the writer reads:
-the title, publication and source texts, the applications and the
-participants. Every other header element, a recording, a participant's
-birth or languages, a setting, a language usage or a revision, is kept
-verbatim where it stands.
+round-trip. The header is kept whole, as one :class:`OpaqueElement` tree in
+:class:`Metadata`; the title, publication and source texts, the
+applications and the participants are views computed from it, and
+``Metadata.of`` builds a header from them.
 
 The values the reader builds once per token, seg or anchor (:class:`W`,
 :class:`Pc`, :class:`Seg`, :class:`AnchorRef`) are named tuples, one
@@ -18,10 +17,11 @@ Text inside utterances is kept verbatim, whitespace included, as plain ``str``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import ClassVar, NamedTuple, Union
 
 from spokenkit.core.model import value_eq, value_ne
-from spokenkit.featstruct import Feature, FeatureStructure, TagDecl
+from spokenkit.featstruct import Feature, FeatureStructure, TagDecl, strip_ref
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,26 @@ class OpaqueElement:
     text: str | None = None
     children: tuple["OpaqueElement", ...] = ()
     tails: tuple[str | None, ...] = ()  # tail text after each child, within this element
+
+    def get(self, name: str) -> str | None:
+        """The value of attribute ``name``, or None."""
+        for key, value in self.attrib:
+            if key == name:
+                return value
+        return None
+
+    def find(self, path: str) -> OpaqueElement | None:
+        """The element reached by the first child of each name in the
+        '/'-separated ``path``, or None."""
+        el = self
+        for tag in path.split("/"):
+            for child in el.children:
+                if child.tag == tag:
+                    el = child
+                    break
+            else:
+                return None
+        return el
 
 
 class AnchorRef(NamedTuple):
@@ -267,41 +287,136 @@ class AppInfo:
 class Person:
     id: str
     name: str | None = None
-    name_is_abbr: bool = False
     sex: str | None = None
     age: str | None = None
-    extras: tuple[OpaqueElement, ...] = ()  # every child but the first persName, as parsed
 
 
-# The header elements an unknown element may sit in, in the order the writer
-# places their unknown elements. The reader keeps ``Metadata.extras`` in this
-# order, so a parsed header is written and read back unchanged.
-HEADER_SLOTS = (
-    "titleStmt",
-    "publicationStmt",
-    "sourceDesc",
-    "fileDesc",
-    "appInfo",
-    "encodingDesc",
-    "particDesc",
-    "profileDesc",
-    "teiHeader",
-)
+# The header elements whose content is only elements, when reached from
+# ``teiHeader`` through such elements only. The reader drops the white space
+# directly inside them and the writer puts each of their children on a line of
+# its own; every other header element is kept and written as read.
+HEADER_CONTAINERS = frozenset({
+    "teiHeader", "fileDesc", "titleStmt", "publicationStmt", "sourceDesc", "encodingDesc",
+    "appInfo", "application", "profileDesc", "particDesc", "person",
+})
 
 
 @dataclass(frozen=True)
 class Metadata:
-    """Header metadata; the file description fields are mandatory.
+    """The TEI header, kept whole as an element tree.
 
-    Only what spokenkit reads is typed; every other header element is kept
-    verbatim in ``extras``.
+    What spokenkit reads from it are views, computed from the tree when read:
+    the texts of the first ``title`` and ``p`` of the first ``fileDesc``, the
+    applications of every ``appInfo`` in the first ``encodingDesc``, and the
+    participants of every ``particDesc`` in the first ``profileDesc``.
     """
 
-    title: str
-    publication: str
-    source: str
-    applications: tuple[AppInfo, ...] = ()
-    participants: tuple[Person, ...] = ()
-    # Header elements the model does not type as (slot, element) pairs; the
-    # slot, one of HEADER_SLOTS, names their parent element.
-    extras: tuple[tuple[str, OpaqueElement], ...] = ()
+    header: OpaqueElement
+
+    @classmethod
+    def of(
+        cls,
+        title: str,
+        publication: str,
+        source: str,
+        applications: tuple[AppInfo, ...] = (),
+        participants: tuple[Person, ...] = (),
+    ) -> Metadata:
+        """The header with these views, in the form the reader reads from its output."""
+        sections = [_element("fileDesc", (
+            _element("titleStmt", (_element("title", text=title),)),
+            _element("publicationStmt", (_element("p", text=publication),)),
+            _element("sourceDesc", (_element("p", text=source),)),
+        ))]
+        if applications:
+            apps = tuple(map(_application_element, applications))
+            sections.append(_element("encodingDesc", (_element("appInfo", apps),)))
+        if participants:
+            people = tuple(map(_person_element, participants))
+            sections.append(_element("profileDesc", (_element("particDesc", people),)))
+        return cls(_element("teiHeader", tuple(sections)))
+
+    @property
+    def title(self) -> str:
+        return _text(self.header.find("fileDesc/titleStmt/title"))
+
+    @property
+    def publication(self) -> str:
+        return _text(self.header.find("fileDesc/publicationStmt/p"))
+
+    @property
+    def source(self) -> str:
+        return _text(self.header.find("fileDesc/sourceDesc/p"))
+
+    @property
+    def applications(self) -> tuple[AppInfo, ...]:
+        apps = _items(self.header.find("encodingDesc"), "appInfo", "application")
+        return tuple(map(_application, apps))
+
+    @property
+    def participants(self) -> tuple[Person, ...]:
+        people = _items(self.header.find("profileDesc"), "particDesc", "person")
+        return tuple(map(_person, people))
+
+
+def _element(tag: str, children=(), text: str | None = None, attrib=None) -> OpaqueElement:
+    """An element as the reader reads it: attributes sorted, an empty text None."""
+    pairs = tuple(sorted((k, v) for k, v in (attrib or {}).items() if v is not None))
+    return OpaqueElement(tag, pairs, text or None, children, (None,) * len(children))
+
+
+def _application_element(app: AppInfo) -> OpaqueElement:
+    label = () if app.label is None else (_element("label", text=app.label),)
+    ptrs = tuple(_element("ptr", attrib={"target": f"#{target}"}) for target in app.targets)
+    attrib = {"ident": app.ident, "version": app.version}
+    return _element("application", label + ptrs, attrib=attrib)
+
+
+def _person_element(person: Person) -> OpaqueElement:
+    name = () if person.name is None else (_element("persName", text=person.name),)
+    attrib = {"age": person.age, "sex": person.sex, "xml:id": person.id}
+    return _element("person", name, attrib=attrib)
+
+
+def _items(section: OpaqueElement | None, container: str, tag: str) -> list[OpaqueElement]:
+    """The ``tag`` children of every ``container`` in ``section``."""
+    lists = () if section is None else section.children
+    return [el for lst in lists if lst.tag == container for el in lst.children if el.tag == tag]
+
+
+def _text(el: OpaqueElement | None) -> str:
+    """The text of ``el`` and of its descendants, stripped; '' for no element."""
+    if el is None:
+        return ""
+    if not el.children:
+        return (el.text or "").strip()
+    parts: list[str] = []
+    _collect_text(el, parts)
+    return "".join(parts).strip()
+
+
+def _collect_text(el: OpaqueElement, parts: list[str]) -> None:
+    parts.append(el.text or "")
+    for child, tail in zip_longest(el.children, el.tails):
+        _collect_text(child, parts)
+        parts.append(tail or "")
+
+
+def _application(el: OpaqueElement) -> AppInfo:
+    label = el.find("label")
+    targets = [ptr.get("target") for ptr in el.children if ptr.tag == "ptr"]
+    return AppInfo(
+        el.get("ident") or "",
+        el.get("version") or "",
+        None if label is None else _text(label),
+        tuple(strip_ref(target) for target in targets if target),
+    )
+
+
+def _person(el: OpaqueElement) -> Person:
+    """A participant, named by the text of the ``abbr`` of its first
+    ``persName`` when that has one, else of the ``persName``."""
+    name = el.find("persName")
+    if name is not None:
+        name = _text(name.find("abbr") or name)
+    return Person(strip_ref(el.get("xml:id") or ""), name, el.get("sex"), el.get("age"))

@@ -2,9 +2,10 @@
 
 Parsing maps markup onto the generic annotation model: utterances and
 free-standing events become annotations, timelines and anchors become
-reference points, feature libraries become tagset declarations. Unknown
-elements in the header and the text are preserved opaquely so that
-serialisation round-trips; a child of the root the model has no place for
+reference points, feature libraries become tagset declarations. The header
+is kept as one element tree, without the layout white space of its
+containers; unknown elements in the text are preserved opaquely, so that
+serialisation round-trips. A child of the root the model has no place for
 is reported. Parsing is deliberately forgiving: defective but well-formed
 input loads, and the defects surface through the validator.
 """
@@ -51,9 +52,8 @@ from spokenkit.featstruct import (
 )
 from spokenkit.tei.model import (
     EVENT_CLASSES,
-    HEADER_SLOTS,
+    HEADER_CONTAINERS,
     AnchorRef,
-    AppInfo,
     FeatureLib,
     InflectedForm,
     InlineStructure,
@@ -61,7 +61,6 @@ from spokenkit.tei.model import (
     Metadata,
     OpaqueElement,
     Pc,
-    Person,
     Seg,
     Span,
     SpanGroup,
@@ -93,12 +92,9 @@ class TeiParseError(SpokenkitError, ValueError):
 # the TEI namespace, resolve to the local name by one dictionary lookup, which
 # the reader's loops make inline; ``_local`` also names tags outside it.
 _VOCABULARY = (
-    "TEI", "teiHeader", "fileDesc", "titleStmt", "title", "publicationStmt", "p",
-    "sourceDesc", "encodingDesc", "appInfo", "application", "label", "ptr",
-    "profileDesc", "particDesc", "person", "persName", "abbr", "text", "timeline",
-    "when", "body", "back", "u", "anchor", "vocal", "desc", "kinesic", "incident",
-    "seg", "w", "pc", "spanGrp", "span", "fLib", "fvLib", "fs", "f", "binary",
-    "symbol", "numeric", "string", "entry", "form", "orth", "gramGrp",
+    "TEI", "text", "timeline", "when", "body", "back", "u", "anchor", "vocal", "desc",
+    "kinesic", "incident", "seg", "w", "pc", "spanGrp", "span", "fLib", "fvLib", "fs", "f",
+    "binary", "symbol", "numeric", "string", "entry", "form", "orth", "gramGrp",
 )
 _TEI_PREFIX = f"{{{TEI_NS}}}"
 _LOCAL_NAMES = {name: name for name in _VOCABULARY}
@@ -128,11 +124,23 @@ def _attr_name(name: str) -> str:
     return name
 
 
-def _opaque(el: ET.Element) -> OpaqueElement:
+def _opaque(el: ET.Element, containers: frozenset[str] = frozenset()) -> OpaqueElement:
+    """``el`` as parsed. In an element named in ``containers``, reached
+    through such elements only, text and tails of white space alone are
+    layout, and dropped."""
+    local = _local(el.tag)
     attrib = tuple(sorted((_attr_name(k), v) for k, v in el.attrib.items()))
+    if local in containers:
+        children = tuple(_opaque(child, containers) for child in el)
+        tails = tuple(map(_unless_layout, (child.tail for child in el)))
+        return OpaqueElement(local, attrib, _unless_layout(el.text), children, tails)
     children = tuple(_opaque(child) for child in el)
     tails = tuple(child.tail for child in el)
-    return OpaqueElement(_local(el.tag), attrib, el.text, children, tails)
+    return OpaqueElement(local, attrib, el.text, children, tails)
+
+
+def _unless_layout(text: str | None) -> str | None:
+    return text if text and text.strip(" \t\n\r") else None
 
 
 def _text_of(el: ET.Element | None) -> str | None:
@@ -224,15 +232,14 @@ def parse_document(data: bytes | str) -> tuple[Document, list[Finding]]:
     # The model holds one header and one text; any other child of the root is reported.
     header_el = text_el = None
     for child in root:
-        local = local_names.get(child.tag)
+        local = _local(child.tag)
         if local == "teiHeader" and header_el is None:
             header_el = child
         elif local == "text" and text_el is None:
             text_el = child
         else:
-            name = _local(child.tag)
-            message = f"TEI child {name!r} has no place in the model; dropped"
-            ctx.warn("DROPPED_ROOT_CHILD", name, message)
+            message = f"TEI child {local!r} has no place in the model; dropped"
+            ctx.warn("DROPPED_ROOT_CHILD", local, message)
     if header_el is None:
         raise TeiParseError("document has no teiHeader")
     timelines: list[Timeline] = []
@@ -299,118 +306,34 @@ def _children(el: ET.Element, name: str) -> list[ET.Element]:
 
 # ---------------------------------------------------------------- header
 
-# The header children the model types, by the slot of their parent, which is
-# also the parent's name: only those some code besides the writer reads. The
-# reader types the first child of each kind; every later one, and every child
-# of another kind, such as a recordingStmt, settingDesc, langUsage or
-# revisionDesc, goes to ``Metadata.extras`` under that slot, verbatim.
-_TYPED_CHILDREN = {
-    "teiHeader": ("fileDesc", "encodingDesc", "profileDesc"),
-    "fileDesc": ("titleStmt", "publicationStmt", "sourceDesc"),
-    "titleStmt": ("title",),
-    "publicationStmt": ("p",),
-    "sourceDesc": ("p",),
-    "encodingDesc": (),
-    "profileDesc": (),
-}
-
-# The header lists, by their container and the container's parent slot. The
-# items of every instance of a container are typed, in document order, so a
-# repeated container is merged into one.
-_LISTS = {
-    ("encodingDesc", "appInfo"): "application",
-    ("profileDesc", "particDesc"): "person",
-}
-
-
 def _parse_header(header_el: ET.Element, ctx: _ParseContext) -> Metadata:
-    extras: list[tuple[str, OpaqueElement]] = []
-    items: dict[str, list[ET.Element]] = {kind: [] for kind in _LISTS.values()}
+    # A participant without an id gets a generated one. The tree keeps it, so it is written.
+    profile = next((el for el in header_el if _local(el.tag) == "profileDesc"), None)
+    for partic in () if profile is None else profile:
+        if _local(partic.tag) != "particDesc":
+            continue
+        for person in partic:
+            if _local(person.tag) == "person" and person.get(XML_ID) is None:
+                person.set(XML_ID, ctx.element_id(person, "person")[0])
+    metadata = Metadata(_opaque(header_el, HEADER_CONTAINERS))
 
-    def typed(el: ET.Element | None, slot: str) -> dict[str, ET.Element]:
-        """The first child of ``el`` of each kind typed in ``slot``, by kind.
-        The items of a list container go to ``items``, every other child to
-        ``extras``."""
-        kinds = _TYPED_CHILDREN[slot]
-        found: dict[str, ET.Element] = {}
-        for child in () if el is None else el:
-            local = _LOCAL_NAMES.get(child.tag)
-            kind = _LISTS.get((slot, local))
-            if kind is not None:
-                for item in child:
-                    if _LOCAL_NAMES.get(item.tag) == kind:
-                        items[kind].append(item)
-                    else:
-                        extras.append((local, _opaque(item)))
-            elif local in kinds and local not in found:
-                found[local] = child
-            else:
-                extras.append((slot, _opaque(child)))
-        return found
-
-    sections = typed(header_el, "teiHeader")
-    file_desc = sections.get("fileDesc")
-    if file_desc is None:
+    if metadata.header.find("fileDesc") is None:
         raise TeiParseError("teiHeader has no fileDesc")
-    statements = typed(file_desc, "fileDesc")
-    title = _text_of(typed(statements.get("titleStmt"), "titleStmt").get("title"))
-    publication = _text_of(typed(statements.get("publicationStmt"), "publicationStmt").get("p"))
-    source = _text_of(typed(statements.get("sourceDesc"), "sourceDesc").get("p"))
-
-    if not title:
+    if not metadata.title:
         ctx.warn("NO_TITLE", "fileDesc", "fileDesc has no title")
-    if not publication:
+    if not metadata.publication:
         ctx.warn("NO_PUBLICATION", "fileDesc", "fileDesc has no publication statement text")
-    if not source:
+    if not metadata.source:
         ctx.warn("NO_SOURCE_DESC", "fileDesc", "fileDesc has no source description text")
-
-    typed(sections.get("encodingDesc"), "encodingDesc")
-    typed(sections.get("profileDesc"), "profileDesc")
-    for slot, extra in extras:
-        if slot == "teiHeader" and extra.tag in sections:
-            message = f"teiHeader has more than one {extra.tag}; keeping the first"
-            ctx.warn("DUP_HEADER_SECTION", extra.tag, message)
-    # The writer groups unknown elements by slot; keep them in its order.
-    extras.sort(key=lambda extra: HEADER_SLOTS.index(extra[0]))
-
-    return Metadata(
-        title=title or "",
-        publication=publication or "",
-        source=source or "",
-        applications=tuple(map(_parse_application, items["application"])),
-        participants=tuple(_parse_person(person, ctx) for person in items["person"]),
-        extras=tuple(extras),
-    )
-
-
-def _parse_application(app_el: ET.Element) -> AppInfo:
-    label = _text_of(_child(app_el, "label"))
-    targets = tuple(
-        _norm_ref(ptr.get("target")) or "" for ptr in _children(app_el, "ptr") if ptr.get("target")
-    )
-    return AppInfo(app_el.get("ident", ""), app_el.get("version", ""), label, targets)
-
-
-def _parse_person(person_el: ET.Element, ctx: _ParseContext) -> Person:
-    name = None
-    name_is_abbr = False
-    extras: list[OpaqueElement] = []
-    for child in person_el:
-        if name is None and _LOCAL_NAMES.get(child.tag) == "persName":
-            abbr = _child(child, "abbr")
-            name_is_abbr = abbr is not None
-            name = _text_of(abbr if name_is_abbr else child)
-        else:
-            extras.append(_opaque(child))
-    person_id, _ = ctx.element_id(person_el, "person")
-    return Person(
-        id=person_id,
-        name=name,
-        name_is_abbr=name_is_abbr,
-        sex=person_el.get("sex"),
-        age=person_el.get("age"),
-        extras=tuple(extras),
-    )
+    # The views read the first of each section; a later one is kept, and reported.
+    seen: set[str] = set()
+    for section in metadata.header.children:
+        if section.tag in ("fileDesc", "encodingDesc", "profileDesc"):
+            if section.tag in seen:
+                message = f"teiHeader has more than one {section.tag}; keeping the first"
+                ctx.warn("DUP_HEADER_SECTION", section.tag, message)
+            seen.add(section.tag)
+    return metadata
 
 
 # ---------------------------------------------------------------- text

@@ -6,7 +6,9 @@ alphabetical attribute order, references written with a leading '#'. '&',
 written as a character reference everywhere, and tab and LF in attribute
 values. Characters XML 1.0 cannot carry at all are refused with
 ``TeiSerializeError``. Mixed content inside utterances is emitted verbatim,
-so parsing the output reproduces the document structurally.
+so parsing the output reproduces the document structurally. The header is
+written as read, each element on one line, except that its containers put
+each child on a line of its own.
 """
 
 from __future__ import annotations
@@ -28,18 +30,15 @@ from spokenkit.featstruct import (
 )
 from spokenkit.tei.model import (
     EVENT_CLASSES,
-    HEADER_SLOTS,
+    HEADER_CONTAINERS,
     AnchorRef,
-    AppInfo,
     FeatureLib,
     InflectedForm,
     InlineStructure,
     Kinesic,
     LexicalEntry,
-    Metadata,
     OpaqueElement,
     Pc,
-    Person,
     Seg,
     Span,
     SpanGroup,
@@ -148,7 +147,7 @@ def serialize_document(doc: Document, materialize_timeline: bool = False) -> byt
     w.line(0, '<?xml version="1.0" encoding="UTF-8"?>')
     w.line(0, f'<TEI xmlns="{TEI_NS}">')
     try:
-        _write_header(w, 1, doc.metadata)
+        _write_header(w, 1, doc.metadata.header)
         w.line(1, "<text>")
         for timeline in doc.timelines:
             _write_timeline(w, 2, timeline, materialize_timeline)
@@ -173,62 +172,16 @@ def serialize_document(doc: Document, materialize_timeline: bool = False) -> byt
 
 # ---------------------------------------------------------------- header
 
-def _write_header(w: _Writer, depth: int, md: Metadata) -> None:
-    extras: dict[str, list[OpaqueElement]] = {slot: [] for slot in HEADER_SLOTS}
-    for slot, element in md.extras:
-        if slot not in extras:
-            raise TeiSerializeError(f"unknown header element slot {slot!r}")
-        extras[slot].append(element)
-    w.line(depth, "<teiHeader>")
-    w.line(depth + 1, "<fileDesc>")
-    w.line(depth + 2, "<titleStmt>")
-    w.line(depth + 3, _leaf("title", {}, md.title))
-    _write_extras(w, depth + 3, extras["titleStmt"])
-    w.line(depth + 2, "</titleStmt>")
-    w.line(depth + 2, "<publicationStmt>")
-    w.line(depth + 3, _leaf("p", {}, md.publication))
-    _write_extras(w, depth + 3, extras["publicationStmt"])
-    w.line(depth + 2, "</publicationStmt>")
-    w.line(depth + 2, "<sourceDesc>")
-    w.line(depth + 3, _leaf("p", {}, md.source))
-    _write_extras(w, depth + 3, extras["sourceDesc"])
-    w.line(depth + 2, "</sourceDesc>")
-    _write_extras(w, depth + 2, extras["fileDesc"])
-    w.line(depth + 1, "</fileDesc>")
-
-    # A section is written, even empty, when a later one of its kind is kept,
-    # so that the kept one is read back as kept, not typed.
-    kept = {element.tag for element in extras["teiHeader"]}
-    if md.applications or extras["appInfo"] or extras["encodingDesc"] or "encodingDesc" in kept:
-        w.line(depth + 1, "<encodingDesc>")
-        if md.applications or extras["appInfo"]:
-            w.line(depth + 2, "<appInfo>")
-            for app in md.applications:
-                _write_application(w, depth + 3, app)
-            _write_extras(w, depth + 3, extras["appInfo"])
-            w.line(depth + 2, "</appInfo>")
-        _write_extras(w, depth + 2, extras["encodingDesc"])
-        w.line(depth + 1, "</encodingDesc>")
-
-    partic = md.participants or extras["particDesc"]
-    if partic or extras["profileDesc"] or "profileDesc" in kept:
-        w.line(depth + 1, "<profileDesc>")
-        if partic:
-            w.line(depth + 2, "<particDesc>")
-            for person in md.participants:
-                _write_person(w, depth + 3, person)
-            _write_extras(w, depth + 3, extras["particDesc"])
-            w.line(depth + 2, "</particDesc>")
-        _write_extras(w, depth + 2, extras["profileDesc"])
-        w.line(depth + 1, "</profileDesc>")
-
-    _write_extras(w, depth + 1, extras["teiHeader"])
-    w.line(depth, "</teiHeader>")
-
-
-def _write_extras(w: _Writer, depth: int, elements: list[OpaqueElement]) -> None:
-    for element in elements:
-        w.line(depth, _render_opaque(element))
+def _write_header(w: _Writer, depth: int, el: OpaqueElement) -> None:
+    """A header container with each child on a line of its own; any other
+    element, and a container that holds text, as read."""
+    if el.tag in HEADER_CONTAINERS and el.children and el.text is None and not any(el.tails):
+        w.line(depth, _start_tag(el, False)[1] + ">")
+        for child in el.children:
+            _write_header(w, depth + 1, child)
+        w.line(depth, f"</{el.tag}>")
+    else:
+        w.line(depth, _render_opaque(el))
 
 
 def _leaf(tag: str, attrs: dict[str, str | None], text: str) -> str:
@@ -236,31 +189,6 @@ def _leaf(tag: str, attrs: dict[str, str | None], text: str) -> str:
     if text:
         return f"<{tag}{rendered}>{_esc_text(text)}</{tag}>"
     return f"<{tag}{rendered}/>"
-
-
-def _write_application(w: _Writer, depth: int, app: AppInfo) -> None:
-    attrs = {"ident": app.ident, "version": app.version}
-    if app.label is None and not app.targets:
-        w.line(depth, f"<application{_attrs(attrs)}/>")
-        return
-    w.line(depth, f"<application{_attrs(attrs)}>")
-    if app.label is not None:
-        w.line(depth + 1, _leaf("label", {}, app.label))
-    for target in app.targets:
-        w.line(depth + 1, f"<ptr{_attrs({'target': _ref(target)})}/>")
-    w.line(depth, "</application>")
-
-
-def _write_person(w: _Writer, depth: int, person: Person) -> None:
-    attrs = {"age": person.age, "sex": person.sex, "xml:id": person.id}
-    w.line(depth, f"<person{_attrs(attrs)}>")
-    if person.name is not None:
-        if person.name_is_abbr:
-            w.line(depth + 1, f"<persName><abbr>{_esc_text(person.name)}</abbr></persName>")
-        else:
-            w.line(depth + 1, _leaf("persName", {}, person.name))
-    _write_extras(w, depth + 1, person.extras)
-    w.line(depth, "</person>")
 
 
 # ---------------------------------------------------------------- timeline and body
@@ -559,22 +487,44 @@ def _write_form(w: _Writer, depth: int, form: InflectedForm) -> None:
 
 # ---------------------------------------------------------------- opaque
 
-def _render_opaque(el: OpaqueElement) -> str:
+def _start_tag(el: OpaqueElement, in_foreign: bool) -> tuple[str, str]:
+    """The name of ``el`` as written, and its start tag without the closing '>'.
+
+    An element in another namespace declares it as its default, and a TEI
+    element in such an element declares TEI's again (``in_foreign``). An
+    attribute in another namespace is written with a prefix declared on
+    its element.
+    """
     if el.tag.startswith("{"):
-        ns, local = el.tag[1:].split("}", 1)
-        open_tag = f'<{local} xmlns="{_esc_attr(ns)}"'
-        close_name = local
+        ns, name = el.tag[1:].split("}", 1)
+        tag = f'<{name} xmlns="{_esc_attr(ns)}"'
     else:
-        open_tag = f"<{el.tag}"
-        close_name = el.tag
-    for name, value in sorted(el.attrib):
-        open_tag += f' {name}="{_esc_attr(value)}"'
+        name = el.tag
+        tag = f'<{name} xmlns="{TEI_NS}"' if in_foreign else f"<{name}"
+    prefixes: dict[str, str] = {}
+    attrs = ""
+    for key, value in sorted(el.attrib):
+        if key.startswith("{"):
+            ns, local = key[1:].split("}", 1)
+            prefix = prefixes.get(ns)
+            if prefix is None:
+                prefix = prefixes[ns] = f"ns{len(prefixes)}"
+                tag += f' xmlns:{prefix}="{_esc_attr(ns)}"'
+            key = f"{prefix}:{local}"
+        attrs += f' {key}="{_esc_attr(value)}"'
+    return name, tag + attrs
+
+
+def _render_opaque(el: OpaqueElement, in_foreign: bool = False) -> str:
+    """``el`` as read, on one line; ``in_foreign`` as for ``_start_tag``."""
+    name, open_tag = _start_tag(el, in_foreign)
+    foreign = el.tag.startswith("{")
     inner = _esc_text(el.text) if el.text else ""
     tails = el.tails or (None,) * len(el.children)
     for child, tail in zip(el.children, tails):
-        inner += _render_opaque(child)
+        inner += _render_opaque(child, foreign)
         if tail:
             inner += _esc_text(tail)
     if inner:
-        return f"{open_tag}>{inner}</{close_name}>"
+        return f"{open_tag}>{inner}</{name}>"
     return f"{open_tag}/>"

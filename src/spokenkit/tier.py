@@ -436,7 +436,7 @@ def to_core(td: TierDocument, category_map: Mapping[str, str] | None = None) -> 
                     who=tier.speaker,
                 )
             )
-    metadata = Metadata(
+    metadata = Metadata.of(
         title="Tier interchange document",
         publication="Unpublished",
         source="Converted from the tier interchange format",

@@ -23,6 +23,13 @@ def parse_fixture(name: str):
     return doc
 
 
+def header_tags(doc, path: str | None = None) -> list[str]:
+    """The names of the children of the header, or of the header element
+    that ``OpaqueElement.find`` reaches by ``path``."""
+    el = doc.metadata.header
+    return [child.tag for child in (el if path is None else el.find(path)).children]
+
+
 def cyclic_garbage(call) -> int:
     """How many objects ``call()`` leaves for the cyclic collector, its result dropped.
 

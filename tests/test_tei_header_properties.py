@@ -1,15 +1,18 @@
-"""Generated headers with unknown elements in every slot, in any order: a
-parsed document equals itself after a TEI round trip, and a second write
+"""Generated headers with unknown elements in every container, in any order:
+a parsed document equals itself after a TEI round trip, and a second write
 gives the same bytes. Generated recordings, settings, revisions and
 participant details, nested with attributes and inline markup, keep every
-element, attribute and text."""
+element, attribute and text; so do the titles, paragraphs, applications,
+persons and person names the views read, with attributes, inline markup and
+text inside their containers."""
 
 from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spokenkit.tei import parse_document, serialize_document
+from spokenkit.core import Document
+from spokenkit.tei import AppInfo, Metadata, Person, parse_document, serialize_document
 from tests.test_tei_header_kept import elements
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
@@ -127,3 +130,91 @@ def test_untyped_header_elements_keep_their_elements_attributes_and_texts(header
     written = serialize_document(doc)
     assert elements(written) == elements(text)
     assert serialize_document(parse_document(written)[0]) == written
+
+
+# Attributes of the elements the views read: global ones (att.global) and a type.
+TYPED_ATTRIBUTES = ("n", "rend", "type", "xml:lang")
+# Text between a container's children: layout, or text the container holds.
+GAPS = ("", "\n  ", "note", " x ")
+
+
+@st.composite
+def attributes(draw) -> str:
+    return "".join(
+        f' {attr}="{_esc(draw(TEXT))}"' for attr in TYPED_ATTRIBUTES if draw(st.booleans())
+    )
+
+
+@st.composite
+def inline(draw, depth: int = 0) -> str:
+    """Text with inline elements, nested, holding attributes of their own."""
+    content = _esc(draw(TEXT))
+    if depth < 2:
+        for _ in range(draw(st.integers(0, 2))):
+            name = draw(st.sampled_from(("hi", "foreign", "abbr", "forename")))
+            content += f"<{name}{draw(attributes())}>{draw(inline(depth + 1))}</{name}>"
+            content += _esc(draw(TEXT))
+    return content
+
+
+@st.composite
+def container(draw, name: str, children: list[str], attrs: str = "") -> str:
+    """``<name>`` holding ``children``, with layout or text around each."""
+    content = draw(st.sampled_from(GAPS))
+    for child in children:
+        content += child + draw(st.sampled_from(GAPS))
+    return f"<{name}{attrs}>{content}</{name}>"
+
+
+@st.composite
+def typed_headers(draw) -> str:
+    def leaf(name: str) -> str:
+        return f"<{name}{draw(attributes())}>{draw(inline())}</{name}>"
+
+    statements = [
+        draw(container("titleStmt", [leaf("title")])),
+        draw(container("publicationStmt", [leaf("p")])),
+        draw(container("sourceDesc", [leaf("p")])),
+    ]
+    ident = ' ident="a"' if draw(st.booleans()) else ""
+    app_children = [leaf("label")] if draw(st.booleans()) else []
+    app = draw(container("application", app_children, f'{ident} version="1"{draw(attributes())}'))
+    person = draw(container("person", [leaf("persName")], f' xml:id="S1"{draw(attributes())}'))
+    sections = [
+        draw(container("fileDesc", statements)),
+        draw(container("encodingDesc", [draw(container("appInfo", [app]))])),
+        draw(container("profileDesc", [draw(container("particDesc", [person]))])),
+    ]
+    return draw(container("teiHeader", sections))
+
+
+@PROPERTY_SETTINGS
+@given(typed_headers())
+def test_the_elements_the_views_read_keep_their_attributes_markup_and_texts(header):
+    text = f'<TEI xmlns="http://www.tei-c.org/ns/1.0">{header}<text><body/></text></TEI>'
+    doc, _ = parse_document(text)
+    written = serialize_document(doc)
+    assert elements(written) == elements(text)
+    again, _ = parse_document(written)
+    assert again == doc
+    assert serialize_document(again) == written
+
+
+OPTIONAL_TEXT = st.none() | TEXT
+APPLICATIONS = st.builds(AppInfo, TEXT, TEXT, OPTIONAL_TEXT, st.lists(TEXT, max_size=2).map(tuple))
+PEOPLE = st.builds(Person, TEXT, OPTIONAL_TEXT, OPTIONAL_TEXT, OPTIONAL_TEXT)
+
+
+@PROPERTY_SETTINGS
+@given(
+    TEXT, TEXT, TEXT,
+    st.lists(APPLICATIONS, max_size=2).map(tuple),
+    st.lists(PEOPLE, max_size=2).map(tuple),
+)
+def test_a_built_header_reads_back_as_built(title, publication, source, applications, people):
+    metadata = Metadata.of(title, publication, source, applications, people)
+    again = parse_document(serialize_document(Document(metadata=metadata)))[0].metadata
+    assert again == metadata
+    assert (again.title, again.publication, again.source) == (
+        title.strip(), publication.strip(), source.strip()
+    )

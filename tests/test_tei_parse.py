@@ -7,7 +7,9 @@ import pytest
 from spokenkit.core import EventInterval, Finding
 from spokenkit.tei import (
     Kinesic,
+    Metadata,
     OpaqueElement,
+    Person,
     TeiParseError,
     Utterance,
     Vocal,
@@ -17,7 +19,7 @@ from spokenkit.tei import (
     serialize_document,
 )
 from spokenkit.tei.model import content_items
-from tests.conftest import fixture_bytes
+from tests.conftest import fixture_bytes, header_tags
 
 DIALOGUE_POINT_IDS = ["T1", "T2", "T3", "T4", "T4bar", "T5", "T6", "T7"]
 
@@ -68,11 +70,11 @@ def _between(data: bytes, start: bytes, end: bytes) -> bytes:
 
 
 def test_recording_metadata():
-    """The recordingStmt is kept verbatim as a sourceDesc extra and written back as read."""
+    """The recordingStmt is kept verbatim in the sourceDesc and written back as read."""
     data = fixture_bytes("recording.xml")
     doc, _ = parse_document(data)
-    ((slot, statement),) = doc.metadata.extras
-    assert (slot, statement.tag) == ("sourceDesc", "recordingStmt")
+    assert header_tags(doc, "fileDesc/sourceDesc") == ["p", "recordingStmt"]
+    statement = doc.metadata.header.find("fileDesc/sourceDesc/recordingStmt")
     (recording,) = statement.children
     assert recording.attrib == (("type", "audio"),)
     assert [child.tag for child in recording.children] == ["equipment", "date"]
@@ -80,20 +82,19 @@ def test_recording_metadata():
 
 
 def test_person_metadata():
-    """A participant's birth and languages are kept verbatim as its extras."""
+    """A participant's birth and languages are kept verbatim in its element."""
     data = fixture_bytes("person.xml")
     doc, _ = parse_document(data)
     (person,) = doc.metadata.participants
-    assert person.sex == "2"
-    assert person.age == "infant"
-    assert [extra.tag for extra in person.extras] == ["birth", "langKnowledge"]
+    assert person == Person("person1", None, "2", "infant")
+    assert header_tags(doc, "profileDesc/particDesc/person") == ["birth", "langKnowledge"]
     assert _between(data, b"<birth", b"</langKnowledge>") in serialize_document(doc)
 
 
 @pytest.mark.parametrize("section", ["fileDesc", "encodingDesc", "profileDesc"])
 def test_repeated_header_section_is_reported_and_the_first_kept(section):
-    """The first section is typed; the second is the last ``teiHeader`` extra,
-    written back after the typed sections."""
+    """The views read the first section; the second is kept where it stands
+    and written back there."""
     one = fixture_bytes("anchored_dialogue.xml").replace(
         b"</teiHeader>", b"<encodingDesc><p>first</p></encodingDesc></teiHeader>"
     )
@@ -104,12 +105,15 @@ def test_repeated_header_section_is_reported_and_the_first_kept(section):
     assert warnings == baseline_warnings + [
         Finding("DUP_HEADER_SECTION", "warning", section, message)
     ]
-    *extras, last = doc.metadata.extras
+    header = doc.metadata.header
     kept = OpaqueElement(section, children=(OpaqueElement("p", text="second"),), tails=(None,))
-    assert last == ("teiHeader", kept)
-    assert replace(doc, metadata=replace(doc.metadata, extras=tuple(extras))) == baseline
+    assert header.children[-1] == kept
+    first = replace(header, children=header.children[:-1], tails=header.tails[:-1])
+    assert replace(doc, metadata=Metadata(first)) == baseline
     written = serialize_document(doc)
-    assert b"\n    %s\n  </teiHeader>" % second.removesuffix(b"</teiHeader>") in written
+    assert b"\n    <%s>\n      <p>second</p>\n    </%s>\n  </teiHeader>" % (
+        section.encode(), section.encode()
+    ) in written
     assert serialize_document(parse_document(written)[0]) == written
 
 

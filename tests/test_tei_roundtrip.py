@@ -13,8 +13,7 @@ from spokenkit.tei import (
     resolve_anchors,
     serialize_document,
 )
-from spokenkit.tei.model import HEADER_SLOTS
-from tests.conftest import fixture_bytes
+from tests.conftest import fixture_bytes, header_tags
 
 FIXTURE_FILES = [
     "anchored_dialogue.xml",
@@ -307,7 +306,7 @@ def _random_document(rng):
                     id_generated=False,
                 )
             )
-    metadata = Metadata(title="Generated", publication="None", source="Synthetic", participants=people)
+    metadata = Metadata.of(title="Generated", publication="None", source="Synthetic", participants=people)
     return Document(
         metadata=metadata,
         sources=(SourceRef("source1"),),
@@ -419,12 +418,9 @@ def test_rich_header_round_trips():
     assert md.applications[0].targets == ("u1",)
     # The recording, setting, language usage and revision are kept verbatim,
     # each where it stood, and written back as read.
-    assert [(slot, extra.tag) for slot, extra in md.extras] == [
-        ("sourceDesc", "recordingStmt"),
-        ("profileDesc", "settingDesc"),
-        ("profileDesc", "langUsage"),
-        ("teiHeader", "revisionDesc"),
-    ]
+    assert header_tags(doc) == ["fileDesc", "encodingDesc", "profileDesc", "revisionDesc"]
+    assert header_tags(doc, "fileDesc/sourceDesc") == ["p", "recordingStmt"]
+    assert header_tags(doc, "profileDesc") == ["particDesc", "settingDesc", "langUsage"]
     assert serialize_document(doc) == RICH_HEADER
     reparsed, _ = parse_document(serialize_document(doc))
     assert reparsed == doc
@@ -481,31 +477,32 @@ HEADER_EXTRAS = """<?xml version="1.0" encoding="UTF-8"?>
     "application", ["", '        <application ident="aligner" version="2.1"/>\n']
 )
 def test_unknown_header_elements_round_trip_in_their_slots(application):
-    # One unknown element in every header slot; an <appInfo> child other than
-    # <application> stays inside <appInfo>, which is written even without
+    # One unknown element in every header container; an <appInfo> child other
+    # than <application> stays inside <appInfo>, which is written even without
     # applications.
     text = HEADER_EXTRAS.format(application=application).encode("utf-8")
     doc, warnings = parse_document(text)
     assert warnings == []
     assert serialize_document(doc) == text
-    assert [slot for slot, _ in doc.metadata.extras] == [
-        "titleStmt",
-        "publicationStmt",
-        "sourceDesc",
-        "fileDesc",
-        "appInfo",
-        "encodingDesc",
-        "particDesc",
-        "profileDesc",
-        "teiHeader",
-        "teiHeader",
+    assert header_tags(doc) == [
+        "fileDesc", "encodingDesc", "profileDesc", "revisionDesc", "xenoData"
     ]
+    assert header_tags(doc, "fileDesc") == [
+        "titleStmt", "publicationStmt", "sourceDesc", "notesStmt"
+    ]
+    assert header_tags(doc, "fileDesc/titleStmt") == ["title", "author"]
+    assert header_tags(doc, "fileDesc/publicationStmt") == ["p", "availability"]
+    assert header_tags(doc, "fileDesc/sourceDesc") == ["p", "bibl"]
+    apps = ["application"] if application else []
+    assert header_tags(doc, "encodingDesc") == ["appInfo", "projectDesc"]
+    assert header_tags(doc, "encodingDesc/appInfo") == apps + ["note"]
+    assert header_tags(doc, "profileDesc") == ["particDesc", "textClass"]
+    assert header_tags(doc, "profileDesc/particDesc") == ["listOrg"]
 
 
 def test_unknown_header_elements_before_known_ones_round_trip():
-    # A fileDesc extra read before a titleStmt extra is written after it; the
-    # reader keeps extras in the writer's slot order, so the parsed document
-    # equals itself after one round trip.
+    # The header is written in the order it was read, so unknown elements
+    # before the known ones stay before them.
     text = (
         '<TEI xmlns="http://www.tei-c.org/ns/1.0"><teiHeader>'
         "<revisionDesc><listChange/></revisionDesc><xenoData>X</xenoData>"
@@ -515,18 +512,13 @@ def test_unknown_header_elements_before_known_ones_round_trip():
         "</fileDesc></teiHeader><text><body/></text></TEI>"
     )
     doc, _ = parse_document(text)
-    assert [slot for slot, _ in doc.metadata.extras] == [
-        "titleStmt", "fileDesc", "teiHeader", "teiHeader"
+    assert header_tags(doc) == ["revisionDesc", "xenoData", "fileDesc"]
+    assert header_tags(doc, "fileDesc") == [
+        "notesStmt", "titleStmt", "publicationStmt", "sourceDesc"
     ]
     written = serialize_document(doc)
+    assert written.index(b"<xenoData>") < written.index(b"<notesStmt>") < written.index(b"<title>")
     again, _ = parse_document(written)
     assert again == doc
     assert serialize_document(again) == written
 
-
-def test_writer_refuses_a_header_extra_in_an_unknown_slot():
-    doc, _ = parse_document(fixture_bytes("pomme.xml"))
-    extra = ("nowhere", OpaqueElement("note", (), "N", (), ()))
-    assert "nowhere" not in HEADER_SLOTS
-    with pytest.raises(TeiSerializeError, match="nowhere"):
-        serialize_document(replace(doc, metadata=replace(doc.metadata, extras=(extra,))))
