@@ -6,6 +6,11 @@ feature-value qualifiers. Documents bundle annotations together with the
 timelines, layers and levels that organise them. Everything here is plain
 data, plus the UTF-8 decoding the line-oriented readers share; parsing and
 serialisation live in the format modules.
+
+The values built once per event or per annotation (:class:`EventInterval`,
+:class:`Qualifier`, :class:`Annotation`) are named tuples, one allocation
+each, with the equality of a frozen dataclass, and are edited with
+``_replace``; the rest, :class:`WordForm` included, are frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from itertools import repeat
-from operator import le
+from operator import le, lt
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Union
 
 if TYPE_CHECKING:
@@ -40,6 +45,8 @@ IMPLICIT_TIMELINE = "~implicit"
 
 ERROR = "error"
 WARNING = "warning"
+
+_INF = float("inf")
 
 
 class SpokenkitError(Exception):
@@ -140,9 +147,11 @@ class Timeline:
                     raise ValueError(f"timeline {self.id!r}: duplicate point id {pid!r}")
                 seen.add(pid)
         # ``filter(None, …)`` drops None and zero; ``0 <= offset`` is false for a
-        # negative offset and a float NaN, and a Decimal NaN raises instead.
+        # negative offset and a float NaN, ``offset < inf`` for an infinite one,
+        # and a Decimal NaN raises instead.
+        given = [*filter(None, offsets)]
         try:
-            suspect = not all(map(le, repeat(0), filter(None, offsets)))
+            suspect = not (all(map(le, repeat(0), given)) and all(map(lt, given, repeat(_INF))))
         except ArithmeticError:
             suspect = True
         if suspect:
@@ -154,6 +163,8 @@ class Timeline:
                     raise ValueError(f"point {pid!r}: offset must be a number, not NaN")
                 if offset < 0:
                     raise ValueError(f"point {pid!r}: offset must be non-negative")
+                if offset == _INF:
+                    raise ValueError(f"point {pid!r}: offset must be finite")
         flags = (("synthetic", self.synthetic), ("anchor-declared", self.anchor_declared))
         for kind, flagged in flags:
             if not by_id.keys() >= flagged:
@@ -231,6 +242,25 @@ def value_ne(self, other):
     return equal if equal is NotImplemented else not equal
 
 
+def eq_but_last(self, other):
+    """:func:`value_eq` with the last field left out, as a dataclass field
+    with ``compare=False`` is."""
+    if other.__class__ is self.__class__:
+        return self[:-1] == other[:-1]
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def ne_but_last(self, other):
+    """``__ne__`` to match :func:`eq_but_last`."""
+    equal = eq_but_last(self, other)
+    return equal if equal is NotImplemented else not equal
+
+
+def hash_but_last(self) -> int:
+    """``__hash__`` to match :func:`eq_but_last`."""
+    return hash(self[:-1])
+
+
 class EventInterval(NamedTuple):
     """Reference to a half-open span [start, end) between two timeline points."""
 
@@ -277,8 +307,7 @@ class CategoryRef:
     pid: str
 
 
-@dataclass(frozen=True)
-class Qualifier:
+class Qualifier(NamedTuple):
     """One elementary feature-value statement.
 
     Feature and value may each be a plain name/literal or a reference into a
@@ -289,6 +318,10 @@ class Qualifier:
     feature: str | CategoryRef
     value: str | bool | Number | CategoryRef
 
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
+
     def feature_key(self) -> str:
         return self.feature.pid if isinstance(self.feature, CategoryRef) else self.feature
 
@@ -298,16 +331,7 @@ class Qualifier:
         return str(self.value)
 
 
-@dataclass(frozen=True, kw_only=True)
-class Annotation:
-    """Source reference + range + qualifiers; the universal unit of annotation.
-
-    ``range`` is None for events whose position is only implicit in document
-    order; ``sequence_implicit`` assigns synthetic intervals to those.
-    Several qualifiers may share one range; each remains individually
-    addressable.
-    """
-
+class _AnnotationFields(NamedTuple):
     id: str
     source: str
     range: Range | None
@@ -315,28 +339,79 @@ class Annotation:
     layer: str
     who: str | None = None
 
-    def __post_init__(self) -> None:
-        if not self.qualifiers:
-            raise ValueError(f"annotation {self.id!r} requires at least one qualifier")
+
+class Annotation(_AnnotationFields):
+    """Source reference + range + qualifiers; the universal unit of annotation.
+
+    ``range`` is None for events whose position is only implicit in document
+    order; ``sequence_implicit`` assigns synthetic intervals to those.
+    Several qualifiers may share one range; each remains individually
+    addressable. Built by keyword only; edited with ``_replace`` or
+    ``with_range``.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        *,
+        id: str,
+        source: str,
+        range: Range | None,
+        qualifiers: tuple[Qualifier, ...],
+        layer: str,
+        who: str | None = None,
+    ) -> Annotation:
+        if not qualifiers:
+            raise ValueError(f"annotation {id!r} requires at least one qualifier")
+        return tuple.__new__(cls, (id, source, range, qualifiers, layer, who))
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
+
+    def __getnewargs_ex__(self) -> tuple[tuple, dict]:
+        # ``copy`` and ``pickle`` call ``__new__``, which takes keywords only.
+        return (), self._asdict()
+
+    def _replace(self, **changes) -> Annotation:
+        edited = super()._replace(**changes)
+        if not edited.qualifiers:
+            raise ValueError(f"annotation {edited.id!r} requires at least one qualifier")
+        return edited
 
     def with_range(self, rng: Range) -> Annotation:
         """This annotation, of the same class and with every other field kept,
-        at range ``rng``: one constructor call, cheaper than
-        ``dataclasses.replace``."""
-        return type(self)(**{**self.__dict__, "range": rng})
+        at range ``rng``."""
+        id, source, _, qualifiers, layer, who = self
+        return tuple.__new__(type(self), (id, source, rng, qualifiers, layer, who))
 
 
 @dataclass(frozen=True, kw_only=True)
-class WordForm(Annotation):
-    """Lexical abstraction over one or more tokens (n-to-n with tokens)."""
+class WordForm:
+    """Lexical abstraction over one or more tokens (n-to-n with tokens).
 
+    It has :class:`Annotation`'s fields first, and its checks.
+    """
+
+    id: str
+    source: str
+    range: ComponentRefs
+    qualifiers: tuple[Qualifier, ...]
+    layer: str
+    who: str | None = None
     lex_ref: str | None = None
     orth: str | None = None
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        if not self.qualifiers:
+            raise ValueError(f"annotation {self.id!r} requires at least one qualifier")
         if not isinstance(self.range, ComponentRefs):
             raise ValueError(f"word form {self.id!r} requires a component range over its tokens")
+
+    def with_range(self, rng: Range) -> WordForm:
+        """This word form at range ``rng``, which must be a component range."""
+        return replace(self, range=rng)
 
     @property
     def tokens(self) -> tuple[str, ...]:

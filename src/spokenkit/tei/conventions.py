@@ -97,7 +97,7 @@ def promote_conventions(
             new_content.append(item)
     if new_content is None:
         return utt, findings
-    return replace(utt, content=tuple(new_content)), findings
+    return utt._replace(content=tuple(new_content)), findings
 
 
 def _apply_rules(text: str, rules: tuple[ConventionRule, ...]) -> list:
@@ -155,5 +155,5 @@ def promote_document(
         ann = annotations[owner]
         if ann.qualifiers and ann.qualifiers[0].feature == "utterance":
             text = body[n].plain_text()
-            annotations[owner] = replace(ann, qualifiers=(Qualifier("utterance", text),))
+            annotations[owner] = ann._replace(qualifiers=(Qualifier("utterance", text),))
     return replace(doc, body=tuple(body), annotations=tuple(annotations)), findings

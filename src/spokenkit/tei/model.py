@@ -7,25 +7,26 @@ round-trip. The header is kept whole, as one :class:`OpaqueElement` tree in
 applications and the participants are views computed from it, and
 ``Metadata.of`` builds a header from them.
 
-The values the reader builds once per token, seg or anchor (:class:`W`,
-:class:`Pc`, :class:`Seg`, :class:`AnchorRef`) are named tuples, one
-allocation each, with the equality of a frozen dataclass; the rest are
-frozen dataclasses.
+The values the reader builds once per token, seg, anchor, event, utterance
+or kept element (:class:`W`, :class:`Pc`, :class:`Seg`, :class:`AnchorRef`,
+:class:`TimedEvent` and its subclasses, :class:`Utterance`,
+:class:`OpaqueElement`) are named tuples, one allocation each, with the
+equality of a frozen dataclass, and are edited with ``_replace``; the rest
+are frozen dataclasses.
 Text inside utterances is kept verbatim, whitespace included, as plain ``str``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import zip_longest
-from typing import ClassVar, NamedTuple, Union
+from typing import NamedTuple, Union
 
-from spokenkit.core.model import value_eq, value_ne
+from spokenkit.core.model import eq_but_last, hash_but_last, ne_but_last, value_eq, value_ne
 from spokenkit.featstruct import Feature, FeatureStructure, TagDecl, strip_ref
 
 
-@dataclass(frozen=True)
-class OpaqueElement:
+class OpaqueElement(NamedTuple):
     """An element outside the understood vocabulary, kept as parsed."""
 
     tag: str
@@ -33,6 +34,10 @@ class OpaqueElement:
     text: str | None = None
     children: tuple["OpaqueElement", ...] = ()
     tails: tuple[str | None, ...] = ()  # tail text after each child, within this element
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
     def get(self, name: str) -> str | None:
         """The value of attribute ``name``, or None."""
@@ -70,11 +75,10 @@ class AnchorRef(NamedTuple):
         return self.declares if self.declares is not None else self.synch
 
 
-@dataclass(frozen=True)
-class TimedEvent:
-    """A timed non-verbal event, inline or free-standing; ``tag`` names its element."""
-
-    tag: ClassVar[str]
+class TimedEvent(NamedTuple):
+    """A timed non-verbal event, inline or free-standing. Each subclass names
+    its element in the class attribute ``tag``; ``id_generated`` takes no
+    part in ``==`` or ``hash``."""
 
     desc: str | None = None
     type: str | None = None
@@ -82,27 +86,31 @@ class TimedEvent:
     start: str | None = None
     end: str | None = None
     id: str | None = None
-    id_generated: bool = field(default=True, compare=False)
+    id_generated: bool = True
+
+    __eq__ = eq_but_last
+    __ne__ = ne_but_last
+    __hash__ = hash_but_last
 
 
-@dataclass(frozen=True)
 class Vocal(TimedEvent):
     """A non-lexical sound such as a laugh or a cough."""
 
+    __slots__ = ()
     tag = "vocal"
 
 
-@dataclass(frozen=True)
 class Kinesic(TimedEvent):
     """A gesture or similar non-verbal event."""
 
+    __slots__ = ()
     tag = "kinesic"
 
 
-@dataclass(frozen=True)
 class Incident(TimedEvent):
     """An incidental event in the situation."""
 
+    __slots__ = ()
     tag = "incident"
 
 
@@ -152,12 +160,17 @@ class Seg(NamedTuple):
 ContentItem = Union[str, AnchorRef, TimedEvent, Seg, W, Pc, OpaqueElement]
 
 
-@dataclass(frozen=True)
-class Utterance:
+class Utterance(NamedTuple):
+    """An utterance; ``id_generated`` takes no part in ``==`` or ``hash``."""
+
     id: str
     who: str | None = None
     content: tuple[ContentItem, ...] = ()
-    id_generated: bool = field(default=True, compare=False)
+    id_generated: bool = True
+
+    __eq__ = eq_but_last
+    __ne__ = ne_but_last
+    __hash__ = hash_but_last
 
     def plain_text(self) -> str:
         return content_text(self.content)

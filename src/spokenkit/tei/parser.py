@@ -366,9 +366,10 @@ def _parse_timeline(tl_el: ET.Element, ctx: _ParseContext) -> Timeline:
                 offset = Decimal(raw_offset)
             except InvalidOperation:
                 pass
-            if offset is None or offset.is_nan():
+            if offset is None or not offset.is_finite():
+                kind = "a non-numeric" if offset is None or offset.is_nan() else "an infinite"
                 offset = None
-                message = f"point {pid!r} has a non-numeric offset {raw_offset!r}"
+                message = f"point {pid!r} has {kind} offset {raw_offset!r}"
                 ctx.warn("BAD_OFFSET", pid, message)
             elif offset < 0:
                 offset = None

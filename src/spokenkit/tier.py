@@ -210,6 +210,9 @@ def parse_tier(data: bytes | str) -> TierDocument:
             _raise_event_defect(tid, tier_events, index, records)
     if not all(map(le, offsets, islice(offsets, 1, None))):
         _raise_offset_inversion(point_ids, point_offsets, records)
+    # Offsets never decrease here, so an infinite one is among them only if the last one is.
+    if offsets and not offsets[-1].is_finite():
+        _raise_infinite_offset(data, point_offsets, records)
 
     tiers = tuple(
         Tier(tid, speaker, category, tuple(events[tid][1])) for tid, speaker, category in tier_decls
@@ -271,6 +274,15 @@ def _raise_offset_inversion(
     for (_, earlier, _), (pid, later, line_no) in zip(given, given[1:]):
         if earlier > later:
             raise TierParseError(line_no, f"offset of {pid!r} contradicts declaration order")
+
+
+def _raise_infinite_offset(data: str, offsets: list[Decimal | None], records: list[tuple]) -> None:
+    """Raise at the declaration of the first point whose offset is infinite."""
+    lines = [n for n, record in enumerate(records, 1) if record is _POINT]
+    for offset, line_no in zip(offsets, lines):
+        if offset is not None and offset.is_infinite():
+            raw_offset = data.splitlines()[line_no - 1].split("\t")[2]
+            raise TierParseError(line_no, f"bad offset {raw_offset!r}")
 
 
 # The tabs the line of each kind of record holds when no field holds one; a

@@ -11,7 +11,7 @@ read back as the same document and write the same bytes again.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -79,7 +79,7 @@ def reference_promote_document(doc, rules):
                     content.extend(p for p in pieces if p)
                 else:
                     content.append(part)
-            item = replace(item, content=tuple(content))
+            item = item._replace(content=tuple(content))
         body.append(item)
     if tuple(body) == doc.body:
         return doc, findings
@@ -93,7 +93,7 @@ def reference_promote_document(doc, rules):
         if ann.qualifiers and ann.qualifiers[0].feature == "utterance":
             text = next(queues.get(ann.id, iter(())), None)
             if text is not None:
-                ann = replace(ann, qualifiers=(Qualifier("utterance", text),))
+                ann = ann._replace(qualifiers=(Qualifier("utterance", text),))
         annotations.append(ann)
     return replace(doc, body=tuple(body), annotations=tuple(annotations)), findings
 
@@ -159,19 +159,16 @@ class _MarkedW(W):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class _Nod(Kinesic):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class _Note(OpaqueElement):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class _Turn(Utterance):
-    pass
+    __slots__ = ()
 
 
 def _with_body(*items):

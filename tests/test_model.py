@@ -220,7 +220,7 @@ def test_with_range_keeps_the_class_and_every_other_field():
         id="u1", source="s", range=None, qualifiers=(Qualifier("utterance", "x"),), layer="l"
     )
     interval = EventInterval("a", "b", "tl")
-    assert ann.with_range(interval) == replace(ann, range=interval)
+    assert ann.with_range(interval) == ann._replace(range=interval)
     word = WordForm(
         id="w1",
         source="s",

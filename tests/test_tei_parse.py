@@ -108,7 +108,7 @@ def test_repeated_header_section_is_reported_and_the_first_kept(section):
     header = doc.metadata.header
     kept = OpaqueElement(section, children=(OpaqueElement("p", text="second"),), tails=(None,))
     assert header.children[-1] == kept
-    first = replace(header, children=header.children[:-1], tails=header.tails[:-1])
+    first = header._replace(children=header.children[:-1], tails=header.tails[:-1])
     assert replace(doc, metadata=Metadata(first)) == baseline
     written = serialize_document(doc)
     assert b"\n    <%s>\n      <p>second</p>\n    </%s>\n  </teiHeader>" % (
@@ -373,6 +373,18 @@ def test_negative_or_nan_timeline_offset_is_reported_and_dropped(offset, message
     doc, warnings = parse_document(data)
     assert warnings == [Finding("BAD_OFFSET", "warning", "T2", message)]
     assert doc.primary_timeline.offsets == (None,) * len(DIALOGUE_POINT_IDS)
+
+
+@pytest.mark.parametrize("offset", ["Infinity", "inf", "-Infinity"])
+def test_an_infinite_timeline_offset_is_reported_and_dropped(offset):
+    data = fixture_bytes("anchored_dialogue.xml").replace(
+        b'<when xml:id="T2"/>', b'<when xml:id="T2" absolute="%s"/>' % offset.encode()
+    )
+    doc, warnings = parse_document(data)
+    message = f"point 'T2' has an infinite offset {offset!r}"
+    assert warnings == [Finding("BAD_OFFSET", "warning", "T2", message)]
+    assert doc.primary_timeline.offsets == (None,) * len(DIALOGUE_POINT_IDS)
+    assert b"absolute" not in serialize_document(doc)
 
 
 def test_element_before_body_is_kept_opaquely():

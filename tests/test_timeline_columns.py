@@ -28,6 +28,7 @@ OFFSETS = st.one_of(
     st.floats(min_value=-2.0, allow_infinity=False),
     st.decimals(min_value=-2, max_value=1000, allow_nan=False, places=3),
     st.sampled_from([float("nan"), Decimal("NaN"), Decimal("sNaN")]),
+    st.sampled_from([float("inf"), Decimal("Infinity"), float("-inf"), Decimal("-Infinity")]),
 )
 
 
@@ -53,6 +54,8 @@ def offset_refusal(pid, offset) -> str | None:
         return f"point {pid!r}: offset must be a number, not NaN"
     if offset < 0:
         return f"point {pid!r}: offset must be non-negative"
+    if offset == float("inf"):
+        return f"point {pid!r}: offset must be finite"
     return None
 
 
@@ -119,6 +122,16 @@ def test_a_nan_offset_is_refused_with_the_point_named(nan, offsets):
         Timeline("tl", "s", ids, offsets)
     with pytest.raises(ValueError, match=message):
         Timeline("tl", "s", (pid,), (nan,))
+
+
+@pytest.mark.parametrize("inf", [float("inf"), Decimal("Infinity")])
+@pytest.mark.parametrize("offsets", [("inf",), (0, "inf"), (None, 2, "inf")])
+def test_an_infinite_offset_is_refused_with_the_point_named(inf, offsets):
+    ids = ("a", "b", "c")[: len(offsets)]
+    pid = ids[offsets.index("inf")]
+    offsets = tuple(inf if o == "inf" else o for o in offsets)
+    with pytest.raises(ValueError, match=f"point {pid!r}: offset must be finite"):
+        Timeline("tl", "s", ids, offsets)
 
 
 @pytest.mark.parametrize(

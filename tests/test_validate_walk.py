@@ -174,10 +174,7 @@ def _counting_content(items, counted: list) -> list:
         if isinstance(item, (Utterance, Seg)):
             content = _CountedContent(_counting_content(item.content, counted))
             counted.append(content)
-            if isinstance(item, Seg):
-                item = item._replace(content=content)
-            else:
-                item = replace(item, content=content)
+            item = item._replace(content=content)
         out.append(item)
     return out
 
