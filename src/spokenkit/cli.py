@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from spokenkit import tier as tier_format
-from spokenkit.core.model import Finding, SpokenkitError, decode_utf8
+from spokenkit.core.model import Document, Finding, SpokenkitError, decode_utf8
 from spokenkit.core.temporal import overlaps_report, sequence_implicit
 from spokenkit.datacat import load_registry
-from spokenkit.featstruct import FeatureStructure, TagsetLibrary, flatten
+from spokenkit.featstruct import FeatureStructure, TagsetLibrary, flatten, strip_ref
 from spokenkit.tei import (
     build_document_library,
     load_convention_rules,
@@ -84,9 +84,27 @@ def _load(kind: str, path: str, load):
         raise CliError(f"bad {kind} {path}: {exc}") from exc
 
 
+def _warn(findings: list[Finding]) -> None:
+    for finding in findings:
+        print(f"warning: {finding}", file=sys.stderr)
+
+
+def _parse(data: bytes) -> Document:
+    """The TEI document in ``data``, once the reader's warnings are printed."""
+    doc, warnings = parse_document(data)
+    _warn(warnings)
+    return doc
+
+
+def _timed(doc: Document) -> Document:
+    """``doc`` resolved, with what did not resolve printed, and sequenced."""
+    doc, findings = resolve_anchors(doc)
+    _warn(findings)
+    return sequence_implicit(doc)
+
+
 def _library(data: bytes) -> TagsetLibrary:
-    doc, _ = parse_document(data)
-    return build_document_library(doc)
+    return build_document_library(_parse(data))
 
 
 def _out(stream, data: bytes | str) -> None:
@@ -98,11 +116,6 @@ def _out(stream, data: bytes | str) -> None:
         return
     stream.flush()
     buffer.write(data if isinstance(data, bytes) else data.encode("utf-8"))
-
-
-def _warn(findings: list[Finding]) -> None:
-    for finding in findings:
-        print(f"warning: {finding}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------- commands
@@ -120,8 +133,7 @@ def cmd_validate(args) -> int:
     multi = len(args.paths) > 1
     for path in args.paths:
         try:
-            doc, _ = parse_document(_read(path))
-            report = validate_all(doc, options)
+            report = validate_all(_parse(_read(path)), options)
         except SpokenkitError as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             failed = True
@@ -146,18 +158,14 @@ def cmd_convert(args) -> int:
     data = _read(args.path)
 
     if args.from_format == "tei":
-        doc, warnings = parse_document(data)
-        _warn(warnings)
+        doc = _parse(data)
         if rules is not None:
             doc, findings = promote_document(doc, rules)
             _warn(findings)
         if args.to_format == "tei":
             output = serialize_document(doc, materialize_timeline=args.materialize_timeline)
         else:
-            doc, findings = resolve_anchors(doc)
-            _warn(findings)
-            doc = sequence_implicit(doc)
-            td, residue = tier_format.from_core(doc)
+            td, residue = tier_format.from_core(_timed(doc))
             for item in residue:
                 print(f"residue: {item.annotation}: {item.reason}", file=sys.stderr)
             output = tier_format.serialize_tier(td).encode("utf-8")
@@ -180,11 +188,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_overlaps(args) -> int:
-    doc, _ = parse_document(_read(args.path))
-    doc, findings = resolve_anchors(doc)
-    _warn(findings)
-    doc = sequence_implicit(doc)
-    report = overlaps_report(doc)
+    report = overlaps_report(_timed(_parse(_read(args.path))))
     text = "".join([f"{a}\t{b}\t{start}\t{end}\n" for a, b, start, end, _ in report.rows])
     _out(sys.stdout, text)
     if report.skipped:
@@ -193,14 +197,13 @@ def cmd_overlaps(args) -> int:
 
 
 def cmd_tag(args) -> int:
-    library = _library(_read(args.lib))
+    library = _load("tagset", args.lib, _library)
     if args.action == "list":
         _out(sys.stdout, "".join(tag_id + "\n" for tag_id in library.tag_ids()))
         return EXIT_OK
     if not args.tag:
         raise CliError("tag expand requires a tag id")
-    ref = args.tag[1:] if args.tag.startswith("#") else args.tag
-    definition = library.tag_lib.get(ref)
+    definition = library.tag_lib.get(strip_ref(args.tag))
     if definition is None:
         raise CliError(f"unknown tag {args.tag!r}")
     # Top-level features in declaration order; a nested value as name/sub=value

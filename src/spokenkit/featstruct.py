@@ -224,11 +224,12 @@ def build_library(
     """Resolve declarations into a library, expanding every tag eagerly.
 
     Raises TagsetError naming the offending id on duplicate identifiers,
-    dangling feature references, or a feature name bound twice in one tag.
+    dangling feature references, or a feature name bound twice in one tag; a
+    feature with a missing or empty identifier is refused too.
     """
     feature_lib: dict[str, Feature] = {}
     for decl in feature_decls:
-        if decl.id is None:
+        if not decl.id:
             raise TagsetError(f"library feature {decl.name!r} has no identifier")
         fid = strip_ref(decl.id)
         if fid in feature_lib:

@@ -498,9 +498,7 @@ def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str]) -> list:
                         token_text += sub.tail
                 extras = tuple(_opaque(sub) for sub in child)
             token_id = child.get(XML_ID)
-            if not token_id:
-                token_id = None
-            elif token_id[0] == "#":
+            if token_id and token_id[0] == "#":
                 token_id = token_id[1:]
             ana = child.get("ana")
             if ana is not None and ana[:1] == "#":
@@ -516,7 +514,7 @@ def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str]) -> list:
                     type=child.get("type"),
                     subtype=child.get("subtype"),
                     content=tuple(_parse_mixed(child, ctx, parts)),
-                    id=strip_ref(seg_id) if seg_id else None,
+                    id=strip_ref(seg_id) if seg_id is not None else None,
                 )
             )
         elif local in EVENT_CLASSES:
@@ -533,14 +531,13 @@ def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str]) -> list:
 def _parse_span_group(el: ET.Element, ctx: _ParseContext) -> SpanGroup:
     spans: list[Span] = []
     for child in _children(el, "span"):
-        span_id = child.get(XML_ID)
         text = _text_of(child)
         spans.append(
             Span(
                 from_=_norm_ref(child.get("from")) or "",
                 to=_norm_ref(child.get("to")) or "",
                 ana=_norm_ref(child.get("ana")),
-                id=strip_ref(span_id) if span_id else None,
+                id=_norm_ref(child.get(XML_ID)),
                 text=text or None,
             )
         )
@@ -583,13 +580,7 @@ def _parse_flib(el: ET.Element, ctx: _ParseContext) -> FeatureLib:
         if fid is not None and fid != strip_ref(fid):
             message = f"feature identifier {fid!r} contains '#'; normalised to {strip_ref(fid)!r}"
             ctx.warn("HASH_IN_FEATURE_ID", fid, message)
-        features.append(
-            Feature(
-                name=name,
-                value=_parse_fsvalue(f_el, ctx),
-                id=strip_ref(fid) if fid else None,
-            )
-        )
+        features.append(Feature(name, _parse_fsvalue(f_el, ctx), _norm_ref(fid)))
     return FeatureLib(tuple(features), el.get("n"))
 
 
@@ -665,10 +656,9 @@ def _parse_entry(el: ET.Element) -> LexicalEntry:
         if gram is not None:
             for feat in gram:
                 grammar.append((_local(feat.tag), _text_of(feat) or ""))
-        form_id = form_el.get(XML_ID)
         forms.append(
             InflectedForm(
-                id=strip_ref(form_id) if form_id else None,
+                id=_norm_ref(form_el.get(XML_ID)),
                 orth=orth,
                 type=form_el.get("type"),
                 grammar=tuple(grammar),
@@ -697,15 +687,17 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
 
     An utterance spans [first anchor, last anchor); free-standing events use
     their start/end references. Dangling point references are findings, and
-    the affected event keeps no interval. Findings are located at the event
-    id, or at ``body`` when the id is empty. Each interval goes to its item's
-    annotation, as ``annotated_items`` pairs them.
+    the affected event keeps no interval. So is an event whose ends lie on two
+    timelines, even two that share an id (``TIMELINE_MISMATCH``): a point
+    belongs to the first timeline that declares it. Findings are located at
+    the event id, or at ``body`` when the id is empty. Each interval goes to
+    its item's annotation, as ``annotated_items`` pairs them.
     """
     findings: list[Finding] = []
-    point_home: dict[str, str] = {}
+    point_home: dict[str, Timeline] = {}  # each point's first declaring timeline
     for tl in doc.timelines:
         for pid in tl.ids:
-            point_home.setdefault(pid, tl.id)
+            point_home.setdefault(pid, tl)
 
     resolved: list[tuple[int, EventInterval]] = []  # (body position, interval)
     for n, item in enumerate(doc.body):
@@ -726,8 +718,8 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
                 else:
                     findings.append(_dangling(item.id, location, pid))
             if first is not None:
-                if point_home[first] == point_home[last]:
-                    interval = EventInterval(first, last, point_home[first])
+                if point_home[first] is point_home[last]:
+                    interval = EventInterval(first, last, point_home[first].id)
                 else:
                     message = f"{item.id!r} anchors span different timelines"
                     findings.append(Finding("TIMELINE_MISMATCH", WARNING, location, message))
@@ -741,13 +733,13 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
                 findings.append(_dangling(item.id, location, end))
                 end = None
             if start is not None and end is not None:
-                if point_home[start] == point_home[end]:
-                    interval = EventInterval(start, end, point_home[start])
+                if point_home[start] is point_home[end]:
+                    interval = EventInterval(start, end, point_home[start].id)
                 else:
                     message = f"{item.id!r} start and end are on different timelines"
                     findings.append(Finding("TIMELINE_MISMATCH", WARNING, location, message))
             elif start is not None:
-                interval = EventInterval(start, start, point_home[start])
+                interval = EventInterval(start, start, point_home[start].id)
         if interval is not None:
             resolved.append((n, interval))
 

@@ -676,6 +676,72 @@ def test_bad_tagset_names_the_file(capsys, tmp_path):
     assert err == f"spokenkit: bad tagset {tagset}: duplicate identifier 'fem'\n"
 
 
+@pytest.mark.parametrize("action", [("list",), ("expand", "Ncms__")])
+def test_bad_tag_library_names_the_file(capsys, tmp_path, action):
+    tagset = tmp_path / "tags.xml"
+    tagset.write_bytes(fixture_bytes("tags.xml").replace(b'xml:id="mas"', b'xml:id="fem"'))
+    code, out, err = run(capsys, "tag", action[0], "--lib", str(tagset), *action[1:])
+    assert (code, out) == (2, "")
+    assert err == f"spokenkit: bad tagset {tagset}: duplicate identifier 'fem'\n"
+
+
+def test_tag_expand_takes_a_reference(capsys):
+    code, out, _ = run(capsys, "tag", "expand", "--lib", fixture_path("tags.xml"), "#Ncfs__")
+    assert code == 0
+    assert out.splitlines()[1] == "grammaticalGender=feminine"
+
+
+# ---------------------------------------------------------------- reader warnings
+
+NAN_WARNING = "warning: point 'T2' has a non-numeric offset 'NaN'\n"
+HASH_WARNING = "warning: feature identifier '#NC' contains '#'; normalised to 'NC'\n"
+
+
+def _nan_dialogue(tmp_path) -> str:
+    path = tmp_path / "nan.xml"
+    path.write_bytes(
+        fixture_bytes("anchored_dialogue.xml").replace(
+            b'<when xml:id="T2"/>', b'<when xml:id="T2" absolute="NaN"/>'
+        )
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("validate",), ("overlaps",), ("convert", "--from", "tei", "--to", "tier")],
+    ids=["validate", "overlaps", "convert"],
+)
+def test_every_command_prints_the_readers_warnings_once(capsys, tmp_path, command):
+    code, _, err = run(capsys, command[0], _nan_dialogue(tmp_path), *command[1:])
+    assert code == 0
+    assert err.count(NAN_WARNING) == 1
+
+
+def test_validate_prints_a_files_warnings_before_its_report(tmp_path):
+    plain, nan = fixture_path("anchored_dialogue.xml"), _nan_dialogue(tmp_path)
+    both = io.StringIO()
+    with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+        code = main(["validate", plain, nan])
+    assert code == 0
+    assert both.getvalue() == (
+        f"== {plain} ==\n0 error(s), 0 warning(s)\n"
+        f"{NAN_WARNING}== {nan} ==\n0 error(s), 0 warning(s)\n"
+    )
+
+
+def test_validate_prints_a_tagsets_warnings_once(capsys):
+    tagset = fixture_path("category_flib.xml")
+    documents = [fixture_path("tagged_neuter.xml"), fixture_path("seg.xml")]
+    _, _, err = run(capsys, "validate", "--tagset", tagset, *documents)
+    assert err == HASH_WARNING
+
+
+def test_tag_prints_the_readers_warnings(capsys):
+    code, _, err = run(capsys, "tag", "list", "--lib", fixture_path("category_flib.xml"))
+    assert (code, err) == (0, HASH_WARNING)
+
+
 def test_registry_with_a_broader_cycle_names_the_file(capsys, tmp_path):
     registry = tmp_path / "cycle.tsv"
     registry.write_text("a\tsimple\ta\tb\t-\nb\tsimple\tb\ta\t-\n", encoding="utf-8")

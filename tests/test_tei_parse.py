@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from spokenkit.core import EventInterval, Finding
+from spokenkit.core import EventInterval, Finding, overlaps_report, sequence_implicit
 from spokenkit.tei import (
     Kinesic,
     Metadata,
@@ -186,6 +186,34 @@ def test_resolve_anchors_locates_findings_of_an_empty_id_at_body():
         Finding("TIMELINE_MISMATCH", "warning", "body", "'' anchors span different timelines"),
         Finding("DANGLING_REF", "warning", "body", "'' references unknown point 'T8'"),
     ]
+
+
+def test_ends_on_two_timelines_that_share_an_id_are_a_mismatch():
+    """A point belongs to the first timeline object that declares it, not to an id."""
+    data = (
+        '<TEI xmlns="http://www.tei-c.org/ns/1.0"><teiHeader><fileDesc><titleStmt><title>t'
+        "</title></titleStmt><publicationStmt><p>p</p></publicationStmt><sourceDesc><p>s</p>"
+        '</sourceDesc></fileDesc></teiHeader><text><timeline unit="s" xml:id="tl">'
+        '<when xml:id="a"/><when xml:id="b"/></timeline><timeline unit="s" xml:id="tl">'
+        '<when xml:id="c"/><when xml:id="d"/></timeline><body>'
+        '<u xml:id="u1"><anchor synch="#a"/>x<anchor synch="#d"/></u>'
+        '<u xml:id="u2"><anchor synch="#c"/>y<anchor synch="#d"/></u>'
+        '<kinesic xml:id="k1" start="#b" end="#c"/><kinesic xml:id="k2" start="#a" end="#b"/>'
+        "</body></text></TEI>"
+    )
+    doc, _ = parse_document(data)
+    doc, findings = resolve_anchors(doc)
+    assert findings == [
+        Finding("TIMELINE_MISMATCH", "warning", "u1", "'u1' anchors span different timelines"),
+        Finding(
+            "TIMELINE_MISMATCH", "warning", "k1", "'k1' start and end are on different timelines"
+        ),
+    ]
+    assert [ann.range for ann in doc.annotations] == [
+        None, EventInterval("c", "d", "tl"), None, EventInterval("a", "b", "tl")
+    ]
+    # Each interval is placed on the timeline that holds it, and the others are sequenced.
+    assert overlaps_report(sequence_implicit(doc)).skipped == 0
 
 
 def test_free_standing_event_with_an_empty_id_gets_its_interval():

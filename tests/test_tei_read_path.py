@@ -6,12 +6,15 @@ references below compute the same results from the parsed content with
 ``content_text`` and ``content_items``, on random documents. Tokens are not
 annotations: the annotations are exactly one per utterance and free-standing
 event, in body order. ``validate_all`` finds the same in a parsed document as
-in its resolved copy, so ``spokenkit validate`` resolves no anchors.
+in its resolved copy, so ``spokenkit validate`` resolves no anchors. A TEI
+→ TEI pass keeps every explicit ``xml:id``, empty ones included.
 """
 
 from __future__ import annotations
 
 import random
+import xml.etree.ElementTree as ET
+from collections import Counter
 
 from spokenkit.core import Annotation, EventInterval, Finding, Qualifier
 from spokenkit.core.model import WARNING
@@ -27,11 +30,13 @@ from spokenkit.tei import (
     W,
     parse_document,
     resolve_anchors,
+    serialize_document,
 )
 from spokenkit.tei.model import content_items, content_text
 from spokenkit.validate import validate_all
 
 TEI_NS = "http://www.tei-c.org/ns/1.0"
+XML_ID = "{http://www.w3.org/XML/1998/namespace}id"
 WORDS = ("oui", "non", "très", "bien", "a&b", "x<y", " ", "")
 TIMELINE_IDS = ("T0", "T1", "T2", "T3", "T4")
 SECOND_TIMELINE_IDS = ("X0", "X1")
@@ -44,10 +49,22 @@ class _Gen:
         self.rand = rand
         self.n = 0
         self.declared: list[str] = []
+        self.words: list[str] = []
 
     def next_id(self, prefix: str) -> str:
         self.n += 1
         return f"{prefix}{self.n}"
+
+    def ident(self, prefix: str, share: float) -> str:
+        """An ``xml:id`` attribute: a new id with probability ``share``, an
+        empty one with 0.1, or else none."""
+        roll = self.rand.random()
+        if roll >= share:
+            return ' xml:id=""' if roll < share + 0.1 else ""
+        ident = self.next_id(prefix)
+        if prefix == "w":
+            self.words.append(ident)
+        return f' xml:id="{ident}"'
 
     def text(self) -> str:
         word = self.rand.choice(WORDS)
@@ -68,9 +85,7 @@ class _Gen:
         return f'<anchor synch="{self.point_ref()}"/>'
 
     def w(self) -> str:
-        attrs = ""
-        if self.rand.random() < 0.7:
-            attrs += f' xml:id="{self.next_id("w")}"'
+        attrs = self.ident("w", 0.7)
         if self.rand.random() < 0.3:
             attrs += ' ana="#tag"'
         if self.rand.random() < 0.1:
@@ -82,7 +97,7 @@ class _Gen:
         return f"<w{attrs}>{inner}</w>"
 
     def pc(self) -> str:
-        attrs = f' xml:id="{self.next_id("p")}"' if self.rand.random() < 0.5 else ""
+        attrs = self.ident("p", 0.5)
         inner = "<c>.</c>." if self.rand.random() < 0.1 else self.rand.choice((".", ",", ""))
         return f"<pc{attrs}>{inner}</pc>"
 
@@ -109,7 +124,7 @@ class _Gen:
             elif kind < 0.55:
                 parts.append(self.pc())
             elif kind < 0.7 and depth < 3:
-                seg_id = f' xml:id="{self.next_id("s")}"' if self.rand.random() < 0.5 else ""
+                seg_id = self.ident("s", 0.5)
                 parts.append(f'<seg type="phrase"{seg_id}>{self.content(depth + 1)}</seg>')
             elif kind < 0.75:
                 parts.append(self.event("vocal", free=False))
@@ -123,13 +138,18 @@ class _Gen:
         return "".join(parts)
 
     def utterance(self) -> str:
-        roll = self.rand.random()
-        attrs = ' who="#S1"'
-        if roll < 0.6:
-            attrs += f' xml:id="{self.next_id("u")}"'
-        elif roll < 0.7:
-            attrs += ' xml:id=""'
-        return f"<u{attrs}>{self.content(0)}</u>"
+        return f'<u who="#S1"{self.ident("u", 0.6)}>{self.content(0)}</u>'
+
+    def span_group(self) -> str:
+        """Mostly nothing; else spans over the words so far, or over a word
+        that is not there."""
+        if self.rand.random() >= 0.3:
+            return ""
+        spans = []
+        for _ in range(self.rand.randint(1, 3)):
+            ends = [self.rand.choice(self.words or ["nowhere"]) for _ in range(2)]
+            spans.append(f'<span{self.ident("sp", 0.5)} from="#{ends[0]}" to="#{ends[1]}"/>')
+        return f'<spanGrp type="phrase">{"".join(spans)}</spanGrp>'
 
     def document(self) -> str:
         timelines = []
@@ -152,6 +172,7 @@ class _Gen:
                 body.append(self.event("incident", free=True))
             else:
                 body.append(self.anchor())
+        body.append(self.span_group())
         ns = f' xmlns="{TEI_NS}"' if self.rand.random() < 0.85 else ""
         return (
             f"<TEI{ns}><teiHeader><fileDesc><titleStmt><title>t</title></titleStmt>"
@@ -191,10 +212,10 @@ def reference_resolution(doc) -> tuple[list[EventInterval | None], list[Finding]
     There is one interval, or None, per utterance and free-standing event, in
     body order.
     """
-    home: dict[str, str] = {}
+    home = {}  # each point's first declaring timeline
     for tl in doc.timelines:
         for pid in tl.ids:
-            home.setdefault(pid, tl.id)
+            home.setdefault(pid, tl)
     intervals: list[EventInterval | None] = []
     findings: list[Finding] = []
 
@@ -213,8 +234,8 @@ def reference_resolution(doc) -> tuple[list[EventInterval | None], list[Finding]
             resolved = [pid for pid in resolved if pid is not None]
             if resolved:
                 first, last = resolved[0], resolved[-1]
-                if home[first] == home[last]:
-                    interval = EventInterval(first, last, home[first])
+                if home[first] is home[last]:
+                    interval = EventInterval(first, last, home[first].id)
                 else:
                     message = f"{item.id!r} anchors span different timelines"
                     findings.append(
@@ -223,15 +244,15 @@ def reference_resolution(doc) -> tuple[list[EventInterval | None], list[Finding]
         elif isinstance(item, TimedEvent):
             start, end = known(item, item.start), known(item, item.end)
             if start is not None and end is not None:
-                if home[start] == home[end]:
-                    interval = EventInterval(start, end, home[start])
+                if home[start] is home[end]:
+                    interval = EventInterval(start, end, home[start].id)
                 else:
                     message = f"{item.id!r} start and end are on different timelines"
                     findings.append(
                         Finding("TIMELINE_MISMATCH", WARNING, item.id or "body", message)
                     )
             elif start is not None:
-                interval = EventInterval(start, start, home[start])
+                interval = EventInterval(start, start, home[start].id)
         else:
             continue
         intervals.append(interval)
@@ -307,3 +328,26 @@ def test_validate_finds_the_same_without_anchor_resolution_on_random_documents()
             for a in resolved.annotations
         )
     assert on_shared_id >= 10
+
+
+def _ids(markup: str | bytes) -> Counter:
+    """The local name and ``xml:id`` of each element that has one."""
+    return Counter(
+        (el.tag.rsplit("}", 1)[-1], el.get(XML_ID))
+        for el in ET.fromstring(markup).iter()
+        if el.get(XML_ID) is not None
+    )
+
+
+def test_tei_to_tei_keeps_every_explicit_id_on_random_documents():
+    """Empty ids included, so the output validates as the input does."""
+    rand = random.Random(20111020)
+    empty: set[str] = set()
+    for _ in range(300):
+        markup = _Gen(rand).document()
+        doc, _ = parse_document(markup)
+        written = serialize_document(doc)
+        assert _ids(written) == _ids(markup)
+        assert validate_all(parse_document(written)[0]) == validate_all(doc)
+        empty |= {tag for tag, ident in _ids(markup) if ident == ""}
+    assert empty == {"u", "w", "pc", "seg", "span"}

@@ -13,6 +13,7 @@ from spokenkit.tei import (
     resolve_anchors,
     serialize_document,
 )
+from spokenkit.validate import validate_all
 from tests.conftest import fixture_bytes, header_tags
 
 FIXTURE_FILES = [
@@ -48,6 +49,21 @@ def test_second_serialization_is_byte_stable():
     once = serialize_document(doc)
     again = serialize_document(parse_document(once)[0])
     assert once == again
+
+
+def test_an_empty_id_in_back_matter_is_written_back():
+    """An empty feature id is kept, and the tagset refuses it as a missing one."""
+    data = fixture_bytes("tags.xml").replace(b'xml:id="plur"', b'xml:id=""')
+    data = data.replace(
+        b"</back>", b'<entry><form type="inflected" xml:id=""><orth>x</orth></form></entry></back>'
+    )
+    doc, _ = parse_document(data)
+    written = serialize_document(doc)
+    assert b'<f name="grammaticalNumber" xml:id="">' in written
+    assert b'<form type="inflected" xml:id="">' in written
+    assert [(i.code, i.message) for i in validate_all(doc).issues if i.severity == "error"] == [
+        ("TAGSET_ERROR", "library feature 'grammaticalNumber' has no identifier")
+    ]
 
 
 def test_ampersand_and_angle_brackets_escaped():

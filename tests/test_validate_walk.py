@@ -60,6 +60,9 @@ class _TaggedGen(_Gen):
     def w(self) -> str:
         return super().w().replace('ana="#tag"', f'ana="{self.rand.choice(ANA_REFS)}"')
 
+    def span_group(self) -> str:
+        return ""  # the span group is planted below
+
     def token_ref(self) -> str:
         return f"#w{self.rand.randint(1, self.n + 1)}"
 
@@ -212,6 +215,7 @@ def test_each_public_check_returns_its_list_in_order_on_a_generated_document():
     doc, _ = parse_document(_TaggedGen(random.Random(1441)).document().encode("utf-8"))
     assert _rows(check_ids(doc)) == [
         ("BAD_ID", "warning", "u", "identifier on 'u' is empty"),
+        ("BAD_ID", "warning", "seg", "identifier on 'seg' is empty"),
         ("DUP_ID", "error", "sp1", "identifier 'sp1' is declared 2 times"),
     ]
     assert _rows(check_refs(doc)) == [
