@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from spokenkit import tier as tier_format
@@ -34,10 +33,18 @@ EXIT_ISSUES = 1
 EXIT_USAGE = 2
 
 
-@dataclass
 class Config:
-    severity_overrides: dict[str, str] = field(default_factory=dict)
-    category_map: dict[str, str] = field(default_factory=dict)
+    """The settings of a ``--config`` file."""
+
+    __slots__ = ("severity_overrides", "category_map")
+
+    def __init__(
+        self,
+        severity_overrides: dict[str, str] | None = None,
+        category_map: dict[str, str] | None = None,
+    ) -> None:
+        self.severity_overrides = {} if severity_overrides is None else severity_overrides
+        self.category_map = {} if category_map is None else category_map
 
 
 class CliError(SpokenkitError):

@@ -7,16 +7,17 @@ timelines, layers and levels that organise them. Everything here is plain
 data, plus the UTF-8 decoding the line-oriented readers share; parsing and
 serialisation live in the format modules.
 
-The values built once per event or per annotation (:class:`EventInterval`,
-:class:`Qualifier`, :class:`Annotation`) are named tuples, one allocation
-each, with the equality of a frozen dataclass, and are edited with
-``_replace``; the rest, :class:`WordForm` included, are frozen dataclasses.
+Every value class here is a named tuple: one allocation per value, equal
+only to a value of its own class with equal fields (:func:`value_eq`), and
+edited with ``_replace``, which keeps the class. A class that checks its
+fields does so in ``__new__`` and again in ``_replace``
+(:func:`checked_replace`). :class:`Document` is a named tuple too, so no
+field of a document can be assigned.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from itertools import repeat
 from operator import le, lt
@@ -75,8 +76,53 @@ def decode_utf8(data: str | bytes, error: Callable[[int, str], Exception]) -> st
         raise error(line_no, f"byte 0x{data[exc.start]:02x} is not valid UTF-8") from None
 
 
-@dataclass(frozen=True)
-class Finding:
+def value_eq(self, other):
+    """``__eq__`` of the named-tuple value classes: a value equals only a
+    value of its own class with equal fields, never a plain tuple or a value
+    of a subclass."""
+    if other.__class__ is self.__class__:
+        return tuple.__eq__(self, other)
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def value_ne(self, other):
+    """``__ne__`` to match :func:`value_eq`."""
+    equal = value_eq(self, other)
+    return equal if equal is NotImplemented else not equal
+
+
+def eq_but_last(self, other):
+    """:func:`value_eq` with the last field left out."""
+    if other.__class__ is self.__class__:
+        return self[:-1] == other[:-1]
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def ne_but_last(self, other):
+    """``__ne__`` to match :func:`eq_but_last`."""
+    equal = eq_but_last(self, other)
+    return equal if equal is NotImplemented else not equal
+
+
+def hash_but_last(self) -> int:
+    """``__hash__`` to match :func:`eq_but_last`."""
+    return hash(self[:-1])
+
+
+def checked_replace(self, **changes):
+    """``_replace`` of a named-tuple class whose ``__new__`` checks its
+    fields. The edit is built by the class's constructor, so the checks run
+    again; a named tuple's own ``_replace`` goes round ``__new__``."""
+    return self.__class__(**{**self._asdict(), **changes})
+
+
+def keyword_newargs(self) -> tuple[tuple, dict]:
+    """``__getnewargs_ex__`` of a named-tuple class built by keyword only:
+    ``copy`` and ``pickle`` call ``__new__`` with the fields by name."""
+    return (), self._asdict()
+
+
+class Finding(NamedTuple):
     """A problem met by a pipeline stage: parser, anchors, spans, conventions
     or validator. ``location`` names the identifier concerned, else the
     element; ``str()`` gives the message alone."""
@@ -86,40 +132,44 @@ class Finding:
     location: str
     message: str
 
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
+
     def __str__(self) -> str:
         return self.message
 
 
-@dataclass(frozen=True)
-class SourceRef:
-    """A source being annotated: primary (e.g. a recording) or derived."""
-
+class _SourceRefFields(NamedTuple):
     id: str
     kind: str = PRIMARY
     uri: str | None = None
     parents: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in (PRIMARY, SECONDARY):
-            raise ValueError(f"source kind must be 'primary' or 'secondary', got {self.kind!r}")
-        if self.kind == SECONDARY and not self.parents:
-            raise ValueError(f"secondary source {self.id!r} requires at least one parent source")
-        if self.kind == PRIMARY and self.parents:
-            raise ValueError(f"primary source {self.id!r} cannot have parent sources")
+
+class SourceRef(_SourceRefFields):
+    """A source being annotated: primary (e.g. a recording) or derived."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, id: str, kind: str = PRIMARY, uri: str | None = None, parents: tuple[str, ...] = ()
+    ) -> SourceRef:
+        if kind not in (PRIMARY, SECONDARY):
+            raise ValueError(f"source kind must be 'primary' or 'secondary', got {kind!r}")
+        if kind == SECONDARY and not parents:
+            raise ValueError(f"secondary source {id!r} requires at least one parent source")
+        if kind == PRIMARY and parents:
+            raise ValueError(f"primary source {id!r} cannot have parent sources")
+        return tuple.__new__(cls, (id, kind, uri, parents))
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
+    _replace = checked_replace
 
 
-@dataclass(frozen=True)
-class Timeline:
-    """Totally ordered reference points, optionally carrying numeric offsets.
-
-    The points are columns: the n-th point has id ``ids[n]`` and offset
-    ``offsets[n]``, and its position ``n`` is its order, read with
-    ``index_of``. An offset, in the timeline unit, is advisory: the validator
-    checks it for consistency and nothing orders by it. ``synthetic`` holds
-    the ids of points made by implicit sequencing, ``anchor_declared`` the
-    ids of points that only an anchor declared.
-    """
-
+class _TimelineFields(NamedTuple):
     id: str
     unit: str = UNIT_SYMBOLIC
     ids: tuple[str, ...] = ()
@@ -127,24 +177,46 @@ class Timeline:
     synthetic: frozenset[str] = frozenset()
     anchor_declared: frozenset[str] = frozenset()
     implicit: bool = False
-    id_declared: bool = field(default=False, compare=False)
-    # Point id -> position in ``ids``, built by ``__post_init__`` (also after ``replace``).
-    _by_id: dict[str, int] = field(init=False, repr=False, compare=False)
+    id_declared: bool = False
 
-    def __post_init__(self) -> None:
-        if self.unit not in TIMELINE_UNITS:
-            raise ValueError(f"timeline {self.id!r}: unit must be one of {TIMELINE_UNITS}")
-        ids, offsets = self.ids, self.offsets
+
+class Timeline(_TimelineFields):
+    """Totally ordered reference points, optionally carrying numeric offsets.
+
+    The points are columns: the n-th point has id ``ids[n]`` and offset
+    ``offsets[n]``, and its position ``n`` is its order, read with
+    ``index_of``. An offset, in the timeline unit, is advisory: the validator
+    checks it for consistency and nothing orders by it. ``synthetic`` holds
+    the ids of points made by implicit sequencing, ``anchor_declared`` the
+    ids of points that only an anchor declared. ``id_declared`` takes no
+    part in ``==`` or ``hash``.
+    """
+
+    # No ``__slots__``: the point index, point id -> position in ``ids``, is
+    # ``_by_id`` in the instance dict, outside the fields and the ``repr``.
+    # ``__new__`` builds it, also on ``_replace``, ``copy`` and ``pickle``.
+
+    def __new__(
+        cls,
+        id: str,
+        unit: str = UNIT_SYMBOLIC,
+        ids: tuple[str, ...] = (),
+        offsets: tuple[Number | None, ...] = (),
+        synthetic: frozenset[str] = frozenset(),
+        anchor_declared: frozenset[str] = frozenset(),
+        implicit: bool = False,
+        id_declared: bool = False,
+    ) -> Timeline:
+        if unit not in TIMELINE_UNITS:
+            raise ValueError(f"timeline {id!r}: unit must be one of {TIMELINE_UNITS}")
         if len(offsets) != len(ids):
-            raise ValueError(
-                f"timeline {self.id!r}: {len(ids)} point ids but {len(offsets)} offsets"
-            )
+            raise ValueError(f"timeline {id!r}: {len(ids)} point ids but {len(offsets)} offsets")
         by_id = dict(zip(ids, range(len(ids))))
         if len(by_id) != len(ids):
             seen: set[str] = set()
             for pid in ids:
                 if pid in seen:
-                    raise ValueError(f"timeline {self.id!r}: duplicate point id {pid!r}")
+                    raise ValueError(f"timeline {id!r}: duplicate point id {pid!r}")
                 seen.add(pid)
         # ``filter(None, …)`` drops None and zero; ``0 <= offset`` is false for a
         # negative offset and a float NaN, ``offset < inf`` for an infinite one,
@@ -165,13 +237,25 @@ class Timeline:
                     raise ValueError(f"point {pid!r}: offset must be non-negative")
                 if offset == _INF:
                     raise ValueError(f"point {pid!r}: offset must be finite")
-        flags = (("synthetic", self.synthetic), ("anchor-declared", self.anchor_declared))
+        flags = (("synthetic", synthetic), ("anchor-declared", anchor_declared))
         for kind, flagged in flags:
             if not by_id.keys() >= flagged:
                 stray = min(flagged - by_id.keys())
                 message = f"{kind} point {stray!r} is not one of its ids"
-                raise ValueError(f"timeline {self.id!r}: {message}")
+                raise ValueError(f"timeline {id!r}: {message}")
+        self = tuple.__new__(
+            cls, (id, unit, ids, offsets, synthetic, anchor_declared, implicit, id_declared)
+        )
         object.__setattr__(self, "_by_id", by_id)
+        return self
+
+    __eq__ = eq_but_last
+    __ne__ = ne_but_last
+    __hash__ = hash_but_last
+    _replace = checked_replace
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a timeline is immutable")
 
     def __contains__(self, point_id: str) -> bool:
         return point_id in self._by_id
@@ -192,8 +276,7 @@ class Timeline:
         """This timeline with ``point_ids`` appended without offsets, flagged
         as synthetic, or else as anchor-declared."""
         added = frozenset(point_ids)
-        return replace(
-            self,
+        return self._replace(
             ids=self.ids + tuple(point_ids),
             offsets=self.offsets + (None,) * len(point_ids),
             synthetic=self.synthetic | added if synthetic else self.synthetic,
@@ -214,51 +297,26 @@ def first_timeline(timelines: Sequence[Timeline]) -> Timeline:
     return Timeline(IMPLICIT_TIMELINE, UNIT_SYMBOLIC, implicit=True)
 
 
-@dataclass(frozen=True)
-class ScaleInterval:
-    """Direct reference to a span on a numeric scale."""
-
+class _ScaleIntervalFields(NamedTuple):
     start: Number
     end: Number
     unit: str = UNIT_S
 
-    def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise ValueError(f"scale interval start {self.start} exceeds end {self.end}")
 
+class ScaleInterval(_ScaleIntervalFields):
+    """Direct reference to a span on a numeric scale."""
 
-def value_eq(self, other):
-    """``__eq__`` of the named-tuple value classes, with the equality of a
-    frozen dataclass: a value equals only a value of its own class with
-    equal fields, never a plain tuple or a value of a subclass."""
-    if other.__class__ is self.__class__:
-        return tuple.__eq__(self, other)
-    return False if isinstance(other, tuple) else NotImplemented
+    __slots__ = ()
 
+    def __new__(cls, start: Number, end: Number, unit: str = UNIT_S) -> ScaleInterval:
+        if start > end:
+            raise ValueError(f"scale interval start {start} exceeds end {end}")
+        return tuple.__new__(cls, (start, end, unit))
 
-def value_ne(self, other):
-    """``__ne__`` to match :func:`value_eq`."""
-    equal = value_eq(self, other)
-    return equal if equal is NotImplemented else not equal
-
-
-def eq_but_last(self, other):
-    """:func:`value_eq` with the last field left out, as a dataclass field
-    with ``compare=False`` is."""
-    if other.__class__ is self.__class__:
-        return self[:-1] == other[:-1]
-    return False if isinstance(other, tuple) else NotImplemented
-
-
-def ne_but_last(self, other):
-    """``__ne__`` to match :func:`eq_but_last`."""
-    equal = eq_but_last(self, other)
-    return equal if equal is NotImplemented else not equal
-
-
-def hash_but_last(self) -> int:
-    """``__hash__`` to match :func:`eq_but_last`."""
-    return hash(self[:-1])
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
+    _replace = checked_replace
 
 
 class EventInterval(NamedTuple):
@@ -273,17 +331,26 @@ class EventInterval(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
-class ComponentRefs:
-    """Stand-off pointers to explicitly identified components of the source."""
-
+class _ComponentRefsFields(NamedTuple):
     targets: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not self.targets:
+
+class ComponentRefs(_ComponentRefsFields):
+    """Stand-off pointers to explicitly identified components of the source."""
+
+    __slots__ = ()
+
+    def __new__(cls, targets: tuple[str, ...]) -> ComponentRefs:
+        if not targets:
             raise ValueError("component range requires at least one target")
-        if len(set(self.targets)) != len(self.targets):
+        if len(set(targets)) != len(targets):
             raise ValueError("component range targets must be distinct")
+        return tuple.__new__(cls, (targets,))
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
+    _replace = checked_replace
 
 
 Range = Union[ScaleInterval, EventInterval, ComponentRefs]
@@ -300,11 +367,14 @@ def mechanism(rng: Range) -> str:
     raise TypeError(f"not a range: {rng!r}")
 
 
-@dataclass(frozen=True)
-class CategoryRef:
+class CategoryRef(NamedTuple):
     """Reference to a registered data category by persistent identifier."""
 
     pid: str
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
 
 class Qualifier(NamedTuple):
@@ -369,16 +439,8 @@ class Annotation(_AnnotationFields):
     __eq__ = value_eq
     __ne__ = value_ne
     __hash__ = tuple.__hash__
-
-    def __getnewargs_ex__(self) -> tuple[tuple, dict]:
-        # ``copy`` and ``pickle`` call ``__new__``, which takes keywords only.
-        return (), self._asdict()
-
-    def _replace(self, **changes) -> Annotation:
-        edited = super()._replace(**changes)
-        if not edited.qualifiers:
-            raise ValueError(f"annotation {edited.id!r} requires at least one qualifier")
-        return edited
+    __getnewargs_ex__ = keyword_newargs
+    _replace = checked_replace
 
     def with_range(self, rng: Range) -> Annotation:
         """This annotation, of the same class and with every other field kept,
@@ -387,13 +449,7 @@ class Annotation(_AnnotationFields):
         return tuple.__new__(type(self), (id, source, rng, qualifiers, layer, who))
 
 
-@dataclass(frozen=True, kw_only=True)
-class WordForm:
-    """Lexical abstraction over one or more tokens (n-to-n with tokens).
-
-    It has :class:`Annotation`'s fields first, and its checks.
-    """
-
+class _WordFormFields(NamedTuple):
     id: str
     source: str
     range: ComponentRefs
@@ -403,15 +459,43 @@ class WordForm:
     lex_ref: str | None = None
     orth: str | None = None
 
-    def __post_init__(self) -> None:
-        if not self.qualifiers:
-            raise ValueError(f"annotation {self.id!r} requires at least one qualifier")
-        if not isinstance(self.range, ComponentRefs):
-            raise ValueError(f"word form {self.id!r} requires a component range over its tokens")
+
+class WordForm(_WordFormFields):
+    """Lexical abstraction over one or more tokens (n-to-n with tokens).
+
+    It has :class:`Annotation`'s fields first, and its checks. Built by
+    keyword only.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        *,
+        id: str,
+        source: str,
+        range: ComponentRefs,
+        qualifiers: tuple[Qualifier, ...],
+        layer: str,
+        who: str | None = None,
+        lex_ref: str | None = None,
+        orth: str | None = None,
+    ) -> WordForm:
+        if not qualifiers:
+            raise ValueError(f"annotation {id!r} requires at least one qualifier")
+        if not isinstance(range, ComponentRefs):
+            raise ValueError(f"word form {id!r} requires a component range over its tokens")
+        return tuple.__new__(cls, (id, source, range, qualifiers, layer, who, lex_ref, orth))
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
+    __getnewargs_ex__ = keyword_newargs
+    _replace = checked_replace
 
     def with_range(self, rng: Range) -> WordForm:
         """This word form at range ``rng``, which must be a component range."""
-        return replace(self, range=rng)
+        return self._replace(range=rng)
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -419,49 +503,79 @@ class WordForm:
         return self.range.targets
 
 
-@dataclass(frozen=True)
-class Layer:
-    """Technical grouping of annotations (one tier of a score, one span group).
-
-    ``speaker`` and ``category`` are carried for layers that came from (or
-    should convert to) score tiers; other layers leave them unset.
-    """
-
+class _LayerFields(NamedTuple):
     id: str
     name: str
     level: str
     speaker: str | None = None
     category: str | None = None
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError(f"layer {self.id!r} requires a non-empty name")
+
+class Layer(_LayerFields):
+    """Technical grouping of annotations (one tier of a score, one span group).
+
+    ``speaker`` and ``category`` are carried for layers that came from (or
+    should convert to) score tiers; other layers leave them unset.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        id: str,
+        name: str,
+        level: str,
+        speaker: str | None = None,
+        category: str | None = None,
+    ) -> Layer:
+        if not name:
+            raise ValueError(f"layer {id!r} requires a non-empty name")
+        return tuple.__new__(cls, (id, name, level, speaker, category))
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
+    _replace = checked_replace
 
 
-@dataclass(frozen=True)
-class Level:
-    """Conceptual grouping: same sources, one ranging mechanism, one tagset."""
-
+class _LevelFields(NamedTuple):
     id: str
     sources: frozenset[str] = frozenset()
     ranging_mechanism: str = MECH_EVENT
     category_selection: frozenset[str] = frozenset()
 
-    def __post_init__(self) -> None:
-        if self.ranging_mechanism not in RANGING_MECHANISMS:
-            raise ValueError(
-                f"level {self.id!r}: ranging mechanism must be one of {RANGING_MECHANISMS}"
-            )
+
+class Level(_LevelFields):
+    """Conceptual grouping: same sources, one ranging mechanism, one tagset."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        id: str,
+        sources: frozenset[str] = frozenset(),
+        ranging_mechanism: str = MECH_EVENT,
+        category_selection: frozenset[str] = frozenset(),
+    ) -> Level:
+        if ranging_mechanism not in RANGING_MECHANISMS:
+            raise ValueError(f"level {id!r}: ranging mechanism must be one of {RANGING_MECHANISMS}")
+        return tuple.__new__(cls, (id, sources, ranging_mechanism, category_selection))
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
+    _replace = checked_replace
 
 
-@dataclass
-class Document:
+class Document(NamedTuple):
     """A parsed or constructed corpus document.
 
     ``body`` and ``back`` hold ordered content and declaration items (see
     ``spokenkit.tei.model``) so that markup round-trips; ``annotations`` is
-    the stand-off view over the same material. Documents are treated as
-    immutable: operations that change them return new documents.
+    the stand-off view over the same material. A document is immutable: no
+    field can be assigned, and the operations that change a document return
+    a new one, made with ``_replace``. ``declared_ids`` takes no part in
+    ``==`` or ``hash``.
     """
 
     metadata: "Metadata | None" = None
@@ -474,7 +588,11 @@ class Document:
     back: tuple = ()
     # (raw id, element name) of each identifier as it appeared in the input,
     # before any normalization, in document order.
-    declared_ids: tuple[tuple[str, str], ...] = field(default=(), compare=False)
+    declared_ids: tuple[tuple[str, str], ...] = ()
+
+    __eq__ = eq_but_last
+    __ne__ = ne_but_last
+    __hash__ = hash_but_last
 
     def level(self, level_id: str) -> Level:
         for l in self.levels:

@@ -7,8 +7,8 @@ numeric offsets never override it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from spokenkit.core.model import (
     SYNTHETIC_PREFIX,
@@ -19,6 +19,8 @@ from spokenkit.core.model import (
     Timeline,
     UnknownIdError,
     first_timeline,
+    value_eq,
+    value_ne,
 )
 
 BEFORE = "before"
@@ -142,22 +144,28 @@ def relation(a: EventInterval, b: EventInterval, timeline: Timeline) -> Temporal
     )
 
 
-@dataclass(frozen=True)
-class OverlapPair:
+class OverlapPair(NamedTuple):
     """Two annotations with a non-empty shared interval."""
 
     a: str
     b: str
     shared: EventInterval
 
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class OverlapReport:
+
+class OverlapReport(NamedTuple):
     """Each pair as a plain ``(a, b, start, end, timeline)`` row: the two
     annotation ids, then the shared interval's points and timeline id."""
 
     rows: tuple[tuple[str, str, str, str, str], ...]
     skipped: int  # annotations without a resolvable event interval
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
     @property
     def pairs(self) -> tuple[OverlapPair, ...]:
@@ -254,4 +262,4 @@ def sequence_implicit(doc: Document) -> Document:
         new_annotations.append(ann)
 
     timelines = (timeline.append_flagged(added, synthetic=True), *doc.timelines[1:])
-    return replace(doc, annotations=tuple(new_annotations), timelines=timelines)
+    return doc._replace(annotations=tuple(new_annotations), timelines=timelines)

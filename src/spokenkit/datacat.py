@@ -10,10 +10,17 @@ comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from spokenkit.core.model import CategoryRef, Qualifier, SpokenkitError, decode_utf8
+from spokenkit.core.model import (
+    CategoryRef,
+    Qualifier,
+    SpokenkitError,
+    checked_replace,
+    decode_utf8,
+    value_eq,
+    value_ne,
+)
 
 COMPLEX = "complex"
 SIMPLE = "simple"
@@ -38,54 +45,81 @@ class UnknownCategoryError(SpokenkitError, LookupError):
         self.pid = pid
 
 
-@dataclass(frozen=True)
-class DataCategory:
-    """A registered semantic descriptor.
-
-    Complex categories are place-holders (features) and may declare a
-    conceptual domain; simple categories are values and may not.
-    """
-
+class _DataCategoryFields(NamedTuple):
     pid: str
     kind: str
     name: str
     broader: str | None = None
     conceptual_domain: tuple[str, ...] | None = None
-    language_restrictions: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    language_restrictions: Mapping[str, tuple[str, ...]] | None = None  # None: a new empty dict
 
-    def __post_init__(self) -> None:
-        if self.kind not in (COMPLEX, SIMPLE):
-            raise RegistryError(f"category {self.pid!r}: kind must be 'complex' or 'simple'")
-        if self.kind == SIMPLE and self.conceptual_domain is not None:
-            raise RegistryError(f"simple category {self.pid!r} cannot declare a conceptual domain")
-        if self.language_restrictions:
-            domain = set(self.conceptual_domain or ())
-            for lang, subset in self.language_restrictions.items():
+
+class DataCategory(_DataCategoryFields):
+    """A registered semantic descriptor.
+
+    Complex categories are place-holders (features) and may declare a
+    conceptual domain; simple categories are values and may not.
+    ``language_restrictions`` defaults to a new empty dict.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        pid: str,
+        kind: str,
+        name: str,
+        broader: str | None = None,
+        conceptual_domain: tuple[str, ...] | None = None,
+        language_restrictions: Mapping[str, tuple[str, ...]] | None = None,
+    ) -> DataCategory:
+        if kind not in (COMPLEX, SIMPLE):
+            raise RegistryError(f"category {pid!r}: kind must be 'complex' or 'simple'")
+        if kind == SIMPLE and conceptual_domain is not None:
+            raise RegistryError(f"simple category {pid!r} cannot declare a conceptual domain")
+        if language_restrictions is None:
+            language_restrictions = {}
+        elif language_restrictions:
+            domain = set(conceptual_domain or ())
+            for lang, subset in language_restrictions.items():
                 extra = set(subset) - domain
                 if extra:
                     raise RegistryError(
-                        f"category {self.pid!r}: {lang!r} restriction is not a subset "
+                        f"category {pid!r}: {lang!r} restriction is not a subset "
                         f"of the conceptual domain ({', '.join(sorted(extra))})"
                     )
+        fields = (pid, kind, name, broader, conceptual_domain, language_restrictions)
+        return tuple.__new__(cls, fields)
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
+    _replace = checked_replace
 
 
-@dataclass(frozen=True)
-class Equivalence:
+class Equivalence(NamedTuple):
     """Outcome of a semantic equivalence check; truthiness is the verdict."""
 
     equivalent: bool
     reason: str | None = None
 
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
+
     def __bool__(self) -> bool:
         return self.equivalent
 
 
-@dataclass(frozen=True)
-class Comparability:
+class Comparability(NamedTuple):
     """Outcome of a granularity comparison between two qualifiers."""
 
     outcome: str
     reason: str | None = None
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
 
 # Registry file layout records; comments and blank lines round-trip.

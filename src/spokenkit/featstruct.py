@@ -8,51 +8,95 @@ declarations and tags that expand to full structures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
-from spokenkit.core.model import SpokenkitError
+from spokenkit.core.model import (
+    SpokenkitError,
+    checked_replace,
+    eq_but_last,
+    hash_but_last,
+    ne_but_last,
+    value_eq,
+    value_ne,
+)
+
+# Every class here is a named tuple, equal only to a value of its own class
+# with equal fields: ``Binary(True) != Numeric(1)``.
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(NamedTuple):
     value: bool
 
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class Symbol:
+
+class _SymbolFields(NamedTuple):
     name: str
 
-    def __post_init__(self) -> None:
-        if not self.name:
+
+class Symbol(_SymbolFields):
+    __slots__ = ()
+
+    def __new__(cls, name: str) -> Symbol:
+        if not name:
             raise ValueError("symbol requires a non-empty name")
+        return tuple.__new__(cls, (name,))
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
+    _replace = checked_replace
 
 
-@dataclass(frozen=True)
-class Numeric:
+class Numeric(NamedTuple):
     value: Union[int, float, Decimal]
 
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class Str:
+
+class Str(NamedTuple):
     text: str
 
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class FeatureStructure:
-    """An optionally typed set of feature-value pairs; one value per name.
 
-    Equality is structural over type and features.
-    """
-
-    features: Mapping[str, "FSValue"] = field(default_factory=dict)
+class _FeatureStructureFields(NamedTuple):
+    features: Mapping[str, "FSValue"] | None = None  # None: a new empty dict
     type: str | None = None
 
-    def __post_init__(self) -> None:
-        for name in self.features:
+
+class FeatureStructure(_FeatureStructureFields):
+    """An optionally typed set of feature-value pairs; one value per name.
+
+    Equality is structural over type and features. ``features`` defaults to
+    a new empty dict. A structure holds a dict, so it has no hash, and its
+    ``len`` is its number of features.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, features: Mapping[str, "FSValue"] | None = None, type: str | None = None
+    ) -> FeatureStructure:
+        if features is None:
+            features = {}
+        for name in features:
             if not name:
                 raise ValueError("feature names must be non-empty")
+        return tuple.__new__(cls, (features, type))
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = None
+    # The named tuple's own ``_replace`` would also check ``len``, which counts features.
+    _replace = checked_replace
 
     def get(self, name: str) -> "FSValue | None":
         return self.features.get(name)
@@ -66,26 +110,39 @@ FSValue = Union[Binary, Symbol, Numeric, Str, FeatureStructure]
 EMPTY = FeatureStructure()
 
 
-@dataclass(frozen=True)
-class Feature:
-    """An elementary named feature-value declaration, e.g. from a library."""
-
+class _FeatureFields(NamedTuple):
     name: str
     value: FSValue
-    id: str | None = field(default=None, compare=False)
+    id: str | None = None
 
-    def __post_init__(self) -> None:
-        if not self.name:
+
+class Feature(_FeatureFields):
+    """An elementary named feature-value declaration, e.g. from a library.
+    ``id`` takes no part in ``==`` or ``hash``."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, value: FSValue, id: str | None = None) -> Feature:
+        if not name:
             raise ValueError("feature requires a non-empty name")
+        return tuple.__new__(cls, (name, value, id))
+
+    __eq__ = eq_but_last
+    __ne__ = ne_but_last
+    __hash__ = hash_but_last
+    _replace = checked_replace
 
 
-@dataclass(frozen=True)
-class UnificationFailure:
+class UnificationFailure(NamedTuple):
     """A clash found during unification: the path plus both offending values."""
 
     path: tuple[str, ...]
     left: object
     right: object
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
     @property
     def path_str(self) -> str:
@@ -121,8 +178,8 @@ def _unify(a: FeatureStructure, b: FeatureStructure, path: tuple[str, ...]):
                 return result
             merged[name] = result
         elif ours != value:
-            # Covers atom clashes and variant mismatches alike: dataclass
-            # equality is False across different value kinds.
+            # Covers atom clashes and variant mismatches alike: a value
+            # equals no value of another kind.
             return UnificationFailure(path + (name,), ours, value)
     return FeatureStructure(merged, type=a.type or b.type)
 
@@ -187,27 +244,36 @@ class UnknownTagError(SpokenkitError, LookupError):
         self.ref = ref
 
 
-@dataclass(frozen=True)
-class TagDecl:
+class TagDecl(NamedTuple):
     """A tag declared as a list of feature references, before expansion."""
 
     id: str
     feats: tuple[str, ...]
 
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class TagDefinition:
+
+class TagDefinition(NamedTuple):
     """A tag of the tagset: its feature references and the expanded structure."""
 
     id: str
     feats: tuple[str, ...]
     expanded: FeatureStructure
 
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class TagsetLibrary:
+
+class TagsetLibrary(NamedTuple):
     feature_lib: Mapping[str, Feature]
     tag_lib: Mapping[str, TagDefinition]
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
     def tag_ids(self) -> tuple[str, ...]:
         return tuple(self.tag_lib)

@@ -9,7 +9,7 @@ built in; further rules load from a plain-text rule file.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from spokenkit.core.model import (
     WARNING,
@@ -18,15 +18,20 @@ from spokenkit.core.model import (
     Qualifier,
     SpokenkitError,
     decode_utf8,
+    value_eq,
+    value_ne,
 )
 from spokenkit.tei.model import EVENT_CLASSES, Utterance, annotated_items
 
 
-@dataclass(frozen=True)
-class ConventionRule:
+class ConventionRule(NamedTuple):
     pattern: re.Pattern
     element: str  # 'vocal' | 'kinesic' | 'incident'
     desc_group: int | str = 1
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
 
 BUILTIN_RULES = (ConventionRule(re.compile(r"\(\((.+?)\)\)"), "vocal"),)
@@ -156,4 +161,4 @@ def promote_document(
         if ann.qualifiers and ann.qualifiers[0].feature == "utterance":
             text = body[n].plain_text()
             annotations[owner] = ann._replace(qualifiers=(Qualifier("utterance", text),))
-    return replace(doc, body=tuple(body), annotations=tuple(annotations)), findings
+    return doc._replace(body=tuple(body), annotations=tuple(annotations)), findings

@@ -7,18 +7,13 @@ round-trip. The header is kept whole, as one :class:`OpaqueElement` tree in
 applications and the participants are views computed from it, and
 ``Metadata.of`` builds a header from them.
 
-The values the reader builds once per token, seg, anchor, event, utterance
-or kept element (:class:`W`, :class:`Pc`, :class:`Seg`, :class:`AnchorRef`,
-:class:`TimedEvent` and its subclasses, :class:`Utterance`,
-:class:`OpaqueElement`) are named tuples, one allocation each, with the
-equality of a frozen dataclass, and are edited with ``_replace``; the rest
-are frozen dataclasses.
+Every class here is a named tuple, one allocation per value, equal only to
+a value of its own class with equal fields, and edited with ``_replace``.
 Text inside utterances is kept verbatim, whitespace included, as plain ``str``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import NamedTuple, Union
 
@@ -230,8 +225,7 @@ def annotated_items(body, annotations) -> dict[int, int]:
     return pairs
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """A from/to range over identified elements, pointing at an analysis."""
 
     from_: str
@@ -240,68 +234,96 @@ class Span:
     id: str | None = None
     text: str | None = None
 
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class SpanGroup:
+
+class SpanGroup(NamedTuple):
     type: str | None = None
     spans: tuple[Span, ...] = ()
 
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class InflectedForm:
+
+class InflectedForm(NamedTuple):
     id: str | None
     orth: str
     type: str | None = None
     grammar: tuple[tuple[str, str], ...] = ()  # (feature name, value) pairs
 
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class LexicalEntry:
+
+class LexicalEntry(NamedTuple):
     forms: tuple[InflectedForm, ...] = ()
 
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class FeatureLib:
+
+class FeatureLib(NamedTuple):
     """A feature library declaration (a labelled list of elementary features)."""
 
     features: tuple[Feature, ...] = ()
     label: str | None = None
 
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class TagLib:
+
+class TagLib(NamedTuple):
     """A feature-value library declaration: the tags of a tagset."""
 
     tags: tuple[TagDecl, ...] = ()
     label: str | None = None
 
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class InlineStructure:
+
+class InlineStructure(NamedTuple):
     """A free-standing feature structure addressable by id."""
 
     id: str
     fs: FeatureStructure
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
 
 BackItem = Union[FeatureLib, TagLib, LexicalEntry, InlineStructure, SpanGroup, OpaqueElement]
 BodyItem = Union[Utterance, TimedEvent, AnchorRef, SpanGroup, str, OpaqueElement]
 
 
-@dataclass(frozen=True)
-class AppInfo:
+class AppInfo(NamedTuple):
     ident: str
     version: str
     label: str | None = None
     targets: tuple[str, ...] = ()
 
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class Person:
+
+class Person(NamedTuple):
     id: str
     name: str | None = None
     sex: str | None = None
     age: str | None = None
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
 
 # The header elements whose content is only elements, when reached from
@@ -314,8 +336,7 @@ HEADER_CONTAINERS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class Metadata:
+class Metadata(NamedTuple):
     """The TEI header, kept whole as an element tree.
 
     What spokenkit reads from it are views, computed from the tree when read:
@@ -325,6 +346,10 @@ class Metadata:
     """
 
     header: OpaqueElement
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
     @classmethod
     def of(

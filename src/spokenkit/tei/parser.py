@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 
 from spokenkit.core.model import (
@@ -149,14 +148,27 @@ def _text_of(el: ET.Element | None) -> str | None:
     return "".join(el.itertext()).strip()
 
 
-@dataclass
 class _ParseContext:
-    warnings: list[Finding] = field(default_factory=list)
-    anchor_order: list[str] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
-    declared_ids: list[tuple[str, str]] = field(default_factory=list)
-    taken: set[str] | None = None  # built from ``declared_ids`` when an id is first generated
-    annotations: list[Annotation] = field(default_factory=list)
+    """What one ``parse_document`` call gathers as it reads."""
+
+    __slots__ = ("warnings", "anchor_order", "counters", "declared_ids", "taken", "annotations")
+
+    def __init__(
+        self,
+        warnings: list[Finding] | None = None,
+        anchor_order: list[str] | None = None,
+        counters: dict[str, int] | None = None,
+        declared_ids: list[tuple[str, str]] | None = None,
+        taken: set[str] | None = None,
+        annotations: list[Annotation] | None = None,
+    ) -> None:
+        self.warnings = [] if warnings is None else warnings
+        self.anchor_order = [] if anchor_order is None else anchor_order
+        self.counters = {} if counters is None else counters
+        self.declared_ids = [] if declared_ids is None else declared_ids
+        # Built from ``declared_ids`` when an id is first generated.
+        self.taken = taken
+        self.annotations = [] if annotations is None else annotations
 
     def warn(self, code: str, location: str, message: str) -> None:
         self.warnings.append(Finding(code, WARNING, location, message))
@@ -751,7 +763,7 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
         owner = owners.get(n)
         if owner is not None and annotations[owner].range is None:
             annotations[owner] = annotations[owner].with_range(interval)
-    return replace(doc, annotations=tuple(annotations)), findings
+    return doc._replace(annotations=tuple(annotations)), findings
 
 
 def _dangling(event_id: str, location: str, pid: str) -> Finding:

@@ -7,8 +7,6 @@ tokens, and one token may belong to any number of word forms.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from spokenkit.core.model import (
     MECH_COMPONENT,
     WARNING,
@@ -122,7 +120,7 @@ def attach_word_forms(doc: Document) -> tuple[Document, list[Finding]]:
         ),
     )
     return (
-        replace(doc, annotations=doc.annotations + tuple(word_forms), layers=layers, levels=levels),
+        doc._replace(annotations=doc.annotations + tuple(word_forms), layers=layers, levels=levels),
         findings,
     )
 

@@ -28,11 +28,10 @@ second pass is bit-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from itertools import islice, repeat
 from operator import itemgetter, le, lt
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from spokenkit.core.model import (
     MECH_EVENT,
@@ -51,7 +50,13 @@ from spokenkit.core.model import (
     Timeline,
     UnknownIdError,
     WordForm,
+    checked_replace,
     decode_utf8,
+    eq_but_last,
+    hash_but_last,
+    ne_but_last,
+    value_eq,
+    value_ne,
 )
 from spokenkit.tei.model import Metadata, Person
 
@@ -83,14 +88,16 @@ _ZERO = Decimal(0)
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-@dataclass(frozen=True)
-class TierSpeaker:
+class TierSpeaker(NamedTuple):
     id: str
     name: str
 
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class Tier:
+
+class Tier(NamedTuple):
     """A tier and its events: one ``(start point, end point, text)`` tuple per
     event, in file order."""
 
@@ -99,9 +106,20 @@ class Tier:
     category: str
     events: tuple[tuple[str, str, str], ...] = ()
 
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
-@dataclass
-class TierDocument:
+
+class _TierDocumentFields(NamedTuple):
+    speakers: tuple[TierSpeaker, ...] = ()
+    point_ids: tuple[str, ...] = ()
+    offsets: tuple[Decimal | None, ...] = ()
+    tiers: tuple[Tier, ...] = ()
+    records: tuple[tuple, ...] = ()
+
+
+class TierDocument(_TierDocumentFields):
     """Speakers, points and tiers, in declaration order.
 
     The points are two columns, as in a ``Timeline``: the n-th point has id
@@ -113,17 +131,28 @@ class TierDocument:
     lines, which take the tier's events in order. A document whose records
     no longer lay out exactly its speakers, points, tiers and events, such as
     a constructed or an edited one, is written in canonical order.
+    ``records`` takes no part in ``==`` or ``hash``. A document is immutable:
+    an edit is ``_replace``.
     """
 
-    speakers: tuple[TierSpeaker, ...] = ()
-    point_ids: tuple[str, ...] = ()
-    offsets: tuple[Decimal | None, ...] = ()
-    tiers: tuple[Tier, ...] = ()
-    records: tuple[tuple, ...] = field(default=(), compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.offsets) != len(self.point_ids):
-            raise ValueError(f"{len(self.point_ids)} point ids but {len(self.offsets)} offsets")
+    def __new__(
+        cls,
+        speakers: tuple[TierSpeaker, ...] = (),
+        point_ids: tuple[str, ...] = (),
+        offsets: tuple[Decimal | None, ...] = (),
+        tiers: tuple[Tier, ...] = (),
+        records: tuple[tuple, ...] = (),
+    ) -> TierDocument:
+        if len(offsets) != len(point_ids):
+            raise ValueError(f"{len(point_ids)} point ids but {len(offsets)} offsets")
+        return tuple.__new__(cls, (speakers, point_ids, offsets, tiers, records))
+
+    __eq__ = eq_but_last
+    __ne__ = ne_but_last
+    __hash__ = hash_but_last
+    _replace = checked_replace
 
 
 # The record of every point line.
@@ -363,7 +392,7 @@ def serialize_tier(td: TierDocument) -> str:
     if not laid_out:
         # An edited document's records no longer lay out its speakers, points,
         # tiers and events; canonical records always do, tier ids being unique.
-        return serialize_tier(replace(td, records=()))
+        return serialize_tier(td._replace(records=()))
     text = "".join(lines)
     kinds = list(map(itemgetter(0), records))
     if text.count("\t") != comment_tabs + sum(map(_TEMPLATE_TABS.get, kinds, repeat(0))):
@@ -464,12 +493,15 @@ def to_core(td: TierDocument, category_map: Mapping[str, str] | None = None) -> 
     )
 
 
-@dataclass(frozen=True)
-class ResidueItem:
+class ResidueItem(NamedTuple):
     """Core content that the tier format cannot express."""
 
     annotation: str
     reason: str
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
 
 def from_core(doc: Document) -> tuple[TierDocument, list[ResidueItem]]:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, replace
 from operator import itemgetter
+from typing import NamedTuple
 
 from spokenkit.core.model import (
     ERROR,
@@ -24,6 +24,8 @@ from spokenkit.core.model import (
     Timeline,
     WordForm,
     check_level_coherence,
+    value_eq,
+    value_ne,
 )
 from spokenkit.datacat import COMPLEX, LANGUAGE_RESTRICTED, OK, Registry
 from spokenkit.featstruct import FeatureStructure, TagsetLibrary, flatten, strip_ref
@@ -76,9 +78,12 @@ def _finding(code: str, location: str, message: str) -> Finding:
     return Finding(code, DEFAULT_SEVERITY[code], location, message)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     issues: tuple[Finding, ...]
+
+    __eq__ = value_eq
+    __ne__ = value_ne
+    __hash__ = tuple.__hash__
 
     @property
     def errors(self) -> tuple[Finding, ...]:
@@ -103,12 +108,22 @@ class ValidationReport:
         )
 
 
-@dataclass
 class ValidateOptions:
-    library: TagsetLibrary | None = None
-    registry: Registry | None = None
-    language: str | None = None
-    severity_overrides: dict[str, str] = field(default_factory=dict)
+    """What ``validate_all`` checks against, besides the document itself."""
+
+    __slots__ = ("library", "registry", "language", "severity_overrides")
+
+    def __init__(
+        self,
+        library: TagsetLibrary | None = None,
+        registry: Registry | None = None,
+        language: str | None = None,
+        severity_overrides: dict[str, str] | None = None,
+    ) -> None:
+        self.library = library
+        self.registry = registry
+        self.language = language
+        self.severity_overrides = {} if severity_overrides is None else severity_overrides
 
 
 def _declared_ids(doc: Document) -> Sequence[tuple[str, str]]:
@@ -474,7 +489,7 @@ def validate_all(doc: Document, options: ValidateOptions | None = None) -> Valid
 
     if opts.severity_overrides:
         issues = [
-            replace(i, severity=opts.severity_overrides.get(i.code, i.severity)) for i in issues
+            i._replace(severity=opts.severity_overrides.get(i.code, i.severity)) for i in issues
         ]
     ordered = sorted(
         set(issues),

@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -119,7 +118,7 @@ def test_convert_too_deep_document_to_tei_is_a_usage_error(capsys, monkeypatch):
     content: tuple = ("x",)
     for _ in range(sys.getrecursionlimit()):
         content = (Seg(content=content),)
-    deep = replace(parse_fixture("seg.xml"), body=(Utterance("u1", content=content),))
+    deep = parse_fixture("seg.xml")._replace(body=(Utterance("u1", content=content),))
     monkeypatch.setattr(spokenkit.cli, "parse_document", lambda data: (deep, []))
     code, out, err = run(capsys, "convert", fixture_path("seg.xml"), "--from", "tei", "--to", "tei")
     assert code == 2

@@ -11,7 +11,6 @@ read back as the same document and write the same bytes again.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -95,7 +94,7 @@ def reference_promote_document(doc, rules):
             if text is not None:
                 ann = ann._replace(qualifiers=(Qualifier("utterance", text),))
         annotations.append(ann)
-    return replace(doc, body=tuple(body), annotations=tuple(annotations)), findings
+    return doc._replace(body=tuple(body), annotations=tuple(annotations)), findings
 
 
 @PROPERTY_SETTINGS
@@ -172,7 +171,7 @@ class _Turn(Utterance):
 
 
 def _with_body(*items):
-    return replace(parse_fixture("seg.xml"), body=items)
+    return parse_fixture("seg.xml")._replace(body=items)
 
 
 def test_a_subclass_is_written_as_its_base_class():

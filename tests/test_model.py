@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from spokenkit.core import (
@@ -70,7 +68,7 @@ def test_timeline_unknown_point_id():
 
 def test_timeline_lookup_follows_replaced_points():
     tl = Timeline.of("tl", ["a", "b", "c"])
-    changed = replace(tl, ids=("c", "d"), offsets=(None, None))
+    changed = tl._replace(ids=("c", "d"), offsets=(None, None))
     assert changed.index_of("c") == 0
     assert changed.index_of("d") == 1
     assert changed.offsets[changed.index_of("d")] is None
@@ -83,7 +81,7 @@ def test_timeline_lookup_follows_replaced_points():
 def test_timeline_index_does_not_affect_equality_hash_or_repr():
     one = Timeline("tl", "ms", ("a", "b"), (10, None))
     # Built from a timeline whose index held other positions.
-    other = replace(Timeline.of("tl", ["b", "a", "c"], "ms"), ids=("a", "b"), offsets=(10, None))
+    other = Timeline.of("tl", ["b", "a", "c"], "ms")._replace(ids=("a", "b"), offsets=(10, None))
     assert one == other
     assert hash(one) == hash(other)
     assert repr(one) == repr(other)
@@ -178,8 +176,17 @@ def test_source_outside_level_is_a_violation():
             )
         ]
     )
-    doc.sources = doc.sources + (SourceRef("other"),)
+    doc = doc._replace(sources=doc.sources + (SourceRef("other"),))
     assert [v.code for v in check_level_coherence(doc, "level1")] == ["LEVEL_SOURCE"]
+
+
+def test_a_document_refuses_assignment():
+    doc = _doc_with_level([])
+    with pytest.raises(AttributeError):
+        doc.sources = doc.sources + (SourceRef("other"),)
+    with pytest.raises(AttributeError):
+        doc.extra = ()
+    assert doc.sources == (SourceRef("src"),)
 
 
 def test_unknown_level_raises():
@@ -232,6 +239,6 @@ def test_with_range_keeps_the_class_and_every_other_field():
     )
     moved = word.with_range(ComponentRefs(("t2", "t3")))
     assert type(moved) is WordForm
-    assert moved == replace(word, range=ComponentRefs(("t2", "t3")))
+    assert moved == word._replace(range=ComponentRefs(("t2", "t3")))
     with pytest.raises(ValueError, match="requires a component range"):
         word.with_range(interval)

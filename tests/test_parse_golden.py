@@ -11,7 +11,6 @@ items, not annotations) and finding locations.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 
@@ -27,18 +26,10 @@ def stable_repr(obj) -> str:
     Plain ``repr`` of a ``frozenset`` of strings depends on the hash seed of
     the process, so it cannot be digested across runs.
     """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = ", ".join(
-            f"{f.name}={stable_repr(getattr(obj, f.name))}"
-            for f in dataclasses.fields(obj)
-            if f.repr
-        )
-        return f"{type(obj).__qualname__}({fields})"
     if isinstance(obj, (set, frozenset)):
         return f"{type(obj).__name__}({sorted(stable_repr(x) for x in obj)})"
     if isinstance(obj, tuple) and hasattr(obj, "_fields"):
-        # A named tuple reads as a dataclass does, so a digest does not depend
-        # on which of the two a model class is.
+        # A model value reads as its ``repr`` does: the class, then each field by name.
         fields = ", ".join(f"{name}={stable_repr(getattr(obj, name))}" for name in obj._fields)
         return f"{type(obj).__qualname__}({fields})"
     if isinstance(obj, tuple):

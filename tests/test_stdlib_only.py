@@ -1,8 +1,10 @@
-"""The package depends on nothing outside the standard library."""
+"""The package depends on nothing outside the standard library, and its
+command line starts without ``dataclasses`` or ``inspect``."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +32,20 @@ def test_every_top_level_import_is_the_package_or_the_standard_library():
         if name != "spokenkit" and name not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+def test_importing_the_command_line_loads_neither_dataclasses_nor_inspect():
+    # A fresh interpreter: pytest has imported both modules into this one.
+    probe = (
+        "import sys; sys.path.insert(0, 'src'); import spokenkit.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", probe],
+        cwd=PACKAGE.parent.parent,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

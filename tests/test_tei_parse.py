@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from spokenkit.core import EventInterval, Finding, overlaps_report, sequence_implicit
@@ -109,7 +107,7 @@ def test_repeated_header_section_is_reported_and_the_first_kept(section):
     kept = OpaqueElement(section, children=(OpaqueElement("p", text="second"),), tails=(None,))
     assert header.children[-1] == kept
     first = header._replace(children=header.children[:-1], tails=header.tails[:-1])
-    assert replace(doc, metadata=Metadata(first)) == baseline
+    assert doc._replace(metadata=Metadata(first)) == baseline
     written = serialize_document(doc)
     assert b"\n    <%s>\n      <p>second</p>\n    </%s>\n  </teiHeader>" % (
         section.encode(), section.encode()

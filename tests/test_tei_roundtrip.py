@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from spokenkit.core import sequence_implicit
@@ -98,9 +96,9 @@ def test_tab_newline_and_carriage_return_in_attribute_round_trip():
 def test_characters_xml_cannot_carry_are_refused(char, where):
     doc, _ = parse_document(fixture_bytes("anchored_dialogue.xml"))
     if where == "text":
-        doc = replace(doc, body=(Utterance(id="u", content=(f"a{char}b",)),))
+        doc = doc._replace(body=(Utterance(id="u", content=(f"a{char}b",)),))
     else:
-        doc = replace(doc, body=(OpaqueElement("note", (("n", f"a{char}b"),)),))
+        doc = doc._replace(body=(OpaqueElement("note", (("n", f"a{char}b"),)),))
     with pytest.raises(TeiSerializeError) as exc:
         serialize_document(doc)
     assert str(exc.value) == f"character U+{ord(char):04X} cannot be written in XML"

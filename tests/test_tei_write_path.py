@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import replace
 from decimal import Decimal
 
 from spokenkit.core import EventInterval
@@ -98,8 +97,8 @@ def test_generated_body_matches_reference_items_on_random_tier_documents():
         doc = to_core(random_tier_document(rng), PIDS if rng.random() < 0.5 else None)
         if rng.random() < 0.3:
             # Without a tier category the first qualifier's feature decides.
-            doc = replace(doc, layers=tuple(replace(x, category=None) for x in doc.layers))
-        expected = serialize_document(replace(doc, body=reference_body(doc)))
+            doc = doc._replace(layers=tuple(x._replace(category=None) for x in doc.layers))
+        expected = serialize_document(doc._replace(body=reference_body(doc)))
         assert serialize_document(doc) == expected
         generated += len(doc.annotations)
     assert generated > 500

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -177,8 +176,7 @@ def test_overlaps_report_single_utterance():
 
 def test_overlaps_report_unanchored_document():
     doc = make_timed_doc([])
-    doc = replace(
-        doc,
+    doc = doc._replace(
         annotations=tuple(
             Annotation(
                 id=f"u{i}",
@@ -220,8 +218,7 @@ def test_overlaps_report_is_deterministically_ordered():
 
 def test_sequence_implicit_places_events_after_anchored_material():
     doc = make_timed_doc([("u1", 0, 3)], point_count=4)
-    doc = replace(
-        doc,
+    doc = doc._replace(
         annotations=doc.annotations
         + (
             Annotation(

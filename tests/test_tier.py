@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -183,8 +182,8 @@ def test_serialize_writes_characters_that_split_no_line():
 
 
 def _with_events(td, tier_id, edit):
-    tiers = tuple(replace(t, events=edit(t.events)) if t.id == tier_id else t for t in td.tiers)
-    return replace(td, tiers=tiers)
+    tiers = tuple(t._replace(events=edit(t.events)) if t.id == tier_id else t for t in td.tiers)
+    return td._replace(tiers=tiers)
 
 
 @pytest.mark.parametrize(
@@ -196,15 +195,15 @@ def _with_events(td, tier_id, edit):
             id="add-event",
         ),
         pytest.param(
-            lambda td: replace(td, point_ids=td.point_ids + ("p5",), offsets=td.offsets + (None,)),
+            lambda td: td._replace(point_ids=td.point_ids + ("p5",), offsets=td.offsets + (None,)),
             id="add-point",
         ),
         pytest.param(
-            lambda td: replace(td, speakers=td.speakers + (TierSpeaker("SPK3", "Speaker 3"),)),
+            lambda td: td._replace(speakers=td.speakers + (TierSpeaker("SPK3", "Speaker 3"),)),
             id="add-speaker",
         ),
-        pytest.param(lambda td: replace(td, tiers=td.tiers[:2]), id="drop-tier"),
-        pytest.param(lambda td: replace(td, tiers=td.tiers[::-1]), id="reorder-tiers"),
+        pytest.param(lambda td: td._replace(tiers=td.tiers[:2]), id="drop-tier"),
+        pytest.param(lambda td: td._replace(tiers=td.tiers[::-1]), id="reorder-tiers"),
     ],
 )
 def test_an_edited_parsed_document_is_written_with_its_edits(edit):
@@ -223,7 +222,7 @@ def test_an_edit_that_keeps_the_layout_keeps_comments_and_line_order():
     )
     td = parse_tier(raw)
     edited = _with_events(td, "t1", lambda events: (("p0", "p1", "bye"),))
-    edited = replace(edited, offsets=(Decimal(1), Decimal(2)))
+    edited = edited._replace(offsets=(Decimal(1), Decimal(2)))
     assert serialize_tier(edited) == raw.replace("hello", "bye").replace("p0\t-", "p0\t1")
 
 
@@ -232,9 +231,17 @@ def test_point_columns_of_different_lengths_are_refused():
         TierDocument(point_ids=("p0", "p1"), offsets=(None,))
 
 
+def test_a_tier_document_refuses_assignment():
+    td = _one_event_document()
+    with pytest.raises(AttributeError):
+        td.tiers = ()
+    with pytest.raises(AttributeError):
+        td.extra = ()
+    assert td == _one_event_document()
+
+
 def test_serialize_refuses_a_tier_id_declared_twice():
-    td = replace(
-        _one_event_document(),
+    td = _one_event_document()._replace(
         tiers=(Tier("t1", "s1", "verbal", (("p0", "p1", "hi"),)), Tier("t1", None, "gesture")),
     )
     with pytest.raises(TierSerializeError) as exc:
@@ -349,7 +356,7 @@ def test_from_core_reports_residue_for_word_forms(pomme_doc):
     from spokenkit.tei import extract_spans
 
     word_forms, _ = extract_spans(pomme_doc)
-    doc = replace(pomme_doc, annotations=pomme_doc.annotations + tuple(word_forms))
+    doc = pomme_doc._replace(annotations=pomme_doc.annotations + tuple(word_forms))
     td, residue = from_core(doc)
     assert any("word-form" in item.reason for item in residue)
     reported = {item.annotation for item in residue}

@@ -8,7 +8,6 @@ the two column checks refuse.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -91,7 +90,7 @@ def test_columns_are_checked_as_points_were_and_index_their_positions(cols):
         for pid, offset in zip(ids, offsets)
     ]
     assert rows(tl) == expected
-    backwards = replace(tl, ids=ids[::-1], offsets=offsets[::-1])
+    backwards = tl._replace(ids=ids[::-1], offsets=offsets[::-1])
     assert [backwards.index_of(pid) for pid in ids[::-1]] == list(range(len(ids)))
     assert rows(backwards) == expected[::-1]
 

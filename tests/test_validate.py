@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -161,8 +160,7 @@ def test_word_form_token_removal_leaves_dangling_reference(pomme_doc):
     data = fixture_bytes("pomme.xml").replace(b'<w xml:id="t2">de</w> ', b"")
     stripped, _ = parse_document(data)
     word_forms, _ = extract_spans(pomme_doc)
-    stripped = replace(
-        stripped,
+    stripped = stripped._replace(
         annotations=stripped.annotations + tuple(word_forms),
         layers=doc.layers,
         levels=doc.levels,
@@ -189,7 +187,7 @@ def test_component_targets_are_tokens_for_word_forms_and_any_id_otherwise(pomme_
         for cls in (Annotation, WordForm)
         for n, target in enumerate(("t2", utterance, "ghost"))
     )
-    issues = check_refs(replace(doc, annotations=doc.annotations + extra))
+    issues = check_refs(doc._replace(annotations=doc.annotations + extra))
     assert [(i.location, i.message) for i in issues] == [
         ("Annotation2", "@target reference 'ghost' resolves to nothing"),
         ("WordForm1", f"@tokens reference {utterance!r} resolves to nothing"),
@@ -267,7 +265,7 @@ def test_offset_inversion_is_flagged():
     doc, _ = parse_document(fixture_bytes("anchored_dialogue.xml"))
     tl = doc.timelines[0]
     offsets = (500, 100) + tl.offsets[2:]
-    doc = replace(doc, timelines=(replace(tl, offsets=offsets),))
+    doc = doc._replace(timelines=(tl._replace(offsets=offsets),))
     issues = check_temporal(doc)
     assert codes(issues) == [OFFSET_ORDER]
 
@@ -467,7 +465,7 @@ def test_level_incoherence_is_reported():
         qualifiers=(Qualifier("commentary", "out of band"),),
         layer="events",
     )
-    doc = replace(doc, annotations=doc.annotations + (rogue,))
+    doc = doc._replace(annotations=doc.annotations + (rogue,))
     report = validate_all(doc)
     assert (LEVEL_INCOHERENT, "rogue") in [(i.code, i.location) for i in report.issues]
 

@@ -10,7 +10,6 @@ public check's list, order included, is pinned on two documents.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -114,7 +113,7 @@ def union_of_public_checks(doc, opts: ValidateOptions) -> list:
             for v in check_level_coherence(doc, level.id)
         ]
     overrides = opts.severity_overrides
-    issues = [replace(i, severity=overrides.get(i.code, i.severity)) for i in issues]
+    issues = [i._replace(severity=overrides.get(i.code, i.severity)) for i in issues]
     rank = {ERROR: 0, WARNING: 1}
     return sorted(
         set(issues), key=lambda i: (rank.get(i.severity, 2), i.code, i.location, i.message)
@@ -191,7 +190,7 @@ def test_validate_all_walks_each_body_item_once(opts):
     for doc in _fixture_documents() + generated:
         counted: list[_CountedContent] = []
         body = tuple(_counting_content(doc.body, counted))
-        validate_all(replace(doc, body=body), opts)
+        validate_all(doc._replace(body=body), opts)
         assert [content.iterations for content in counted] == [1] * len(counted)
 
 
