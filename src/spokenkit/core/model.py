@@ -21,6 +21,7 @@ from collections.abc import Sequence
 from decimal import Decimal
 from itertools import repeat
 from operator import le, lt
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Union
 
 if TYPE_CHECKING:
@@ -265,6 +266,12 @@ class Timeline(_TimelineFields):
         """``ids`` under another name: the benchmark's trace counts
         ``points_added`` with ``len(tl.points)``. It goes when that reader does."""
         return self.ids
+
+    @property
+    def positions(self) -> MappingProxyType[str, int]:
+        """Each point id's position in ``ids``, as a read-only view of the
+        table ``index_of`` reads; a loop over many points reads it once."""
+        return MappingProxyType(self._by_id)
 
     def index_of(self, point_id: str) -> int:
         try:

@@ -17,7 +17,6 @@ from spokenkit.core.model import (
     EventInterval,
     SpokenkitError,
     Timeline,
-    UnknownIdError,
     first_timeline,
     value_eq,
     value_ne,
@@ -199,16 +198,16 @@ def overlaps_report(doc: Document) -> OverlapReport:
     named: dict[str, list[int]] = {}
     for k, tl in enumerate(timelines):
         named.setdefault(tl.id, []).append(k)
+    positions = [tl.positions for tl in timelines]
     resolved: list[tuple[int, int, str, int]] = []
     skipped = 0
     for ann in doc.annotations:
         rng = ann.range
         candidates = named.get(rng.timeline, ()) if isinstance(rng, EventInterval) else ()
         for k in candidates:
-            tl = timelines[k]
-            try:
-                s, e = tl.index_of(rng.start), tl.index_of(rng.end)
-            except UnknownIdError:
+            index = positions[k]
+            s, e = index.get(rng.start), index.get(rng.end)
+            if s is None or e is None:
                 continue
             resolved.append((s, e, ann.id, k))
             break
@@ -216,23 +215,25 @@ def overlaps_report(doc: Document) -> OverlapReport:
             skipped += 1
 
     resolved.sort(key=lambda item: (item[0], item[1], item[2]))
-    # Each annotation's position in its timeline's group.
-    positions: list[int] = []
+    # Each annotation's place in its timeline's group.
+    places: list[int] = []
     for item in resolved:
         group = groups[item[3]]
-        positions.append(len(group))
+        places.append(len(group))
         group.append(item)
 
+    columns = [(tl.ids, tl.id) for tl in timelines]
     rows: list[tuple[str, str, str, str, str]] = []
-    for (s1, e1, id1, k), pos in zip(resolved, positions):
-        group, tl = groups[k], timelines[k]
+    for (s1, e1, id1, k), pos in zip(resolved, places):
+        group = groups[k]
+        ids, tl_id = columns[k]
         for n in range(pos + 1, len(group)):
             s2, e2, id2, _ = group[n]
             if s2 >= e1:
                 break
             end = min(e1, e2)
             if s2 < end:
-                rows.append((id1, id2, tl.ids[s2], tl.ids[end], tl.id))
+                rows.append((id1, id2, ids[s2], ids[end], tl_id))
     return OverlapReport(tuple(rows), skipped)
 
 

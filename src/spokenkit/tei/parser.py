@@ -8,6 +8,13 @@ containers; unknown elements in the text are preserved opaquely, so that
 serialisation round-trips. A child of the root the model has no place for
 is reported. Parsing is deliberately forgiving: defective but well-formed
 input loads, and the defects surface through the validator.
+
+The element tree is private to one ``parse_document`` call, and the model
+keeps none of its elements, only strings and its own tuples. So the reader
+clears each child of ``<text>`` and of ``<body>`` once it has built its
+value. Freeing the subtree as the walk goes lowers the count of live
+container objects that triggers the cyclic collector, which therefore runs
+less often during a parse and scans less each time it does.
 """
 
 from __future__ import annotations
@@ -100,6 +107,12 @@ _LOCAL_NAMES = {name: name for name in _VOCABULARY}
 _LOCAL_NAMES.update({_TEI_PREFIX + name: name for name in _VOCABULARY})
 
 
+# Builds a content value from its fields. The named-tuple constructors of the
+# classes built so (``W``, ``Pc``, ``AnchorRef``, ``Seg``, ``Utterance`` and
+# ``Qualifier``) check nothing, and a test pins that they stay so.
+_new = tuple.__new__
+
+
 def _local(tag: str) -> str:
     """The local name of a tag in the TEI namespace or in none. A tag in any
     other namespace keeps it, so it never passes for a TEI element."""
@@ -153,22 +166,14 @@ class _ParseContext:
 
     __slots__ = ("warnings", "anchor_order", "counters", "declared_ids", "taken", "annotations")
 
-    def __init__(
-        self,
-        warnings: list[Finding] | None = None,
-        anchor_order: list[str] | None = None,
-        counters: dict[str, int] | None = None,
-        declared_ids: list[tuple[str, str]] | None = None,
-        taken: set[str] | None = None,
-        annotations: list[Annotation] | None = None,
-    ) -> None:
-        self.warnings = [] if warnings is None else warnings
-        self.anchor_order = [] if anchor_order is None else anchor_order
-        self.counters = {} if counters is None else counters
-        self.declared_ids = [] if declared_ids is None else declared_ids
+    def __init__(self) -> None:
+        self.warnings: list[Finding] = []
+        self.anchor_order: list[str] = []
+        self.counters: dict[str, int] = {}
+        self.declared_ids: list[tuple[str, str]] = []
         # Built from ``declared_ids`` when an id is first generated.
-        self.taken = taken
-        self.annotations = [] if annotations is None else annotations
+        self.taken: set[str] | None = None
+        self.annotations: list[Annotation] = []
 
     def warn(self, code: str, location: str, message: str) -> None:
         self.warnings.append(Finding(code, WARNING, location, message))
@@ -184,7 +189,7 @@ class _ParseContext:
                 id=item.id,
                 source=DEFAULT_SOURCE,
                 range=None,
-                qualifiers=(Qualifier(feature, value),),
+                qualifiers=(_new(Qualifier, (feature, value)),),
                 layer=EVENTS_LAYER,
                 who=item.who,
             )
@@ -269,6 +274,7 @@ def parse_document(data: bytes | str) -> tuple[Document, list[Finding]]:
                 back_items += _parse_back(child, ctx)
             else:
                 body_items.append(_opaque(child))
+            child.clear()
     except RecursionError:
         raise TeiParseError("markup is nested too deeply to parse") from None
 
@@ -415,14 +421,27 @@ def _parse_body(
     body_el: ET.Element, ctx: _ParseContext, timelines: list[Timeline], items: list
 ) -> None:
     """Append the body items to ``items``, and annotate each utterance and
-    free-standing event among them. Text between them is kept stripped of layout."""
+    free-standing event among them. Text between them is kept stripped of
+    layout. Each child is cleared once its item is built."""
     if body_el.text and (text := body_el.text.strip()):
         items.append(text)
     for child in body_el:
+        tail = child.tail
         local = _LOCAL_NAMES.get(child.tag)
         if local == "u":
+            utt_id = child.get(XML_ID)
+            if utt_id is None:
+                utt_id, generated = ctx.element_id(child, "u")
+            else:
+                generated = False
+                if utt_id[:1] == "#":
+                    utt_id = utt_id[1:]
+            who = child.get("who")
+            if who is not None and who[:1] == "#":
+                who = who[1:]
             parts: list[str] = []
-            utterance = _parse_utterance(child, ctx, parts)
+            content = tuple(_parse_mixed(child, ctx, parts))
+            utterance = _new(Utterance, (utt_id, who, content, generated))
             items.append(utterance)
             ctx.annotate(utterance, "utterance", "".join(parts))
         elif local in EVENT_CLASSES:
@@ -437,7 +456,8 @@ def _parse_body(
             timelines.append(_parse_timeline(child, ctx))
         else:
             items.append(_opaque(child))
-        if child.tail and (text := child.tail.strip()):
+        child.clear()
+        if tail and (text := tail.strip()):
             items.append(text)
 
 
@@ -450,7 +470,7 @@ def _parse_anchor(el: ET.Element, ctx: _ParseContext) -> AnchorRef:
     synch = el.get("synch")
     if synch is not None and synch[:1] == "#":
         synch = synch[1:]
-    return AnchorRef(synch, declares)
+    return _new(AnchorRef, (synch, declares))
 
 
 def _parse_event(el: ET.Element, cls: type[TimedEvent], ctx: _ParseContext) -> TimedEvent:
@@ -467,16 +487,6 @@ def _parse_event(el: ET.Element, cls: type[TimedEvent], ctx: _ParseContext) -> T
     )
 
 
-def _parse_utterance(u_el: ET.Element, ctx: _ParseContext, parts: list[str]) -> Utterance:
-    utt_id, generated = ctx.element_id(u_el, "u")
-    return Utterance(
-        id=utt_id,
-        who=_norm_ref(u_el.get("who")),
-        content=tuple(_parse_mixed(u_el, ctx, parts)),
-        id_generated=generated,
-    )
-
-
 def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str]) -> list:
     """The content items of ``el``, with nested segs.
 
@@ -486,6 +496,7 @@ def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str]) -> list:
     items: list = []
     append = items.append
     add_text = parts.append
+    anchor_order = ctx.anchor_order
     text = el.text
     if text:
         append(text)
@@ -515,20 +526,24 @@ def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str]) -> list:
             ana = child.get("ana")
             if ana is not None and ana[:1] == "#":
                 ana = ana[1:]
-            append((W if local == "w" else Pc)(token_text, token_id, ana, extras))
+            append(_new(W if local == "w" else Pc, (token_text, token_id, ana, extras)))
             add_text(token_text)
         elif local == "anchor":
-            append(_parse_anchor(child, ctx))
+            declares = child.get(XML_ID)
+            if declares is not None:
+                if declares[:1] == "#":
+                    declares = declares[1:]
+                anchor_order.append(declares)
+            synch = child.get("synch")
+            if synch is not None and synch[:1] == "#":
+                synch = synch[1:]
+            append(_new(AnchorRef, (synch, declares)))
         elif local == "seg":
             seg_id = child.get(XML_ID)
-            append(
-                Seg(
-                    type=child.get("type"),
-                    subtype=child.get("subtype"),
-                    content=tuple(_parse_mixed(child, ctx, parts)),
-                    id=strip_ref(seg_id) if seg_id is not None else None,
-                )
-            )
+            if seg_id is not None and seg_id[:1] == "#":
+                seg_id = seg_id[1:]
+            content = tuple(_parse_mixed(child, ctx, parts))
+            append(_new(Seg, (child.get("type"), child.get("subtype"), content, seg_id)))
         elif local in EVENT_CLASSES:
             append(_parse_event(child, EVENT_CLASSES[local], ctx))
         else:

@@ -48,7 +48,6 @@ from spokenkit.core.model import (
     SourceRef,
     SpokenkitError,
     Timeline,
-    UnknownIdError,
     WordForm,
     checked_replace,
     decode_utf8,
@@ -553,8 +552,9 @@ def from_core(doc: Document) -> tuple[TierDocument, list[ResidueItem]]:
         if layer.category is not None:
             tier_events(("layer", layer.id), layer.id, layer.speaker, layer.category)
 
+    positions = {} if timeline is None else timeline.positions
     for ann in doc.annotations:
-        reason = _no_tier_form(ann, timeline, timeline_ids, layers)
+        reason = _no_tier_form(ann, timeline, positions, timeline_ids, layers)
         if reason is not None:
             residue.append(ResidueItem(ann.id, reason))
             continue
@@ -580,12 +580,17 @@ def from_core(doc: Document) -> tuple[TierDocument, list[ResidueItem]]:
 
 
 def _no_tier_form(
-    ann: Annotation, timeline: Timeline | None, timeline_ids: set[str], layers: dict[str, Layer]
+    ann: Annotation,
+    timeline: Timeline | None,
+    positions: Mapping[str, int],
+    timeline_ids: set[str],
+    layers: dict[str, Layer],
 ) -> str | None:
     """Why ``ann`` has no tier form, or None when it has one.
 
     ``timeline`` is the document's first timeline, the only one a tier file
-    holds, and ``timeline_ids`` the ids of all its timelines.
+    holds, ``positions`` its point positions, and ``timeline_ids`` the ids
+    of all the document's timelines.
     """
     if isinstance(ann, WordForm):
         return "word-form annotations have no tier form"
@@ -598,11 +603,10 @@ def _no_tier_form(
         if rng.timeline in timeline_ids:
             return "only events on the first timeline are expressible"
         return "event interval does not resolve"
-    try:
-        forward = timeline.index_of(rng.start) < timeline.index_of(rng.end)
-    except UnknownIdError:
+    start, end = positions.get(rng.start), positions.get(rng.end)
+    if start is None or end is None:
         return "event interval does not resolve"
-    if not forward:
+    if start >= end:
         return "events must run strictly forward in time"
     if len(ann.qualifiers) != 1:
         return "multiple qualifiers per event are not expressible"

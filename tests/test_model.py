@@ -58,6 +58,16 @@ def test_timeline_point_lookup():
         tl.index_of("zz")
 
 
+def test_timeline_positions_are_a_read_only_view_of_the_point_index():
+    tl = Timeline.of("tl", ["a", "b", "c"])
+    assert dict(tl.positions) == {"a": 0, "b": 1, "c": 2}
+    assert tl.positions.get("zz") is None
+    with pytest.raises(TypeError):
+        tl.positions["zz"] = 3
+    assert "zz" not in tl
+    assert dict(tl._replace(ids=("c", "d"), offsets=(None, None)).positions) == {"c": 0, "d": 1}
+
+
 def test_timeline_unknown_point_id():
     tl = Timeline.of("tl", ["a", "b"])
     with pytest.raises(UnknownIdError) as exc:

@@ -7,11 +7,14 @@ references below compute the same results from the parsed content with
 annotations: the annotations are exactly one per utterance and free-standing
 event, in body order. ``validate_all`` finds the same in a parsed document as
 in its resolved copy, so ``spokenkit validate`` resolves no anchors. A TEI
-→ TEI pass keeps every explicit ``xml:id``, empty ones included.
+→ TEI pass keeps every explicit ``xml:id``, empty ones included. The reader
+clears the element tree as it goes; no element reaches the model, and a
+parse leaves nothing for the cyclic collector.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -34,6 +37,7 @@ from spokenkit.tei import (
 )
 from spokenkit.tei.model import content_items, content_text
 from spokenkit.validate import validate_all
+from tests.conftest import FIXTURES, cyclic_garbage
 
 TEI_NS = "http://www.tei-c.org/ns/1.0"
 XML_ID = "{http://www.w3.org/XML/1998/namespace}id"
@@ -351,3 +355,42 @@ def test_tei_to_tei_keeps_every_explicit_id_on_random_documents():
         assert validate_all(parse_document(written)[0]) == validate_all(doc)
         empty |= {tag for tag, ident in _ids(markup) if ident == ""}
     assert empty == {"u", "w", "pc", "seg", "span"}
+
+
+def _elements_reachable(*roots) -> list[ET.Element]:
+    """The elements reachable from ``roots`` by object references; classes
+    are not followed, so the walk stays within the values."""
+    found: list[ET.Element] = []
+    seen: set[int] = set()
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, ET.Element):
+            found.append(obj)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_the_walk_finds_an_element_held_by_a_value():
+    element = ET.Element("w")
+    assert _elements_reachable([W("x", extras=({"k": (element,)},))]) == [element]
+
+
+def _markups():
+    for path in sorted(FIXTURES.glob("*.xml")):
+        yield path.read_bytes()
+    rand = random.Random(20111021)
+    for _ in range(100):
+        yield _Gen(rand).document()
+
+
+def test_no_element_escapes_into_the_model_and_no_garbage_is_left():
+    markups = list(_markups())
+    assert cyclic_garbage(lambda: [parse_document(markup) for markup in markups]) == 0
+    for markup in markups:
+        doc, warnings = parse_document(markup)
+        assert _elements_reachable(doc, warnings) == []

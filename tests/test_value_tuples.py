@@ -12,8 +12,10 @@ fill in the defaults, and ``copy`` and ``pickle`` give an equal value back.
 event, nor does the last field of a timeline, document, tier document or
 feature. An edit is ``_replace``, which keeps the class and runs the
 constructor's checks again. ``Annotation`` and ``WordForm`` are built by
-keyword only. The working classes ``Config``, ``ValidateOptions`` and the
-parser's context are plain classes with ``__slots__``.
+keyword only. The classes the TEI reader builds with ``tuple.__new__`` keep
+the generated constructor, which checks nothing. The working classes
+``Config``, ``ValidateOptions`` and the parser's context are plain classes
+with ``__slots__``.
 """
 
 from __future__ import annotations
@@ -214,6 +216,25 @@ def test_replace_keeps_the_class(cls, args, kwargs, text):
     assert type(edited) is cls
     assert getattr(edited, name) == "z"
     assert edited._replace(**{name: getattr(value, name)}) == value
+
+
+# The classes the reader builds with ``tuple.__new__``, past their constructors.
+BUILT_BY_THE_READER = [W, Pc, AnchorRef, Seg, Utterance, Qualifier]
+
+
+@pytest.mark.parametrize("cls", BUILT_BY_THE_READER, ids=lambda cls: cls.__name__)
+def test_a_class_the_reader_builds_directly_has_only_the_generated_constructor(cls):
+    """A check added to one of these classes would never run on what the
+    reader builds, so adding one must fail here first."""
+    assert cls.__bases__ == (tuple,)
+    assert "__new__" in vars(cls)
+    new = cls.__new__
+    assert new.__globals__["__name__"] == f"namedtuple_{cls.__name__}"
+    assert new.__code__.co_names == ("_tuple_new",)
+    assert cls.__init__ is object.__init__
+    case = next(case for case in CASES if case[0] is cls)
+    value = cls(*case[1])
+    assert tuple.__new__(cls, tuple(value)) == value
 
 
 def test_an_anchor_names_its_point():
@@ -758,12 +779,13 @@ def test_an_equivalence_is_true_when_its_verdict_is():
     assert Equivalence(True) and not Equivalence(False, "disjoint")
 
 
-# (class, its attributes and their defaults)
+# (class, its attributes and their defaults, whether it takes them as keywords)
 WORKING_CLASSES = [
-    (Config, {"severity_overrides": {}, "category_map": {}}),
+    (Config, {"severity_overrides": {}, "category_map": {}}, True),
     (
         ValidateOptions,
         {"library": None, "registry": None, "language": None, "severity_overrides": {}},
+        True,
     ),
     (
         _ParseContext,
@@ -775,14 +797,17 @@ WORKING_CLASSES = [
             "taken": None,
             "annotations": [],
         },
+        False,
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "cls, defaults", WORKING_CLASSES, ids=[case[0].__name__ for case in WORKING_CLASSES]
+    "cls, defaults, keywords",
+    WORKING_CLASSES,
+    ids=[case[0].__name__ for case in WORKING_CLASSES],
 )
-def test_the_working_classes_are_slotted_with_fresh_defaults(cls, defaults):
+def test_the_working_classes_are_slotted_with_fresh_defaults(cls, defaults, keywords):
     one, two = cls(), cls()
     assert not dataclasses.is_dataclass(cls)
     assert set(cls.__slots__) == set(defaults)
@@ -794,6 +819,10 @@ def test_the_working_classes_are_slotted_with_fresh_defaults(cls, defaults):
     with pytest.raises(AttributeError):
         one.other = "y"
     given = {name: object() for name in defaults}
+    if not keywords:
+        with pytest.raises(TypeError):
+            cls(**given)
+        return
     built = cls(**given)
     assert all(getattr(built, name) is value for name, value in given.items())
 
