@@ -195,7 +195,8 @@ class Timeline(_TimelineFields):
 
     # No ``__slots__``: the point index, point id -> position in ``ids``, is
     # ``_by_id`` in the instance dict, outside the fields and the ``repr``.
-    # ``__new__`` builds it, also on ``_replace``, ``copy`` and ``pickle``.
+    # ``__new__`` builds it, also on ``_replace``, ``copy`` and ``pickle``;
+    # ``append_flagged`` extends a copy of it.
 
     def __new__(
         cls,
@@ -281,14 +282,37 @@ class Timeline(_TimelineFields):
 
     def append_flagged(self, point_ids: Sequence[str], *, synthetic: bool) -> "Timeline":
         """This timeline with ``point_ids`` appended without offsets, flagged
-        as synthetic, or else as anchor-declared."""
-        added = frozenset(point_ids)
-        return self._replace(
-            ids=self.ids + tuple(point_ids),
-            offsets=self.offsets + (None,) * len(point_ids),
-            synthetic=self.synthetic | added if synthetic else self.synthetic,
-            anchor_declared=self.anchor_declared if synthetic else self.anchor_declared | added,
+        as synthetic, or else as anchor-declared.
+
+        Only what is appended is checked: an id that repeats another appended
+        id, or a point already here, raises the constructor's ``ValueError``.
+        The points already here were checked when this timeline was built, and
+        the appended ones have no offsets and are flagged as they are added.
+        """
+        tl_id, unit, ids, offsets, synthetic_ids, anchor_declared, implicit, id_declared = self
+        added = tuple(point_ids)
+        by_id = self._by_id.copy()
+        for n, pid in enumerate(added, start=len(ids)):
+            if pid in by_id:
+                raise ValueError(f"timeline {tl_id!r}: duplicate point id {pid!r}")
+            by_id[pid] = n
+        if synthetic:
+            synthetic_ids = synthetic_ids.union(added)
+        else:
+            anchor_declared = anchor_declared.union(added)
+        fields = (
+            tl_id,
+            unit,
+            ids + added,
+            offsets + (None,) * len(added),
+            synthetic_ids,
+            anchor_declared,
+            implicit,
+            id_declared,
         )
+        appended = tuple.__new__(self.__class__, fields)
+        object.__setattr__(appended, "_by_id", by_id)
+        return appended
 
     @classmethod
     def of(cls, timeline_id: str, point_ids: Iterable[str], unit: str = UNIT_SYMBOLIC) -> "Timeline":

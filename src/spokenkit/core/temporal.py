@@ -22,6 +22,9 @@ from spokenkit.core.model import (
     value_ne,
 )
 
+# Builds an ``EventInterval``, whose generated constructor checks nothing.
+_new = tuple.__new__
+
 BEFORE = "before"
 EQUAL = "equal"
 AFTER = "after"
@@ -250,6 +253,7 @@ def sequence_implicit(doc: Document) -> Document:
         return doc
 
     timeline = first_timeline(doc.timelines)
+    tl_id = timeline.id
     counter = 1 + sum(1 for pid in timeline.ids if pid.startswith(SYNTHETIC_PREFIX))
     added: list[str] = []
     new_annotations: list[Annotation] = []
@@ -259,7 +263,7 @@ def sequence_implicit(doc: Document) -> Document:
             end = f"{SYNTHETIC_PREFIX}{counter + 1}"
             counter += 2
             added += (start, end)
-            ann = ann.with_range(EventInterval(start, end, timeline.id))
+            ann = ann.with_range(_new(EventInterval, (start, end, tl_id)))
         new_annotations.append(ann)
 
     timelines = (timeline.append_flagged(added, synthetic=True), *doc.timelines[1:])

@@ -15,6 +15,14 @@ clears each child of ``<text>`` and of ``<body>`` once it has built its
 value. Freeing the subtree as the walk goes lowers the count of live
 container objects that triggers the cyclic collector, which therefore runs
 less often during a parse and scans less each time it does.
+
+The reader's loops, and ``resolve_anchors``, build each value with
+``tuple.__new__`` from fields they read themselves, with no helper call per
+item: ``W``, ``Pc``, ``AnchorRef``, ``Seg``, ``Utterance``, ``Qualifier``,
+the ``TimedEvent`` classes and ``EventInterval``, whose generated
+constructors check nothing. ``Annotation`` checks that it has a qualifier,
+so it is built so only with a one-element qualifier tuple written in the
+same statement; elsewhere it goes through its keyword constructor.
 """
 
 from __future__ import annotations
@@ -75,7 +83,6 @@ from spokenkit.tei.model import (
     Utterance,
     W,
     annotated_items,
-    content_items,
 )
 
 TEI_NS = "http://www.tei-c.org/ns/1.0"
@@ -107,10 +114,13 @@ _LOCAL_NAMES = {name: name for name in _VOCABULARY}
 _LOCAL_NAMES.update({_TEI_PREFIX + name: name for name in _VOCABULARY})
 
 
-# Builds a content value from its fields. The named-tuple constructors of the
-# classes built so (``W``, ``Pc``, ``AnchorRef``, ``Seg``, ``Utterance`` and
-# ``Qualifier``) check nothing, and a test pins that they stay so.
+# Builds a value from its fields, past its constructor; the module docstring
+# names the classes built so, and a test pins that their constructors check nothing.
 _new = tuple.__new__
+
+# The bounds of a timeline offset: zero or more, and finite.
+_DEC_ZERO = Decimal(0)
+_DEC_INF = Decimal("Infinity")
 
 
 def _local(tag: str) -> str:
@@ -177,23 +187,6 @@ class _ParseContext:
 
     def warn(self, code: str, location: str, message: str) -> None:
         self.warnings.append(Finding(code, WARNING, location, message))
-
-    def annotate(self, item: Utterance | TimedEvent, feature: str, value: str) -> None:
-        """Record the annotation of a body utterance or free-standing event.
-
-        Tokens are not annotations: each identified ``w`` is a component of
-        the body already, read with ``document_tokens``.
-        """
-        self.annotations.append(
-            Annotation(
-                id=item.id,
-                source=DEFAULT_SOURCE,
-                range=None,
-                qualifiers=(_new(Qualifier, (feature, value)),),
-                layer=EVENTS_LAYER,
-                who=item.who,
-            )
-        )
 
     def element_id(self, el: ET.Element, prefix: str) -> tuple[str, bool]:
         """``el``'s ``xml:id`` without its '#', and False; or else, with True,
@@ -372,7 +365,8 @@ def _parse_timeline(tl_el: ET.Element, ctx: _ParseContext) -> Timeline:
         if pid is None:
             ctx.warn("POINT_WITHOUT_ID", "when", "timeline point without xml:id ignored")
             continue
-        pid = strip_ref(pid)
+        if pid[:1] == "#":
+            pid = pid[1:]
         if pid in seen:
             ctx.warn("DUP_POINT", pid, f"duplicate timeline point {pid!r}; keeping the first")
             continue
@@ -380,18 +374,17 @@ def _parse_timeline(tl_el: ET.Element, ctx: _ParseContext) -> Timeline:
         offset = None
         raw_offset = when.get("absolute")
         if raw_offset is not None:
+            kind = None
             try:
                 offset = Decimal(raw_offset)
+                # A NaN refuses the comparison, and raises as an ill-formed number does.
+                if not _DEC_ZERO <= offset < _DEC_INF:
+                    kind = "an infinite" if offset.is_infinite() else "a negative"
             except InvalidOperation:
-                pass
-            if offset is None or not offset.is_finite():
-                kind = "a non-numeric" if offset is None or offset.is_nan() else "an infinite"
+                kind = "a non-numeric"
+            if kind is not None:
                 offset = None
                 message = f"point {pid!r} has {kind} offset {raw_offset!r}"
-                ctx.warn("BAD_OFFSET", pid, message)
-            elif offset < 0:
-                offset = None
-                message = f"point {pid!r} has a negative offset {raw_offset!r}"
                 ctx.warn("BAD_OFFSET", pid, message)
         ids.append(pid)
         offsets.append(offset)
@@ -425,6 +418,9 @@ def _parse_body(
     layout. Each child is cleared once its item is built."""
     if body_el.text and (text := body_el.text.strip()):
         items.append(text)
+    # Tokens are not annotations: each identified ``w`` is a component of the
+    # body already, read with ``document_tokens``.
+    annotate = ctx.annotations.append
     for child in body_el:
         tail = child.tail
         local = _LOCAL_NAMES.get(child.tag)
@@ -441,13 +437,22 @@ def _parse_body(
                 who = who[1:]
             parts: list[str] = []
             content = tuple(_parse_mixed(child, ctx, parts))
-            utterance = _new(Utterance, (utt_id, who, content, generated))
-            items.append(utterance)
-            ctx.annotate(utterance, "utterance", "".join(parts))
+            items.append(_new(Utterance, (utt_id, who, content, generated)))
+            qualifier = _new(Qualifier, ("utterance", "".join(parts)))
+            annotate(
+                _new(Annotation, (utt_id, DEFAULT_SOURCE, None, (qualifier,), EVENTS_LAYER, who))
+            )
         elif local in EVENT_CLASSES:
             event = _parse_event(child, EVENT_CLASSES[local], ctx)
             items.append(event)
-            ctx.annotate(event, _event_feature(local, event.type), event.desc or "")
+            desc, kind, who, _, _, event_id, _ = event
+            # An informative @type refines the category; 'nv' only marks the
+            # event as non-verbal and is not a category of its own.
+            feature = kind if kind and kind != "nv" else local
+            qualifier = _new(Qualifier, (feature, desc or ""))
+            annotate(
+                _new(Annotation, (event_id, DEFAULT_SOURCE, None, (qualifier,), EVENTS_LAYER, who))
+            )
         elif local == "anchor":
             items.append(_parse_anchor(child, ctx))
         elif local == "spanGrp":
@@ -474,17 +479,28 @@ def _parse_anchor(el: ET.Element, ctx: _ParseContext) -> AnchorRef:
 
 
 def _parse_event(el: ET.Element, cls: type[TimedEvent], ctx: _ParseContext) -> TimedEvent:
-    desc = _text_of(_child(el, "desc"))
-    event_id, generated = ctx.element_id(el, cls.tag)
-    return cls(
-        desc=desc,
-        type=el.get("type"),
-        who=_norm_ref(el.get("who")),
-        start=_norm_ref(el.get("start")),
-        end=_norm_ref(el.get("end")),
-        id=event_id,
-        id_generated=generated,
-    )
+    desc = None
+    for child in el:
+        if _LOCAL_NAMES.get(child.tag) == "desc":
+            desc = "".join(child.itertext()).strip()
+            break
+    event_id = el.get(XML_ID)
+    if event_id is None:
+        event_id, generated = ctx.element_id(el, cls.tag)
+    else:
+        generated = False
+        if event_id[:1] == "#":
+            event_id = event_id[1:]
+    who = el.get("who")
+    if who is not None and who[:1] == "#":
+        who = who[1:]
+    start = el.get("start")
+    if start is not None and start[:1] == "#":
+        start = start[1:]
+    end = el.get("end")
+    if end is not None and end[:1] == "#":
+        end = end[1:]
+    return _new(cls, (desc, el.get("type"), who, start, end, event_id, generated))
 
 
 def _parse_mixed(el: ET.Element, ctx: _ParseContext, parts: list[str]) -> list:
@@ -694,19 +710,6 @@ def _parse_entry(el: ET.Element) -> LexicalEntry:
     return LexicalEntry(tuple(forms))
 
 
-# ---------------------------------------------------------------- annotations
-
-def _event_feature(kind: str, event_type: str | None) -> str:
-    """The qualifier feature of a free-standing timed event.
-
-    An informative @type refines the category; 'nv' only marks the event as
-    non-verbal and is not a category of its own.
-    """
-    if event_type and event_type != "nv":
-        return event_type
-    return kind
-
-
 # ---------------------------------------------------------------- anchors
 
 def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
@@ -730,43 +733,55 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
     for n, item in enumerate(doc.body):
         interval = None
         if isinstance(item, Utterance):
-            location = item.id or "body"
+            utt_id = item.id
+            location = utt_id or "body"
             first = last = None
-            for anchor in content_items(item.content, AnchorRef):
-                pid = anchor.declares
-                if pid is None:
-                    pid = anchor.synch
-                    if pid is None:
-                        continue
-                if pid in point_home:
-                    if first is None:
-                        first = pid
-                    last = pid
+            # Nested content is walked in document order, one iterator per open container.
+            pending = [iter(item.content)]
+            while pending:
+                for inner in pending[-1]:
+                    if isinstance(inner, AnchorRef):
+                        synch, pid = inner
+                        if pid is None:
+                            pid = synch
+                            if pid is None:
+                                continue
+                        if pid in point_home:
+                            if first is None:
+                                first = pid
+                            last = pid
+                        else:
+                            findings.append(_dangling(utt_id, location, pid))
+                    elif isinstance(inner, (Seg, Utterance)):
+                        pending.append(iter(inner.content))
+                        break
                 else:
-                    findings.append(_dangling(item.id, location, pid))
+                    pending.pop()
             if first is not None:
-                if point_home[first] is point_home[last]:
-                    interval = EventInterval(first, last, point_home[first].id)
+                home = point_home[first]
+                if home is point_home[last]:
+                    interval = _new(EventInterval, (first, last, home.id))
                 else:
-                    message = f"{item.id!r} anchors span different timelines"
+                    message = f"{utt_id!r} anchors span different timelines"
                     findings.append(Finding("TIMELINE_MISMATCH", WARNING, location, message))
         elif isinstance(item, TimedEvent) and item.id is not None:
-            location = item.id or "body"
-            start, end = item.start, item.end
+            _, _, _, start, end, event_id, _ = item
+            location = event_id or "body"
             if start is not None and start not in point_home:
-                findings.append(_dangling(item.id, location, start))
+                findings.append(_dangling(event_id, location, start))
                 start = None
             if end is not None and end not in point_home:
-                findings.append(_dangling(item.id, location, end))
+                findings.append(_dangling(event_id, location, end))
                 end = None
             if start is not None and end is not None:
-                if point_home[start] is point_home[end]:
-                    interval = EventInterval(start, end, point_home[start].id)
+                home = point_home[start]
+                if home is point_home[end]:
+                    interval = _new(EventInterval, (start, end, home.id))
                 else:
-                    message = f"{item.id!r} start and end are on different timelines"
+                    message = f"{event_id!r} start and end are on different timelines"
                     findings.append(Finding("TIMELINE_MISMATCH", WARNING, location, message))
             elif start is not None:
-                interval = EventInterval(start, start, point_home[start].id)
+                interval = _new(EventInterval, (start, start, point_home[start].id))
         if interval is not None:
             resolved.append((n, interval))
 

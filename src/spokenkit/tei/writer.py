@@ -18,7 +18,7 @@ from collections.abc import Callable
 from decimal import Decimal
 from typing import Any
 
-from spokenkit.core.model import Document, EventInterval, SpokenkitError, Timeline
+from spokenkit.core.model import CategoryRef, Document, EventInterval, SpokenkitError, Timeline
 from spokenkit.featstruct import (
     Binary,
     Feature,
@@ -202,15 +202,18 @@ def _write_timeline(w: _Writer, depth: int, timeline: Timeline, materialize: boo
         attrs["xml:id"] = timeline.id
     w.line(depth, f"<timeline{_attrs(attrs)}>")
     indent = "  " * (depth + 1)
-    lines = w.lines
+    append = w.lines.append
+    special = _ATTR_SPECIAL.search
     for pid, offset in zip(timeline.ids, timeline.offsets):
         if pid in hidden:
             continue
-        ident = _esc_attr(pid)
+        if special(pid):
+            pid = _ATTR_SPECIAL.sub(_escape, pid)
         if offset is None:
-            lines.append(f'{indent}<when xml:id="{ident}"/>')
+            append(f'{indent}<when xml:id="{pid}"/>')
         else:
-            lines.append(f'{indent}<when absolute="{_number(offset)}" xml:id="{ident}"/>')
+            number = str(offset) if offset.__class__ is Decimal else _number(offset)
+            append(f'{indent}<when absolute="{number}" xml:id="{pid}"/>')
     w.line(depth, "</timeline>")
 
 
@@ -232,29 +235,46 @@ def _write_generated_body(w: _Writer, depth: int, doc: Document) -> None:
     """
     indent = "  " * depth
     inner = "  " * (depth + 1)
-    lines = w.lines
+    append = w.lines.append
+    special, text_special = _ATTR_SPECIAL.search, _TEXT_SPECIAL.search
+    attr_sub, text_sub = _ATTR_SPECIAL.sub, _TEXT_SPECIAL.sub
     layer_categories = {layer.id: layer.category for layer in doc.layers}
     for ann in doc.annotations:
-        interval = ann.range
+        ident, _, interval, qualifiers, layer, who = ann[:6]
         if not isinstance(interval, EventInterval):
             continue
-        qualifier = ann.qualifiers[0]
-        feature = layer_categories.get(ann.layer) or qualifier.feature_key()
-        text = _esc_text(qualifier.value_key())
-        start, end = _esc_attr(interval.start), _esc_attr(interval.end)
-        who = "" if ann.who is None else f' who="#{_esc_attr(ann.who)}"'
-        ident = _esc_attr(ann.id)
+        start, end, _ = interval
+        feature, text = qualifiers[0]
+        feature = layer_categories.get(layer) or (
+            feature.pid if isinstance(feature, CategoryRef) else feature
+        )
+        if text.__class__ is not str:
+            text = text.pid if isinstance(text, CategoryRef) else str(text)
+        # A value is escaped only where the search finds a special character; a C0
+        # control is one, so ``_escape`` still refuses it.
+        if text_special(text):
+            text = text_sub(_escape, text)
+        if special(start):
+            start = attr_sub(_escape, start)
+        if special(end):
+            end = attr_sub(_escape, end)
+        if special(ident):
+            ident = attr_sub(_escape, ident)
+        if who is None:
+            who = ""
+        else:
+            who = f' who="#{attr_sub(_escape, who) if special(who) else who}"'
         if feature in ("utterance", "verbal"):
-            lines.append(
+            append(
                 f'{indent}<u{who} xml:id="{ident}"><anchor synch="#{start}"/>'
                 f'{text}<anchor synch="#{end}"/></u>'
             )
         else:
             tag = EVENT_CLASSES.get(feature, Kinesic).tag
             kind = "" if feature == tag else f' type="{_esc_attr(feature)}"'
-            lines.append(f'{indent}<{tag} end="#{end}" start="#{start}"{kind}{who} xml:id="{ident}">')
-            lines.append(f"{inner}<desc>{text}</desc>" if text else f"{inner}<desc/>")
-            lines.append(f"{indent}</{tag}>")
+            append(f'{indent}<{tag} end="#{end}" start="#{start}"{kind}{who} xml:id="{ident}">')
+            append(f"{inner}<desc>{text}</desc>" if text else f"{inner}<desc/>")
+            append(f"{indent}</{tag}>")
 
 
 def _writer_of(table: dict, item, place: str) -> Callable:

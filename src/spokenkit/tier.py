@@ -65,6 +65,11 @@ TIER_SOURCE = "source1"
 # Feature names that map back to the conventional 'verbal' tier category.
 _VERBAL_FEATURES = {"utterance": "verbal"}
 
+# Builds a value from its fields, past its constructor: in ``to_core``, an
+# interval and a qualifier, whose generated constructors check nothing, and an
+# annotation, whose one check, that it has a qualifier, holds by construction.
+_new = tuple.__new__
+
 
 class TierParseError(SpokenkitError, ValueError):
     def __init__(self, line_no: int, message: str):
@@ -446,35 +451,28 @@ def to_core(td: TierDocument, category_map: Mapping[str, str] | None = None) -> 
     levels: dict[str, Level] = {}
     layers: list[Layer] = []
     annotations: list[Annotation] = []
-    for tier in td.tiers:
-        pid = category_map.get(tier.category) if category_map else None
-        feature = tier.category if pid is None else CategoryRef(pid)
-        level_id = f"level_{tier.category}"
+    annotate = annotations.append
+    for tier_id, speaker, category, events in td.tiers:
+        pid = category_map.get(category) if category_map else None
+        feature = category if pid is None else CategoryRef(pid)
+        level_id = f"level_{category}"
         if level_id not in levels:
             levels[level_id] = Level(
                 level_id,
                 sources=frozenset({TIER_SOURCE}),
                 ranging_mechanism=MECH_EVENT,
-                category_selection=frozenset({tier.category if pid is None else pid}),
+                category_selection=frozenset({category if pid is None else pid}),
             )
-        layers.append(
-            Layer(tier.id, tier.category, level_id, speaker=tier.speaker, category=tier.category)
-        )
+        layers.append(Layer(tier_id, category, level_id, speaker=speaker, category=category))
         # Events with the same text share one qualifier tuple.
         qualifiers: dict[str, tuple[Qualifier]] = {}
-        for n, (start, end, text) in enumerate(tier.events, start=1):
+        for n, (start, end, text) in enumerate(events, start=1):
             shared = qualifiers.get(text)
             if shared is None:
-                shared = qualifiers[text] = (Qualifier(feature, text),)
-            annotations.append(
-                Annotation(
-                    id=f"{tier.id}_e{n}",
-                    source=TIER_SOURCE,
-                    range=EventInterval(start, end, TIER_TIMELINE),
-                    qualifiers=shared,
-                    layer=tier.id,
-                    who=tier.speaker,
-                )
+                shared = qualifiers[text] = (_new(Qualifier, (feature, text)),)
+            interval = _new(EventInterval, (start, end, TIER_TIMELINE))
+            annotate(
+                _new(Annotation, (f"{tier_id}_e{n}", TIER_SOURCE, interval, shared, tier_id, speaker))
             )
     metadata = Metadata.of(
         title="Tier interchange document",

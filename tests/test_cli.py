@@ -14,7 +14,7 @@ import pytest
 import spokenkit.cli
 import spokenkit.core.temporal
 from spokenkit.cli import main
-from spokenkit.core import EventInterval, UnknownIdError
+from spokenkit.core import EventInterval, UnknownIdError, overlaps_report
 from spokenkit.tei import (
     Seg,
     TeiParseError,
@@ -422,19 +422,29 @@ def _refuse(*args, **kwargs):
 
 
 def test_overlaps_builds_no_object_per_pair(capsys, monkeypatch):
-    intervals = []
-    new = EventInterval.__new__
+    seen = []
 
-    def counted(cls, *args, **kwargs):
-        intervals.append(args)
-        return new(cls, *args, **kwargs)
+    def spied(doc):
+        report = overlaps_report(doc)
+        seen.append((doc, report))
+        return report
 
-    monkeypatch.setattr(EventInterval, "__new__", counted)
+    monkeypatch.setattr(spokenkit.cli, "overlaps_report", spied)
     monkeypatch.setattr(spokenkit.core.temporal, "OverlapPair", _refuse)
     code, out, _ = run(capsys, "overlaps", fixture_path("anchored_dialogue.xml"))
     assert (code, len(out.splitlines())) == (0, 3)
-    # One interval per anchored annotation, from resolve_anchors; none per pair.
-    assert len(intervals) == 4
+    [(doc, report)] = seen
+    # The document holds one interval per anchored annotation, from resolve_anchors,
+    # and the report one plain tuple per pair.
+    ranges = [ann.range for ann in doc.annotations if isinstance(ann.range, EventInterval)]
+    assert ranges == [
+        EventInterval("T1", "T4", "timeline1"),
+        EventInterval("T3", "T6", "timeline1"),
+        EventInterval("T3", "T5", "timeline1"),
+        EventInterval("T6", "T7", "timeline1"),
+    ]
+    assert len(report.rows) == 3
+    assert all(type(row) is tuple for row in report.rows)
 
 
 def test_validate_resolves_no_anchors(capsys, monkeypatch):

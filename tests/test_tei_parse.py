@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from decimal import Decimal
+
 import pytest
 
 from spokenkit.core import EventInterval, Finding, overlaps_report, sequence_implicit
@@ -399,6 +401,41 @@ def test_negative_or_nan_timeline_offset_is_reported_and_dropped(offset, message
     doc, warnings = parse_document(data)
     assert warnings == [Finding("BAD_OFFSET", "warning", "T2", message)]
     assert doc.primary_timeline.offsets == (None,) * len(DIALOGUE_POINT_IDS)
+
+
+@pytest.mark.parametrize(
+    "offset, kind",
+    [
+        ("-1", "a negative"),
+        ("-Infinity", "an infinite"),
+        ("Infinity", "an infinite"),
+        ("NaN", "a non-numeric"),
+        ("sNaN", "a non-numeric"),
+        ("NaN123", "a non-numeric"),
+        ("-NaN", "a non-numeric"),
+        ("one", "a non-numeric"),
+    ],
+)
+def test_each_bad_timeline_offset_gives_its_message(offset, kind):
+    data = fixture_bytes("anchored_dialogue.xml").replace(
+        b'<when xml:id="T2"/>', b'<when xml:id="T2" absolute="%s"/>' % offset.encode()
+    )
+    doc, warnings = parse_document(data)
+    message = f"point 'T2' has {kind} offset {offset!r}"
+    assert warnings == [Finding("BAD_OFFSET", "warning", "T2", message)]
+    assert doc.primary_timeline.offsets == (None,) * len(DIALOGUE_POINT_IDS)
+
+
+@pytest.mark.parametrize("offset", ["-0", "0", "0.000", "-0.0", "1E+2"])
+def test_a_zero_or_positive_timeline_offset_is_kept(offset):
+    data = fixture_bytes("anchored_dialogue.xml").replace(
+        b'<when xml:id="T2"/>', b'<when xml:id="T2" absolute="%s"/>' % offset.encode()
+    )
+    doc, warnings = parse_document(data)
+    assert warnings == []
+    kept = doc.primary_timeline.offsets[DIALOGUE_POINT_IDS.index("T2")]
+    assert type(kept) is Decimal and str(kept) == str(Decimal(offset))
+    assert b'absolute="%s"' % str(Decimal(offset)).encode() in serialize_document(doc)
 
 
 @pytest.mark.parametrize("offset", ["Infinity", "inf", "-Infinity"])

@@ -3,11 +3,14 @@
 A ``Timeline`` stores its points as an id column, an offset column and two
 flag sets; a point is its position in the columns. Construction refuses what
 the per-point offset rule, the timeline's unit and duplicate-id checks and
-the two column checks refuse.
+the two column checks refuse. ``append_flagged`` checks only the points it
+appends, and gives what the checked ``_replace`` gives.
 """
 
 from __future__ import annotations
 
+import copy
+import pickle
 from decimal import Decimal
 
 import pytest
@@ -146,3 +149,67 @@ def test_appended_points_are_flagged_and_have_no_offsets(synthetic, flags):
     assert [appended.index_of(pid) for pid in "abcd"] == [0, 1, 2, 3]
     with pytest.raises(ValueError, match="duplicate point id 'b'"):
         tl.append_flagged(["c", "b"], synthetic=synthetic)
+
+
+def replaced(tl: Timeline, point_ids, synthetic: bool) -> Timeline:
+    """``tl.append_flagged(point_ids, synthetic=synthetic)`` built the long
+    way: the whole edited timeline sent through the checking constructor."""
+    added = frozenset(point_ids)
+    return tl._replace(
+        ids=tl.ids + tuple(point_ids),
+        offsets=tl.offsets + (None,) * len(point_ids),
+        synthetic=tl.synthetic | added if synthetic else tl.synthetic,
+        anchor_declared=tl.anchor_declared if synthetic else tl.anchor_declared | added,
+    )
+
+
+@pytest.mark.parametrize("synthetic", [True, False])
+@pytest.mark.parametrize(
+    "point_ids, repeated",
+    [(["c", "d", "c"], "c"), (["c", "a"], "a"), (["b"], "b"), (["c", "c", "a"], "c")],
+)
+def test_an_appended_id_that_repeats_a_point_is_refused(synthetic, point_ids, repeated):
+    tl = Timeline("tl", "s", ("a", "b"), (Decimal(1), None), frozenset({"b"}), frozenset({"a"}))
+    message = f"timeline 'tl': duplicate point id {repeated!r}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tl.append_flagged(point_ids, synthetic=synthetic)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replaced(tl, point_ids, synthetic)
+
+
+@pytest.mark.parametrize("synthetic", [True, False])
+def test_an_appended_timeline_indexes_its_points_and_survives_copy_and_pickle(synthetic):
+    tl = Timeline("tl", "ms", ("a", "b"), (Decimal(1), 2), frozenset({"b"}), id_declared=True)
+    appended = tl.append_flagged(("c", "~auto1"), synthetic=synthetic)
+    # ``==`` compares every field but ``id_declared``, the flags included.
+    assert appended == replaced(tl, ("c", "~auto1"), synthetic)
+    assert appended.id_declared and type(appended) is Timeline
+    assert appended.points == appended.ids == ("a", "b", "c", "~auto1")
+    assert dict(appended.positions) == {"a": 0, "b": 1, "c": 2, "~auto1": 3}
+    assert [appended.index_of(pid) for pid in appended.ids] == [0, 1, 2, 3]
+    assert "c" in appended and "c" not in tl and "d" not in appended
+    assert dict(tl.positions) == {"a": 0, "b": 1}
+    for twin in (copy.copy(appended), copy.deepcopy(appended), pickle.loads(pickle.dumps(appended))):
+        assert twin == appended and twin.id_declared
+        assert dict(twin.positions) == dict(appended.positions)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(POINT_IDS, unique=True, max_size=5),
+    st.lists(POINT_IDS, max_size=4),
+    st.booleans(),
+)
+def test_appending_equals_the_checked_replace(ids, point_ids, synthetic):
+    flagged = frozenset(ids[:1])
+    tl = Timeline("tl", "s", tuple(ids), (None,) * len(ids), flagged, flagged)
+    try:
+        expected = replaced(tl, point_ids, synthetic)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            tl.append_flagged(point_ids, synthetic=synthetic)
+        assert str(refused.value) == str(exc)
+        return
+    appended = tl.append_flagged(point_ids, synthetic=synthetic)
+    assert appended == expected
+    assert dict(appended.positions) == dict(expected.positions)

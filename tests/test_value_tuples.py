@@ -12,8 +12,10 @@ fill in the defaults, and ``copy`` and ``pickle`` give an equal value back.
 event, nor does the last field of a timeline, document, tier document or
 feature. An edit is ``_replace``, which keeps the class and runs the
 constructor's checks again. ``Annotation`` and ``WordForm`` are built by
-keyword only. The classes the TEI reader builds with ``tuple.__new__`` keep
-the generated constructor, which checks nothing. The working classes
+keyword only. The classes the TEI reader, the anchor resolver, the sequencer
+and ``to_core`` build with ``tuple.__new__`` keep the generated constructor,
+which checks nothing, and every annotation they build directly is one the
+checking constructor accepts. The working classes
 ``Config``, ``ValidateOptions`` and the parser's context are plain classes
 with ``__slots__``.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import random
 import re
 from decimal import Decimal
 
@@ -77,13 +80,20 @@ from spokenkit.tei import (
     Span,
     SpanGroup,
     TagLib,
+    TimedEvent,
     Utterance,
     Vocal,
     W,
+    parse_document,
+    resolve_anchors,
 )
+from spokenkit.tei.model import EVENT_CLASSES
 from spokenkit.tei.parser import _ParseContext
-from spokenkit.tier import ResidueItem, Tier, TierDocument, TierSpeaker
+from spokenkit.tier import ResidueItem, Tier, TierDocument, TierSpeaker, to_core
 from spokenkit.validate import ValidateOptions, ValidationReport
+from tests.test_tei_read_path import _Gen
+from tests.test_tier import random_tier_document
+from tests.test_validate_walk import _TaggedGen
 
 # (class, positional arguments, the same by keyword, repr)
 CASES = [
@@ -218,23 +228,65 @@ def test_replace_keeps_the_class(cls, args, kwargs, text):
     assert edited._replace(**{name: getattr(value, name)}) == value
 
 
-# The classes the reader builds with ``tuple.__new__``, past their constructors.
-BUILT_BY_THE_READER = [W, Pc, AnchorRef, Seg, Utterance, Qualifier]
+# The classes the readers, the resolver and the sequencer build with
+# ``tuple.__new__``, past their constructors.
+BUILT_DIRECTLY = [W, Pc, AnchorRef, Seg, Utterance, Qualifier, EventInterval, Vocal, Kinesic, Incident]
 
 
-@pytest.mark.parametrize("cls", BUILT_BY_THE_READER, ids=lambda cls: cls.__name__)
+def _package_subclasses(cls: type) -> list[type]:
+    """Every subclass of ``cls`` that the package defines, however deep."""
+    found = []
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("spokenkit."):
+            found += [sub, *_package_subclasses(sub)]
+    return found
+
+
+@pytest.mark.parametrize("cls", BUILT_DIRECTLY, ids=lambda cls: cls.__name__)
 def test_a_class_the_reader_builds_directly_has_only_the_generated_constructor(cls):
     """A check added to one of these classes would never run on what the
-    reader builds, so adding one must fail here first."""
-    assert cls.__bases__ == (tuple,)
-    assert "__new__" in vars(cls)
+    reader builds, so adding one must fail here first. An event class takes
+    the constructor of ``TimedEvent``, and no event class may add its own."""
+    base = cls
+    if issubclass(cls, TimedEvent):
+        base = TimedEvent
+        assert cls.__bases__ == (TimedEvent,)
+        assert set(_package_subclasses(TimedEvent)) == set(EVENT_CLASSES.values())
+        for sub in _package_subclasses(TimedEvent):
+            assert "__new__" not in vars(sub) and "__init__" not in vars(sub), sub
+    assert base.__bases__ == (tuple,)
+    assert "__new__" in vars(base)
     new = cls.__new__
-    assert new.__globals__["__name__"] == f"namedtuple_{cls.__name__}"
+    assert new is base.__new__
+    assert new.__globals__["__name__"] == f"namedtuple_{base.__name__}"
     assert new.__code__.co_names == ("_tuple_new",)
     assert cls.__init__ is object.__init__
     case = next(case for case in CASES if case[0] is cls)
     value = cls(*case[1])
     assert tuple.__new__(cls, tuple(value)) == value
+
+
+def _annotations_built_directly():
+    """The annotations of 200 documents of each TEI generator, read and
+    resolved, and of ``to_core`` over 200 random tier documents."""
+    for gen in (_Gen, _TaggedGen):
+        for seed in range(200):
+            doc, _ = parse_document(gen(random.Random(seed)).document())
+            yield from doc.annotations
+            yield from resolve_anchors(doc)[0].annotations
+    rng = random.Random(5)
+    for _ in range(200):
+        yield from to_core(random_tier_document(rng)).annotations
+
+
+def test_an_annotation_built_directly_is_one_the_constructor_accepts():
+    count = 0
+    for ann in _annotations_built_directly():
+        assert type(ann) is Annotation
+        assert ann.qualifiers and type(ann.qualifiers) is tuple
+        assert ann == Annotation(**ann._asdict())
+        count += 1
+    assert count > 1000
 
 
 def test_an_anchor_names_its_point():
