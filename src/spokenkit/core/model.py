@@ -65,11 +65,13 @@ class UnknownIdError(SpokenkitError, LookupError):
 
 
 def decode_utf8(data: str | bytes, error: Callable[[int, str], Exception]) -> str:
-    """``data`` as text. Bytes that are not UTF-8 raise ``error(line_no,
+    """``data`` as text, without one leading UTF-8 byte-order mark if
+    ``data`` is bytes. Bytes that are not UTF-8 raise ``error(line_no,
     message)`` for the line, counted as ``str.splitlines`` counts, that holds
     the first bad byte."""
     if isinstance(data, str):
         return data
+    data = data.removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

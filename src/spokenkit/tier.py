@@ -22,8 +22,8 @@ file round-trips bit-exactly when its lines end in LF, the last one
 included, and each offset is spelled as ``str`` spells it. Other input the
 reader takes comes back rewritten after one pass: CRLF or any other
 ``str.splitlines`` line end as LF, a last line without a line end with one,
-and an offset such as ``+1`` or ``1e1`` respelled (``1``, ``1E+1``). A
-second pass is bit-exact.
+a leading UTF-8 byte-order mark dropped, and an offset such as ``+1`` or
+``1e1`` respelled (``1``, ``1E+1``). A second pass is bit-exact.
 """
 
 from __future__ import annotations

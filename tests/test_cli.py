@@ -632,6 +632,61 @@ def test_non_utf8_convention_rules_exit_two(capsys, tmp_path):
     )
 
 
+BOM = b"\xef\xbb\xbf"
+
+# reader: (file content, the command reading it at "{}", a line its output holds)
+BOM_CASES = {
+    "tier": (
+        fixture_bytes("score_dialogue.tier"),
+        ("convert", "{}", "--from", "tier", "--to", "tei"),
+        "<u ",
+    ),
+    "config": (
+        b"severity\tDUP_ID\twarning\n",
+        ("validate", "--config", "{}", fixture_path("inline_anchors.xml")),
+        "0 error(s), 1 warning(s)",
+    ),
+    "registry": (
+        fixture_bytes("registry.tsv"),
+        ("validate", "--registry", "{}", "--lang", "fr", fixture_path("tagged_neuter.xml")),
+        "error DOMAIN_VIOLATION",
+    ),
+    "conventions": (
+        b"(Okay)\tvocal\t1\n",
+        ("convert", fixture_path("anchored_dialogue.xml"), "--from", "tei", "--to", "tei",
+         "--conventions", "{}"),
+        "<vocal><desc>Okay</desc></vocal>",
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", BOM_CASES)
+def test_a_leading_byte_order_mark_changes_nothing(capsys, tmp_path, reader):
+    content, argv, shown = BOM_CASES[reader]
+    results = []
+    for name, data in (("plain", content), ("bom", BOM + content)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        results.append(run(capsys, *(str(path) if arg == "{}" else arg for arg in argv)))
+    assert results[1] == results[0]
+    assert shown in results[1][1]
+
+
+@pytest.mark.parametrize("data, line_no", [(BOM + b"\xff\n", 1), (BOM + NOT_UTF8, 3)])
+def test_a_bad_byte_after_a_byte_order_mark_is_reported_at_its_line(
+    capsys, tmp_path, data, line_no
+):
+    registry = tmp_path / "registry.tsv"
+    registry.write_bytes(data)
+    code, out, err = run(
+        capsys, "validate", "--registry", str(registry), fixture_path("tagged_neuter.xml")
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"spokenkit: bad registry {registry}: line {line_no}: byte 0xff is not valid UTF-8\n"
+    )
+
+
 def test_validate_unexpected_exception_fails_only_its_file(capsys, monkeypatch):
     import spokenkit.cli as cli
 

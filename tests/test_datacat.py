@@ -2,22 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from spokenkit.core import CategoryRef, Qualifier
 from spokenkit.datacat import (
-    DISJOINT,
-    EQUAL,
     LANGUAGE_RESTRICTED,
     OK,
     OUT_OF_DOMAIN,
-    Q1_BROADER_VALUE,
-    Q2_BROADER_VALUE,
     DataCategory,
     Registry,
     RegistryError,
     RegistryFormatError,
-    UnknownCategoryError,
-    build_registry,
-    dump_registry,
     load_registry,
 )
 from tests.conftest import fixture_bytes
@@ -47,7 +39,7 @@ def registry():
 def test_register_gender_with_french_restriction():
     reg = Registry()
     reg.register(gender_category())
-    assert PID + "grammaticalGender" in reg
+    assert PID + "grammaticalGender" in reg.categories
 
 
 def test_register_duplicate_pid():
@@ -78,23 +70,6 @@ def test_broader_cycle_rejected():
     reg.register(simple("a", broader=PID + "b"))
     with pytest.raises(RegistryError):
         reg.register(simple("b", broader=PID + "a"))
-
-
-def test_is_subcategory_through_broader_link(registry):
-    assert registry.is_subcategory(PID + "properNoun", PID + "noun")
-
-
-def test_is_subcategory_is_not_symmetric(registry):
-    assert not registry.is_subcategory(PID + "noun", PID + "properNoun")
-
-
-def test_is_subcategory_is_reflexive(registry):
-    assert registry.is_subcategory(PID + "noun", PID + "noun")
-
-
-def test_is_subcategory_unknown_pid(registry):
-    with pytest.raises(UnknownCategoryError):
-        registry.is_subcategory(PID + "noun", PID + "missing")
 
 
 def test_validate_value_language_restricted(registry):
@@ -128,74 +103,6 @@ def test_restrictions_only_narrow(registry):
                 assert registry.validate_value(gender, value) == OK
 
 
-def q(feature, value):
-    return Qualifier(CategoryRef(PID + feature), CategoryRef(PID + value))
-
-
-def test_equivalent_same_pids(registry):
-    assert registry.equivalent(q("grammaticalGender", "feminine"), q("grammaticalGender", "feminine"))
-
-
-def test_equivalent_different_values(registry):
-    result = registry.equivalent(q("grammaticalGender", "feminine"), q("grammaticalGender", "masculine"))
-    assert not result
-    assert result.reason == "valueMismatch"
-
-
-def test_equivalent_plain_name_never_matches(registry):
-    plain = Qualifier("gender", CategoryRef(PID + "feminine"))
-    result = registry.equivalent(plain, q("grammaticalGender", "feminine"))
-    assert not result
-    assert result.reason == "unmappedName"
-
-
-def test_equivalent_is_an_equivalence_relation(registry):
-    qualifiers = [
-        q("grammaticalGender", "feminine"),
-        q("grammaticalGender", "feminine"),
-        q("grammaticalGender", "masculine"),
-        q("partOfSpeech", "noun"),
-    ]
-    for a in qualifiers:
-        assert registry.equivalent(a, a)
-        for b in qualifiers:
-            assert bool(registry.equivalent(a, b)) == bool(registry.equivalent(b, a))
-            for c in qualifiers:
-                if registry.equivalent(a, b) and registry.equivalent(b, c):
-                    assert registry.equivalent(a, c)
-
-
-def test_comparable_broader_value(registry):
-    result = registry.comparable(q("partOfSpeech", "noun"), q("partOfSpeech", "properNoun"))
-    assert result.outcome == Q1_BROADER_VALUE
-    flipped = registry.comparable(q("partOfSpeech", "properNoun"), q("partOfSpeech", "noun"))
-    assert flipped.outcome == Q2_BROADER_VALUE
-
-
-def test_comparable_identical_values(registry):
-    assert registry.comparable(q("partOfSpeech", "noun"), q("partOfSpeech", "noun")).outcome == EQUAL
-
-
-def test_comparable_sibling_values_disjoint(registry):
-    assert registry.comparable(q("partOfSpeech", "noun"), q("partOfSpeech", "verb")).outcome == DISJOINT
-
-
-def test_comparable_feature_mismatch(registry):
-    result = registry.comparable(q("partOfSpeech", "noun"), q("grammaticalGender", "feminine"))
-    assert result.outcome == DISJOINT
-    assert result.reason == "featureMismatch"
-
-
-def test_registry_file_round_trip_is_bit_exact():
-    raw = fixture_bytes("registry.tsv").decode("utf-8")
-    assert dump_registry(load_registry(raw)) == raw
-
-
-def test_registry_round_trip_preserves_comments_and_blanks():
-    raw = "# header comment\n\n" + "p:a\tsimple\ta\t-\t-\n"
-    assert dump_registry(load_registry(raw)) == raw
-
-
 def test_registry_rejects_malformed_line():
     with pytest.raises(RegistryFormatError) as exc:
         load_registry("p:a\tsimple\n")
@@ -207,11 +114,6 @@ def test_registry_rejects_bad_restriction_syntax():
         load_registry("p:a\tcomplex\ta\t-\tp:x\tnotapair\n")
 
 
-def test_build_registry_from_iterable():
-    reg = build_registry([simple("noun"), simple("properNoun", broader=PID + "noun")])
-    assert reg.is_subcategory(PID + "properNoun", PID + "noun")
-
-
 def test_a_name_registered_twice_finds_the_first_category():
     reg = Registry()
     reg.register(DataCategory(pid="p:1", kind="simple", name="dup"))
@@ -220,14 +122,27 @@ def test_a_name_registered_twice_finds_the_first_category():
     assert len(reg) == 2
 
 
-def test_is_subcategory_is_transitive():
-    reg = build_registry(
-        [
-            simple("entity"),
-            simple("noun", broader=PID + "entity"),
-            simple("properNoun", broader=PID + "noun"),
-        ]
-    )
-    assert reg.is_subcategory(PID + "properNoun", PID + "noun")
-    assert reg.is_subcategory(PID + "noun", PID + "entity")
-    assert reg.is_subcategory(PID + "properNoun", PID + "entity")
+def test_the_broader_column_is_read(registry):
+    assert registry.get(PID + "properNoun").broader == PID + "noun"
+    assert registry.get(PID + "noun").broader is None
+
+
+def test_comment_and_blank_lines_are_skipped_but_counted():
+    assert list(load_registry("# c\n\np:a\tsimple\ta\t-\t-\n").categories) == ["p:a"]
+    with pytest.raises(RegistryFormatError) as exc:
+        load_registry("# c\n\np:a\tsimple\n")
+    assert exc.value.line_no == 3
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_pid():
+    reg = load_registry(b"\xef\xbb\xbfp:g\tsimple\tg\t-\t-\n")
+    assert list(reg.categories) == ["p:g"]
+    assert reg.by_name("g").pid == "p:g"
+
+
+def test_a_language_restricted_twice_is_refused():
+    raw = "p:a\tsimple\ta\t-\t-\np:g\tcomplex\tg\t-\tp:a,p:b\tde=p:a;fr=p:a;fr=p:b\n"
+    with pytest.raises(RegistryFormatError) as exc:
+        load_registry(raw)
+    assert exc.value.line_no == 2
+    assert str(exc.value) == "line 2: language 'fr' is restricted twice"

@@ -49,7 +49,7 @@ from spokenkit.core import (
     Timeline,
     WordForm,
 )
-from spokenkit.datacat import Comparability, DataCategory, Equivalence, RegistryError
+from spokenkit.datacat import DataCategory, RegistryError
 from spokenkit.featstruct import (
     Binary,
     Feature,
@@ -584,14 +584,6 @@ MODEL_CASES = [
         " conceptual_domain=('N', 'V'), language_restrictions={'fr': ('N',)})",
         False,
     ),
-    (Equivalence, (True,), {"equivalent": True}, "Equivalence(equivalent=True, reason=None)", True),
-    (
-        Comparability,
-        ("equal",),
-        {"outcome": "equal"},
-        "Comparability(outcome='equal', reason=None)",
-        True,
-    ),
     (
         OverlapPair,
         ("a", "b", EventInterval("p0", "p1", "tl")),
@@ -825,10 +817,6 @@ def test_a_data_category_defaults_to_a_new_empty_restriction_dict():
     first, second = (DataCategory("n", "simple", "noun") for _ in range(2))
     assert first == second and first.language_restrictions == {}
     assert first.language_restrictions is not second.language_restrictions
-
-
-def test_an_equivalence_is_true_when_its_verdict_is():
-    assert Equivalence(True) and not Equivalence(False, "disjoint")
 
 
 # (class, its attributes and their defaults, whether it takes them as keywords)
