@@ -52,7 +52,8 @@ class CliError(SpokenkitError):
 
 
 def load_config(data: str | bytes) -> Config:
-    """Read the plain-text config: severity and category lines."""
+    """Read the plain-text config: severity and category lines, at most one
+    of each for a code or a category."""
     data = decode_utf8(data, lambda n, message: CliError(f"config line {n}: {message}"))
     config = Config()
     for line_no, line in enumerate(data.splitlines(), start=1):
@@ -66,9 +67,14 @@ def load_config(data: str | bytes) -> Config:
                 raise CliError(f"config line {line_no}: validate reports no code {code!r}")
             if severity not in ("error", "warning"):
                 raise CliError(f"config line {line_no}: severity must be error or warning")
+            if code in config.severity_overrides:
+                raise CliError(f"config line {line_no}: code {code!r} is given a severity twice")
             config.severity_overrides[code] = severity
         elif kind == "category" and len(fields) == 3:
-            config.category_map[fields[1]] = fields[2]
+            category = fields[1]
+            if category in config.category_map:
+                raise CliError(f"config line {line_no}: category {category!r} is mapped twice")
+            config.category_map[category] = fields[2]
         else:
             raise CliError(f"config line {line_no}: unrecognised entry {kind!r}")
     return config

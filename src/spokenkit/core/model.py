@@ -13,6 +13,15 @@ edited with ``_replace``, which keeps the class. A class that checks its
 fields does so in ``__new__`` and again in ``_replace``
 (:func:`checked_replace`). :class:`Document` is a named tuple too, so no
 field of a document can be assigned.
+
+The value classes of the package are written as subclasses of
+:class:`ValueTuple`, which builds each one with ``collections.namedtuple``
+as ``typing.NamedTuple`` does, but keeps the field annotations as written.
+``typing.NamedTuple`` turns each annotation, a string under PEP 563, into a
+``typing.ForwardRef`` to check it as a type, which cost more than half of
+the command line's start-up; nothing reads the checked annotations. A
+``ValueTuple`` body may also give ``__new__`` and ``_replace``, so a class
+that checks its fields needs no second class for them.
 """
 
 from __future__ import annotations
@@ -22,7 +31,8 @@ from decimal import Decimal
 from itertools import repeat
 from operator import le, lt
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Union
+from collections import namedtuple
+from typing import TYPE_CHECKING, Callable, Iterable, Union
 
 if TYPE_CHECKING:
     from spokenkit.tei.model import Metadata
@@ -48,7 +58,10 @@ IMPLICIT_TIMELINE = "~implicit"
 ERROR = "error"
 WARNING = "warning"
 
-_INF = float("inf")
+# The bounds of a timeline offset: zero or more, and finite. As Decimals, since
+# the readers give Decimal offsets, which compare with a Decimal unconverted.
+_ZERO = Decimal(0)
+_INFINITY = Decimal("Infinity")
 
 
 class SpokenkitError(Exception):
@@ -125,7 +138,51 @@ def keyword_newargs(self) -> tuple[tuple, dict]:
     return (), self._asdict()
 
 
-class Finding(NamedTuple):
+# Attributes a ``ValueTuple`` body may not give: the named tuple's own.
+_NAMEDTUPLE_ATTRIBUTES = frozenset(
+    "__init__ __slots__ __getnewargs__ _fields _field_defaults _make _asdict _source".split()
+)
+
+
+class _ValueTupleType(type):
+    """Builds each subclass of :class:`ValueTuple` as a named tuple whose only
+    base is ``tuple``."""
+
+    def __new__(mcs, name, bases, ns):
+        if not bases:
+            return super().__new__(mcs, name, bases, ns)
+        if bases != (ValueTuple,):
+            raise TypeError(f"{name}: a value tuple has ValueTuple as its only base")
+        annotations = ns.get("__annotations__", {})
+        defaults = []
+        for field in annotations:
+            if field in ns:
+                defaults.append(ns[field])
+            elif defaults:
+                message = f"field {field!r} without a default follows one with a default"
+                raise TypeError(f"{name}: {message}")
+        refused = _NAMEDTUPLE_ATTRIBUTES.intersection(ns)
+        if refused:
+            raise AttributeError(f"{name}: cannot overwrite the named tuple's {min(refused)}")
+        cls = namedtuple(name, annotations, defaults=defaults, module=ns["__module__"])
+        for key, value in ns.items():
+            if key == "__new__" and not isinstance(value, staticmethod):
+                value = staticmethod(value)
+            if key not in annotations:
+                setattr(cls, key, value)
+        return cls
+
+
+class ValueTuple(metaclass=_ValueTupleType):
+    """The base to write a value class with: ``class X(ValueTuple)`` with
+    annotated fields, defaults last, builds ``collections.namedtuple`` of those
+    fields and defaults, then sets the body's other attributes on it. The
+    annotations are kept as written and checked by no one. A body may give
+    ``__new__``, the checking constructor, and ``_replace``; it may not give
+    the other attributes the named tuple makes, nor ``__slots__``."""
+
+
+class Finding(ValueTuple):
     """A problem met by a pipeline stage: parser, anchors, spans, conventions
     or validator. ``location`` names the identifier concerned, else the
     element; ``str()`` gives the message alone."""
@@ -143,17 +200,13 @@ class Finding(NamedTuple):
         return self.message
 
 
-class _SourceRefFields(NamedTuple):
+class SourceRef(ValueTuple):
+    """A source being annotated: primary (e.g. a recording) or derived."""
+
     id: str
     kind: str = PRIMARY
     uri: str | None = None
     parents: tuple[str, ...] = ()
-
-
-class SourceRef(_SourceRefFields):
-    """A source being annotated: primary (e.g. a recording) or derived."""
-
-    __slots__ = ()
 
     def __new__(
         cls, id: str, kind: str = PRIMARY, uri: str | None = None, parents: tuple[str, ...] = ()
@@ -172,7 +225,7 @@ class SourceRef(_SourceRefFields):
     _replace = checked_replace
 
 
-class _TimelineFields(NamedTuple):
+class _TimelineFields(ValueTuple):
     id: str
     unit: str = UNIT_SYMBOLIC
     ids: tuple[str, ...] = ()
@@ -223,11 +276,12 @@ class Timeline(_TimelineFields):
                     raise ValueError(f"timeline {id!r}: duplicate point id {pid!r}")
                 seen.add(pid)
         # ``filter(None, …)`` drops None and zero; ``0 <= offset`` is false for a
-        # negative offset and a float NaN, ``offset < inf`` for an infinite one,
-        # and a Decimal NaN raises instead.
+        # negative offset, ``offset < inf`` for an infinite one, and a NaN raises.
         given = [*filter(None, offsets)]
         try:
-            suspect = not (all(map(le, repeat(0), given)) and all(map(lt, given, repeat(_INF))))
+            suspect = not (
+                all(map(le, repeat(_ZERO), given)) and all(map(lt, given, repeat(_INFINITY)))
+            )
         except ArithmeticError:
             suspect = True
         if suspect:
@@ -239,7 +293,7 @@ class Timeline(_TimelineFields):
                     raise ValueError(f"point {pid!r}: offset must be a number, not NaN")
                 if offset < 0:
                     raise ValueError(f"point {pid!r}: offset must be non-negative")
-                if offset == _INF:
+                if offset == _INFINITY:
                     raise ValueError(f"point {pid!r}: offset must be finite")
         flags = (("synthetic", synthetic), ("anchor-declared", anchor_declared))
         for kind, flagged in flags:
@@ -330,16 +384,12 @@ def first_timeline(timelines: Sequence[Timeline]) -> Timeline:
     return Timeline(IMPLICIT_TIMELINE, UNIT_SYMBOLIC, implicit=True)
 
 
-class _ScaleIntervalFields(NamedTuple):
+class ScaleInterval(ValueTuple):
+    """Direct reference to a span on a numeric scale."""
+
     start: Number
     end: Number
     unit: str = UNIT_S
-
-
-class ScaleInterval(_ScaleIntervalFields):
-    """Direct reference to a span on a numeric scale."""
-
-    __slots__ = ()
 
     def __new__(cls, start: Number, end: Number, unit: str = UNIT_S) -> ScaleInterval:
         if start > end:
@@ -352,7 +402,7 @@ class ScaleInterval(_ScaleIntervalFields):
     _replace = checked_replace
 
 
-class EventInterval(NamedTuple):
+class EventInterval(ValueTuple):
     """Reference to a half-open span [start, end) between two timeline points."""
 
     start: str
@@ -364,14 +414,10 @@ class EventInterval(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-class _ComponentRefsFields(NamedTuple):
-    targets: tuple[str, ...]
-
-
-class ComponentRefs(_ComponentRefsFields):
+class ComponentRefs(ValueTuple):
     """Stand-off pointers to explicitly identified components of the source."""
 
-    __slots__ = ()
+    targets: tuple[str, ...]
 
     def __new__(cls, targets: tuple[str, ...]) -> ComponentRefs:
         if not targets:
@@ -400,7 +446,7 @@ def mechanism(rng: Range) -> str:
     raise TypeError(f"not a range: {rng!r}")
 
 
-class CategoryRef(NamedTuple):
+class CategoryRef(ValueTuple):
     """Reference to a registered data category by persistent identifier."""
 
     pid: str
@@ -410,7 +456,7 @@ class CategoryRef(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-class Qualifier(NamedTuple):
+class Qualifier(ValueTuple):
     """One elementary feature-value statement.
 
     Feature and value may each be a plain name/literal or a reference into a
@@ -434,16 +480,7 @@ class Qualifier(NamedTuple):
         return str(self.value)
 
 
-class _AnnotationFields(NamedTuple):
-    id: str
-    source: str
-    range: Range | None
-    qualifiers: tuple[Qualifier, ...]
-    layer: str
-    who: str | None = None
-
-
-class Annotation(_AnnotationFields):
+class Annotation(ValueTuple):
     """Source reference + range + qualifiers; the universal unit of annotation.
 
     ``range`` is None for events whose position is only implicit in document
@@ -453,7 +490,12 @@ class Annotation(_AnnotationFields):
     ``with_range``.
     """
 
-    __slots__ = ()
+    id: str
+    source: str
+    range: Range | None
+    qualifiers: tuple[Qualifier, ...]
+    layer: str
+    who: str | None = None
 
     def __new__(
         cls,
@@ -482,7 +524,13 @@ class Annotation(_AnnotationFields):
         return tuple.__new__(type(self), (id, source, rng, qualifiers, layer, who))
 
 
-class _WordFormFields(NamedTuple):
+class WordForm(ValueTuple):
+    """Lexical abstraction over one or more tokens (n-to-n with tokens).
+
+    It has :class:`Annotation`'s fields first, and its checks. Built by
+    keyword only.
+    """
+
     id: str
     source: str
     range: ComponentRefs
@@ -491,16 +539,6 @@ class _WordFormFields(NamedTuple):
     who: str | None = None
     lex_ref: str | None = None
     orth: str | None = None
-
-
-class WordForm(_WordFormFields):
-    """Lexical abstraction over one or more tokens (n-to-n with tokens).
-
-    It has :class:`Annotation`'s fields first, and its checks. Built by
-    keyword only.
-    """
-
-    __slots__ = ()
 
     def __new__(
         cls,
@@ -536,22 +574,18 @@ class WordForm(_WordFormFields):
         return self.range.targets
 
 
-class _LayerFields(NamedTuple):
-    id: str
-    name: str
-    level: str
-    speaker: str | None = None
-    category: str | None = None
-
-
-class Layer(_LayerFields):
+class Layer(ValueTuple):
     """Technical grouping of annotations (one tier of a score, one span group).
 
     ``speaker`` and ``category`` are carried for layers that came from (or
     should convert to) score tiers; other layers leave them unset.
     """
 
-    __slots__ = ()
+    id: str
+    name: str
+    level: str
+    speaker: str | None = None
+    category: str | None = None
 
     def __new__(
         cls,
@@ -571,17 +605,13 @@ class Layer(_LayerFields):
     _replace = checked_replace
 
 
-class _LevelFields(NamedTuple):
+class Level(ValueTuple):
+    """Conceptual grouping: same sources, one ranging mechanism, one tagset."""
+
     id: str
     sources: frozenset[str] = frozenset()
     ranging_mechanism: str = MECH_EVENT
     category_selection: frozenset[str] = frozenset()
-
-
-class Level(_LevelFields):
-    """Conceptual grouping: same sources, one ranging mechanism, one tagset."""
-
-    __slots__ = ()
 
     def __new__(
         cls,
@@ -600,7 +630,7 @@ class Level(_LevelFields):
     _replace = checked_replace
 
 
-class Document(NamedTuple):
+class Document(ValueTuple):
     """A parsed or constructed corpus document.
 
     ``body`` and ``back`` hold ordered content and declaration items (see

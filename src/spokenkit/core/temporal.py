@@ -8,7 +8,6 @@ numeric offsets never override it.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
 
 from spokenkit.core.model import (
     SYNTHETIC_PREFIX,
@@ -17,6 +16,7 @@ from spokenkit.core.model import (
     EventInterval,
     SpokenkitError,
     Timeline,
+    ValueTuple,
     first_timeline,
     value_eq,
     value_ne,
@@ -146,7 +146,7 @@ def relation(a: EventInterval, b: EventInterval, timeline: Timeline) -> Temporal
     )
 
 
-class OverlapPair(NamedTuple):
+class OverlapPair(ValueTuple):
     """Two annotations with a non-empty shared interval."""
 
     a: str
@@ -158,7 +158,7 @@ class OverlapPair(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-class OverlapReport(NamedTuple):
+class OverlapReport(ValueTuple):
     """Each pair as a plain ``(a, b, start, end, timeline)`` row: the two
     annotation ids, then the shared interval's points and timeline id."""
 

@@ -10,10 +10,11 @@ only.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from spokenkit.core.model import (
     SpokenkitError,
+    ValueTuple,
     checked_replace,
     decode_utf8,
     value_eq,
@@ -38,16 +39,7 @@ class UnknownCategoryError(SpokenkitError, LookupError):
         self.pid = pid
 
 
-class _DataCategoryFields(NamedTuple):
-    pid: str
-    kind: str
-    name: str
-    broader: str | None = None
-    conceptual_domain: tuple[str, ...] | None = None
-    language_restrictions: Mapping[str, tuple[str, ...]] | None = None  # None: a new empty dict
-
-
-class DataCategory(_DataCategoryFields):
+class DataCategory(ValueTuple):
     """A registered semantic descriptor.
 
     Complex categories are place-holders (features) and may declare a
@@ -55,7 +47,12 @@ class DataCategory(_DataCategoryFields):
     ``language_restrictions`` defaults to a new empty dict.
     """
 
-    __slots__ = ()
+    pid: str
+    kind: str
+    name: str
+    broader: str | None = None
+    conceptual_domain: tuple[str, ...] | None = None
+    language_restrictions: Mapping[str, tuple[str, ...]] | None = None  # None: a new empty dict
 
     def __new__(
         cls,

@@ -9,10 +9,11 @@ declarations and tags that expand to full structures.
 from __future__ import annotations
 
 from decimal import Decimal
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, Union
 
 from spokenkit.core.model import (
     SpokenkitError,
+    ValueTuple,
     checked_replace,
     eq_but_last,
     hash_but_last,
@@ -25,7 +26,7 @@ from spokenkit.core.model import (
 # with equal fields: ``Binary(True) != Numeric(1)``.
 
 
-class Binary(NamedTuple):
+class Binary(ValueTuple):
     value: bool
 
     __eq__ = value_eq
@@ -33,12 +34,10 @@ class Binary(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-class _SymbolFields(NamedTuple):
+class Symbol(ValueTuple):
+    """A symbolic value: a non-empty name."""
+
     name: str
-
-
-class Symbol(_SymbolFields):
-    __slots__ = ()
 
     def __new__(cls, name: str) -> Symbol:
         if not name:
@@ -51,7 +50,7 @@ class Symbol(_SymbolFields):
     _replace = checked_replace
 
 
-class Numeric(NamedTuple):
+class Numeric(ValueTuple):
     value: Union[int, float, Decimal]
 
     __eq__ = value_eq
@@ -59,7 +58,7 @@ class Numeric(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-class Str(NamedTuple):
+class Str(ValueTuple):
     text: str
 
     __eq__ = value_eq
@@ -67,12 +66,7 @@ class Str(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-class _FeatureStructureFields(NamedTuple):
-    features: Mapping[str, "FSValue"] | None = None  # None: a new empty dict
-    type: str | None = None
-
-
-class FeatureStructure(_FeatureStructureFields):
+class FeatureStructure(ValueTuple):
     """An optionally typed set of feature-value pairs; one value per name.
 
     Equality is structural over type and features. ``features`` defaults to
@@ -80,7 +74,8 @@ class FeatureStructure(_FeatureStructureFields):
     ``len`` is its number of features.
     """
 
-    __slots__ = ()
+    features: Mapping[str, "FSValue"] | None = None  # None: a new empty dict
+    type: str | None = None
 
     def __new__(
         cls, features: Mapping[str, "FSValue"] | None = None, type: str | None = None
@@ -110,17 +105,13 @@ FSValue = Union[Binary, Symbol, Numeric, Str, FeatureStructure]
 EMPTY = FeatureStructure()
 
 
-class _FeatureFields(NamedTuple):
-    name: str
-    value: FSValue
-    id: str | None = None
-
-
-class Feature(_FeatureFields):
+class Feature(ValueTuple):
     """An elementary named feature-value declaration, e.g. from a library.
     ``id`` takes no part in ``==`` or ``hash``."""
 
-    __slots__ = ()
+    name: str
+    value: FSValue
+    id: str | None = None
 
     def __new__(cls, name: str, value: FSValue, id: str | None = None) -> Feature:
         if not name:
@@ -133,7 +124,7 @@ class Feature(_FeatureFields):
     _replace = checked_replace
 
 
-class UnificationFailure(NamedTuple):
+class UnificationFailure(ValueTuple):
     """A clash found during unification: the path plus both offending values."""
 
     path: tuple[str, ...]
@@ -244,7 +235,7 @@ class UnknownTagError(SpokenkitError, LookupError):
         self.ref = ref
 
 
-class TagDecl(NamedTuple):
+class TagDecl(ValueTuple):
     """A tag declared as a list of feature references, before expansion."""
 
     id: str
@@ -255,7 +246,7 @@ class TagDecl(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-class TagDefinition(NamedTuple):
+class TagDefinition(ValueTuple):
     """A tag of the tagset: its feature references and the expanded structure."""
 
     id: str
@@ -267,7 +258,7 @@ class TagDefinition(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-class TagsetLibrary(NamedTuple):
+class TagsetLibrary(ValueTuple):
     feature_lib: Mapping[str, Feature]
     tag_lib: Mapping[str, TagDefinition]
 

@@ -9,7 +9,6 @@ built in; further rules load from a plain-text rule file.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from spokenkit.core.model import (
     WARNING,
@@ -17,6 +16,7 @@ from spokenkit.core.model import (
     Finding,
     Qualifier,
     SpokenkitError,
+    ValueTuple,
     decode_utf8,
     value_eq,
     value_ne,
@@ -24,7 +24,7 @@ from spokenkit.core.model import (
 from spokenkit.tei.model import EVENT_CLASSES, Utterance, annotated_items
 
 
-class ConventionRule(NamedTuple):
+class ConventionRule(ValueTuple):
     pattern: re.Pattern
     element: str  # 'vocal' | 'kinesic' | 'incident'
     desc_group: int | str = 1

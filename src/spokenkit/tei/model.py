@@ -15,13 +15,20 @@ Text inside utterances is kept verbatim, whitespace included, as plain ``str``.
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import NamedTuple, Union
+from typing import Union
 
-from spokenkit.core.model import eq_but_last, hash_but_last, ne_but_last, value_eq, value_ne
+from spokenkit.core.model import (
+    ValueTuple,
+    eq_but_last,
+    hash_but_last,
+    ne_but_last,
+    value_eq,
+    value_ne,
+)
 from spokenkit.featstruct import Feature, FeatureStructure, TagDecl, strip_ref
 
 
-class OpaqueElement(NamedTuple):
+class OpaqueElement(ValueTuple):
     """An element outside the understood vocabulary, kept as parsed."""
 
     tag: str
@@ -55,7 +62,7 @@ class OpaqueElement(NamedTuple):
         return el
 
 
-class AnchorRef(NamedTuple):
+class AnchorRef(ValueTuple):
     """A synchronization anchor: either declares a point or references one."""
 
     synch: str | None = None  # referenced point id, '#'-normalized
@@ -70,7 +77,7 @@ class AnchorRef(NamedTuple):
         return self.declares if self.declares is not None else self.synch
 
 
-class TimedEvent(NamedTuple):
+class TimedEvent(ValueTuple):
     """A timed non-verbal event, inline or free-standing. Each subclass names
     its element in the class attribute ``tag``; ``id_generated`` takes no
     part in ``==`` or ``hash``."""
@@ -113,7 +120,7 @@ class Incident(TimedEvent):
 EVENT_CLASSES: dict[str, type[TimedEvent]] = {cls.tag: cls for cls in (Vocal, Kinesic, Incident)}
 
 
-class W(NamedTuple):
+class W(ValueTuple):
     """A token of the transcription."""
 
     text: str
@@ -126,7 +133,7 @@ class W(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-class Pc(NamedTuple):
+class Pc(ValueTuple):
     """A punctuation token."""
 
     text: str
@@ -139,7 +146,7 @@ class Pc(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-class Seg(NamedTuple):
+class Seg(ValueTuple):
     """A typed grouping of text fragments; may nest."""
 
     type: str | None = None
@@ -155,7 +162,7 @@ class Seg(NamedTuple):
 ContentItem = Union[str, AnchorRef, TimedEvent, Seg, W, Pc, OpaqueElement]
 
 
-class Utterance(NamedTuple):
+class Utterance(ValueTuple):
     """An utterance; ``id_generated`` takes no part in ``==`` or ``hash``."""
 
     id: str
@@ -225,7 +232,7 @@ def annotated_items(body, annotations) -> dict[int, int]:
     return pairs
 
 
-class Span(NamedTuple):
+class Span(ValueTuple):
     """A from/to range over identified elements, pointing at an analysis."""
 
     from_: str
@@ -239,7 +246,7 @@ class Span(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-class SpanGroup(NamedTuple):
+class SpanGroup(ValueTuple):
     type: str | None = None
     spans: tuple[Span, ...] = ()
 
@@ -248,7 +255,7 @@ class SpanGroup(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-class InflectedForm(NamedTuple):
+class InflectedForm(ValueTuple):
     id: str | None
     orth: str
     type: str | None = None
@@ -259,7 +266,7 @@ class InflectedForm(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-class LexicalEntry(NamedTuple):
+class LexicalEntry(ValueTuple):
     forms: tuple[InflectedForm, ...] = ()
 
     __eq__ = value_eq
@@ -267,7 +274,7 @@ class LexicalEntry(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-class FeatureLib(NamedTuple):
+class FeatureLib(ValueTuple):
     """A feature library declaration (a labelled list of elementary features)."""
 
     features: tuple[Feature, ...] = ()
@@ -278,7 +285,7 @@ class FeatureLib(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-class TagLib(NamedTuple):
+class TagLib(ValueTuple):
     """A feature-value library declaration: the tags of a tagset."""
 
     tags: tuple[TagDecl, ...] = ()
@@ -289,7 +296,7 @@ class TagLib(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-class InlineStructure(NamedTuple):
+class InlineStructure(ValueTuple):
     """A free-standing feature structure addressable by id."""
 
     id: str
@@ -304,7 +311,7 @@ BackItem = Union[FeatureLib, TagLib, LexicalEntry, InlineStructure, SpanGroup, O
 BodyItem = Union[Utterance, TimedEvent, AnchorRef, SpanGroup, str, OpaqueElement]
 
 
-class AppInfo(NamedTuple):
+class AppInfo(ValueTuple):
     ident: str
     version: str
     label: str | None = None
@@ -315,7 +322,7 @@ class AppInfo(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-class Person(NamedTuple):
+class Person(ValueTuple):
     id: str
     name: str | None = None
     sex: str | None = None
@@ -336,7 +343,7 @@ HEADER_CONTAINERS = frozenset({
 })
 
 
-class Metadata(NamedTuple):
+class Metadata(ValueTuple):
     """The TEI header, kept whole as an element tree.
 
     What spokenkit reads from it are views, computed from the tree when read:

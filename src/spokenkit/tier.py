@@ -31,7 +31,7 @@ from __future__ import annotations
 from decimal import Decimal, InvalidOperation
 from itertools import islice, repeat
 from operator import itemgetter, le, lt
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from spokenkit.core.model import (
     MECH_EVENT,
@@ -48,6 +48,7 @@ from spokenkit.core.model import (
     SourceRef,
     SpokenkitError,
     Timeline,
+    ValueTuple,
     WordForm,
     checked_replace,
     decode_utf8,
@@ -92,7 +93,7 @@ _ZERO = Decimal(0)
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-class TierSpeaker(NamedTuple):
+class TierSpeaker(ValueTuple):
     id: str
     name: str
 
@@ -101,7 +102,7 @@ class TierSpeaker(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-class Tier(NamedTuple):
+class Tier(ValueTuple):
     """A tier and its events: one ``(start point, end point, text)`` tuple per
     event, in file order."""
 
@@ -115,15 +116,7 @@ class Tier(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-class _TierDocumentFields(NamedTuple):
-    speakers: tuple[TierSpeaker, ...] = ()
-    point_ids: tuple[str, ...] = ()
-    offsets: tuple[Decimal | None, ...] = ()
-    tiers: tuple[Tier, ...] = ()
-    records: tuple[tuple, ...] = ()
-
-
-class TierDocument(_TierDocumentFields):
+class TierDocument(ValueTuple):
     """Speakers, points and tiers, in declaration order.
 
     The points are two columns, as in a ``Timeline``: the n-th point has id
@@ -139,7 +132,11 @@ class TierDocument(_TierDocumentFields):
     an edit is ``_replace``.
     """
 
-    __slots__ = ()
+    speakers: tuple[TierSpeaker, ...] = ()
+    point_ids: tuple[str, ...] = ()
+    offsets: tuple[Decimal | None, ...] = ()
+    tiers: tuple[Tier, ...] = ()
+    records: tuple[tuple, ...] = ()
 
     def __new__(
         cls,
@@ -490,7 +487,7 @@ def to_core(td: TierDocument, category_map: Mapping[str, str] | None = None) -> 
     )
 
 
-class ResidueItem(NamedTuple):
+class ResidueItem(ValueTuple):
     """Core content that the tier format cannot express."""
 
     annotation: str

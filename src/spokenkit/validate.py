@@ -12,7 +12,6 @@ import re
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from operator import itemgetter
-from typing import NamedTuple
 
 from spokenkit.core.model import (
     ERROR,
@@ -22,6 +21,7 @@ from spokenkit.core.model import (
     EventInterval,
     Finding,
     Timeline,
+    ValueTuple,
     WordForm,
     check_level_coherence,
     value_eq,
@@ -78,7 +78,7 @@ def _finding(code: str, location: str, message: str) -> Finding:
     return Finding(code, DEFAULT_SEVERITY[code], location, message)
 
 
-class ValidationReport(NamedTuple):
+class ValidationReport(ValueTuple):
     issues: tuple[Finding, ...]
 
     __eq__ = value_eq

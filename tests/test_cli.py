@@ -173,6 +173,29 @@ def test_config_severity_for_a_code_validate_never_reports_is_refused(capsys, tm
     assert "config line 3: validate reports no code 'DUP_IDD'" in err
 
 
+def test_config_severity_given_twice_for_one_code_is_refused(capsys, tmp_path):
+    config = tmp_path / "config.tsv"
+    config.write_text("severity\tDUP_ID\twarning\n# again\nseverity\tDUP_ID\terror\n")
+    code, out, err = run(
+        capsys, "validate", "--config", str(config), fixture_path("anchored_dialogue.xml")
+    )
+    assert (code, out) == (2, "")
+    assert err == "spokenkit: config line 3: code 'DUP_ID' is given a severity twice\n"
+
+
+def test_config_category_mapped_twice_is_refused(capsys, tmp_path):
+    config = tmp_path / "config.tsv"
+    config.write_text("category\tverbal\tA\ncategory\tverbal\tB\n")
+    code, out, err = run(
+        capsys,
+        "convert", fixture_path("score_dialogue.tier"),
+        "--from", "tier", "--to", "tei",
+        "--config", str(config),
+    )
+    assert (code, out) == (2, "")
+    assert err == "spokenkit: config line 2: category 'verbal' is mapped twice\n"
+
+
 def test_validate_with_external_tagset_resolves_its_tags(capsys, tmp_path):
     # Ncfs__ is declared by the external tagset only.
     doc = tmp_path / "doc.xml"

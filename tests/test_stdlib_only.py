@@ -1,5 +1,6 @@
 """The package depends on nothing outside the standard library, and its
-command line starts without ``dataclasses`` or ``inspect``."""
+command line starts without ``dataclasses`` or ``inspect`` and without
+building a ``typing.ForwardRef``."""
 
 from __future__ import annotations
 
@@ -49,3 +50,30 @@ def test_importing_the_command_line_loads_neither_dataclasses_nor_inspect():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_importing_the_command_line_builds_no_forward_reference():
+    # ``typing.NamedTuple`` made a ``ForwardRef`` of each field annotation, a
+    # string under PEP 563, which was most of the command line's start-up.
+    probe = """
+import sys, typing
+sys.path.insert(0, 'src')
+built = 0
+init = typing.ForwardRef.__init__
+def counted(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+typing.ForwardRef.__init__ = counted
+import spokenkit.cli
+print(built)
+"""
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", probe],
+        cwd=PACKAGE.parent.parent,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"

@@ -3,8 +3,10 @@
 A ``Timeline`` stores its points as an id column, an offset column and two
 flag sets; a point is its position in the columns. Construction refuses what
 the per-point offset rule, the timeline's unit and duplicate-id checks and
-the two column checks refuse. ``append_flagged`` checks only the points it
-appends, and gives what the checked ``_replace`` gives.
+the two column checks refuse. Its pre-check of the offsets, with Decimal
+bounds, flags what the same pre-check with the int and float bounds flags.
+``append_flagged`` checks only the points it appends, and gives what the
+checked ``_replace`` gives.
 """
 
 from __future__ import annotations
@@ -12,13 +14,15 @@ from __future__ import annotations
 import copy
 import pickle
 from decimal import Decimal
+from itertools import repeat
+from operator import le, lt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spokenkit.core import Timeline
-from spokenkit.core.model import TIMELINE_UNITS
+from spokenkit.core.model import TIMELINE_UNITS, _INFINITY, _ZERO
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -96,6 +100,34 @@ def test_columns_are_checked_as_points_were_and_index_their_positions(cols):
     backwards = tl._replace(ids=ids[::-1], offsets=offsets[::-1])
     assert [backwards.index_of(pid) for pid in ids[::-1]] == list(range(len(ids)))
     assert rows(backwards) == expected[::-1]
+
+
+def suspect(offsets, zero, infinity) -> bool:
+    """The pre-check of ``Timeline.__new__`` with the bounds ``zero`` and
+    ``infinity``: True when some offset may break the per-point rule."""
+    given = [*filter(None, offsets)]
+    try:
+        return not (all(map(le, repeat(zero), given)) and all(map(lt, given, repeat(infinity))))
+    except ArithmeticError:
+        return True
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(
+        st.one_of(
+            OFFSETS,
+            st.sampled_from([0, 0.0, -0.0, Decimal(0), Decimal("-0"), Decimal("-NaN")]),
+            st.sampled_from([Decimal("-sNaN"), Decimal("0E+5"), Decimal("1E-30")]),
+        ),
+        max_size=6,
+    )
+)
+def test_the_decimal_bounds_flag_what_the_int_and_float_bounds_flag(offsets):
+    flagged = suspect(offsets, _ZERO, _INFINITY)
+    assert flagged == suspect(offsets, 0, float("inf"))
+    if any(offset_refusal("p", offset) for offset in offsets):
+        assert flagged
 
 
 @pytest.mark.parametrize(

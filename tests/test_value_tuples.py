@@ -17,7 +17,11 @@ and ``to_core`` build with ``tuple.__new__`` keep the generated constructor,
 which checks nothing, and every annotation they build directly is one the
 checking constructor accepts. The working classes
 ``Config``, ``ValidateOptions`` and the parser's context are plain classes
-with ``__slots__``.
+with ``__slots__``. The last part covers ``ValueTuple``, the base every
+model class is written with: it builds the named tuple from the body's
+fields and defaults, refuses what ``typing.NamedTuple`` refuses except
+``__new__`` and ``_replace``, and leaves each checked class with ``tuple``
+as its only base.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import dataclasses
 import pickle
 import random
 import re
+import types
 from decimal import Decimal
 
 import pytest
@@ -49,6 +54,7 @@ from spokenkit.core import (
     Timeline,
     WordForm,
 )
+from spokenkit.core.model import ValueTuple, checked_replace
 from spokenkit.datacat import DataCategory, RegistryError
 from spokenkit.featstruct import (
     Binary,
@@ -876,3 +882,127 @@ def test_validate_options_take_the_keywords_the_cli_passes():
     config = Config()
     config.category_map["a"] = "b"
     assert config.category_map == {"a": "b"} and Config().category_map == {}
+
+
+class _Mark(ValueTuple):
+    """A mark on a line."""
+
+    at: int
+    width: int = 1
+    label: str | None = None
+
+    def end(self) -> int:
+        return self.at + self.width
+
+
+class _Positive(ValueTuple):
+    n: int
+
+    def __new__(cls, n: int) -> _Positive:
+        if n <= 0:
+            raise ValueError(f"{n} is not positive")
+        return tuple.__new__(cls, (n,))
+
+    _replace = checked_replace
+
+
+def test_a_value_tuple_has_the_fields_and_defaults_of_its_body():
+    assert _Mark._fields == ("at", "width", "label")
+    assert _Mark._field_defaults == {"width": 1, "label": None}
+    assert _Mark.__annotations__ == {"at": "int", "width": "int", "label": "str | None"}
+    mark = _Mark(3)
+    assert tuple(mark) == (3, 1, None) and mark.end() == 4
+    assert repr(mark) == "_Mark(at=3, width=1, label=None)"
+    assert _Mark(at=3, label="x") == _Mark(3, 1, "x") and _Mark._make((3, 1, "x")).label == "x"
+    assert _pickled(mark) == mark and type(_pickled(mark)) is _Mark
+
+
+def test_a_field_without_a_default_after_one_with_a_default_is_refused():
+    with pytest.raises(TypeError, match="field 'y' without a default follows one with a default"):
+
+        class _Bad(ValueTuple):
+            x: int = 0
+            y: int
+
+
+REFUSED_NAMES = [
+    "__init__",
+    "__slots__",
+    "__getnewargs__",
+    "_fields",
+    "_field_defaults",
+    "_make",
+    "_asdict",
+    "_source",
+]
+
+
+@pytest.mark.parametrize("name", REFUSED_NAMES)
+def test_a_body_may_not_give_a_named_tuple_attribute(name):
+    def body(ns):
+        ns.update({"__module__": __name__, "__annotations__": {"x": "int"}, name: ()})
+
+    with pytest.raises(AttributeError, match=f"cannot overwrite the named tuple's {name}"):
+        types.new_class("_Bad", (ValueTuple,), exec_body=body)
+
+
+def test_a_value_tuple_has_value_tuple_as_its_only_base():
+    with pytest.raises(TypeError, match="ValueTuple as its only base"):
+
+        class _Bad(ValueTuple, int):
+            x: int
+
+
+def test_the_docstring_module_and_qualified_name_are_kept():
+    class Local(ValueTuple):
+        """A local value."""
+
+        x: int
+
+    assert Local.__doc__ == "A local value."
+    assert Local.__module__ == __name__ == _Mark.__module__
+    assert Local.__qualname__ == (
+        "test_the_docstring_module_and_qualified_name_are_kept.<locals>.Local"
+    )
+    assert _Mark.__doc__ == "A mark on a line." and _Mark.__qualname__ == "_Mark"
+
+
+def test_a_body_new_is_the_constructor_and_checked_replace_runs_it_again():
+    assert isinstance(_Positive.__dict__["__new__"], staticmethod)
+    assert tuple(_Positive(2)) == (2,)
+    with pytest.raises(ValueError, match="-1 is not positive"):
+        _Positive(-1)
+    with pytest.raises(ValueError, match="0 is not positive"):
+        _Positive(2)._replace(n=0)
+    assert _Positive(2)._replace(n=3) == _Positive(3)
+    assert copy.copy(_Positive(2)) == _pickled(_Positive(2)) == _Positive(2)
+
+
+FOLDED = [
+    SourceRef,
+    ScaleInterval,
+    ComponentRefs,
+    Annotation,
+    WordForm,
+    Layer,
+    Level,
+    Symbol,
+    FeatureStructure,
+    Feature,
+    DataCategory,
+    TierDocument,
+]
+
+
+@pytest.mark.parametrize("cls", FOLDED, ids=[cls.__name__ for cls in FOLDED])
+def test_a_checked_class_has_tuple_as_its_only_base(cls):
+    assert cls.__bases__ == (tuple,)
+    assert cls.__dict__["__slots__"] == ()
+    assert isinstance(cls.__dict__["__new__"], staticmethod)
+    assert cls._replace is checked_replace
+
+
+def test_a_timeline_keeps_its_field_class_for_its_point_index():
+    (fields,) = Timeline.__bases__
+    assert fields.__bases__ == (tuple,) and fields._fields == Timeline._fields
+    assert "__slots__" not in Timeline.__dict__
