@@ -251,7 +251,7 @@ class Timeline(_TimelineFields):
     # No ``__slots__``: the point index, point id -> position in ``ids``, is
     # ``_by_id`` in the instance dict, outside the fields and the ``repr``.
     # ``__new__`` builds it, also on ``_replace``, ``copy`` and ``pickle``;
-    # ``append_flagged`` extends a copy of it.
+    # ``append_flagged`` and the TEI reader build theirs, through ``_indexed``.
 
     def __new__(
         cls,
@@ -301,11 +301,8 @@ class Timeline(_TimelineFields):
                 stray = min(flagged - by_id.keys())
                 message = f"{kind} point {stray!r} is not one of its ids"
                 raise ValueError(f"timeline {id!r}: {message}")
-        self = tuple.__new__(
-            cls, (id, unit, ids, offsets, synthetic, anchor_declared, implicit, id_declared)
-        )
-        object.__setattr__(self, "_by_id", by_id)
-        return self
+        fields = (id, unit, ids, offsets, synthetic, anchor_declared, implicit, id_declared)
+        return cls._indexed(fields, by_id)
 
     __eq__ = eq_but_last
     __ne__ = ne_but_last
@@ -314,6 +311,14 @@ class Timeline(_TimelineFields):
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to {name!r}: a timeline is immutable")
+
+    @classmethod
+    def _indexed(cls, fields: tuple, by_id: dict[str, int]) -> "Timeline":
+        """A timeline of ``fields`` indexed by ``by_id``, unchecked: the caller
+        has checked what ``__new__`` checks, and built ``by_id`` from the ids."""
+        timeline = tuple.__new__(cls, fields)
+        object.__setattr__(timeline, "_by_id", by_id)
+        return timeline
 
     def __contains__(self, point_id: str) -> bool:
         return point_id in self._by_id
@@ -366,9 +371,7 @@ class Timeline(_TimelineFields):
             implicit,
             id_declared,
         )
-        appended = tuple.__new__(self.__class__, fields)
-        object.__setattr__(appended, "_by_id", by_id)
-        return appended
+        return self._indexed(fields, by_id)
 
     @classmethod
     def of(cls, timeline_id: str, point_ids: Iterable[str], unit: str = UNIT_SYMBOLIC) -> "Timeline":
@@ -376,12 +379,13 @@ class Timeline(_TimelineFields):
         return cls(timeline_id, unit, ids, (None,) * len(ids))
 
 
+_IMPLICIT = Timeline(IMPLICIT_TIMELINE, UNIT_SYMBOLIC, implicit=True)
+
+
 def first_timeline(timelines: Sequence[Timeline]) -> Timeline:
     """The first of ``timelines``, or else the implicit timeline of a document
     that declares none: empty, symbolic, and never written as an element."""
-    if timelines:
-        return timelines[0]
-    return Timeline(IMPLICIT_TIMELINE, UNIT_SYMBOLIC, implicit=True)
+    return timelines[0] if timelines else _IMPLICIT
 
 
 class ScaleInterval(ValueTuple):

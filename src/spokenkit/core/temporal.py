@@ -8,6 +8,7 @@ numeric offsets never override it.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import count, repeat
 
 from spokenkit.core.model import (
     SYNTHETIC_PREFIX,
@@ -245,23 +246,23 @@ def sequence_implicit(doc: Document) -> Document:
 
     Unanchored events are taken in document order; each receives a fresh
     half-open interval strictly after the previous event's end, built from
-    synthetic points appended to the document's timeline. Already anchored
-    events are untouched, so the operation is idempotent. Synthetic points
-    are flagged and only serialised on request.
+    synthetic points appended to the document's timeline, numbered on from
+    its ``~auto`` ids past any id it holds. Already anchored events are
+    untouched, so the operation is idempotent. Synthetic points are flagged
+    and only serialised on request.
     """
     if all(ann.range is not None for ann in doc.annotations):
         return doc
 
     timeline = first_timeline(doc.timelines)
     tl_id = timeline.id
-    counter = 1 + sum(1 for pid in timeline.ids if pid.startswith(SYNTHETIC_PREFIX))
+    first = 1 + sum(map(str.startswith, timeline.ids, repeat(SYNTHETIC_PREFIX)))
+    fresh = (pid for n in count(first) if (pid := f"{SYNTHETIC_PREFIX}{n}") not in timeline)
     added: list[str] = []
     new_annotations: list[Annotation] = []
     for ann in doc.annotations:
         if ann.range is None:
-            start = f"{SYNTHETIC_PREFIX}{counter}"
-            end = f"{SYNTHETIC_PREFIX}{counter + 1}"
-            counter += 2
+            start, end = next(fresh), next(fresh)
             added += (start, end)
             ann = ann.with_range(_new(EventInterval, (start, end, tl_id)))
         new_annotations.append(ann)

@@ -23,6 +23,10 @@ the ``TimedEvent`` classes and ``EventInterval``, whose generated
 constructors check nothing. ``Annotation`` checks that it has a qualifier,
 so it is built so only with a one-element qualifier tuple written in the
 same statement; elsewhere it goes through its keyword constructor.
+
+Each timeline is checked and indexed once, as it is read: the loop over its
+points refuses what the ``Timeline`` constructor refuses and fills the point
+index, ``Timeline.positions``, which later stages read instead of rebuilding.
 """
 
 from __future__ import annotations
@@ -30,8 +34,11 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from decimal import Decimal, InvalidOperation
+from operator import itemgetter
 
 from spokenkit.core.model import (
+    _INFINITY,
+    _ZERO,
     MECH_EVENT,
     PRIMARY,
     TIMELINE_UNITS,
@@ -118,10 +125,6 @@ _LOCAL_NAMES.update({_TEI_PREFIX + name: name for name in _VOCABULARY})
 # names the classes built so, and a test pins that their constructors check nothing.
 _new = tuple.__new__
 
-# The bounds of a timeline offset: zero or more, and finite.
-_DEC_ZERO = Decimal(0)
-_DEC_INF = Decimal("Infinity")
-
 
 def _local(tag: str) -> str:
     """The local name of a tag in the TEI namespace or in none. A tag in any
@@ -181,7 +184,7 @@ class _ParseContext:
         self.anchor_order: list[str] = []
         self.counters: dict[str, int] = {}
         self.declared_ids: list[tuple[str, str]] = []
-        # Built from ``declared_ids`` when an id is first generated.
+        # The declared ids as written, built when an id is first generated.
         self.taken: set[str] | None = None
         self.annotations: list[Annotation] = []
 
@@ -196,13 +199,12 @@ class _ParseContext:
         if explicit is not None:
             return strip_ref(explicit), False
         if self.taken is None:
-            raws = [raw for raw, _ in self.declared_ids]
-            self.taken = {*raws, *(raw[1:] for raw in raws if raw[:1] == "#")}
+            self.taken = set(map(itemgetter(0), self.declared_ids))
         n = self.counters.get(prefix, 0)
         while True:
             n += 1
             candidate = f"{prefix}{n}"
-            if candidate not in self.taken:
+            if candidate not in self.taken and "#" + candidate not in self.taken:
                 self.counters[prefix] = n
                 return candidate, True
 
@@ -355,9 +357,8 @@ def _parse_timeline(tl_el: ET.Element, ctx: _ParseContext) -> Timeline:
         message = f"timeline unit {unit!r} is not recognised; treating as symbolic"
         ctx.warn("UNKNOWN_UNIT", "timeline", message)
         unit = UNIT_SYMBOLIC
-    ids: list[str] = []
+    by_id: dict[str, int] = {}  # the point index: each kept point's position
     offsets: list[Decimal | None] = []
-    seen: set[str] = set()
     for when in tl_el:
         if _LOCAL_NAMES.get(when.tag) != "when":
             continue
@@ -367,10 +368,10 @@ def _parse_timeline(tl_el: ET.Element, ctx: _ParseContext) -> Timeline:
             continue
         if pid[:1] == "#":
             pid = pid[1:]
-        if pid in seen:
+        if pid in by_id:
             ctx.warn("DUP_POINT", pid, f"duplicate timeline point {pid!r}; keeping the first")
             continue
-        seen.add(pid)
+        by_id[pid] = len(offsets)
         offset = None
         raw_offset = when.get("absolute")
         if raw_offset is not None:
@@ -378,7 +379,7 @@ def _parse_timeline(tl_el: ET.Element, ctx: _ParseContext) -> Timeline:
             try:
                 offset = Decimal(raw_offset)
                 # A NaN refuses the comparison, and raises as an ill-formed number does.
-                if not _DEC_ZERO <= offset < _DEC_INF:
+                if not _ZERO <= offset < _INFINITY:
                     kind = "an infinite" if offset.is_infinite() else "a negative"
             except InvalidOperation:
                 kind = "a non-numeric"
@@ -386,10 +387,12 @@ def _parse_timeline(tl_el: ET.Element, ctx: _ParseContext) -> Timeline:
                 offset = None
                 message = f"point {pid!r} has {kind} offset {raw_offset!r}"
                 ctx.warn("BAD_OFFSET", pid, message)
-        ids.append(pid)
         offsets.append(offset)
     tl_id, generated = ctx.element_id(tl_el, "timeline")
-    return Timeline(tl_id, unit, tuple(ids), tuple(offsets), id_declared=not generated)
+    # Checked as the constructor checks: a known unit, unique ids, offsets in bounds.
+    none = frozenset()
+    fields = (tl_id, unit, tuple(by_id), tuple(offsets), none, none, False, not generated)
+    return Timeline._indexed(fields, by_id)
 
 
 def _absorb_anchor_points(timelines: list[Timeline], ctx: _ParseContext) -> list[Timeline]:
@@ -398,12 +401,9 @@ def _absorb_anchor_points(timelines: list[Timeline], ctx: _ParseContext) -> list
     Documents without an explicit timeline get an implicit one in anchor
     document order; it is never serialised as a timeline element.
     """
-    known = {pid for tl in timelines for pid in tl.ids}
-    extra: list[str] = []
-    for pid in ctx.anchor_order:
-        if pid not in known:
-            known.add(pid)
-            extra.append(pid)
+    extra = [
+        pid for pid in dict.fromkeys(ctx.anchor_order) if not any(pid in tl for tl in timelines)
+    ]
     if not extra:
         return timelines
     base = first_timeline(timelines)
@@ -725,9 +725,8 @@ def resolve_anchors(doc: Document) -> tuple[Document, list[Finding]]:
     """
     findings: list[Finding] = []
     point_home: dict[str, Timeline] = {}  # each point's first declaring timeline
-    for tl in doc.timelines:
-        for pid in tl.ids:
-            point_home.setdefault(pid, tl)
+    for tl in reversed(doc.timelines):
+        point_home.update(dict.fromkeys(tl.ids, tl))
 
     resolved: list[tuple[int, EventInterval]] = []  # (body position, interval)
     for n, item in enumerate(doc.body):

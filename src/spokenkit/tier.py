@@ -31,6 +31,7 @@ from __future__ import annotations
 from decimal import Decimal, InvalidOperation
 from itertools import islice, repeat
 from operator import itemgetter, le, lt
+from types import NoneType
 from typing import Mapping
 
 from spokenkit.core.model import (
@@ -514,10 +515,11 @@ def from_core(doc: Document) -> tuple[TierDocument, list[ResidueItem]]:
     offsets: tuple[Decimal | None, ...] = ()
     if timeline is not None:
         point_ids = timeline.ids
-        offsets = tuple(
-            offset if isinstance(offset, Decimal) or offset is None else Decimal(str(offset))
-            for offset in timeline.offsets
-        )
+        offsets = timeline.offsets
+        if not all(map(isinstance, offsets, repeat((Decimal, NoneType)))):
+            offsets = tuple(
+                o if isinstance(o, (Decimal, NoneType)) else Decimal(str(o)) for o in offsets
+            )
     timeline_ids = {tl.id for tl in doc.timelines}
     layers = {layer.id: layer for layer in reversed(doc.layers)}  # the first layer of an id
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from operator import itemgetter
+from itertools import compress, count, islice, repeat
+from operator import gt, is_not, itemgetter
 
 from spokenkit.core.model import (
     ERROR,
@@ -251,11 +252,11 @@ def _check_document(
     """
     lib, issues = _library(doc, lib)
     targets = analysis_targets(doc, lib)
-    # Each point's position on the first timeline, in document order, that declares it.
+    # Each point's position on the first timeline, in document order, that declares it;
+    # ``update`` merges a plain dict, the copy, with no lookup per point.
     point_index: dict[str, int] = {}
-    for tl in doc.timelines:
-        for n, pid in enumerate(tl.ids):
-            point_index.setdefault(pid, n)
+    for tl in reversed(doc.timelines):
+        point_index.update(tl.positions.copy())
     participants = (
         {p.id for p in doc.metadata.participants} if doc.metadata is not None else set()
     )
@@ -423,17 +424,16 @@ def _check_document(
             dangle("level", layer.level, layer.id)
 
     for tl in doc.timelines:
-        with_offsets = [(pid, o) for pid, o in zip(tl.ids, tl.offsets) if o is not None]
-        for (earlier, earlier_offset), (later, later_offset) in zip(with_offsets, with_offsets[1:]):
-            if earlier_offset > later_offset:
-                issues.append(
-                    _finding(
-                        OFFSET_ORDER,
-                        later,
-                        f"offset of {later!r} ({later_offset}) is smaller than "
-                        f"offset of earlier point {earlier!r} ({earlier_offset})",
-                    )
-                )
+        given = [*map(is_not, tl.offsets, repeat(None))]
+        ids = [*compress(tl.ids, given)]
+        offsets = [*compress(tl.offsets, given)]
+        for n in compress(count(), map(gt, offsets, islice(offsets, 1, None))):
+            later = ids[n + 1]
+            message = (
+                f"offset of {later!r} ({offsets[n + 1]}) is smaller than "
+                f"offset of earlier point {ids[n]!r} ({offsets[n]})"
+            )
+            issues.append(_finding(OFFSET_ORDER, later, message))
     return issues
 
 

@@ -387,6 +387,28 @@ def test_convert_materializes_synthetic_timeline(capsys):
     assert "~auto1" in out
 
 
+def test_a_declared_point_named_like_a_synthetic_one_is_not_minted_again(capsys, tmp_path):
+    """The timeline declares ``~auto2``; sequencing the unanchored event
+    counts from it and skips it, where it used to mint ``~auto2`` again and
+    end in a traceback."""
+    source = tmp_path / "auto2.xml"
+    source.write_bytes(
+        b'<TEI xmlns="http://www.tei-c.org/ns/1.0"><teiHeader><fileDesc><titleStmt><title>t'
+        b"</title></titleStmt><publicationStmt><p>p</p></publicationStmt><sourceDesc><p>s</p>"
+        b'</sourceDesc></fileDesc></teiHeader><text><timeline unit="ms">'
+        b'<when absolute="500" xml:id="~auto2"/></timeline>'
+        b'<body><kinesic xml:id="k1"><desc>nod</desc></kinesic></body></text></TEI>'
+    )
+    assert run(capsys, "overlaps", str(source)) == (0, "", "")
+    code, out, _ = run(capsys, "convert", str(source), "--from", "tei", "--to", "tier")
+    assert code == 0
+    assert "@point\t~auto2\t500" in out.splitlines()
+    assert "event\tkinesic\t~auto3\t~auto4\tnod" in out.splitlines()
+    tier = tmp_path / "auto2.tier"
+    tier.write_text(out, encoding="utf-8")
+    assert run(capsys, "convert", str(tier), "--from", "tier", "--to", "tier") == (0, out, "")
+
+
 # ---------------------------------------------------------------- overlaps
 
 def test_overlaps_dialogue_rows(capsys):

@@ -9,17 +9,21 @@ event, in body order. ``validate_all`` finds the same in a parsed document as
 in its resolved copy, so ``spokenkit validate`` resolves no anchors. A TEI
 → TEI pass keeps every explicit ``xml:id``, empty ones included. The reader
 clears the element tree as it goes; no element reaches the model, and a
-parse leaves nothing for the cyclic collector.
+parse leaves nothing for the cyclic collector. The reader indexes each
+timeline once, as it reads it: the timeline it builds equals the one the
+checking constructor builds, which the reader never calls.
 """
 
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import random
 import xml.etree.ElementTree as ET
 from collections import Counter
 
-from spokenkit.core import Annotation, EventInterval, Finding, Qualifier
+from spokenkit.core import Annotation, EventInterval, Finding, Qualifier, Timeline
 from spokenkit.core.model import WARNING
 from spokenkit.tei import (
     AnchorRef,
@@ -36,7 +40,7 @@ from spokenkit.tei import (
     serialize_document,
 )
 from spokenkit.tei.model import content_items, content_text
-from spokenkit.validate import validate_all
+from spokenkit.validate import check_temporal, validate_all
 from tests.conftest import FIXTURES, cyclic_garbage
 
 TEI_NS = "http://www.tei-c.org/ns/1.0"
@@ -394,3 +398,121 @@ def test_no_element_escapes_into_the_model_and_no_garbage_is_left():
     for markup in markups:
         doc, warnings = parse_document(markup)
         assert _elements_reachable(doc, warnings) == []
+
+
+# A small alphabet, so that duplicate points and points shared by two timelines
+# are drawn often; ``timeline1`` is also the first id the reader generates.
+POINT_NAMES = ("T0", "T1", "T2", "X0", "timeline1")
+RAW_OFFSETS = ("0", "12", "1.5", "-0", "abc", "NaN", "sNaN", "Infinity", "-Infinity", "-1")
+
+
+def _timelines(rand: random.Random) -> str:
+    """Up to three timelines of random points: ids with or without a '#',
+    repeated, or missing; offsets good, bad or none; a timeline id that is
+    missing, or declared as ``timeline1`` or ``#timeline1``."""
+    out = []
+    for _ in range(rand.randint(0, 3)):
+        whens = []
+        for _ in range(rand.randint(0, 6)):
+            attrs = ""
+            if rand.random() < 0.9:
+                pid = rand.choice(POINT_NAMES)
+                attrs += f' xml:id="{"#" if rand.random() < 0.2 else ""}{pid}"'
+            if rand.random() < 0.7:
+                attrs += f' absolute="{rand.choice(RAW_OFFSETS)}"'
+            whens.append(f"<when{attrs}/>")
+        tl_id = rand.choice(("", "", "tl9", "timeline1", "#timeline1"))
+        tl_id = f' xml:id="{tl_id}"' if tl_id else ""
+        unit = rand.choice(("", ' unit="ms"', ' unit="s"', ' unit="minutes"'))
+        out.append(f"<timeline{tl_id}{unit}>{''.join(whens)}</timeline>")
+    return "".join(out)
+
+
+def _timeline_markups():
+    """Every XML fixture, then random documents whose timelines plant each
+    case the reader checks a point for."""
+    for path in sorted(FIXTURES.glob("*.xml")):
+        yield path.read_bytes()
+    rand = random.Random(20111022)
+    for _ in range(300):
+        head, rest = _Gen(rand).document().split("<text>", 1)
+        yield f"{head}<text>{_timelines(rand)}<body>{rest.split('<body>', 1)[1]}"
+
+
+def _cases(doc, warnings) -> set[str]:
+    cases = {w.message.rsplit(" ", 1)[-1] for w in warnings if w.code == "BAD_OFFSET"}
+    cases |= {w.code for w in warnings if w.code in ("DUP_POINT", "UNKNOWN_UNIT")}
+    planted = {raw for raw, _ in doc.declared_ids} & {"timeline1", "#timeline1"}
+    cases |= {f"{raw} declared" for raw in planted}
+    if planted and any(not (tl.id_declared or tl.implicit) for tl in doc.timelines):
+        cases.add("id generated beside a declared timeline1")
+    ids = [pid for tl in doc.timelines for pid in tl.ids]
+    if len(ids) != len(set(ids)):
+        cases.add("shared point")
+    if any(raw[:1] == "#" and local == "when" for raw, local in doc.declared_ids):
+        cases.add("# point")
+    return cases
+
+
+def anchor_order_reference(doc) -> list[str]:
+    """Where each utterance whose anchors decrease is reported: a point's
+    position is on the first timeline that declares it."""
+    position: dict[str, int] = {}
+    for tl in doc.timelines:
+        for n, pid in enumerate(tl.ids):
+            position.setdefault(pid, n)
+    found = []
+    for item in doc.body:
+        if isinstance(item, Utterance):
+            anchors = content_items(item.content, AnchorRef)
+            places = [position[a.point] for a in anchors if a.point in position]
+            if any(earlier > later for earlier, later in zip(places, places[1:])):
+                found.append(item.id or "body")
+    return found
+
+
+def test_each_timeline_the_reader_builds_is_the_one_the_constructor_builds():
+    """Every later stage reads its index: the resolver and the validator
+    place a point shared by two timelines on the first."""
+    seen: set[str] = set()
+    for markup in _timeline_markups():
+        doc, warnings = parse_document(markup)
+        resolved, findings = resolve_anchors(doc)
+        intervals, expected_findings = reference_resolution(doc)
+        assert findings == expected_findings
+        assert [a.range for a in resolved.annotations] == intervals
+        anchor_order = [i.location for i in check_temporal(doc) if i.code == "ANCHOR_ORDER"]
+        assert anchor_order == anchor_order_reference(doc)
+        raws = {raw for raw, _ in doc.declared_ids}
+        for tl in doc.timelines:
+            checked = Timeline(*tl)
+            assert tl == checked
+            assert list(tl.positions.items()) == list(checked.positions.items())
+            for kept in (copy.copy(tl), copy.deepcopy(tl), pickle.loads(pickle.dumps(tl))):
+                assert kept == tl and tuple(kept) == tuple(tl)
+                assert list(kept.positions.items()) == list(tl.positions.items())
+            if not tl.id_declared:
+                assert tl.id not in raws and "#" + tl.id not in raws
+        seen |= _cases(doc, warnings)
+    assert seen == {
+        "'abc'", "'NaN'", "'sNaN'", "'Infinity'", "'-Infinity'", "'-1'", "DUP_POINT",
+        "UNKNOWN_UNIT", "timeline1 declared", "#timeline1 declared", "shared point", "# point",
+        "id generated beside a declared timeline1",
+    }
+
+
+def test_the_reader_builds_no_timeline_through_the_checking_constructor(monkeypatch):
+    markups = list(_timeline_markups())
+    built: list[str] = []
+    checking = Timeline.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args[0] if args else kwargs["id"])
+        return checking(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Timeline, "__new__", staticmethod(counted))
+    timelines = sum(len(parse_document(markup)[0].timelines) for markup in markups)
+    assert built == []
+    assert timelines > 300
+    Timeline("tl")
+    assert built == ["tl"]

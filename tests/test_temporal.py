@@ -255,6 +255,34 @@ def test_sequence_implicit_is_identity_on_fully_anchored_documents():
     assert sequence_implicit(doc) is doc
 
 
+def test_sequence_implicit_mints_only_ids_the_timeline_does_not_hold():
+    declared = ("~auto2", "~auto4", "~auto7")
+    unanchored = tuple(
+        Annotation(
+            id=f"u{n}",
+            source="src",
+            range=None,
+            qualifiers=(Qualifier("utterance", "x"),),
+            layer="events",
+        )
+        for n in (1, 2)
+    )
+    doc = Document(
+        sources=(SourceRef("src"),),
+        timelines=(Timeline.of("tl", declared),),
+        annotations=unanchored,
+    )
+    sequenced = sequence_implicit(doc)
+    # The count starts after the three declared ``~auto`` ids, at 4.
+    assert [(a.range.start, a.range.end) for a in sequenced.annotations] == [
+        ("~auto5", "~auto6"),
+        ("~auto8", "~auto9"),
+    ]
+    tl = sequenced.primary_timeline
+    assert tl.ids == declared + ("~auto5", "~auto6", "~auto8", "~auto9")
+    assert tl.synthetic == {"~auto5", "~auto6", "~auto8", "~auto9"}
+
+
 def test_sequence_implicit_is_idempotent():
     doc, _ = parse_document(fixture_bytes("inline_anchors.xml"))
     doc, _ = resolve_anchors(doc)

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import sys
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spokenkit.tei.parser
 import spokenkit.validate
@@ -275,6 +278,44 @@ def test_equal_offsets_are_not_flagged():
     from spokenkit.core import Document
 
     assert check_temporal(Document(timelines=(tl,))) == []
+
+
+def offset_order_reference(doc: Document) -> list[tuple[str, str, str]]:
+    """(code, location, message) of each point whose offset is below the
+    offset of the nearest earlier point that has one, timeline by timeline."""
+    found = []
+    for tl in doc.timelines:
+        earlier = None
+        for pid, offset in zip(tl.ids, tl.offsets):
+            if offset is None:
+                continue
+            if earlier is not None and earlier[1] > offset:
+                message = (
+                    f"offset of {pid!r} ({offset}) is smaller than "
+                    f"offset of earlier point {earlier[0]!r} ({earlier[1]})"
+                )
+                found.append((OFFSET_ORDER, pid, message))
+            earlier = (pid, offset)
+    return found
+
+
+# Few distinct offsets, so that equal neighbours and decreases are both drawn often.
+OFFSET_COLUMNS = st.lists(
+    st.lists(st.one_of(st.none(), st.integers(0, 4), st.just(Decimal("2.5"))), max_size=8),
+    max_size=3,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(OFFSET_COLUMNS)
+def test_offset_order_findings_are_those_of_a_pairwise_loop(columns):
+    timelines = tuple(
+        Timeline(f"tl{k}", "ms", tuple(f"p{k}_{n}" for n in range(len(col))), tuple(col))
+        for k, col in enumerate(columns)
+    )
+    doc = Document(timelines=timelines)
+    found = [(i.code, i.location, i.message) for i in check_temporal(doc)]
+    assert found == offset_order_reference(doc)
 
 
 # ---------------------------------------------------------------- spans
